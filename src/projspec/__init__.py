@@ -42,6 +42,7 @@ from .core import (
     emit_matrix,
     emit_tuple,
     frobenius,
+    joint_diagonalize,
     normality_defect,
     parse_complex,
     parse_matrix,
@@ -51,7 +52,6 @@ from .detpoly import (
     BivarPoly,
     char_poly_pair,
     emit_bipoly,
-    eval_poly,
     parse_bipoly,
     total_degree,
     univariate_slice,
@@ -67,7 +67,6 @@ from .errors import (
     LevelTooLarge,
     LineNotInSpectrum,
     NoConvergence,
-    NonConvergence,
     NotCommuting,
     NotInvariant,
     NotNormal,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 affirmative verdict or plain success, 1 negative verdict
 (not a union of lines, not commuting, no sector, slope below threshold,
-line not in spectrum), 2 errors and indeterminate outcomes. Identical
-arguments, files, and seeds produce byte-identical output.
+line not in spectrum), 2 errors, indeterminate outcomes and verdicts whose
+two routes disagree (``consistent=false``). Identical arguments, files, and
+seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ from .errors import (
 
 _SLOPE_THRESHOLD = 1.8
 
-_TOL_FIELDS = ("normal", "eig", "unitary", "commute", "line", "recon")
+_TOL_FIELDS = ("normal", "eig", "commute", "line", "recon")
 
 
-def _add_common(sub, seed: bool = False):
+def _add_common(sub, seed: bool = False, tols: bool = True):
     sub.add_argument("-o", "--output", metavar="PATH", help="write the result here instead of stdout")
-    for name in _TOL_FIELDS:
-        sub.add_argument(
-            f"--tol-{name}", type=float, default=None, metavar="X",
-            help=f"override the {name} tolerance",
-        )
+    if tols:
+        for name in _TOL_FIELDS:
+            sub.add_argument(
+                f"--tol-{name}", type=float, default=None, metavar="X",
+                help=f"override the {name} tolerance",
+            )
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
 
@@ -82,7 +84,7 @@ def _cmd_eig(args) -> int:
 def _cmd_detpoly(args) -> int:
     a = core.parse_matrix(_read(args.matrix_a))
     b = core.parse_matrix(_read(args.matrix_b))
-    p = detpoly.char_poly_pair(a, b, tol=_tolerances(args))
+    p = detpoly.char_poly_pair(a, b)
     _write(args, detpoly.emit_bipoly(p))
     return 0
 
@@ -181,7 +183,7 @@ def _cmd_lemma34(args) -> int:
     zs = None
     if args.zs:
         zs = [_cli_complex(t) for t in args.zs.split(",") if t.strip()]
-    res = riesz.lemma34_solver(a, b, _cli_complex(args.mu), zs, tol=_tolerances(args))
+    res = riesz.lemma34_solver(a, b, _cli_complex(args.mu), zs)
     out = [
         f"residual_a={res.residual_a:.17g}",
         f"residual_b={res.residual_b:.17g}",
@@ -197,7 +199,7 @@ def _cmd_commute(args) -> int:
     b = core.parse_matrix(_read(args.matrix_b))
     report = commute_mod.equivalence_check(a, b, seed=args.seed, tol=_tolerances(args))
     _write(args, commute_mod.format_report(report))
-    if report.indeterminate is not None:
+    if report.indeterminate is not None or not report.consistent:
         return 2
     return 0 if report.commute else 1
 
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("detpoly", help="coefficients of det(I + zA + wB)")
     s.add_argument("matrix_a")
     s.add_argument("matrix_b")
-    _add_common(s)
+    _add_common(s, tols=False)
     s.set_defaults(func=_cmd_detpoly)
 
     s = subs.add_parser("lines", help="factor a bivariate polynomial into lines")
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("example", help="diagonal model operator at a truncation level")
     s.add_argument("--level", type=int, required=True)
-    _add_common(s)
+    _add_common(s, tols=False)
     s.set_defaults(func=_cmd_example)
 
     s = subs.add_parser("riesz", help="Riesz projection over a circular contour")
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("matrix_b")
     s.add_argument("--mu", required=True, help="eigenvalue with |mu| = ||B||")
     s.add_argument("--zs", default=None, help="comma-separated complex ramp points")
-    _add_common(s)
+    _add_common(s, tols=False)
     s.set_defaults(func=_cmd_lemma34)
 
     s = subs.add_parser("commute", help="commutativity vs line-structure equivalence")
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--wmax", type=float, default=1.0)
     s.add_argument("--samples", type=int, default=41)
     s.add_argument("--svg", default=None, metavar="PATH", help="also write an SVG scatter")
-    _add_common(s)
+    _add_common(s, tols=False)
     s.set_defaults(func=_cmd_plot_slice)
 
     return parser

@@ -5,8 +5,9 @@ linear terms, i.e. the zero set is a union of lines. This module runs the
 algebraic side (commutator norm), the geometric side (bivariate
 factorization), cross-checks the recovered arrangement against the
 eigenvalue pairs of a common eigenbasis, and extends the test to tuples by
-pairwise reduction. Interpolation or matching failures surface as
-indeterminate outcomes, never as definitive verdicts.
+pairwise reduction. Interpolation or matching failures, and pairs whose two
+sides disagree inside a tuple, surface as indeterminate outcomes, never as
+definitive verdicts.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from .linegeom import (
     Line,
     LineArrangement,
     LineVerdict,
-    cluster_pairs,
+    cluster_tuples,
     compare_arrangements,
     factor_lines,
 )
 
-# A-eigenvalue clusters wider than this (relative to ||A||_F) are distinct.
+# Joint-diagonalization cluster radius for each member's Hermitian and skew
+# parts, relative to that member's ||.||_F; wider gaps are distinct.
 DEFLATION_CLUSTER_REL = 1e-7
 
 # Eigenvalue pairs with both entries below this relative size correspond to
@@ -99,12 +101,12 @@ def _cluster_ranges(values: np.ndarray, radius: float):
 
 
 def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonEigenbasis:
-    """Joint unitary diagonalization of a commuting normal pair by deflation.
+    """Joint unitary diagonalization of a commuting normal pair.
 
-    Diagonalize A; inside each eigenvalue cluster of A the compressed B is
-    again normal and is diagonalized in place; a final pass re-diagonalizes
-    the compressed A inside near-degenerate B subclusters so that neither
-    side is left carrying its cluster spread.
+    One cluster deflation over the Hermitian and skew parts of A, then of B,
+    then of A again, so that neither side is left carrying the spread of a
+    cluster the other side split. B compressed to each eigenvalue cluster of
+    A must be normal; the joint basis must leave both sides diagonal.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
@@ -119,15 +121,13 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
         raise NotCommuting(
             f"commutator norm {cn:.3e} exceeds {tol.commute * (na + nb):.3e}"
         )
-    n = a.shape[0]
-    ea = core.eig_normal(a, tol=tol)
-    u = np.array(ea.unitary)
     radius_a = DEFLATION_CLUSTER_REL * na
     radius_b = DEFLATION_CLUSTER_REL * nb
+    ea = core.eig_normal(a, tol=tol)
     for lo, hi in _cluster_ranges(ea.values, radius_a):
         if hi - lo == 1:
             continue
-        w = u[:, lo:hi]
+        w = ea.unitary[:, lo:hi]
         bc = w.conj().T @ b @ w
         defect = core.normality_defect(bc)
         if defect > tol.normal * max(core.frobenius(bc), 1e-300):
@@ -135,15 +135,12 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
                 f"compressed b on an eigenvalue cluster of a is not normal "
                 f"(defect {defect:.3e}); the pair does not commute cleanly"
             )
-        eb = core.eig_normal(bc, tol=tol)
-        u[:, lo:hi] = w @ eb.unitary
-        for slo, shi in _cluster_ranges(eb.values, radius_b):
-            if shi - slo == 1:
-                continue
-            w2 = u[:, lo + slo : lo + shi]
-            ac = w2.conj().T @ a @ w2
-            ec = core.eig_normal(ac, tol=tol)
-            u[:, lo + slo : lo + shi] = w2 @ ec.unitary
+    ha, ka = core.hermitian_parts(a)
+    hb, kb = core.hermitian_parts(b)
+    u = core.joint_diagonalize(
+        [ha, ka, hb, kb, ha, ka],
+        [radius_a, radius_a, radius_b, radius_b, radius_a, radius_a],
+    )
     ta = u.conj().T @ a @ u
     tb = u.conj().T @ b @ u
     diag_a = np.diag(ta).copy()
@@ -171,7 +168,7 @@ def eigenpair_arrangement(diag_a, diag_b, *, norm_a: float = 1.0, norm_b: float 
         np.abs(db) > _ZERO_PAIR_REL * max(norm_b, 1e-300)
     )
     pairs = list(zip(da[keep], db[keep]))
-    lines = [(Line(l, m), mult) for l, m, mult in cluster_pairs(pairs)]
+    lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
     return LineArrangement(lines, deficit=int(da.size - len(pairs)))
 
 
@@ -194,7 +191,7 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     cn = core.commutator_norm(a, b)
     commute = cn <= tol.commute * (na + nb)
     try:
-        p = char_poly_pair(a, b, tol=tol)
+        p = char_poly_pair(a, b)
         verdict = factor_lines(p, seed=seed, tol=tol)
     except (InterpolationFailure, NumericalAmbiguity) as exc:
         return EquivalenceReport(commute, cn, None, None, indeterminate=str(exc))
@@ -236,22 +233,29 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         for j in range(i + 1, len(mats)):
             rep = equivalence_check(mats[i], mats[j], seed=seed, tol=tol)
             reports.append(((i, j), rep))
-            if rep.indeterminate is not None and indeterminate is None:
-                indeterminate = f"pair ({i},{j}): {rep.indeterminate}"
+            if indeterminate is None:
+                if rep.indeterminate is not None:
+                    indeterminate = f"pair ({i},{j}): {rep.indeterminate}"
+                elif not rep.consistent:
+                    indeterminate = f"pair ({i},{j}): commutator and line verdict disagree"
             if not rep.commute:
                 all_commute = False
     if indeterminate is not None:
         return TupleReport(reports, all_commute, indeterminate=indeterminate)
     if not all_commute:
         return TupleReport(reports, False)
-    u, diags = _joint_eigenbasis(mats, norms, tol)
+    parts = [p for m in mats for p in core.hermitian_parts(m)]
+    radii = [DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)]
+    # two sweeps over all members settle ties
+    u = core.joint_diagonalize(parts * 2, radii * 2)
+    diags = np.stack([np.diag(u.conj().T @ m @ u).copy() for m in mats])
     tuples = [tuple(diags[m][k] for m in range(len(mats))) for k in range(n)]
     scale = max(norms) if norms else 1.0
     keep = [
         t for t in tuples if any(abs(x) > _ZERO_PAIR_REL * max(scale, 1e-300) for x in t)
     ]
     dropped = n - len(keep)
-    hyperplanes = _cluster_tuples(keep)
+    hyperplanes = cluster_tuples(keep)
     return TupleReport(
         reports,
         True,
@@ -260,61 +264,6 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         hyperplanes=hyperplanes,
         deficit=dropped,
     )
-
-
-def _joint_eigenbasis(mats, norms, tol):
-    """Iterated deflation across all tuple members; two sweeps settle ties."""
-    n = mats[0].shape[0]
-    u = np.eye(n, dtype=np.complex128)
-    clusters = [(0, n)]
-    for _ in range(2):
-        for m, norm in zip(mats, norms):
-            radius = DEFLATION_CLUSTER_REL * norm
-            refined = []
-            for lo, hi in clusters:
-                if hi - lo == 1:
-                    refined.append((lo, hi))
-                    continue
-                w = u[:, lo:hi]
-                mc = w.conj().T @ m @ w
-                em = core.eig_normal(mc, tol=tol)
-                u[:, lo:hi] = w @ em.unitary
-                for slo, shi in _cluster_ranges(em.values, radius):
-                    refined.append((lo + slo, lo + shi))
-            clusters = refined
-    diags = np.stack([np.diag(u.conj().T @ m @ u).copy() for m in mats])
-    return u, diags
-
-
-def _cluster_tuples(tuples, rel: float = 1e-6):
-    """Greedy radius clustering of coefficient tuples into (tuple, mult)."""
-    items = [tuple(complex(x) for x in t) for t in tuples]
-    order = sorted(
-        range(len(items)),
-        key=lambda i: tuple(v for x in items[i] for v in (x.real, x.imag)),
-    )
-    used = [False] * len(items)
-    out = []
-    for i in order:
-        if used[i]:
-            continue
-        seed_t = items[i]
-        radius = rel * (1.0 + sum(abs(x) for x in seed_t))
-        members = []
-        for j in order:
-            if used[j]:
-                continue
-            dist = np.sqrt(sum(abs(x - y) ** 2 for x, y in zip(items[j], seed_t)))
-            if dist <= radius:
-                members.append(j)
-                used[j] = True
-        k = len(seed_t)
-        center = tuple(
-            sum(items[j][c] for j in members) / len(members) for c in range(k)
-        )
-        out.append((center, len(members)))
-    out.sort(key=lambda t: tuple(v for x in t[0] for v in (x.real, x.imag)))
-    return out
 
 
 def restriction_check(a, b, basis_w, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:

@@ -2,10 +2,11 @@
 
 Complex matrices are plain ``numpy.ndarray`` objects with dtype complex128.
 ``as_cmatrix`` is the single admission point; every public operation routes
-its inputs through it. The eigensolver is a hand-rolled cyclic Jacobi for
-Hermitian matrices, extended to normal matrices by splitting A into its
-Hermitian part H = (A + A*)/2 and skew part, then jointly refining the two
-commuting Hermitian pieces block by block.
+its inputs through it. Normal matrices are diagonalized by splitting A into
+its Hermitian part H = (A + A*)/2 and skew part, then jointly diagonalizing
+the two commuting Hermitian pieces: LAPACK ``eigh`` on each block
+compression, with cluster deflation between them. The same joint
+diagonalizer serves commuting pairs and tuples in ``commute``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ import numpy as np
 
 from .errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
-# Jacobi sweep budget and the relative off-diagonal mass at which a sweep
-# pass declares convergence.
-JACOBI_MAX_SWEEPS = 60
-JACOBI_OFF_REL = 1e-14
-
 # Relative cluster radius used when splitting Hermitian eigenvalues into
 # blocks for the skew-part refinement stage.
 EIG_CLUSTER_REL = 1e-8
@@ -33,15 +29,10 @@ DEFAULT_TOL_BASE = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of admission and certification tolerances.
-
-    All fields are relative unless noted. ``unitary`` is absolute on
-    ``||U*U - I||_F``.
-    """
+    """Bundle of admission and certification tolerances; all fields are relative."""
 
     normal: float = 1e-8
     eig: float = 1e-9
-    unitary: float = 1e-10
     commute: float = 1e-8
     line: float = 1e-6
     recon: float = 1e-6
@@ -56,7 +47,6 @@ class Tolerances:
         return cls(
             normal=d.normal * f,
             eig=d.eig * f,
-            unitary=d.unitary * f,
             commute=d.commute * f,
             line=d.line * f,
             recon=d.recon * f,
@@ -112,70 +102,6 @@ def commutator_norm(a, b) -> float:
     return float(np.linalg.norm(a @ b - b @ a))
 
 
-def _jacobi_hermitian(h: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi for a Hermitian matrix.
-
-    Returns (values, v) with values real ascending-unsorted (diagonal order)
-    and v unitary such that v* h v is diagonal to within JACOBI_OFF_REL
-    relative off-diagonal mass.
-    """
-    n = h.shape[0]
-    a = np.array(h, dtype=np.complex128)
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    stop = JACOBI_OFF_REL * scale
-    # Entries below skip never contribute enough off-diagonal mass to matter.
-    skip = stop / n
-    for _ in range(max_sweeps):
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.linalg.norm(off) <= stop:
-            return a.real.diagonal().copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                ag = abs(g)
-                if ag <= skip:
-                    continue
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                tau = (beta - alpha) / (2.0 * ag)
-                # Smaller root of t^2 + 2*tau*t - 1 = 0 keeps |t| <= 1.
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = (t * c) * (g / ag)
-                # Right-multiply by the rotation, then left-multiply by its
-                # adjoint; the pivot entry is annihilated exactly.
-                col_p = c * a[:, p] - np.conj(s) * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = np.conj(s) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vis_p = c * v[:, p] - np.conj(s) * v[:, q]
-                vis_q = s * v[:, p] + c * v[:, q]
-                v[:, p] = vis_p
-                v[:, q] = vis_q
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.linalg.norm(off) <= stop:
-        return a.real.diagonal().copy(), v
-    raise NoConvergence(f"Jacobi sweeps exhausted ({max_sweeps}) without convergence")
-
-
 def _split_sorted(vals: np.ndarray, radius: float):
     """Chain-cluster ascending real values; break where the gap exceeds radius."""
     groups = []
@@ -188,14 +114,26 @@ def _split_sorted(vals: np.ndarray, radius: float):
     return groups
 
 
-def _refine_blocks(mats, radii, v, blocks):
-    """Jointly refine a unitary so each matrix becomes block-diagonal.
+def hermitian_parts(a: np.ndarray):
+    """(H, K) with A = H + iK and both Hermitian; they commute when A is normal."""
+    ah = a.conj().T
+    return (a + ah) / 2.0, (a - ah) / 2.0j
 
-    mats are (nearly) commuting Hermitian matrices, processed in order; each
-    stage diagonalizes the compression of one matrix inside every current
-    block and splits the block by the clustered eigenvalues.
+
+def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
+    """Unitary V with V* M V (nearly) diagonal for commuting Hermitian M.
+
+    Cluster deflation (Bunse-Gerstner, Byers & Mehrmann 1993): the matrices
+    are taken in order; each one is compressed to every current block of
+    columns, diagonalized there by LAPACK ``eigh``, and the block is split
+    wherever consecutive eigenvalues differ by more than that matrix's
+    radius. A matrix may appear more than once, to re-diagonalize it inside
+    blocks that a later split left it mixed in.
     """
-    for m, radius in zip(mats, radii):
+    n = hermitian_mats[0].shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    blocks = [np.arange(n)]
+    for m, radius in zip(hermitian_mats, radii):
         out = []
         for idx in blocks:
             if idx.size == 1:
@@ -203,16 +141,11 @@ def _refine_blocks(mats, radii, v, blocks):
                 continue
             sub = v[:, idx]
             c = sub.conj().T @ (m @ sub)
-            c = (c + c.conj().T) / 2.0
-            vals, w = _jacobi_hermitian(c)
-            order = np.argsort(vals, kind="stable")
-            vals = vals[order]
-            w = w[:, order]
+            vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
             v[:, idx] = sub @ w
-            for g in _split_sorted(vals, radius):
-                out.append(idx[g])
+            out.extend(idx[g] for g in _split_sorted(vals, radius))
         blocks = out
-    return blocks
+    return v
 
 
 def _arg2pi(z: complex) -> float:
@@ -252,15 +185,11 @@ def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
         )
     if fa == 0.0:
         return EigenDecomposition(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), 0.0)
-    ah = a.conj().T
-    herm = (a + ah) / 2.0
-    skew = (a - ah) / 2.0j  # Hermitian since A - A* is skew-Hermitian
+    herm, skew = hermitian_parts(a)
     radius = EIG_CLUSTER_REL * fa
-    v = np.eye(n, dtype=np.complex128)
-    blocks = [np.arange(n)]
     # The trailing Hermitian pass cleans the case where a skew-part degeneracy
     # straddles two merged near-degenerate Hermitian clusters.
-    _refine_blocks([herm, skew, herm], [radius, radius, radius], v, blocks)
+    v = joint_diagonalize([herm, skew, herm], [radius, radius, radius])
     t = v.conj().T @ (a @ v)
     values = t.diagonal().copy()
     residual = float(np.linalg.norm(t - np.diag(values)))

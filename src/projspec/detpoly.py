@@ -81,15 +81,7 @@ def total_degree(p: BivarPoly, rel: float = DUST_REL) -> int:
     return int((j + k).max())
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, from the Hermitian eigenvalues of A*A."""
-    gram = a.conj().T @ a
-    gram = (gram + gram.conj().T) / 2.0
-    vals, _ = core._jacobi_hermitian(gram)
-    return math.sqrt(max(float(vals.max()), 0.0))
-
-
-def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET, tol=None) -> BivarPoly:
+def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
     """Interpolate det(I + zA + wB) on a scaled roots-of-unity grid.
 
     Grid radii are reciprocal spectral-norm scales, which keeps determinant
@@ -105,8 +97,8 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET, tol=None) -> BivarPoly:
     if n > budget:
         raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {budget}")
     m = n + 1
-    rho_a = 1.0 / (_RADIUS_FLOOR + _spectral_norm(a))
-    rho_b = 1.0 / (_RADIUS_FLOOR + _spectral_norm(b))
+    rho_a = 1.0 / (_RADIUS_FLOOR + np.linalg.norm(a, 2))
+    rho_b = 1.0 / (_RADIUS_FLOOR + np.linalg.norm(b, 2))
     zs = rho_a * np.exp(2j * np.pi * np.arange(m) / m)
     ws = rho_b * np.exp(2j * np.pi * np.arange(m) / m)
     eye = np.eye(n, dtype=np.complex128)
@@ -157,10 +149,6 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET, tol=None) -> BivarPoly:
             f"self-check residual {worst:.3e} exceeds tolerance {probe_tol:.3e}"
         )
     return p
-
-
-def eval_poly(p: BivarPoly, z: complex, w: complex) -> complex:
-    return p.evaluate(z, w)
 
 
 def univariate_slice(p: BivarPoly, mode: str, value: complex) -> np.ndarray:

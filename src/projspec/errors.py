@@ -78,7 +78,3 @@ class LineNotInSpectrum(ProjspecError):
 
 class NotInvariant(ProjspecError):
     """Subspace is not invariant under the operators within tolerance."""
-
-
-# Both spellings appear in calling code; one exception class serves them.
-NonConvergence = NoConvergence

@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import linear_sum_assignment
 
 from . import core
 from .detpoly import BivarPoly, total_degree, univariate_slice
@@ -24,8 +23,9 @@ from .errors import DegenerateInput, NumericalAmbiguity, ParseError
 # Greedy pairing acceptance: per-pair ray mismatch relative to the pair scale.
 PAIR_TOL = 1e-5
 
-# Multiplicity clustering radius, relative to 1 + |lambda| + |mu|.
-CLUSTER_PAIR_REL = 1e-6
+# Multiplicity clustering radius, relative to 1 + |lambda| + |mu| (for a
+# coefficient tuple, 1 plus the sum of its moduli).
+CLUSTER_REL = 1e-6
 
 # Off-line witness admission: |p(witness)| bound (absolute).
 WITNESS_PTOL = 1e-8
@@ -81,6 +81,19 @@ def _sorted_complex(values) -> np.ndarray:
     return arr[order]
 
 
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Polished roots of an ascending-coefficient polynomial of degree >= 1.
+
+    The leading coefficient, coeffs[-1], must be nonzero; callers trim dust.
+    """
+    monic = coeffs / coeffs[-1]
+    deg = monic.size - 1
+    comp = np.zeros((deg, deg), dtype=np.complex128)
+    comp[1:, :-1] = np.eye(deg - 1)
+    comp[:, -1] = -monic[:deg]
+    return _polish_roots(monic, np.linalg.eigvals(comp))
+
+
 def poly_roots(coeffs, rel: float = _SLICE_DUST_REL) -> np.ndarray:
     """Roots of an ascending-coefficient polynomial via its companion matrix.
 
@@ -94,13 +107,7 @@ def poly_roots(coeffs, rel: float = _SLICE_DUST_REL) -> np.ndarray:
     deg = int(np.nonzero(mags > rel * top)[0].max())
     if deg == 0:
         return np.zeros(0, dtype=np.complex128)
-    monic = c[: deg + 1] / c[deg]
-    comp = np.zeros((deg, deg), dtype=np.complex128)
-    if deg > 1:
-        comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic[:deg]
-    roots = np.linalg.eigvals(comp)
-    return _sorted_complex(_polish_roots(monic, roots))
+    return _sorted_complex(_companion_roots(c[: deg + 1]))
 
 
 def _polish_roots(monic_ascending: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -139,49 +146,39 @@ def _monic_reversed_roots(slice_coeffs, d: int) -> np.ndarray:
     k = int(np.nonzero(mags > _SLICE_DUST_REL * top)[0].max())
     if k == 0:
         return np.zeros(d, dtype=np.complex128)
-    rev = s[: k + 1][::-1].copy()
-    rev = rev / rev[k]
-    comp = np.zeros((k, k), dtype=np.complex128)
-    if k > 1:
-        comp[1:, :-1] = np.eye(k - 1)
-    comp[:, -1] = -rev[:k]
-    y = np.linalg.eigvals(comp)
-    y = _polish_roots(rev, y)
+    y = _companion_roots(s[: k + 1][::-1])
     vals = np.concatenate([-y, np.zeros(d - k, dtype=np.complex128)])
     return _sorted_complex(vals)
 
 
-def cluster_pairs(pairs, rel: float = CLUSTER_PAIR_REL):
-    """Greedy radius clustering of (lam, mu) pairs into (lam, mu, multiplicity).
+def cluster_tuples(tuples, rel: float = CLUSTER_REL):
+    """Greedy radius clustering of coefficient tuples into (centroid, multiplicity).
 
-    Deterministic: seeds are taken in lexicographic order and absorb every
-    unused pair within rel * (1 + |lam| + |mu|).
+    Deterministic: seeds are taken in lexicographic (re, im) order and absorb
+    every unused tuple within rel * (1 + sum of the seed's moduli); output is
+    sorted the same way. Pairs (lam, mu) are the line case.
     """
-    items = [(complex(l), complex(m)) for l, m in pairs]
-    order = sorted(
-        range(len(items)),
-        key=lambda i: (items[i][0].real, items[i][0].imag, items[i][1].real, items[i][1].imag),
-    )
+    items = [tuple(complex(x) for x in t) for t in tuples]
+
+    def key(t):
+        return tuple(v for x in t for v in (x.real, x.imag))
+
+    order = sorted(range(len(items)), key=lambda i: key(items[i]))
     used = [False] * len(items)
     clusters = []
     for i in order:
         if used[i]:
             continue
-        seed_l, seed_m = items[i]
-        radius = rel * (1.0 + abs(seed_l) + abs(seed_m))
+        seed = items[i]
+        radius = rel * sum((abs(x) for x in seed), 1.0)
         members = []
         for j in order:
-            if used[j]:
-                continue
-            dl = items[j][0] - seed_l
-            dm = items[j][1] - seed_m
-            if math.hypot(abs(dl), abs(dm)) <= radius:
+            if not used[j] and math.hypot(*(abs(x - y) for x, y in zip(items[j], seed))) <= radius:
                 members.append(j)
                 used[j] = True
-        lam = sum(items[j][0] for j in members) / len(members)
-        mu = sum(items[j][1] for j in members) / len(members)
-        clusters.append((lam, mu, len(members)))
-    clusters.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
+        center = tuple(sum(items[j][c] for j in members) / len(members) for c in range(len(seed)))
+        clusters.append((center, len(members)))
+    clusters.sort(key=lambda t: key(t[0]))
     return clusters
 
 
@@ -358,8 +355,7 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     ray_roots = [info[2] for info in ray_info]
     pairs = _greedy_pairing(lams, mus, gammas, ray_roots, PAIR_TOL)
     if pairs is not None:
-        clusters = cluster_pairs(pairs)
-        lines = [(Line(l, m), mult) for l, m, mult in clusters]
+        lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
         lines = _polish_lines(c, lines, p.n)
         lines.sort(
             key=lambda t: (t[0].lam.real, t[0].lam.imag, t[0].mu.real, t[0].mu.imag)
@@ -372,8 +368,8 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
             f"pairing succeeded but reconstruction residual {err:.3e} exceeds "
             f"{tol.recon * norm_c:.3e}"
         )
-    lam_vals = [l for l, _, _ in cluster_pairs([(l, 0.0) for l in lams])]
-    mu_vals = [m for m, _, _ in cluster_pairs([(m, 0.0) for m in mus])]
+    lam_vals = [l for (l,), _ in cluster_tuples([(l,) for l in lams])]
+    mu_vals = [m for (m,), _ in cluster_tuples([(m,) for m in mus])]
     found = _witness_search(p, lam_vals, mu_vals, ray_info, rng, tol)
     if found is not None:
         (z, w), val = found
@@ -397,6 +393,8 @@ def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
     Returns the largest matched pair distance under a minimal-cost matching,
     or +inf when the expanded cardinalities differ.
     """
+    from scipy.optimize import linear_sum_assignment
+
     ea = [(line.lam, line.mu) for line, m in a.lines for _ in range(m)]
     eb = [(line.lam, line.mu) for line, m in b.lines for _ in range(m)]
     if len(ea) != len(eb):

@@ -246,11 +246,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(pivot) / pivot)
 
 
-def _opnorm(b: np.ndarray) -> float:
-    return float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
-
-
-def lemma34_solver(a, b, mu, zs=None, *, tol: Optional[core.Tolerances] = None) -> Lemma34Result:
+def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     """Common-eigenvector extraction from a line {mu w + 1 = 0} in the spectrum.
 
     Along a ramp of |z| -> large, the smallest right singular vector of
@@ -265,7 +261,7 @@ def lemma34_solver(a, b, mu, zs=None, *, tol: Optional[core.Tolerances] = None) 
     mu = complex(mu)
     if mu == 0:
         raise ValueError("mu must be nonzero")
-    opn = _opnorm(b)
+    opn = np.linalg.norm(b, 2)
     if abs(abs(mu) - opn) > 1e-8 * (1.0 + opn):
         raise ValueError(
             f"|mu| = {abs(mu):.12g} must match the operator norm of b ({opn:.12g})"
@@ -274,7 +270,7 @@ def lemma34_solver(a, b, mu, zs=None, *, tol: Optional[core.Tolerances] = None) 
     eye = np.eye(n, dtype=np.complex128)
     shifted = eye - b / mu
     # probe that I + zA - B/mu is singular along the line, not just at one z
-    rho = 1.0 / (1.0 + _opnorm(a))
+    rho = 1.0 / (1.0 + np.linalg.norm(a, 2))
     for k in range(_LINE_PROBE_COUNT):
         z = rho * np.exp(2j * np.pi * k / _LINE_PROBE_COUNT)
         sigma = np.linalg.svd(shifted + z * a, compute_uv=False)[-1]

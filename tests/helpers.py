@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and stand-ins for the test suite.
 
 Everything takes an explicit rng so tests stay reproducible; eigenvalue
 moduli are kept inside [0.3, 1.5] and away from 0 so no route has to deal
@@ -6,6 +6,8 @@ with near-singular scaling unless a test asks for it.
 """
 
 import numpy as np
+
+from projspec import commute, linegeom
 
 
 def random_unitary(rng, n):
@@ -55,3 +57,9 @@ def noncommuting_pair(rng, n, threshold=0.1):
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def inconsistent_report(a, b, **kwargs):
+    """Stand-in for commute.equivalence_check: a commuting pair certified notlines."""
+    verdict = linegeom.LineVerdict(False, None, (0.5 + 0j, 0.25 + 0j), 0.0)
+    return commute.EquivalenceReport(True, 0.0, verdict, False)

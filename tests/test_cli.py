@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from projspec import cli, core, detpoly, linegeom
+from projspec import cli, commute, core, detpoly, linegeom
 
-from helpers import PAULI_X, PAULI_Z, commuting_pair
+from helpers import PAULI_X, PAULI_Z, commuting_pair, inconsistent_report
 
 
 def _write_matrix(path, m):
@@ -49,9 +53,52 @@ def test_commute_tolerance_flag_reaches_library(tmp_path):
     fb = _write_matrix(tmp_path / "b.mat", b)
     code, text = _run(tmp_path, "commute", fa, fb, "--tol-commute", "1e-30")
     # commutator is nonzero at machine noise, so an absurdly tight tolerance
-    # flips the algebraic side while the geometric side still sees lines
+    # flips the algebraic side while the geometric side still sees lines; the
+    # two routes then disagree, which is no answer (exit 2)
     assert text.startswith("commute=false")
-    assert code == 1
+    assert "verdict=lines" in text
+    assert "consistent=false" in text
+    assert code == 2
+
+
+def test_commute_inconsistent_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
+    fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 2.0]))
+    fb = _write_matrix(tmp_path / "b.mat", np.diag([3.0, 4.0]))
+    code, text = _run(tmp_path, "commute", fa, fb)
+    assert text.startswith("commute=true")
+    assert "consistent=false" in text
+    assert code == 2
+
+
+def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
+    f = tmp_path / "t.ctuple"
+    f.write_text(core.emit_tuple([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]))
+    code, text = _run(tmp_path, "tuple", str(f))
+    lines = text.strip().splitlines()
+    assert "pair_0_1_consistent=false" in lines
+    assert lines[-1].startswith("indeterminate=pair (0,1):")
+    assert not any(l.startswith("hyperplanes") for l in lines)
+    assert code == 2
+
+
+def test_dead_tolerance_flags_are_usage_errors(tmp_path, capsys):
+    fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 2.0]))
+    fb = _write_matrix(tmp_path / "b.mat", np.diag([3.0, 4.0]))
+    assert cli.main(["commute", fa, fb, "--tol-unitary", "1e-6"]) == 2
+    assert cli.main(["detpoly", fa, fb, "--tol-line", "1e-6"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # flags that a subcommand reads still parse
+    code, _ = _run(tmp_path, "commute", fa, fb, "--tol-line", "1e-6")
+    assert code == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import projspec.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_eig_output(tmp_path):

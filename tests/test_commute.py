@@ -9,6 +9,7 @@ from helpers import (
     PAULI_X,
     PAULI_Z,
     commuting_pair,
+    inconsistent_report,
     noncommuting_pair,
     random_normal,
     random_unitary,
@@ -118,6 +119,33 @@ def test_common_eigenbasis_rejects_nonnormal():
         commute.common_eigenbasis(np.array([[0, 1], [0, 0]]), np.eye(2))
 
 
+def test_common_eigenbasis_offdiagonal_gate():
+    # A's eigenvalues 1 and 1 + 2e-7 share a deflation cluster; B mixes them,
+    # with a commutator inside the admission tolerance, and the joint basis
+    # is left with an off-diagonal residual of about 2e-7 / sqrt(2) in A
+    a = np.diag([1.0, 1.0 + 2e-7, 3.0]).astype(complex)
+    b = np.zeros((3, 3), dtype=complex)
+    b[0, 1] = b[1, 0] = 0.15
+    b[2, 2] = 5.0
+    assert core.commutator_norm(a, b) <= 1e-8 * (np.linalg.norm(a) + np.linalg.norm(b))
+    with pytest.raises(NotCommuting, match="off-diagonal residual"):
+        commute.common_eigenbasis(a, b)
+
+
+def test_common_eigenbasis_rejects_nonnormal_cluster_compression():
+    # B is admitted as normal (defect below 1e-8 ||B||_F) and commutes with A
+    # exactly, but its block on A's double eigenvalue is not normal relative to
+    # its own size; the joint basis would leave an off-diagonal residual below
+    # the NotCommuting gate, so only the per-cluster check refuses the pair.
+    a = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    b = np.zeros((3, 3), dtype=complex)
+    b[:2, :2] = [[0.0, 1.0 + 1.5e-8], [1.0, 0.0]]
+    b[2, 2] = 5.0
+    assert core.normality_defect(b) <= 1e-8 * np.linalg.norm(b)
+    with pytest.raises(NotNormal, match="eigenvalue cluster"):
+        commute.common_eigenbasis(a, b)
+
+
 def test_eigenpair_arrangement_deficit():
     arr = commute.eigenpair_arrangement([0.0, 1.0], [0.0, 2.0], norm_a=1.0, norm_b=1.0)
     assert arr.deficit == 1
@@ -184,6 +212,13 @@ def test_tuple_joint_basis_diagonalizes_all():
         off = t - np.diag(np.diag(t))
         assert np.linalg.norm(off) <= 1e-7 * (1 + np.linalg.norm(m))
         assert np.abs(np.diag(t) - rep.diagonals[k]).max() <= 1e-12
+
+
+def test_tuple_inconsistent_pair_is_indeterminate(monkeypatch):
+    monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
+    rep = commute.tuple_test([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
+    assert rep.indeterminate.startswith("pair (0,1):")
+    assert rep.hyperplanes is None
 
 
 def test_tuple_validation():

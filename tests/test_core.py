@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projspec import core
-from projspec.errors import DimMismatch, NotNormal, ParseError
+from projspec.errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
 from helpers import PAULI_X, PAULI_Z, random_normal, random_unitary
 
@@ -75,6 +75,13 @@ def test_eig_rejects_nonnormal():
         core.eig_normal(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_eig_residual_gate():
+    # admitted by a loose normality tolerance, but no unitary diagonalizes it
+    a = np.array([[1.0, 1e-3], [0.0, 1.1]], dtype=complex)
+    with pytest.raises(NoConvergence):
+        core.eig_normal(a, tol=core.Tolerances(normal=1e-3))
+
+
 def test_eig_zero_matrix():
     dec = core.eig_normal(np.zeros((3, 3), dtype=complex))
     assert np.all(dec.values == 0)
@@ -103,6 +110,58 @@ def test_eig_degenerate_clusters():
     assert sorted(np.round(dec.values, 8).tolist(), key=lambda z: (z.real, z.imag)) == (
         sorted(np.round(vals, 8).tolist(), key=lambda z: (z.real, z.imag))
     )
+
+
+def _offdiag(v, m):
+    t = v.conj().T @ m @ v
+    return np.linalg.norm(t - np.diag(np.diag(t)))
+
+
+def test_joint_diagonalize_triple_with_repeated_eigenvalues():
+    # every member is degenerate, but the joint eigenvalue triples are distinct
+    rng = np.random.default_rng(61)
+    u = random_unitary(rng, 6)
+    diags = [
+        np.array([1, 1, 1, 2, 2, 2], dtype=complex),
+        0.5 + 1j * np.array([3, 3, 4, 4, 5, 5]),
+        np.array([-1, 6, -1, 6, -1, 6], dtype=complex),
+    ]
+    mats = [(u * d) @ u.conj().T for d in diags]
+    parts = [p for m in mats for p in core.hermitian_parts(m)]
+    radii = [core.EIG_CLUSTER_REL * np.linalg.norm(m) for m in mats for _ in range(2)]
+    v = core.joint_diagonalize(parts, radii)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(6)) <= 1e-12
+    for m in mats:
+        assert _offdiag(v, m) <= 1e-12 * np.linalg.norm(m)
+    joint = np.round([np.diag(v.conj().T @ m @ v) for m in mats], 8)
+    assert len({tuple(col) for col in joint.T}) == 6
+
+
+def test_joint_diagonalize_trailing_pass_fixes_straddle():
+    # Two eigenvalues share their imaginary part and have real parts 0.6
+    # cluster radii apart: the H pass merges them, and the degenerate K
+    # compression then rotates the merged block freely, mixing the two H
+    # eigenvectors. The trailing H pass of eig_normal separates them again.
+    base = np.array([1 + 2j, 1 + 2j, -3 + 0.5j, 2 - 1j])
+    base[1] += 0.6 * core.EIG_CLUSTER_REL * np.linalg.norm(base)
+    without_trailing = []
+    for seed in range(20):
+        u = random_unitary(np.random.default_rng(seed), 4)
+        a = (u * base) @ u.conj().T
+        fa = np.linalg.norm(a)
+        h, k = core.hermitian_parts(a)
+        radius = core.EIG_CLUSTER_REL * fa
+        v = core.joint_diagonalize([h, k, h], [radius] * 3)
+        assert _offdiag(v, a) <= 1e-12 * fa
+        dec = core.eig_normal(a)
+        assert dec.residual <= 1e-12 * fa
+        assert sorted(dec.values.tolist(), key=lambda z: (z.real, z.imag)) == pytest.approx(
+            sorted(base.tolist(), key=lambda z: (z.real, z.imag)), abs=1e-12
+        )
+        v = core.joint_diagonalize([h, k], [radius] * 2)
+        without_trailing.append(_offdiag(v, a) / fa)
+    # without the trailing pass the mixed block misses eig_normal's 1e-9 gate
+    assert max(without_trailing) > 1e-9
 
 
 def test_parse_complex_literals():
@@ -192,7 +251,7 @@ def test_tolerances_from_base_scales_proportionally():
     t = core.Tolerances.from_base(1e-6)
     assert t.normal == pytest.approx(1e-6)
     assert t.eig == pytest.approx(1e-7)
-    assert t.unitary == pytest.approx(1e-8)
+    assert t.line == pytest.approx(1e-4)
 
 
 def test_tolerances_override():

@@ -45,11 +45,11 @@ def test_char_poly_zero_pair_is_one():
 def test_eval_examples():
     a, b = _diag_pair()
     p = detpoly.char_poly_pair(a, b)
-    assert detpoly.eval_poly(p, 0, 0) == pytest.approx(1.0)
-    assert detpoly.eval_poly(p, 1.0, 0.0) == pytest.approx(6.0)
-    assert detpoly.eval_poly(p, 1.0, 1.0) == pytest.approx(35.0)
+    assert p.evaluate(0, 0) == pytest.approx(1.0)
+    assert p.evaluate(1.0, 0.0) == pytest.approx(6.0)
+    assert p.evaluate(1.0, 1.0) == pytest.approx(35.0)
     # zero of the first factor
-    assert abs(detpoly.eval_poly(p, -1.0, 0.0)) <= 1e-12
+    assert abs(p.evaluate(-1.0, 0.0)) <= 1e-12
 
 
 def test_constant_term_pinned():
@@ -89,7 +89,7 @@ def test_char_poly_matches_direct_determinant(n):
         w = complex(rng.normal(), rng.normal())
         direct = np.linalg.det(eye + z * a + w * b)
         scale = max(1.0, abs(direct))
-        assert abs(detpoly.eval_poly(p, z, w) - direct) <= 1e-7 * scale
+        assert abs(p.evaluate(z, w) - direct) <= 1e-7 * scale
 
 
 def test_slice_roots_hit_eigenvalues():
@@ -136,11 +136,11 @@ def test_univariate_slice_matches_eval():
         s = detpoly.univariate_slice(p, mode, at)
         val = np.polyval(s[::-1], t)
         if mode == "fix_z":
-            ref = detpoly.eval_poly(p, at, t)
+            ref = p.evaluate(at, t)
         elif mode == "fix_w":
-            ref = detpoly.eval_poly(p, t, at)
+            ref = p.evaluate(t, at)
         else:
-            ref = detpoly.eval_poly(p, t, at * t)
+            ref = p.evaluate(t, at * t)
         assert abs(val - ref) <= 1e-10 * (1 + abs(ref))
 
 
@@ -225,4 +225,4 @@ def test_commuting_pair_determinant_factorizes():
     p = detpoly.char_poly_pair(a, b)
     z, w = 0.7 - 0.3j, -0.2 + 0.9j
     expect = np.prod([1 + lam * z + mu * w for lam, mu in zip(u_vals_a, u_vals_b)])
-    assert abs(detpoly.eval_poly(p, z, w) - expect) <= 1e-9 * abs(expect)
+    assert abs(p.evaluate(z, w) - expect) <= 1e-9 * abs(expect)

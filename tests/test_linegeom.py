@@ -219,11 +219,11 @@ def test_expand_arrangement_kernel():
         linegeom.expand_arrangement([(Line(1.0, 1.0), 3)], 2)
 
 
-def test_cluster_pairs():
+def test_cluster_tuples():
     pairs = [(1.0, 2.0), (1.0 + 1e-9, 2.0 - 1e-9), (3.0, 4.0)]
-    out = linegeom.cluster_pairs(pairs)
+    out = linegeom.cluster_tuples(pairs)
     assert len(out) == 2
-    counts = sorted(m for _, _, m in out)
+    counts = sorted(m for _, m in out)
     assert counts == [1, 2]
 
 
