@@ -10,7 +10,6 @@ seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,12 +18,7 @@ import numpy as np
 from . import agmon as agmon_mod
 from . import commute as commute_mod
 from . import core, detpoly, linegeom, riesz
-from .errors import (
-    LineNotInSpectrum,
-    NoConvergence,
-    NumericalAmbiguity,
-    ProjspecError,
-)
+from .errors import ProjspecError
 
 _SLOPE_THRESHOLD = 1.8
 
@@ -128,6 +122,9 @@ def _cmd_agmon(args) -> int:
 
 def _cmd_escape(args) -> int:
     if args.ladder is not None:
+        given = [f"--tol-{name}" for name in _TOL_FIELDS if getattr(args, f"tol_{name}") is not None]
+        if given:
+            raise ValueError(f"escape --ladder reads no tolerance; {', '.join(given)} not accepted")
         rows = agmon_mod.escape_ladder(args.ladder, args.epsilon, args.n_angles)
         _write(args, agmon_mod.emit_ladder_csv(rows))
         return 0

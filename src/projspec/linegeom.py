@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import core
 from .detpoly import BivarPoly, total_degree, univariate_slice
@@ -111,23 +110,33 @@ def poly_roots(coeffs, rel: float = _SLICE_DUST_REL) -> np.ndarray:
 
 
 def _polish_roots(monic_ascending: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """A few guarded Newton steps on each root; steps kept only on improvement."""
+    """A few guarded Newton steps on all roots at once.
+
+    p and p' come from one power table per step. A step is kept only where
+    it lowers |p|; a root whose derivative vanishes or whose step is rejected
+    stays where it is for the remaining steps. Roots large enough to overflow
+    the power table are rejected the same way, so floating-point warnings
+    are silenced here.
+    """
     c = np.asarray(monic_ascending, dtype=np.complex128)
-    dc = npoly.polyder(c)
-    out = np.array(roots, dtype=np.complex128)
-    for i, r in enumerate(out):
-        val = npoly.polyval(r, c)
+    powers = np.arange(c.size)
+    dc = c[1:] * powers[1:]
+    r = np.array(roots, dtype=np.complex128)
+    live = np.ones(r.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        table = r[:, None] ** powers
+        val = table @ c
         for _ in range(_NEWTON_STEPS):
-            dv = npoly.polyval(r, dc)
-            if dv == 0:
-                break
-            cand = r - val / dv
-            cval = npoly.polyval(cand, c)
-            if abs(cval) >= abs(val):
-                break
-            r, val = cand, cval
-        out[i] = r
-    return out
+            dv = table[:, :-1] @ dc
+            live &= dv != 0
+            cand = np.where(live, r - val / dv, r)
+            table_c = cand[:, None] ** powers
+            cval = table_c @ c
+            live &= np.abs(cval) < np.abs(val)
+            r = np.where(live, cand, r)
+            val = np.where(live, cval, val)
+            table = np.where(live[:, None], table_c, table)
+    return r
 
 
 def _monic_reversed_roots(slice_coeffs, d: int) -> np.ndarray:
@@ -198,14 +207,46 @@ def expand_arrangement(lines, n: int) -> BivarPoly:
     return BivarPoly(n, coeffs)
 
 
+def _grid_jacobian(lines, n: int) -> np.ndarray:
+    """Jacobian of expand_arrangement(lines, n) on the unit roots-of-unity grid.
+
+    Columns alternate d/d lam_i, d/d mu_i over the lines in order; rows are
+    the (n+1) x (n+1) grid nodes (z_a, w_b), z_a = w_a = exp(2 pi i a/(n+1)),
+    raveled with a major. The derivative in lam_i is mult_i * z * Q_i, in
+    mu_i mult_i * w * Q_i, where Q_i is the product with one copy of factor i
+    removed: prefix and suffix products of the other factors' powers times
+    factor i to the power mult_i - 1. No factor value is divided by, since a
+    line through a grid node makes one vanish there. Values are scaled by
+    1/(n+1), so the grid map of a coefficient table C is
+    np.fft.ifft2(C, norm="ortho"), a unitary transform.
+    """
+    m = n + 1
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    z = nodes[:, None]
+    w = nodes[None, :]
+    mult = np.array([mt for _, mt in lines])
+    factors = np.stack([1.0 + line.lam * z + line.mu * w for line, _ in lines])
+    lower = factors ** (mult - 1)[:, None, None]
+    full = lower * factors
+    ones = np.ones((1, m, m), dtype=np.complex128)
+    before = np.concatenate([ones, np.cumprod(full[:-1], axis=0)])
+    after = np.concatenate([np.cumprod(full[:0:-1], axis=0)[::-1], ones])
+    q = (mult / m)[:, None, None] * before * after * lower
+    cols = np.stack([q * z, q * w], axis=1)
+    return cols.reshape(2 * len(lines), m * m).T
+
+
 def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
     """Joint Gauss-Newton refinement of all line parameters at once.
 
-    Minimizes ||expand(lines) - coeffs||_F over every (lam_i, mu_i); the
-    partial derivative with respect to lam_i is m_i * z * (product with one
-    copy of factor i removed), a plain coefficient shift of the deflated
-    product. Individual slice roots carry interpolation noise amplified by
-    conditioning; fitting the whole table washes that out quadratically.
+    Minimizes ||expand(lines) - coeffs||_F over every (lam_i, mu_i). The
+    residual and the best-so-far choice use the exact expansion in
+    coefficient space, one expansion per step. The Jacobian is built on the
+    roots-of-unity grid (_grid_jacobian) and the residual mapped there by
+    the unitary inverse DFT; by Parseval that least-squares problem is the
+    coefficient-space one. Individual slice roots carry interpolation noise
+    amplified by conditioning; fitting the whole table washes that out
+    quadratically.
     """
     work = [[line.lam, line.mu, mult] for line, mult in lines]
     norm_c = np.linalg.norm(coeffs)
@@ -213,29 +254,15 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
     for _ in range(steps):
         current = [(Line(l, m), mu) for l, m, mu in work]
         recon = expand_arrangement(current, n)
-        r = (coeffs - recon.coeffs).ravel()
+        r = coeffs - recon.coeffs
         err = float(np.linalg.norm(r))
         if best is not None and err >= best[0]:
             return best[1]
         best = (err, current)
         if err <= 1e-15 * norm_c:
             return current
-        cols = []
-        for i, (lam, mu, mult) in enumerate(work):
-            others = []
-            for j, (l, m, mj) in enumerate(work):
-                mt = mj - 1 if j == i else mj
-                if mt > 0:
-                    others.append((Line(l, m), mt))
-            q = expand_arrangement(others, n).coeffs
-            dz = np.zeros((n + 1, n + 1), dtype=np.complex128)
-            dz[1:, :] = mult * q[:n, :]
-            dw = np.zeros((n + 1, n + 1), dtype=np.complex128)
-            dw[:, 1:] = mult * q[:, :n]
-            cols.append(dz.ravel())
-            cols.append(dw.ravel())
-        jac = np.stack(cols, axis=1)
-        delta, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        jac = _grid_jacobian(current, n)
+        delta, *_ = np.linalg.lstsq(jac, np.fft.ifft2(r, norm="ortho").ravel(), rcond=None)
         for i in range(len(work)):
             work[i][0] = work[i][0] + complex(delta[2 * i])
             work[i][1] = work[i][1] + complex(delta[2 * i + 1])
@@ -286,37 +313,35 @@ def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
     return pairs
 
 
-def _witness_search(p, lam_vals, mu_vals, ray_info, rng, tol):
-    """Hunt for a certified point of the zero set off every candidate line."""
-    cand = [(l, m) for l in lam_vals for m in mu_vals]
-    points = []
+def _witness_points(p, lam_vals, mu_vals, ray_info, rng):
+    """Candidate zero-set points, built only as far as they are consumed.
+
+    First the roots of each ray slice (t, gamma t), polished together per
+    ray; then six axis slices alternating fixed z and fixed w, each drawn,
+    sliced and solved only when every earlier point has been rejected.
+    """
     for gamma, coeffs, roots in ray_info:
-        for s in roots:
-            if abs(s) < 1e-12:
-                continue
-            t = -1.0 / s
-            t = complex(_polish_roots(coeffs / coeffs[0], np.array([t]))[0])
-            points.append((t, gamma * t))
+        ts = _polish_roots(coeffs / coeffs[0], -1.0 / roots[np.abs(roots) >= 1e-12])
+        for t in ts:
+            yield complex(t), gamma * complex(t)
     scale_l = max((abs(v) for v in lam_vals), default=0.0)
     scale_m = max((abs(v) for v in mu_vals), default=0.0)
     for attempt in range(6):
-        if attempt % 2 == 0:
-            z0 = (1.0 / (1.0 + scale_l)) * np.exp(2j * np.pi * rng.uniform())
-            coeffs = univariate_slice(p, "fix_z", z0)
-            try:
-                for w0 in poly_roots(coeffs):
-                    points.append((complex(z0), complex(w0)))
-            except ValueError:
-                pass
-        else:
-            w0 = (1.0 / (1.0 + scale_m)) * np.exp(2j * np.pi * rng.uniform())
-            coeffs = univariate_slice(p, "fix_w", w0)
-            try:
-                for z0 in poly_roots(coeffs):
-                    points.append((complex(z0), complex(w0)))
-            except ValueError:
-                pass
-    for z, w in points:
+        fix_z = attempt % 2 == 0
+        scale = scale_l if fix_z else scale_m
+        v0 = complex((1.0 / (1.0 + scale)) * np.exp(2j * np.pi * rng.uniform()))
+        try:
+            roots = poly_roots(univariate_slice(p, "fix_z" if fix_z else "fix_w", v0))
+        except ValueError:
+            continue
+        for root in roots:
+            yield (v0, complex(root)) if fix_z else (complex(root), v0)
+
+
+def _witness_search(p, lam_vals, mu_vals, ray_info, rng, tol):
+    """Hunt for a certified point of the zero set off every candidate line."""
+    cand = [(l, m) for l in lam_vals for m in mu_vals]
+    for z, w in _witness_points(p, lam_vals, mu_vals, ray_info, rng):
         val = abs(p.evaluate(z, w))
         if val > WITNESS_PTOL:
             continue

@@ -9,7 +9,6 @@ from a line contained in the spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 

@@ -241,6 +241,18 @@ def test_escape_ladder_cli(tmp_path):
     assert lines[4].startswith("4,30,")
 
 
+def test_escape_ladder_rejects_tolerance_flags(tmp_path, capsys):
+    # the ladder is built from closed forms and reads no tolerance
+    code, text = _run(tmp_path, "escape", "--ladder", "2", "--tol-eig", "5")
+    assert code == 2
+    assert text == ""
+    assert "--tol-eig" in capsys.readouterr().err
+    # the matrix path still reads them
+    fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 1j]))
+    code, _ = _run(tmp_path, "escape", fa, "--tol-eig", "1e-6")
+    assert code == 0
+
+
 def test_escape_requires_input(tmp_path):
     code, _ = _run(tmp_path, "escape")
     assert code == 2

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from projspec import detpoly, linegeom
+from projspec import core, detpoly, linegeom
 from projspec.errors import DegenerateInput, NumericalAmbiguity, ParseError
 from projspec.linegeom import Line, LineArrangement
 
-from helpers import PAULI_X, PAULI_Z
+from helpers import PAULI_X, PAULI_Z, noncommuting_pair
 
 
 def _arrangement(*pairs):
@@ -265,3 +266,131 @@ def test_factor_lines_from_interpolated_pair():
     assert v.is_lines
     ref = _arrangement(*[(l, m, 1) for l, m in zip(va, vb)])
     assert linegeom.compare_arrangements(v.arrangement, ref) <= 1e-8
+
+
+def test_polish_roots_guards_each_root_in_one_call():
+    # p(x) = x^30 - 1: p'(0) = 0 exactly; from 0.5 the Newton step lands near
+    # 1.8e7, where |p| is far larger; 1e12^30 overflows the power table
+    d = 30
+    monic = np.zeros(d + 1, dtype=complex)
+    monic[0], monic[d] = -1.0, 1.0
+    unity = np.exp(2j * np.pi * np.arange(3) / d)
+    start = np.concatenate([[0.0, 0.5, 1e12], unity * (1 + 1e-7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = linegeom._polish_roots(monic, start)
+    assert out[0] == 0.0
+    assert out[1] == 0.5
+    assert out[2] == 1e12
+    assert np.abs(out[3:] - unity).max() <= 1e-13
+
+
+def _polish_reference(monic, roots, steps=3):
+    """Root-by-root Newton with Horner evaluation, the guards spelled out."""
+    dc = [k * c for k, c in enumerate(monic)][1:]
+
+    def horner(c, x):
+        acc = 0j
+        for coef in reversed(c):
+            acc = acc * x + coef
+        return acc
+
+    out = []
+    for r in roots:
+        val = horner(monic, r)
+        for _ in range(steps):
+            dv = horner(dc, r)
+            if dv == 0:
+                break
+            cand = r - val / dv
+            cval = horner(monic, cand)
+            if abs(cval) >= abs(val):
+                break
+            r, val = cand, cval
+        out.append(r)
+    return np.array(out)
+
+
+def test_polish_roots_matches_root_by_root_reference():
+    rng = np.random.default_rng(3)
+    exact = rng.normal(size=12) + 1j * rng.normal(size=12)
+    monic = np.poly(exact)[::-1]
+    start = exact * (1 + 1e-6 * rng.normal(size=12))
+    got = linegeom._polish_roots(monic, start)
+    ref = _polish_reference(monic, start)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(exact).max()
+    assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def _shifted_derivatives(lines, n):
+    """Coefficient tables of d expand / d lam_i and d mu_i, one factor removed."""
+    cols = []
+    for i, (_, mult) in enumerate(lines):
+        others = [(line, mt - (j == i)) for j, (line, mt) in enumerate(lines) if mt - (j == i) > 0]
+        q = linegeom.expand_arrangement(others, n).coeffs
+        dz = np.zeros_like(q)
+        dz[1:, :] = mult * q[:n, :]
+        dw = np.zeros_like(q)
+        dw[:, 1:] = mult * q[:, :n]
+        cols += [dz, dw]
+    return cols
+
+
+# a double line, and 1 - z = 0, which meets the grid column z = 1
+_GRID_LINES = [
+    (Line(0.3 + 0.2j, -0.5 + 0.1j), 2),
+    (Line(-1.0 + 0j, 0j), 1),
+    (Line(0.7 + 0j, 1.1j), 1),
+]
+
+
+def test_grid_jacobian_matches_coefficient_derivatives():
+    n = 5
+    m = n + 1
+    jac = linegeom._grid_jacobian(_GRID_LINES, n)
+    assert jac.shape == (m * m, 2 * len(_GRID_LINES))
+    assert np.isfinite(jac).all()
+    for col, ref in zip(jac.T, _shifted_derivatives(_GRID_LINES, n)):
+        got = np.fft.fft2(col.reshape(m, m), norm="ortho")
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_polish_lines_recovers_perturbed_lines():
+    n = 5
+    coeffs = linegeom.expand_arrangement(_GRID_LINES, n).coeffs
+    rng = np.random.default_rng(11)
+    kick = 1e-6 * (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    start = [
+        (Line(line.lam + dl, line.mu + dm), mult)
+        for (line, mult), (dl, dm) in zip(_GRID_LINES, kick)
+    ]
+    out = linegeom._polish_lines(coeffs, start, n)
+    assert [mult for _, mult in out] == [2, 1, 1]
+    for (got, _), (ref, _) in zip(out, _GRID_LINES):
+        assert abs(got.lam - ref.lam) <= 1e-10
+        assert abs(got.mu - ref.mu) <= 1e-10
+
+
+def test_witness_search_builds_axis_slices_only_when_needed(monkeypatch):
+    calls = []
+    real = linegeom.poly_roots
+    monkeypatch.setattr(linegeom, "poly_roots", lambda *a, **k: calls.append(1) or real(*a, **k))
+    a, b = noncommuting_pair(np.random.default_rng(5), 4)
+    p = detpoly.char_poly_pair(a, b)
+    v = linegeom.factor_lines(p)
+    assert not v.is_lines
+    assert calls == []
+    z, w = v.witness
+    assert abs(p.evaluate(z, w)) <= linegeom.WITNESS_PTOL
+    d = detpoly.total_degree(p)
+    lams = linegeom._monic_reversed_roots(p.coeffs[:, 0], d)
+    mus = linegeom._monic_reversed_roots(p.coeffs[0, :], d)
+    margin = 1e-6 * (1 + abs(z) + abs(w))
+    assert np.abs(1 + np.add.outer(lams * z, mus * w)).min() > margin
+    # with no ray points the first axis slice is built, and it suffices
+    conic = detpoly.char_poly_pair(PAULI_Z, PAULI_X)
+    rng = np.random.default_rng(0)
+    tol = core.default_tolerances()
+    found = linegeom._witness_search(conic, [1.0, -1.0], [1.0, -1.0], [], rng, tol)
+    assert found is not None
+    assert calls == [1]
