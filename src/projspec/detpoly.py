@@ -3,6 +3,9 @@
 The zero set of p is the point projective spectrum of the pair (A, B).
 Coefficients are recovered by evaluation-interpolation: determinants on a
 tensor grid of scaled roots of unity, then one 2-d discrete Fourier pass.
+Below EIGEN_FILL_MIN_N the grid is filled with one LU determinant per node;
+from there up, with one eigensolve per wrapped diagonal of the grid, whose
+nodes all lie on one line w = g z through the origin.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ _C00_GUARD = 1e-3
 
 # Positive floor keeping grid radii finite for (near-)zero matrices.
 _RADIUS_FLOOR = 2.0 ** -40
+
+# Smallest dimension whose grid is filled by eigensolves rather than LU
+# determinants. Below it, the m LUs of a wrapped diagonal cost less than one
+# general eigensolve of the same size; measured by a per-n sweep of both
+# fills on commuting and non-commuting pairs.
+EIGEN_FILL_MIN_N = 32
 
 
 @dataclass
@@ -86,8 +95,11 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
 
     Grid radii are reciprocal spectral-norm scales, which keeps determinant
     values bounded while giving the recovered coefficients uniform absolute
-    accuracy across total degrees. A 100-point self-check on the unit
-    bicircle guards the result.
+    accuracy across total degrees. The (n+1)^2 grid values come from LU
+    determinants below EIGEN_FILL_MIN_N, O(n^5) in all, and from n + 1
+    eigensolves from there up, O(n^4) (see _eigen_fill). A 100-point
+    self-check on the unit bicircle, against LU determinants, guards the
+    result.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
@@ -99,13 +111,8 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
     m = n + 1
     rho_a = 1.0 / (_RADIUS_FLOOR + np.linalg.norm(a, 2))
     rho_b = 1.0 / (_RADIUS_FLOOR + np.linalg.norm(b, 2))
-    zs = rho_a * np.exp(2j * np.pi * np.arange(m) / m)
-    ws = rho_b * np.exp(2j * np.pi * np.arange(m) / m)
-    eye = np.eye(n, dtype=np.complex128)
-    vals = np.empty((m, m), dtype=np.complex128)
-    for s in range(m):
-        stack = eye[None, :, :] + zs[s] * a[None, :, :] + ws[:, None, None] * b[None, :, :]
-        vals[s, :] = np.linalg.det(stack)
+    fill = _lu_fill if n < EIGEN_FILL_MIN_N else _eigen_fill
+    vals = fill(a, b, rho_a, rho_b)
     # Values are samples of gamma[j,k] = c[j,k] rho_a^j rho_b^k on the grid
     # of positive-frequency roots of unity, so fft2 / m^2 inverts.
     gamma = np.fft.fft2(vals) / (m * m)
@@ -127,6 +134,7 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
         )
     coeffs[0, 0] = 1.0
     p = BivarPoly(n, coeffs)
+    eye = np.eye(n, dtype=np.complex128)
     fa = core.frobenius(a)
     fb = core.frobenius(b)
     try:
@@ -149,6 +157,47 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
             f"self-check residual {worst:.3e} exceeds tolerance {probe_tol:.3e}"
         )
     return p
+
+
+def _lu_fill(a, b, rho_a: float, rho_b: float) -> np.ndarray:
+    """Grid values det(I + z_s A + w_k B), one LU determinant per node."""
+    n = a.shape[0]
+    m = n + 1
+    zs = rho_a * np.exp(2j * np.pi * np.arange(m) / m)
+    ws = rho_b * np.exp(2j * np.pi * np.arange(m) / m)
+    eye = np.eye(n, dtype=np.complex128)
+    vals = np.empty((m, m), dtype=np.complex128)
+    for s in range(m):
+        stack = eye[None, :, :] + zs[s] * a[None, :, :] + ws[:, None, None] * b[None, :, :]
+        vals[s, :] = np.linalg.det(stack)
+    return vals
+
+
+def _eigen_fill(a, b, rho_a: float, rho_b: float) -> np.ndarray:
+    """Grid values det(I + z_s A + w_k B), one eigensolve per wrapped diagonal.
+
+    With z_s = rho_a omega^s and w_k = rho_b omega^k on the m-th roots of
+    unity, the nodes with (k - s) mod m = d lie on one line through the
+    origin, where I + z_s A + w_k B = I + omega^s M_d with
+    M_d = rho_a A + rho_b omega^d B. So the determinant there is
+    prod_i (1 + omega^s lambda_i(M_d)), and the m eigenvalue sets of the M_d
+    give all m^2 values. The Schur form makes the product exact for some
+    M_d + E with ||E|| = O(u ||M_d||), the same backward stability as LU.
+    The radii make ||M_d|| <= 2, so each factor is at most 3 in modulus and
+    the products stay finite.
+    """
+    m = a.shape[0] + 1
+    d = np.arange(m)
+    omega = np.exp(2j * np.pi * d / m)
+    mats = rho_a * a[None, :, :] + (rho_b * omega)[:, None, None] * b[None, :, :]
+    try:
+        lam = np.linalg.eigvals(mats)
+    except np.linalg.LinAlgError as exc:
+        raise InterpolationFailure(f"grid eigensolve did not converge: {exc}") from None
+    diag = np.prod(1.0 + omega[None, :, None] * lam[:, None, :], axis=2)
+    vals = np.empty((m, m), dtype=np.complex128)
+    vals[d[None, :], (d[None, :] + d[:, None]) % m] = diag
+    return vals
 
 
 def univariate_slice(p: BivarPoly, mode: str, value: complex) -> np.ndarray:

@@ -239,7 +239,8 @@ def _grid_jacobian(lines, n: int) -> np.ndarray:
 def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
     """Joint Gauss-Newton refinement of all line parameters at once.
 
-    Minimizes ||expand(lines) - coeffs||_F over every (lam_i, mu_i). The
+    Returns (lines, err), err = ||expand(lines) - coeffs||_F for exactly the
+    lines returned. Minimizes that residual over every (lam_i, mu_i). The
     residual and the best-so-far choice use the exact expansion in
     coefficient space, one expansion per step. The Jacobian is built on the
     roots-of-unity grid (_grid_jacobian) and the residual mapped there by
@@ -256,11 +257,11 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
         recon = expand_arrangement(current, n)
         r = coeffs - recon.coeffs
         err = float(np.linalg.norm(r))
-        if best is not None and err >= best[0]:
-            return best[1]
-        best = (err, current)
+        if best is not None and err >= best[1]:
+            return best
+        best = (current, err)
         if err <= 1e-15 * norm_c:
-            return current
+            return best
         jac = _grid_jacobian(current, n)
         delta, *_ = np.linalg.lstsq(jac, np.fft.ifft2(r, norm="ortho").ravel(), rcond=None)
         for i in range(len(work)):
@@ -269,9 +270,9 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
     current = [(Line(l, m), mu) for l, m, mu in work]
     recon = expand_arrangement(current, n)
     err = float(np.linalg.norm(coeffs - recon.coeffs))
-    if best is not None and err >= best[0]:
-        return best[1]
-    return current
+    if best is not None and err >= best[1]:
+        return best
+    return current, err
 
 
 def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
@@ -381,12 +382,10 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     pairs = _greedy_pairing(lams, mus, gammas, ray_roots, PAIR_TOL)
     if pairs is not None:
         lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
-        lines = _polish_lines(c, lines, p.n)
+        lines, err = _polish_lines(c, lines, p.n)
         lines.sort(
             key=lambda t: (t[0].lam.real, t[0].lam.imag, t[0].mu.real, t[0].mu.imag)
         )
-        recon = expand_arrangement(lines, p.n)
-        err = float(np.linalg.norm(recon.coeffs - c))
         if err <= tol.recon * norm_c:
             return LineVerdict(True, LineArrangement(lines, deficit))
         raise NumericalAmbiguity(

@@ -63,3 +63,16 @@ def inconsistent_report(a, b, **kwargs):
     """Stand-in for commute.equivalence_check: a commuting pair certified notlines."""
     verdict = linegeom.LineVerdict(False, None, (0.5 + 0j, 0.25 + 0j), 0.0)
     return commute.EquivalenceReport(True, 0.0, verdict, False)
+
+
+def fail_batched_eigvals(monkeypatch):
+    """Make np.linalg.eigvals raise LinAlgError on stacks of matrices, the
+    grid eigensolve of detpoly, and behave normally on single matrices."""
+    real = np.linalg.eigvals
+
+    def failing(x):
+        if np.ndim(x) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(x)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)

@@ -9,7 +9,14 @@ import pytest
 
 from projspec import cli, commute, core, detpoly, linegeom
 
-from helpers import PAULI_X, PAULI_Z, commuting_pair, inconsistent_report
+from helpers import (
+    PAULI_X,
+    PAULI_Z,
+    commuting_pair,
+    fail_batched_eigvals,
+    inconsistent_report,
+    noncommuting_pair,
+)
 
 
 def _write_matrix(path, m):
@@ -80,6 +87,17 @@ def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
     assert "pair_0_1_consistent=false" in lines
     assert lines[-1].startswith("indeterminate=pair (0,1):")
     assert not any(l.startswith("hyperplanes") for l in lines)
+    assert code == 2
+
+
+def test_commute_exits_2_when_grid_eigensolve_fails(tmp_path, monkeypatch):
+    fail_batched_eigvals(monkeypatch)
+    a, b = noncommuting_pair(np.random.default_rng(23), detpoly.EIGEN_FILL_MIN_N)
+    fa = _write_matrix(tmp_path / "a.mat", a)
+    fb = _write_matrix(tmp_path / "b.mat", b)
+    code, text = _run(tmp_path, "commute", fa, fb)
+    assert text.startswith("commute=false")
+    assert "indeterminate=" in text and "did not converge" in text
     assert code == 2
 
 

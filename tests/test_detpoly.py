@@ -1,10 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from projspec import core, detpoly
-from projspec.errors import DegreeBudgetExceeded, DimMismatch, ParseError
+from projspec import commute, core, detpoly, linegeom
+from projspec.errors import DegreeBudgetExceeded, DimMismatch, InterpolationFailure, ParseError
 
-from helpers import PAULI_X, PAULI_Z, commuting_pair, noncommuting_pair, random_normal
+from helpers import (
+    PAULI_X,
+    PAULI_Z,
+    commuting_pair,
+    fail_batched_eigvals,
+    noncommuting_pair,
+    random_diag_vals,
+    random_normal,
+    random_unitary,
+)
 
 
 def _diag_pair():
@@ -226,3 +240,76 @@ def test_commuting_pair_determinant_factorizes():
     z, w = 0.7 - 0.3j, -0.2 + 0.9j
     expect = np.prod([1 + lam * z + mu * w for lam, mu in zip(u_vals_a, u_vals_b)])
     assert abs(p.evaluate(z, w) - expect) <= 1e-9 * abs(expect)
+
+
+def _coeffs_with_fill(monkeypatch, a, b, min_n):
+    """char_poly_pair with the eigen fill switched on from dimension min_n."""
+    with monkeypatch.context() as mp:
+        mp.setattr(detpoly, "EIGEN_FILL_MIN_N", min_n)
+        return detpoly.char_poly_pair(a, b).coeffs
+
+
+_N0 = detpoly.EIGEN_FILL_MIN_N
+
+
+@pytest.mark.parametrize("n", [_N0 - 1, _N0, 48, 64])
+@pytest.mark.parametrize("kind", ["commuting", "noncommuting"])
+def test_lu_and_eigen_fills_agree(monkeypatch, n, kind):
+    # above ~24 the self-check tolerance cannot catch a wrong fill, so the
+    # eigen fill is held to the LU fill directly
+    rng = np.random.default_rng(300 + n)
+    a, b = (commuting_pair if kind == "commuting" else noncommuting_pair)(rng, n)
+    lu = _coeffs_with_fill(monkeypatch, a, b, n + 1)
+    eig = _coeffs_with_fill(monkeypatch, a, b, n)
+    assert np.abs(eig - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+def test_fill_switches_at_crossover(monkeypatch):
+    used = []
+    for name in ("_lu_fill", "_eigen_fill"):
+        real = getattr(detpoly, name)
+        monkeypatch.setattr(
+            detpoly, name, lambda *a, name=name, real=real: used.append(name) or real(*a)
+        )
+    rng = np.random.default_rng(17)
+    for n in (_N0 - 1, _N0):
+        detpoly.char_poly_pair(*noncommuting_pair(rng, n))
+    assert used == ["_lu_fill", "_eigen_fill"]
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_commuting_pair_matches_exact_expansion(n):
+    rng = np.random.default_rng(400 + n)
+    u = random_unitary(rng, n)
+    lam = random_diag_vals(rng, n)
+    mu = random_diag_vals(rng, n)
+    a = (u * lam) @ u.conj().T
+    b = (u * mu) @ u.conj().T
+    lines = [(linegeom.Line(l, m), 1) for l, m in zip(lam, mu)]
+    exact = linegeom.expand_arrangement(lines, n).coeffs
+    got = detpoly.char_poly_pair(a, b).coeffs
+    assert np.abs(got - exact).max() <= 1e-11 * np.abs(exact).max()
+
+
+def test_eigen_fill_nonconvergence_is_interpolation_failure(monkeypatch):
+    fail_batched_eigvals(monkeypatch)
+    a, b = noncommuting_pair(np.random.default_rng(19), _N0)
+    with pytest.raises(InterpolationFailure, match="did not converge"):
+        detpoly.char_poly_pair(a, b)
+    rep = commute.equivalence_check(a, b)
+    assert rep.verdict is None and rep.consistent is None
+    assert "did not converge" in rep.indeterminate
+
+
+def test_char_poly_pair_leaves_scipy_unloaded():
+    # importing scipy.linalg would cost cold CLI processes about 0.35 s
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, numpy as np; from projspec import detpoly; "
+        "a, b = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 48, 48)))[0]; "
+        "detpoly.char_poly_pair(a, b); "
+        "assert detpoly.EIGEN_FILL_MIN_N <= 48; "
+        "assert 'scipy' not in sys.modules, 'scipy loaded'"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -364,11 +364,39 @@ def test_polish_lines_recovers_perturbed_lines():
         (Line(line.lam + dl, line.mu + dm), mult)
         for (line, mult), (dl, dm) in zip(_GRID_LINES, kick)
     ]
-    out = linegeom._polish_lines(coeffs, start, n)
+    out, err = linegeom._polish_lines(coeffs, start, n)
+    assert err == float(np.linalg.norm(coeffs - linegeom.expand_arrangement(out, n).coeffs))
     assert [mult for _, mult in out] == [2, 1, 1]
     for (got, _), (ref, _) in zip(out, _GRID_LINES):
         assert abs(got.lam - ref.lam) <= 1e-10
         assert abs(got.mu - ref.mu) <= 1e-10
+
+
+def test_factor_lines_gates_on_the_polish_residual(monkeypatch):
+    # the reconstruction gate reads the residual _polish_lines scored, so a
+    # commuting polynomial costs no expansion outside the polish
+    calls = {"total": 0, "in_polish": 0}
+    expand = linegeom.expand_arrangement
+    polish = linegeom._polish_lines
+
+    def counted_expand(*args, **kwargs):
+        calls["total"] += 1
+        return expand(*args, **kwargs)
+
+    def counted_polish(*args, **kwargs):
+        before = calls["total"]
+        out = polish(*args, **kwargs)
+        calls["in_polish"] += calls["total"] - before
+        return out
+
+    monkeypatch.setattr(linegeom, "expand_arrangement", counted_expand)
+    monkeypatch.setattr(linegeom, "_polish_lines", counted_polish)
+    p = _poly_from_lines([(1.0, 2.0, 1), (-0.5, 0.3, 2), (0.2 + 0.4j, -1.1, 1)], n=6)
+    calls["total"] = 0
+    v = linegeom.factor_lines(p)
+    assert v.is_lines
+    assert calls["in_polish"] >= 1
+    assert calls["total"] == calls["in_polish"]
 
 
 def test_witness_search_builds_axis_slices_only_when_needed(monkeypatch):
