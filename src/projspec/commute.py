@@ -5,9 +5,9 @@ linear terms, i.e. the zero set is a union of lines. This module runs the
 algebraic side (commutator norm), the geometric side (bivariate
 factorization), cross-checks the recovered arrangement against the
 eigenvalue pairs of a common eigenbasis, and extends the test to tuples by
-pairwise reduction. Interpolation or matching failures, and pairs whose two
-sides disagree inside a tuple, surface as indeterminate outcomes, never as
-definitive verdicts.
+pairwise reduction. Interpolation or matching failures, witnesses off the
+matrices' own curve, and pairs whose two sides disagree inside a tuple,
+surface as indeterminate outcomes, never as definitive verdicts.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ DEFLATION_CLUSTER_REL = 1e-7
 _ZERO_PAIR_REL = 1e-12
 
 _OFFDIAG_REL = 1e-8
+
+# A notlines witness (z, w) must lie on the curve of the matrices themselves,
+# not only of the interpolated polynomial: sigma_min(I + zA + wB), relative
+# to 1 + |z| ||A||_F + |w| ||B||_F, at most this.
+WITNESS_SIGMA_REL = 1e-8
 
 _ORTHO_TOL = 1e-8
 _INVARIANT_REL = 1e-8
@@ -89,24 +94,14 @@ def _require_normal(m: np.ndarray, tag: str, tol: core.Tolerances) -> float:
     return norm
 
 
-def _cluster_ranges(values: np.ndarray, radius: float):
-    """Contiguous index ranges of near-equal complex values (sorted input)."""
-    ranges = []
-    lo = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or abs(values[i] - values[i - 1]) > radius:
-            ranges.append((lo, i))
-            lo = i
-    return ranges
-
-
 def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonEigenbasis:
     """Joint unitary diagonalization of a commuting normal pair.
 
     One cluster deflation over the Hermitian and skew parts of A, then of B,
     then of A again, so that neither side is left carrying the spread of a
     cluster the other side split. B compressed to each eigenvalue cluster of
-    A must be normal; the joint basis must leave both sides diagonal.
+    A, read off the joint basis, must be normal; the joint basis must leave
+    both sides diagonal.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
@@ -123,18 +118,6 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
         )
     radius_a = DEFLATION_CLUSTER_REL * na
     radius_b = DEFLATION_CLUSTER_REL * nb
-    ea = core.eig_normal(a, tol=tol)
-    for lo, hi in _cluster_ranges(ea.values, radius_a):
-        if hi - lo == 1:
-            continue
-        w = ea.unitary[:, lo:hi]
-        bc = w.conj().T @ b @ w
-        defect = core.normality_defect(bc)
-        if defect > tol.normal * max(core.frobenius(bc), 1e-300):
-            raise NotNormal(
-                f"compressed b on an eigenvalue cluster of a is not normal "
-                f"(defect {defect:.3e}); the pair does not commute cleanly"
-            )
     ha, ka = core.hermitian_parts(a)
     hb, kb = core.hermitian_parts(b)
     u = core.joint_diagonalize(
@@ -145,6 +128,23 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     tb = u.conj().T @ b @ u
     diag_a = np.diag(ta).copy()
     diag_b = np.diag(tb).copy()
+    # A's eigenvalue clusters, split on real then imaginary parts as
+    # joint_diagonalize splits on H then K. The normality defect of B's
+    # compression to a cluster does not depend on the basis of its span.
+    by_re = np.argsort(diag_a.real, kind="stable")
+    for group in core._split_sorted(diag_a.real[by_re], radius_a):
+        idx = by_re[group]
+        idx = idx[np.argsort(diag_a.imag[idx], kind="stable")]
+        for sub in core._split_sorted(diag_a.imag[idx], radius_a):
+            if sub.size == 1:
+                continue
+            bc = tb[np.ix_(idx[sub], idx[sub])]
+            defect = core.normality_defect(bc)
+            if defect > tol.normal * max(core.frobenius(bc), 1e-300):
+                raise NotNormal(
+                    f"compressed b on an eigenvalue cluster of a is not normal "
+                    f"(defect {defect:.3e}); the pair does not commute cleanly"
+                )
     off_a = float(np.linalg.norm(ta - np.diag(diag_a)))
     off_b = float(np.linalg.norm(tb - np.diag(diag_b)))
     residual = max(off_a, off_b)
@@ -177,8 +177,9 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
 
     commute is decided by the commutator norm; the geometric verdict comes
     from factoring det(I + zA + wB); consistent records whether the two
-    sides agree. When both are affirmative the recovered arrangement is also
-    matched against the eigenvalue pairs of a common eigenbasis.
+    sides agree. A notlines witness must also pass WITNESS_SIGMA_REL on the
+    matrices. When both sides are affirmative the recovered arrangement is
+    also matched against the eigenvalue pairs of a common eigenbasis.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
@@ -195,6 +196,16 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
         verdict = factor_lines(p, seed=seed, tol=tol)
     except (InterpolationFailure, NumericalAmbiguity) as exc:
         return EquivalenceReport(commute, cn, None, None, indeterminate=str(exc))
+    if not verdict.is_lines:
+        z, w = verdict.witness
+        pencil = np.eye(a.shape[0]) + z * a + w * b
+        sigma = np.linalg.svd(pencil, compute_uv=False)[-1] / (1.0 + abs(z) * na + abs(w) * nb)
+        if sigma > WITNESS_SIGMA_REL:
+            reason = (
+                f"witness is off the matrix curve: relative sigma_min(I + zA + wB) "
+                f"{sigma:.3e} exceeds {WITNESS_SIGMA_REL:.1e}"
+            )
+            return EquivalenceReport(commute, cn, None, None, indeterminate=reason)
     consistent = commute == verdict.is_lines
     distance = None
     if commute and verdict.is_lines:

@@ -126,8 +126,12 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
     j, k = np.indices(coeffs.shape)
     coeffs[j + k > n] = 0.0
     top = np.abs(coeffs).max()
-    if top > 0.0:
-        coeffs[np.abs(coeffs) < DUST_REL * top] = 0.0
+    if abs(coeffs[0, 0]) < DUST_REL * top:
+        raise InterpolationFailure(
+            f"coefficient range exceeds double precision: the constant coefficient "
+            f"falls below DUST_REL = {DUST_REL:.0e} times the largest, {top:.3e}"
+        )
+    coeffs[np.abs(coeffs) < DUST_REL * top] = 0.0
     if abs(coeffs[0, 0] - 1.0) > _C00_GUARD:
         raise InterpolationFailure(
             f"constant coefficient interpolated to {coeffs[0, 0]:.6g}, expected 1"

@@ -411,14 +411,74 @@ def line_through_point(arr: LineArrangement, z: complex, w: complex, *, tol=None
     return [line for line, _ in arr.lines if abs(1.0 + line.lam * z + line.mu * w) <= bound]
 
 
-def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
-    """Optimal-assignment distance between multiplicity-expanded arrangements.
+def _has_perfect_matching(adj: np.ndarray) -> bool:
+    """Whether the square boolean biadjacency matrix admits a perfect matching.
 
-    Returns the largest matched pair distance under a minimal-cost matching,
-    or +inf when the expanded cardinalities differ.
+    Augmenting paths, one breadth-first search per row: each layer reaches
+    every unseen column adjacent to the frontier rows and records the row it
+    came from; a free column ends the path, which is then flipped back to
+    the starting row. A search that runs dry leaves that row unmatched.
     """
-    from scipy.optimize import linear_sum_assignment
+    n = adj.shape[0]
+    row_of = np.full(n, -1)
+    col_of = np.full(n, -1)
+    for start in range(n):
+        via = np.full(n, -1)
+        seen = np.zeros(n, dtype=bool)
+        frontier = np.array([start])
+        free = None
+        while free is None:
+            reach = adj[frontier] & ~seen
+            cols = np.flatnonzero(reach.any(axis=0))
+            if cols.size == 0:
+                return False
+            seen[cols] = True
+            via[cols] = frontier[reach[:, cols].argmax(axis=0)]
+            open_cols = cols[row_of[cols] < 0]
+            if open_cols.size:
+                free = int(open_cols[0])
+            frontier = row_of[cols]
+        col = free
+        while col >= 0:
+            row = via[col]
+            nxt = col_of[row]
+            row_of[col] = row
+            col_of[row] = col
+            col = nxt
+    return True
 
+
+def _bottleneck(cost: np.ndarray) -> float:
+    """Least possible largest entry over perfect matchings of a square cost matrix.
+
+    The largest row minimum bounds every matching from below. When the row
+    argmins are distinct, that permutation attains it, so it is exact; it
+    also minimizes the sum, so it agrees with an optimal assignment.
+    Otherwise bisect over the distinct costs at or above the bound, testing
+    each threshold for a perfect matching.
+    """
+    n = cost.shape[0]
+    lower = cost.min(axis=1).max()
+    if np.unique(cost.argmin(axis=1)).size == n:
+        return float(lower)
+    levels = np.unique(cost[cost >= lower])
+    lo, hi = 0, levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
+    """Minimum-bottleneck matching distance between multiplicity-expanded arrangements.
+
+    Returns the least achievable largest pair distance over one-to-one
+    matchings of the lines, each counted with its multiplicity, or +inf when
+    the expanded cardinalities differ.
+    """
     ea = [(line.lam, line.mu) for line, m in a.lines for _ in range(m)]
     eb = [(line.lam, line.mu) for line, m in b.lines for _ in range(m)]
     if len(ea) != len(eb):
@@ -432,8 +492,7 @@ def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
     cost = np.sqrt(
         np.abs(la[:, None] - lb[None, :]) ** 2 + np.abs(ma[:, None] - mb[None, :]) ** 2
     )
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return _bottleneck(cost)
 
 
 def parse_arrangement(text: str) -> LineArrangement:

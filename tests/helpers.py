@@ -65,6 +65,13 @@ def inconsistent_report(a, b, **kwargs):
     return commute.EquivalenceReport(True, 0.0, verdict, False)
 
 
+def off_curve_factor_lines(p, **kwargs):
+    """Stand-in for linegeom.factor_lines: a notlines witness off every curve
+    det(I + zA + wB) = 0 that the tests pass it, e.g. 1 - z^2 - w^2 for
+    (PAULI_Z, PAULI_X)."""
+    return linegeom.LineVerdict(False, None, (0.5 + 0j, 0.25 + 0j), 0.0)
+
+
 def fail_batched_eigvals(monkeypatch):
     """Make np.linalg.eigvals raise LinAlgError on stacks of matrices, the
     grid eigensolve of detpoly, and behave normally on single matrices."""

@@ -16,6 +16,7 @@ from helpers import (
     fail_batched_eigvals,
     inconsistent_report,
     noncommuting_pair,
+    off_curve_factor_lines,
 )
 
 
@@ -87,6 +88,16 @@ def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
     assert "pair_0_1_consistent=false" in lines
     assert lines[-1].startswith("indeterminate=pair (0,1):")
     assert not any(l.startswith("hyperplanes") for l in lines)
+    assert code == 2
+
+
+def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
+    monkeypatch.setattr(commute, "factor_lines", off_curve_factor_lines)
+    fa = _write_matrix(tmp_path / "a.mat", PAULI_Z)
+    fb = _write_matrix(tmp_path / "b.mat", PAULI_X)
+    code, text = _run(tmp_path, "commute", fa, fb)
+    assert "verdict=indeterminate" in text
+    assert "off the matrix curve" in text
     assert code == 2
 
 

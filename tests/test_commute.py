@@ -11,6 +11,8 @@ from helpers import (
     commuting_pair,
     inconsistent_report,
     noncommuting_pair,
+    off_curve_factor_lines,
+    random_diag_vals,
     random_normal,
     random_unitary,
 )
@@ -144,6 +146,73 @@ def test_common_eigenbasis_rejects_nonnormal_cluster_compression():
     assert core.normality_defect(b) <= 1e-8 * np.linalg.norm(b)
     with pytest.raises(NotNormal, match="eigenvalue cluster"):
         commute.common_eigenbasis(a, b)
+
+
+def test_common_eigenbasis_cluster_check_splits_imaginary_parts():
+    # as above, with A's clusters 1 + i (double) and 1 - i sharing a real
+    # part: B restricted to both is normal enough, so only the split on
+    # imaginary parts finds the non-normal block
+    a = np.diag([1.0 + 1j, 1.0 + 1j, 1.0 - 1j])
+    b = np.zeros((3, 3), dtype=complex)
+    b[:2, :2] = [[0.0, 1.0 + 1.5e-8], [1.0, 0.0]]
+    b[2, 2] = 5.0
+    assert core.normality_defect(b) <= 1e-8 * np.linalg.norm(b)
+    with pytest.raises(NotNormal, match="eigenvalue cluster"):
+        commute.common_eigenbasis(a, b)
+
+
+def test_common_eigenbasis_diagonalizes_a_once(monkeypatch):
+    calls = {"eig_normal": 0, "joint_diagonalize": 0}
+    for name in calls:
+        real = getattr(core, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, counted)
+    a, b = commuting_pair(np.random.default_rng(57), 6)
+    commute.common_eigenbasis(a, b)
+    assert calls == {"eig_normal": 0, "joint_diagonalize": 1}
+
+
+def test_off_curve_witness_is_indeterminate(monkeypatch):
+    monkeypatch.setattr(commute, "factor_lines", off_curve_factor_lines)
+    rep = commute.equivalence_check(PAULI_Z, PAULI_X)
+    assert rep.verdict is None and rep.consistent is None
+    assert "off the matrix curve" in rep.indeterminate
+
+
+def _replayed_pair(seed, rounds, n, other=40):
+    """The n x n pair of round `rounds` of a generator that draws one
+    non-commuting pair at n, then one at `other`, per round; each matrix is
+    a random unitary followed by its eigenvalues."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        while True:
+            mats = []
+            for _ in range(2):
+                u = random_unitary(rng, size)
+                mats.append((u * random_diag_vals(rng, size)) @ u.conj().T)
+            a, b = mats
+            if np.linalg.norm(a @ b - b @ a) > 0.1:
+                return a, b
+
+    for _ in range(rounds):
+        draw(n)
+        draw(other)
+    return draw(n)
+
+
+def test_interpolated_off_curve_witness_is_not_certified():
+    # the polynomial route finds a witness with |p| ~ 1e-12 here whose
+    # relative sigma_min on the matrices is 1.6e-6
+    a, b = _replayed_pair(7373, 10, 32)
+    rep = commute.equivalence_check(a, b, seed=32)
+    assert not rep.commute
+    assert rep.verdict is None
+    assert "off the matrix curve" in rep.indeterminate
 
 
 def test_eigenpair_arrangement_deficit():

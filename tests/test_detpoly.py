@@ -301,6 +301,16 @@ def test_eigen_fill_nonconvergence_is_interpolation_failure(monkeypatch):
     assert "did not converge" in rep.indeterminate
 
 
+def test_large_norm_failure_names_the_coefficient_range():
+    # two 48 x 48 Hermitian X + X*, ||.||_2 about 27: the coefficients span
+    # more than 1e12, so dust trimming would zero the constant term 1
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 48, 48)) + 1j * rng.normal(size=(2, 48, 48))
+    a, b = x + x.conj().transpose(0, 2, 1)
+    with pytest.raises(InterpolationFailure, match="coefficient range exceeds double precision"):
+        detpoly.char_poly_pair(a, b)
+
+
 def test_char_poly_pair_leaves_scipy_unloaded():
     # importing scipy.linalg would cost cold CLI processes about 0.35 s
     src = Path(__file__).resolve().parent.parent / "src"

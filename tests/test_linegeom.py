@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -168,6 +169,37 @@ def test_compare_arrangements_cases():
     m2 = _arrangement((1, 3, 2))
     twice = _arrangement((1, 3, 1), (1, 3, 1))
     assert linegeom.compare_arrangements(m2, twice) == 0.0
+    # a double line against two near-coincident lines: both copies are
+    # nearest the first line, so the matching must send one to the second
+    near = _arrangement((1, 3, 1), (1 + 1e-7, 3, 1))
+    assert linegeom.compare_arrangements(m2, near) == pytest.approx(1e-7, rel=1e-6)
+    # tied costs: each line of a is equally far from both lines of b
+    ties = _arrangement((1.5, 3, 1), (1.5, 3, 1))
+    e = _arrangement((1, 3, 1), (2, 3, 1))
+    assert linegeom.compare_arrangements(ties, e) == 0.5
+    # order of the lines does not matter
+    p1 = _arrangement((1, 3, 1), (2, 4, 1), (0.5j, -1, 1))
+    p2 = _arrangement((0.5j, -1, 1), (2, 4, 1), (1, 3, 1))
+    assert linegeom.compare_arrangements(p1, p2) == 0.0
+    assert linegeom.compare_arrangements(p1, a) == math.inf
+    assert linegeom.compare_arrangements(LineArrangement([]), LineArrangement([], 3)) == 0.0
+
+
+def _brute_bottleneck(cost):
+    n = cost.shape[0]
+    return min(max(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bottleneck_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 8):
+        for cost in (
+            rng.uniform(size=(n, n)),
+            rng.integers(0, 3, size=(n, n)).astype(float),  # many ties
+            np.repeat(rng.uniform(size=(1, n)), n, axis=0),  # every row alike
+        ):
+            assert linegeom._bottleneck(cost) == _brute_bottleneck(cost)
 
 
 def test_scale_covariance():
