@@ -85,6 +85,7 @@ from .linegeom import (
     factor_lines,
     line_through_point,
     parse_arrangement,
+    pencil_verdict,
     poly_roots,
 )
 from .riesz import (

@@ -2,10 +2,11 @@
 
 For normal matrices, [A,B] = 0 exactly when det(I + zA + wB) factors into
 linear terms, i.e. the zero set is a union of lines. This module runs the
-algebraic side (commutator norm), the geometric side (bivariate
-factorization), cross-checks the recovered arrangement against the
-eigenvalue pairs of a common eigenbasis, and extends the test to tuples by
-pairwise reduction. Interpolation or matching failures, witnesses off the
+algebraic side (commutator norm), the geometric side (linegeom.pencil_verdict,
+read off the spectra of A, B and A + gB), cross-checks the recovered
+arrangement against the eigenvalue pairs of a common eigenbasis, and extends
+the test to tuples by pairwise reduction. Eigensolves that do not converge,
+spectra that neither match a line pairing nor yield a witness on the
 matrices' own curve, and pairs whose two sides disagree inside a tuple,
 surface as indeterminate outcomes, never as definitive verdicts.
 """
@@ -18,38 +19,28 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import core
-from .detpoly import char_poly_pair
 from .errors import (
     DimMismatch,
-    InterpolationFailure,
     NotCommuting,
     NotInvariant,
     NotNormal,
     NumericalAmbiguity,
 )
 from .linegeom import (
-    Line,
+    ZERO_PAIR_REL,
     LineArrangement,
     LineVerdict,
     cluster_tuples,
     compare_arrangements,
-    factor_lines,
+    pair_arrangement,
+    pencil_verdict,
 )
 
 # Joint-diagonalization cluster radius for each member's Hermitian and skew
 # parts, relative to that member's ||.||_F; wider gaps are distinct.
 DEFLATION_CLUSTER_REL = 1e-7
 
-# Eigenvalue pairs with both entries below this relative size correspond to
-# constant factors of the determinant, not lines.
-_ZERO_PAIR_REL = 1e-12
-
 _OFFDIAG_REL = 1e-8
-
-# A notlines witness (z, w) must lie on the curve of the matrices themselves,
-# not only of the interpolated polynomial: sigma_min(I + zA + wB), relative
-# to 1 + |z| ||A||_F + |w| ||B||_F, at most this.
-WITNESS_SIGMA_REL = 1e-8
 
 _ORTHO_TOL = 1e-8
 _INVARIANT_REL = 1e-8
@@ -160,26 +151,23 @@ def eigenpair_arrangement(diag_a, diag_b, *, norm_a: float = 1.0, norm_b: float 
     """Lines {1 + a_j z + b_j w = 0} from joint eigenvalues, with multiplicity.
 
     Pairs with both entries at relative zero contribute constant determinant
-    factors and are counted in the deficit instead.
+    factors and are counted in the deficit instead (linegeom.pair_arrangement).
     """
-    da = np.asarray(diag_a, dtype=np.complex128).ravel()
-    db = np.asarray(diag_b, dtype=np.complex128).ravel()
-    keep = (np.abs(da) > _ZERO_PAIR_REL * max(norm_a, 1e-300)) | (
-        np.abs(db) > _ZERO_PAIR_REL * max(norm_b, 1e-300)
-    )
-    pairs = list(zip(da[keep], db[keep]))
-    lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
-    return LineArrangement(lines, deficit=int(da.size - len(pairs)))
+    return pair_arrangement(diag_a, diag_b, norm_a=norm_a, norm_b=norm_b)
 
 
 def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:
     """Run both sides of the equivalence and cross-check them.
 
-    commute is decided by the commutator norm; the geometric verdict comes
-    from factoring det(I + zA + wB); consistent records whether the two
-    sides agree. A notlines witness must also pass WITNESS_SIGMA_REL on the
-    matrices. When both sides are affirmative the recovered arrangement is
-    also matched against the eigenvalue pairs of a common eigenbasis.
+    commute is decided by the commutator norm; the geometric verdict,
+    whether det(I + zA + wB) = 0 is a union of lines, by
+    linegeom.pencil_verdict from the spectra of A, B and A + gB, without the
+    commutator or a joint basis; consistent records whether the two sides
+    agree. A notlines witness is a point of the matrices' own curve, and its
+    witness_residual is the relative sigma_min(I + zA + wB) there. When both
+    sides are affirmative the recovered arrangement is also matched against
+    the eigenvalue pairs of a common eigenbasis. A verdict that cannot be
+    certified either way is reported as indeterminate.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
@@ -192,20 +180,9 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     cn = core.commutator_norm(a, b)
     commute = cn <= tol.commute * (na + nb)
     try:
-        p = char_poly_pair(a, b)
-        verdict = factor_lines(p, seed=seed, tol=tol)
-    except (InterpolationFailure, NumericalAmbiguity) as exc:
+        verdict = pencil_verdict(a, b, seed=seed, tol=tol)
+    except NumericalAmbiguity as exc:
         return EquivalenceReport(commute, cn, None, None, indeterminate=str(exc))
-    if not verdict.is_lines:
-        z, w = verdict.witness
-        pencil = np.eye(a.shape[0]) + z * a + w * b
-        sigma = np.linalg.svd(pencil, compute_uv=False)[-1] / (1.0 + abs(z) * na + abs(w) * nb)
-        if sigma > WITNESS_SIGMA_REL:
-            reason = (
-                f"witness is off the matrix curve: relative sigma_min(I + zA + wB) "
-                f"{sigma:.3e} exceeds {WITNESS_SIGMA_REL:.1e}"
-            )
-            return EquivalenceReport(commute, cn, None, None, indeterminate=reason)
     consistent = commute == verdict.is_lines
     distance = None
     if commute and verdict.is_lines:
@@ -263,7 +240,7 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     tuples = [tuple(diags[m][k] for m in range(len(mats))) for k in range(n)]
     scale = max(norms) if norms else 1.0
     keep = [
-        t for t in tuples if any(abs(x) > _ZERO_PAIR_REL * max(scale, 1e-300) for x in t)
+        t for t in tuples if any(abs(x) > ZERO_PAIR_REL * max(scale, 1e-300) for x in t)
     ]
     dropped = n - len(keep)
     hyperplanes = cluster_tuples(keep)

@@ -192,16 +192,29 @@ def _eigen_fill(a, b, rho_a: float, rho_b: float) -> np.ndarray:
     """
     m = a.shape[0] + 1
     d = np.arange(m)
-    omega = np.exp(2j * np.pi * d / m)
-    mats = rho_a * a[None, :, :] + (rho_b * omega)[:, None, None] * b[None, :, :]
     try:
-        lam = np.linalg.eigvals(mats)
+        omega, lam = direction_spectra(a, b, rho_a, rho_b)
     except np.linalg.LinAlgError as exc:
         raise InterpolationFailure(f"grid eigensolve did not converge: {exc}") from None
     diag = np.prod(1.0 + omega[None, :, None] * lam[:, None, :], axis=2)
     vals = np.empty((m, m), dtype=np.complex128)
     vals[d[None, :], (d[None, :] + d[:, None]) % m] = diag
     return vals
+
+
+def direction_spectra(a, b, rho_a: float, rho_b: float):
+    """Eigenvalues of M_d = rho_a A + rho_b omega^d B for d = 0..n.
+
+    omega = exp(2 pi i / (n + 1)); returns (omega^d, eigenvalues), the
+    latter of shape (n + 1, n), from one batched LAPACK call. The n + 1
+    directions are distinct lines w = g z through the origin, on each of
+    which det(I + t M_d) = prod_i (1 + t lambda_i(M_d)). A failed eigensolve
+    raises numpy.linalg.LinAlgError.
+    """
+    m = a.shape[0] + 1
+    omega = np.exp(2j * np.pi * np.arange(m) / m)
+    mats = rho_a * a[None, :, :] + (rho_b * omega)[:, None, None] * b[None, :, :]
+    return omega, np.linalg.eigvals(mats)
 
 
 def univariate_slice(p: BivarPoly, mode: str, value: complex) -> np.ndarray:

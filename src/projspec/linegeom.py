@@ -5,6 +5,11 @@ union of complex lines {1 + lambda z + mu w = 0} and extracts the arrangement
 when it is. The candidate multisets come from axis slices; the pairing of
 lambda with mu values is resolved on two independent random rays; a
 reconstruction check is mandatory before any affirmative verdict.
+
+For a matrix pair, pencil_verdict decides the same question for
+det(I + zA + wB) without the polynomial: the candidates are the spectra of A
+and B, the rays are spectra of A + gB, and the certificate is a spectral
+match on n + 1 directions.
 """
 
 from __future__ import annotations
@@ -16,8 +21,21 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import core
-from .detpoly import BivarPoly, total_degree, univariate_slice
-from .errors import DegenerateInput, NumericalAmbiguity, ParseError
+from .detpoly import (
+    _RADIUS_FLOOR,
+    DEGREE_BUDGET,
+    BivarPoly,
+    direction_spectra,
+    total_degree,
+    univariate_slice,
+)
+from .errors import (
+    DegenerateInput,
+    DegreeBudgetExceeded,
+    DimMismatch,
+    NumericalAmbiguity,
+    ParseError,
+)
 
 # Greedy pairing acceptance: per-pair ray mismatch relative to the pair scale.
 PAIR_TOL = 1e-5
@@ -28,6 +46,16 @@ CLUSTER_REL = 1e-6
 
 # Off-line witness admission: |p(witness)| bound (absolute).
 WITNESS_PTOL = 1e-8
+
+# Eigenvalue pairs with both entries below this size, relative to each
+# matrix's ||.||_F, correspond to constant factors of the determinant, not
+# lines.
+ZERO_PAIR_REL = 1e-12
+
+# A notlines witness (z, w) of pencil_verdict must lie on the curve of the
+# matrices: sigma_min(I + zA + wB), relative to
+# 1 + |z| ||A||_F + |w| ||B||_F, at most this.
+WITNESS_SIGMA_REL = 1e-8
 
 # Dust threshold when reading degrees off slice coefficient vectors.
 _SLICE_DUST_REL = 1e-12
@@ -64,7 +92,8 @@ class LineArrangement:
 
 @dataclass
 class LineVerdict:
-    """Outcome of factor_lines: a certified arrangement or a certified witness."""
+    """Outcome of factor_lines or pencil_verdict: a certified arrangement or a
+    certified witness."""
 
     is_lines: bool
     arrangement: Optional[LineArrangement] = None
@@ -399,6 +428,123 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
         (z, w), val = found
         return LineVerdict(False, None, (z, w), val)
     raise NumericalAmbiguity("no consistent line pairing and no certified off-line witness")
+
+
+def pair_arrangement(lams, mus, *, norm_a: float = 1.0, norm_b: float = 1.0) -> LineArrangement:
+    """Lines {1 + lams[j] z + mus[j] w = 0} from paired values, with multiplicity.
+
+    Pairs with both entries below ZERO_PAIR_REL times norm_a and norm_b
+    contribute constant determinant factors and are counted in the deficit
+    instead.
+    """
+    la = np.asarray(lams, dtype=np.complex128).ravel()
+    mu = np.asarray(mus, dtype=np.complex128).ravel()
+    keep = (np.abs(la) > ZERO_PAIR_REL * max(norm_a, 1e-300)) | (
+        np.abs(mu) > ZERO_PAIR_REL * max(norm_b, 1e-300)
+    )
+    pairs = list(zip(la[keep], mu[keep]))
+    lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
+    return LineArrangement(lines, deficit=int(la.size - len(pairs)))
+
+
+def _ray_witnesses(lams, mus, rays, tol):
+    """Candidate notlines witnesses from ray spectra, most separated first.
+
+    Each ray (g, eigenvalues nu of A + gB) gives the points z = -1/nu,
+    w = g z of the zero set. Kept are those farther than
+    tol.line (1 + |z| + |w|) from every candidate line 1 + lambda_i z + mu_j w,
+    which there equals (nu - lambda_i - g mu_j) / nu, ordered by that
+    distance over its bound.
+    """
+    margins, points = [], []
+    for g, nus in rays:
+        nus = nus[np.abs(nus) >= 1e-12]
+        cand = (lams[:, None] + g * mus[None, :]).ravel()
+        dist = np.abs(nus[:, None] - cand[None, :]).min(axis=1) / np.abs(nus)
+        z = -1.0 / nus
+        margins.append(dist / (tol.line * (1.0 + (1.0 + abs(g)) * np.abs(z))))
+        points.append(np.stack([z, g * z], axis=1))
+    margin = np.concatenate(margins)
+    order = np.argsort(-margin, kind="stable")
+    return [(complex(z), complex(w)) for z, w in np.concatenate(points)[order[margin[order] > 1.0]]]
+
+
+def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
+    """Decide union-of-lines structure of det(I + zA + wB) from pencil spectra.
+
+    On the line w = g z the determinant is prod_i (1 + z nu_i) over the
+    eigenvalues nu_i of A + gB, so for normal A and B the zero set is the
+    union of the lines {1 + lambda_i z + mu_i w = 0} exactly when one
+    pairing of the eigenvalues of A and B gives spec(A + gB) = {lambda_i +
+    g mu_i} for every g (property L, Motzkin & Taussky). The pairing is
+    found on two random rays drawn from seed. A lines verdict is certified
+    on the n + 1 directions M_d of detpoly.direction_spectra, whose
+    restrictions fix a polynomial of degree n: the bottleneck matching of
+    each spectrum against the paired prediction must be within tol.line,
+    relative since ||M_d|| <= 2. A notlines verdict carries a point of a ray
+    (see _ray_witnesses) whose sigma_min(I + zA + wB), relative to
+    1 + |z| ||A||_F + |w| ||B||_F, is at most WITNESS_SIGMA_REL; that value
+    is its witness_residual. Anything weaker, or an eigensolve that does not
+    converge, raises NumericalAmbiguity.
+    """
+    a = core.as_cmatrix(a)
+    b = core.as_cmatrix(b)
+    if a.shape != b.shape:
+        raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
+    n = a.shape[0]
+    if n > DEGREE_BUDGET:
+        raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {DEGREE_BUDGET}")
+    if tol is None:
+        tol = core.default_tolerances()
+    fa = core.frobenius(a)
+    fb = core.frobenius(b)
+    rng = np.random.default_rng(seed)
+    gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
+    try:
+        spectra = np.linalg.eigvals(np.stack([a, b, a + gammas[0] * b, a + gammas[1] * b]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
+    lams = _sorted_complex(spectra[0])
+    mus = _sorted_complex(spectra[1])
+    rays = list(zip(gammas, spectra[2:]))
+    pairs = _greedy_pairing(lams, mus, gammas, spectra[2:], PAIR_TOL)
+    reason = "no consistent line pairing"
+    if pairs is not None:
+        pl = np.array([l for l, _ in pairs])
+        pm = np.array([m for _, m in pairs])
+        rho_a = 1.0 / (_RADIUS_FLOOR + np.abs(lams).max())
+        rho_b = 1.0 / (_RADIUS_FLOOR + np.abs(mus).max())
+        try:
+            omega, nus = direction_spectra(a, b, rho_a, rho_b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
+        pred = rho_a * pl[None, :] + (rho_b * omega)[:, None] * pm[None, :]
+        mismatch = [_bottleneck(np.abs(v[:, None] - p[None, :])) for v, p in zip(nus, pred)]
+        worst = int(np.argmax(mismatch))
+        if mismatch[worst] <= tol.line:
+            return LineVerdict(True, pair_arrangement(pl, pm, norm_a=fa, norm_b=fb))
+        reason = (
+            f"paired spectra miss direction {worst} by {mismatch[worst]:.3e}, "
+            f"above tol.line = {tol.line:.1e}"
+        )
+        rays.append((rho_b * omega[worst] / rho_a, nus[worst] / rho_a))
+    eye = np.eye(n, dtype=np.complex128)
+    best = math.inf
+    for z, w in _ray_witnesses(lams, mus, rays, tol):
+        try:
+            smin = np.linalg.svd(eye + z * a + w * b, compute_uv=False)[-1]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalAmbiguity(f"witness singular values did not converge: {exc}") from None
+        sigma = float(smin / (1.0 + abs(z) * fa + abs(w) * fb))
+        if sigma <= WITNESS_SIGMA_REL:
+            return LineVerdict(False, None, (z, w), sigma)
+        best = min(best, sigma)
+    if best < math.inf:
+        raise NumericalAmbiguity(
+            f"{reason}, and every separated witness is off the matrix curve: smallest "
+            f"relative sigma_min(I + zA + wB) {best:.3e} exceeds {WITNESS_SIGMA_REL:.1e}"
+        )
+    raise NumericalAmbiguity(f"{reason}, and no ray eigenvalue is off every candidate line")
 
 
 def line_through_point(arr: LineArrangement, z: complex, w: complex, *, tol=None):

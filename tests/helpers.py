@@ -65,21 +65,26 @@ def inconsistent_report(a, b, **kwargs):
     return commute.EquivalenceReport(True, 0.0, verdict, False)
 
 
-def off_curve_factor_lines(p, **kwargs):
-    """Stand-in for linegeom.factor_lines: a notlines witness off every curve
-    det(I + zA + wB) = 0 that the tests pass it, e.g. 1 - z^2 - w^2 for
-    (PAULI_Z, PAULI_X)."""
-    return linegeom.LineVerdict(False, None, (0.5 + 0j, 0.25 + 0j), 0.0)
+def off_curve_witnesses(lams, mus, rays, tol):
+    """Stand-in for linegeom._ray_witnesses: one candidate witness, off
+    every candidate line and off every curve det(I + zA + wB) = 0 that the
+    tests pass it, e.g. 1 - z^2 - w^2 for (PAULI_Z, PAULI_X)."""
+    return [(0.5 + 0j, 0.25 + 0j)]
 
 
-def fail_batched_eigvals(monkeypatch):
-    """Make np.linalg.eigvals raise LinAlgError on stacks of matrices, the
-    grid eigensolve of detpoly, and behave normally on single matrices."""
+def fail_batched_eigvals(monkeypatch, after=0):
+    """Make np.linalg.eigvals raise LinAlgError on stacks of matrices (the
+    batched eigensolves of detpoly's grid and of linegeom.pencil_verdict)
+    once `after` stacks have been solved, and behave normally on single
+    matrices."""
     real = np.linalg.eigvals
+    solved = [0]
 
     def failing(x):
         if np.ndim(x) == 3:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if solved[0] >= after:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            solved[0] += 1
         return real(x)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)

@@ -16,7 +16,7 @@ from helpers import (
     fail_batched_eigvals,
     inconsistent_report,
     noncommuting_pair,
-    off_curve_factor_lines,
+    off_curve_witnesses,
 )
 
 
@@ -92,7 +92,7 @@ def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
 
 
 def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
-    monkeypatch.setattr(commute, "factor_lines", off_curve_factor_lines)
+    monkeypatch.setattr(linegeom, "_ray_witnesses", off_curve_witnesses)
     fa = _write_matrix(tmp_path / "a.mat", PAULI_Z)
     fb = _write_matrix(tmp_path / "b.mat", PAULI_X)
     code, text = _run(tmp_path, "commute", fa, fb)
@@ -102,8 +102,10 @@ def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
 
 
 def test_commute_exits_2_when_grid_eigensolve_fails(tmp_path, monkeypatch):
+    # the pencil verdict solves batched eigenproblems at every dimension,
+    # also below detpoly.EIGEN_FILL_MIN_N
     fail_batched_eigvals(monkeypatch)
-    a, b = noncommuting_pair(np.random.default_rng(23), detpoly.EIGEN_FILL_MIN_N)
+    a, b = noncommuting_pair(np.random.default_rng(23), 8)
     fa = _write_matrix(tmp_path / "a.mat", a)
     fb = _write_matrix(tmp_path / "b.mat", b)
     code, text = _run(tmp_path, "commute", fa, fb)

@@ -9,9 +9,10 @@ from helpers import (
     PAULI_X,
     PAULI_Z,
     commuting_pair,
+    fail_batched_eigvals,
     inconsistent_report,
     noncommuting_pair,
-    off_curve_factor_lines,
+    off_curve_witnesses,
     random_diag_vals,
     random_normal,
     random_unitary,
@@ -177,10 +178,20 @@ def test_common_eigenbasis_diagonalizes_a_once(monkeypatch):
 
 
 def test_off_curve_witness_is_indeterminate(monkeypatch):
-    monkeypatch.setattr(commute, "factor_lines", off_curve_factor_lines)
+    monkeypatch.setattr(linegeom, "_ray_witnesses", off_curve_witnesses)
     rep = commute.equivalence_check(PAULI_Z, PAULI_X)
     assert rep.verdict is None and rep.consistent is None
     assert "off the matrix curve" in rep.indeterminate
+
+
+@pytest.mark.parametrize("solved", [0, 1], ids=["pencil_spectra", "directions"])
+def test_pencil_eigensolve_failure_is_indeterminate(monkeypatch, solved):
+    a, b = commuting_pair(np.random.default_rng(31), 6)
+    fail_batched_eigvals(monkeypatch, after=solved)
+    rep = commute.equivalence_check(a, b)
+    assert rep.commute
+    assert rep.verdict is None and rep.consistent is None
+    assert "did not converge" in rep.indeterminate
 
 
 def _replayed_pair(seed, rounds, n, other=40):
@@ -206,13 +217,19 @@ def _replayed_pair(seed, rounds, n, other=40):
 
 
 def test_interpolated_off_curve_witness_is_not_certified():
-    # the polynomial route finds a witness with |p| ~ 1e-12 here whose
-    # relative sigma_min on the matrices is 1.6e-6
+    # the interpolated polynomial's witness here has |p| ~ 1e-12 but a
+    # relative sigma_min on the matrices of 1.6e-6; the pencil witness must
+    # lie on the matrices' own curve
     a, b = _replayed_pair(7373, 10, 32)
     rep = commute.equivalence_check(a, b, seed=32)
     assert not rep.commute
-    assert rep.verdict is None
-    assert "off the matrix curve" in rep.indeterminate
+    assert rep.indeterminate is None and rep.consistent
+    assert not rep.verdict.is_lines
+    z, w = rep.verdict.witness
+    smin = np.linalg.svd(np.eye(32) + z * a + w * b, compute_uv=False)[-1]
+    sigma = smin / (1 + abs(z) * np.linalg.norm(a) + abs(w) * np.linalg.norm(b))
+    assert sigma <= linegeom.WITNESS_SIGMA_REL
+    assert rep.verdict.witness_residual == pytest.approx(sigma, rel=1e-6, abs=1e-18)
 
 
 def test_eigenpair_arrangement_deficit():
