@@ -124,6 +124,8 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     # compression to a cluster does not depend on the basis of its span.
     by_re = np.argsort(diag_a.real, kind="stable")
     for group in core._split_sorted(diag_a.real[by_re], radius_a):
+        if group.size == 1:
+            continue
         idx = by_re[group]
         idx = idx[np.argsort(diag_a.imag[idx], kind="stable")]
         for sub in core._split_sorted(diag_a.imag[idx], radius_a):
@@ -237,13 +239,10 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     # two sweeps over all members settle ties
     u = core.joint_diagonalize(parts * 2, radii * 2)
     diags = np.stack([np.diag(u.conj().T @ m @ u).copy() for m in mats])
-    tuples = [tuple(diags[m][k] for m in range(len(mats))) for k in range(n)]
     scale = max(norms) if norms else 1.0
-    keep = [
-        t for t in tuples if any(abs(x) > ZERO_PAIR_REL * max(scale, 1e-300) for x in t)
-    ]
-    dropped = n - len(keep)
-    hyperplanes = cluster_tuples(keep)
+    keep = (np.abs(diags) > ZERO_PAIR_REL * max(scale, 1e-300)).any(axis=0)
+    dropped = n - int(keep.sum())
+    hyperplanes = cluster_tuples(diags.T[keep])
     return TupleReport(
         reports,
         True,

@@ -104,14 +104,8 @@ def commutator_norm(a, b) -> float:
 
 def _split_sorted(vals: np.ndarray, radius: float):
     """Chain-cluster ascending real values; break where the gap exceeds radius."""
-    groups = []
-    start = 0
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > radius:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, len(vals)))
-    return groups
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > radius) + 1).tolist(), len(vals)]
+    return [np.arange(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
 
 
 def hermitian_parts(a: np.ndarray):

@@ -44,6 +44,10 @@ PAIR_TOL = 1e-5
 # coefficient tuple, 1 plus the sum of its moduli).
 CLUSTER_REL = 1e-6
 
+# cluster_tuples re-decides membership in scalar arithmetic where the array
+# distance is this close to the radius, relative to it.
+_RADIUS_BAND = 1e-12
+
 # Off-line witness admission: |p(witness)| bound (absolute).
 WITNESS_PTOL = 1e-8
 
@@ -189,35 +193,70 @@ def _monic_reversed_roots(slice_coeffs, d: int) -> np.ndarray:
     return _sorted_complex(vals)
 
 
+def _within(item, seed, rel: float) -> bool:
+    """cluster_tuples' membership test in scalar arithmetic, on Python complex entries."""
+    radius = rel * sum((abs(x) for x in seed), 1.0)
+    return math.hypot(*(abs(x - y) for x, y in zip(item, seed))) <= radius
+
+
 def cluster_tuples(tuples, rel: float = CLUSTER_REL):
     """Greedy radius clustering of coefficient tuples into (centroid, multiplicity).
 
-    Deterministic: seeds are taken in lexicographic (re, im) order and absorb
-    every unused tuple within rel * (1 + sum of the seed's moduli); output is
-    sorted the same way. Pairs (lam, mu) are the line case.
+    tuples is an (m, k) array (or a list of equal-length tuples), k >= 1.
+    Deterministic: seeds are taken in lexicographic (re, im) order, ties in
+    input order, and each absorbs every unused tuple within
+    rel * (1 + sum of the seed's moduli) in Euclidean distance. A centroid
+    is the sum of its members in that order, starting from 0 (so -0.0
+    entries give 0.0), over their count. Output is sorted by centroid the
+    same way. Pairs (lam, mu) are the line case.
+
+    Cost: one sort and one m x m distance matrix, O(m^2 k), then one mask
+    per cluster and one vector addition per member rank. Moduli are taken
+    with np.hypot, which rounds as Python's abs(complex) does; np.abs on
+    complex128 and np.hypot over k >= 2 components can differ from the
+    scalar formula in the last bit, so distances within _RADIUS_BAND of the
+    radius are decided by that formula (_within).
     """
-    items = [tuple(complex(x) for x in t) for t in tuples]
-
-    def key(t):
-        return tuple(v for x in t for v in (x.real, x.imag))
-
-    order = sorted(range(len(items)), key=lambda i: key(items[i]))
-    used = [False] * len(items)
-    clusters = []
-    for i in order:
-        if used[i]:
+    x = np.asarray(tuples, dtype=np.complex128)
+    if x.size == 0:
+        return []
+    m, k = x.shape
+    parts = np.stack([x.real, x.imag], axis=2).reshape(m, 2 * k)
+    order = np.lexsort(parts.T[::-1])
+    x, parts = x[order], parts[order]
+    moduli = np.hypot(x.real, x.imag)
+    radius = np.ones(m)
+    for c in range(k):  # left to right, as the scalar formula sums
+        radius = radius + moduli[:, c]
+    radius = rel * radius[:, None]
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.hypot.reduce(np.hypot(diff.real, diff.imag), axis=2)
+    within = dist <= radius
+    for p, q in zip(*np.nonzero(np.abs(dist - radius) <= _RADIUS_BAND * radius)):
+        within[p, q] = _within(x[q].tolist(), x[p].tolist(), rel)
+    used = np.zeros(m, dtype=bool)
+    label = np.empty(m, dtype=np.intp)
+    count = 0
+    for p in range(m):
+        if used[p]:
             continue
-        seed = items[i]
-        radius = rel * sum((abs(x) for x in seed), 1.0)
-        members = []
-        for j in order:
-            if not used[j] and math.hypot(*(abs(x - y) for x, y in zip(items[j], seed))) <= radius:
-                members.append(j)
-                used[j] = True
-        center = tuple(sum(items[j][c] for j in members) / len(members) for c in range(len(seed)))
-        clusters.append((center, len(members)))
-    clusters.sort(key=lambda t: key(t[0]))
-    return clusters
+        members = within[p] & ~used
+        used |= members
+        label[members] = count
+        count += 1
+    sizes = np.bincount(label, minlength=count)
+    by_label = np.argsort(label, kind="stable")
+    rank = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sums = np.zeros((count, 2 * k))
+    for r in range(int(sizes.max())):
+        at = by_label[rank == r]
+        sums[label[at]] += parts[at]
+    centers = sums / sizes[:, None]
+    final = np.lexsort(centers.T[::-1])
+    return [
+        (tuple(complex(re, im) for re, im in zip(row[0::2], row[1::2])), size)
+        for row, size in zip(centers[final].tolist(), sizes[final].tolist())
+    ]
 
 
 def expand_arrangement(lines, n: int) -> BivarPoly:
@@ -307,39 +346,54 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
 def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
     """Pair lambda and mu candidates using nearest ray-root consistency.
 
-    Returns the list of paired (lam, mu) or None when some selection exceeds
-    the pairing tolerance.
+    The cost of a pair (i, j) is the largest, over the rays, of the distance
+    from lams[i] + g mus[j] to the nearest unconsumed root of that ray. Each
+    step takes the cheapest pair with i and j both unused, the first in
+    row-major (i, j) order on ties, and consumes on each ray its nearest
+    root, the lowest-indexed on ties. Returns the list of paired (lam, mu)
+    or None when some selection exceeds the pairing tolerance.
+
+    Every ray has d roots. Cost: each ray's d x d x d distance tensor, with
+    its minimum and argmin over roots, is built once. A step re-takes the
+    minimum, consumed roots counting as +inf, only for the live pairs whose
+    nearest root it consumed: O(d^3) over all d steps when each root is
+    nearest to O(d) pairs; a d-fold eigenvalue, where every pair shares one
+    nearest root, makes it O(d^4).
     """
-    d = len(lams)
     lam_arr = np.asarray(lams)
     mu_arr = np.asarray(mus)
-    avail_l = np.ones(d, dtype=bool)
-    avail_m = np.ones(d, dtype=bool)
-    avail_s = [np.ones(d, dtype=bool) for _ in gammas]
+    d = lam_arr.size
+    if d == 0:
+        return []
     predicted = [np.add.outer(lam_arr, g * mu_arr) for g in gammas]
+    # dist[r, i * d + j, s] = |lams[i] + g_r mus[j] - ray_roots[r][s]|
+    dist = np.empty((len(gammas), d * d, d))
+    for r, roots in enumerate(ray_roots):
+        np.abs(predicted[r].reshape(-1, 1) - np.asarray(roots)[None, :], out=dist[r])
+    nearest = dist.argmin(axis=2)
+    low = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
+    consumed = np.zeros((len(gammas), d), dtype=bool)
+    live = np.ones(d * d, dtype=bool)
+    cost = low.max(axis=0)
     pairs = []
     for _ in range(d):
-        li = np.flatnonzero(avail_l)
-        mi = np.flatnonzero(avail_m)
-        ray_min = []
-        ray_arg = []
-        for r in range(len(gammas)):
-            si = np.flatnonzero(avail_s[r])
-            dist = np.abs(predicted[r][np.ix_(li, mi)][:, :, None] - ray_roots[r][si][None, None, :])
-            ray_min.append(dist.min(axis=2))
-            ray_arg.append((si, dist.argmin(axis=2)))
-        cost = np.maximum.reduce(ray_min)
-        ii, jj = np.unravel_index(int(cost.argmin()), cost.shape)
-        i0, j0 = int(li[ii]), int(mi[jj])
-        scale = 1.0 + max(abs(predicted[r][i0, j0]) for r in range(len(gammas)))
-        if cost[ii, jj] > pair_tol * scale:
+        k0 = int(cost.argmin())
+        i0, j0 = divmod(k0, d)
+        scale = 1.0 + max(abs(p[i0, j0]) for p in predicted)
+        if cost[k0] > pair_tol * scale:
             return None
         pairs.append((complex(lam_arr[i0]), complex(mu_arr[j0])))
-        avail_l[i0] = False
-        avail_m[j0] = False
-        for r in range(len(gammas)):
-            si, arg = ray_arg[r]
-            avail_s[r][si[arg[ii, jj]]] = False
+        live[i0 * d : (i0 + 1) * d] = False
+        live[j0::d] = False
+        spent = nearest[:, k0]
+        consumed[np.arange(len(gammas)), spent] = True
+        r, k = np.divmod(np.flatnonzero(live & (nearest == spent[:, None])), d * d)
+        if r.size:
+            rows = dist[r, k]
+            rows[consumed[r]] = np.inf
+            nearest[r, k] = rows.argmin(axis=1)
+            low[r, k] = rows[np.arange(r.size), nearest[r, k]]
+        cost = np.where(live, low.max(axis=0), np.inf)
     return pairs
 
 
@@ -421,8 +475,8 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
             f"pairing succeeded but reconstruction residual {err:.3e} exceeds "
             f"{tol.recon * norm_c:.3e}"
         )
-    lam_vals = [l for (l,), _ in cluster_tuples([(l,) for l in lams])]
-    mu_vals = [m for (m,), _ in cluster_tuples([(m,) for m in mus])]
+    lam_vals = [l for (l,), _ in cluster_tuples(lams[:, None])]
+    mu_vals = [m for (m,), _ in cluster_tuples(mus[:, None])]
     found = _witness_search(p, lam_vals, mu_vals, ray_info, rng, tol)
     if found is not None:
         (z, w), val = found
@@ -442,7 +496,7 @@ def pair_arrangement(lams, mus, *, norm_a: float = 1.0, norm_b: float = 1.0) -> 
     keep = (np.abs(la) > ZERO_PAIR_REL * max(norm_a, 1e-300)) | (
         np.abs(mu) > ZERO_PAIR_REL * max(norm_b, 1e-300)
     )
-    pairs = list(zip(la[keep], mu[keep]))
+    pairs = np.stack([la[keep], mu[keep]], axis=1)
     lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
     return LineArrangement(lines, deficit=int(la.size - len(pairs)))
 
@@ -519,7 +573,7 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
         except np.linalg.LinAlgError as exc:
             raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
         pred = rho_a * pl[None, :] + (rho_b * omega)[:, None] * pm[None, :]
-        mismatch = [_bottleneck(np.abs(v[:, None] - p[None, :])) for v, p in zip(nus, pred)]
+        mismatch = _bottlenecks(np.abs(nus[:, :, None] - pred[:, None, :]))
         worst = int(np.argmax(mismatch))
         if mismatch[worst] <= tol.line:
             return LineVerdict(True, pair_arrangement(pl, pm, norm_a=fa, norm_b=fb))
@@ -616,6 +670,20 @@ def _bottleneck(cost: np.ndarray) -> float:
         else:
             lo = mid + 1
     return float(levels[lo])
+
+
+def _bottlenecks(cost: np.ndarray) -> np.ndarray:
+    """_bottleneck of each matrix in a stack of square cost matrices.
+
+    The row-minimum bound and the distinct-argmin test are taken for the
+    whole stack at once; only the matrices whose row argmins collide go to
+    _bottleneck's bisection.
+    """
+    out = cost.min(axis=2).max(axis=1)
+    arg = np.sort(cost.argmin(axis=2), axis=1)
+    for i in np.flatnonzero((arg[:, 1:] == arg[:, :-1]).any(axis=1)):
+        out[i] = _bottleneck(cost[i])
+    return out
 
 
 def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:

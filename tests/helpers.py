@@ -1,9 +1,12 @@
-"""Shared random-instance generators and stand-ins for the test suite.
+"""Shared random-instance generators, stand-ins and reference
+implementations for the test suite.
 
 Everything takes an explicit rng so tests stay reproducible; eigenvalue
 moduli are kept inside [0.3, 1.5] and away from 0 so no route has to deal
 with near-singular scaling unless a test asks for it.
 """
+
+import math
 
 import numpy as np
 
@@ -88,3 +91,66 @@ def fail_batched_eigvals(monkeypatch, after=0):
         return real(x)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+def reference_greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
+    """linegeom._greedy_pairing as a plain O(d^4) loop: every step rebuilds
+    the distance tensor of the unused candidates and ray roots."""
+    d = len(lams)
+    lam_arr = np.asarray(lams)
+    mu_arr = np.asarray(mus)
+    avail_l = np.ones(d, dtype=bool)
+    avail_m = np.ones(d, dtype=bool)
+    avail_s = [np.ones(d, dtype=bool) for _ in gammas]
+    predicted = [np.add.outer(lam_arr, g * mu_arr) for g in gammas]
+    pairs = []
+    for _ in range(d):
+        li = np.flatnonzero(avail_l)
+        mi = np.flatnonzero(avail_m)
+        ray_min = []
+        ray_arg = []
+        for r in range(len(gammas)):
+            si = np.flatnonzero(avail_s[r])
+            dist = np.abs(predicted[r][np.ix_(li, mi)][:, :, None] - ray_roots[r][si][None, None, :])
+            ray_min.append(dist.min(axis=2))
+            ray_arg.append((si, dist.argmin(axis=2)))
+        cost = np.maximum.reduce(ray_min)
+        ii, jj = np.unravel_index(int(cost.argmin()), cost.shape)
+        i0, j0 = int(li[ii]), int(mi[jj])
+        scale = 1.0 + max(abs(predicted[r][i0, j0]) for r in range(len(gammas)))
+        if cost[ii, jj] > pair_tol * scale:
+            return None
+        pairs.append((complex(lam_arr[i0]), complex(mu_arr[j0])))
+        avail_l[i0] = False
+        avail_m[j0] = False
+        for r in range(len(gammas)):
+            si, arg = ray_arg[r]
+            avail_s[r][si[arg[ii, jj]]] = False
+    return pairs
+
+
+def reference_cluster_tuples(tuples, rel=linegeom.CLUSTER_REL):
+    """linegeom.cluster_tuples as a plain O(m^2) loop over Python complex
+    tuples."""
+    items = [tuple(complex(x) for x in t) for t in tuples]
+
+    def key(t):
+        return tuple(v for x in t for v in (x.real, x.imag))
+
+    order = sorted(range(len(items)), key=lambda i: key(items[i]))
+    used = [False] * len(items)
+    clusters = []
+    for i in order:
+        if used[i]:
+            continue
+        seed = items[i]
+        radius = rel * sum((abs(x) for x in seed), 1.0)
+        members = []
+        for j in order:
+            if not used[j] and math.hypot(*(abs(x - y) for x, y in zip(items[j], seed))) <= radius:
+                members.append(j)
+                used[j] = True
+        center = tuple(sum(items[j][c] for j in members) / len(members) for c in range(len(seed)))
+        clusters.append((center, len(members)))
+    clusters.sort(key=lambda t: key(t[0]))
+    return clusters

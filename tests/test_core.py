@@ -164,6 +164,27 @@ def test_joint_diagonalize_trailing_pass_fixes_straddle():
     assert max(without_trailing) > 1e-9
 
 
+def _reference_split_sorted(vals, radius):
+    groups, start = [], 0
+    for i in range(1, len(vals)):
+        if vals[i] - vals[i - 1] > radius:
+            groups.append(np.arange(start, i))
+            start = i
+    groups.append(np.arange(start, len(vals)))
+    return groups
+
+
+def test_split_sorted_matches_gap_loop():
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(0), np.array([0.5]), np.array([0.0, 0.1, 0.1, 0.2])]
+    cases += [np.sort(np.round(rng.uniform(0, 1, n), 1)) for n in (2, 9, 40)]
+    for vals in cases:
+        for radius in (0.0, 0.1, 0.25):
+            got = core._split_sorted(vals, radius)
+            want = _reference_split_sorted(vals, radius)
+            assert [g.tolist() for g in got] == [g.tolist() for g in want]
+
+
 def test_parse_complex_literals():
     assert core.parse_complex("1+2i") == 1 + 2j
     assert core.parse_complex("-1.5-0.25i") == -1.5 - 0.25j

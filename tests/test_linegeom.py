@@ -9,7 +9,15 @@ from projspec import core, detpoly, linegeom
 from projspec.errors import DegenerateInput, NumericalAmbiguity, ParseError
 from projspec.linegeom import Line, LineArrangement
 
-from helpers import PAULI_X, PAULI_Z, noncommuting_pair
+from helpers import (
+    PAULI_X,
+    PAULI_Z,
+    commuting_pair,
+    noncommuting_pair,
+    random_unitary,
+    reference_cluster_tuples,
+    reference_greedy_pairing,
+)
 
 
 def _arrangement(*pairs):
@@ -258,6 +266,129 @@ def test_cluster_tuples():
     assert len(out) == 2
     counts = sorted(m for _, m in out)
     assert counts == [1, 2]
+
+
+def _pencil_candidates(a, b, seed):
+    """lams, mus, the two ray directions and the ray spectra, drawn as
+    pencil_verdict draws them."""
+    gammas = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=2))
+    spectra = np.linalg.eigvals(np.stack([a, b, a + gammas[0] * b, a + gammas[1] * b]))
+    return linegeom._sorted_complex(spectra[0]), linegeom._sorted_complex(spectra[1]), gammas, spectra[2:]
+
+
+def _pairing_case(family, rng, n):
+    if family == "commuting" or (family == "noncommuting" and n == 1):
+        return _pencil_candidates(*commuting_pair(rng, n), n)
+    if family == "noncommuting":
+        return _pencil_candidates(*noncommuting_pair(rng, n), n)
+    if family == "near_commuting":
+        a, b = commuting_pair(rng, n)
+        return _pencil_candidates(a + 10 ** rng.uniform(-8, -4) * rng.normal(size=(n, n)), b, n)
+    if family == "repeated_zero":
+        # a (0, 0) pair, a doubled pair and a pair with lambda = 0
+        lam = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        lam[:5], mu[:5] = [0, 0.7, 0.7, 0.0, 0.3][:n], [0, 1.1j, 1.1j, 0.9, 0.3][:n]
+        u = random_unitary(rng, n)
+        return _pencil_candidates((u * lam) @ u.conj().T, (u * mu) @ u.conj().T, n)
+    # "tied": exact small-integer spectra and rays, so many pairs cost exactly
+    # the same and many ray roots coincide
+    lam = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+    mu = rng.integers(-2, 3, n).astype(complex)
+    gammas = np.array([1.0, 1j])
+    rays = np.stack([rng.permutation(lam + g * mu) for g in gammas])
+    return linegeom._sorted_complex(lam), linegeom._sorted_complex(mu), gammas, rays
+
+
+_PAIRING_FAMILIES = ("commuting", "noncommuting", "near_commuting", "repeated_zero", "tied")
+
+
+@pytest.mark.parametrize("family", _PAIRING_FAMILIES)
+def test_greedy_pairing_matches_reference_loop(family):
+    # every n from 1 to 64 falls to one family; each family also runs 1, 2, 64
+    k = _PAIRING_FAMILIES.index(family)
+    rng = np.random.default_rng(8000 + k)
+    outcomes = set()
+    for n in sorted({1, 2, 64, *range(1 + k, 65, len(_PAIRING_FAMILIES))}):
+        case = _pairing_case(family, rng, n)
+        got = linegeom._greedy_pairing(*case, linegeom.PAIR_TOL)
+        assert got == reference_greedy_pairing(*case, linegeom.PAIR_TOL), n
+        outcomes.add(got is None)
+    if family in ("commuting", "repeated_zero"):
+        assert outcomes == {False}
+    if family == "noncommuting":
+        assert True in outcomes
+
+
+def _bits(clusters):
+    """cluster_tuples output with each centroid entry as float.hex, so -0.0
+    and every last bit must match."""
+    return [(tuple((c.real.hex(), c.imag.hex()) for c in t), m) for t, m in clusters]
+
+
+def _assert_clusters_match_reference(tuples, rel=linegeom.CLUSTER_REL):
+    want = _bits(reference_cluster_tuples(tuples, rel))
+    assert _bits(linegeom.cluster_tuples(tuples, rel)) == want
+    assert _bits(linegeom.cluster_tuples(np.array(tuples, dtype=complex).reshape(len(tuples), -1), rel)) == want
+
+
+def test_cluster_tuples_matches_reference_loop():
+    rng = np.random.default_rng(8100)
+    assert linegeom.cluster_tuples([]) == []
+    assert linegeom.cluster_tuples(np.zeros((0, 2), dtype=complex)) == []
+    for k in (1, 2, 3):
+        for m in (1, 2, 7, 40, 64):
+            base = rng.normal(size=(max(1, m // 3), k)) + 1j * rng.normal(size=(max(1, m // 3), k))
+            pick = base[rng.integers(0, len(base), m)]
+            noise = 10 ** rng.uniform(-10, -5, (m, 1)) * (rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))
+            _assert_clusters_match_reference([tuple(t) for t in pick + noise])
+    # 12 members of one cluster: the centroid depends on the summation order
+    big = [(1 + 1e-9 * rng.normal() + 1e-9j * rng.normal(), 2 - 1e-9 * rng.normal()) for _ in range(12)]
+    _assert_clusters_match_reference(big)
+    assert [m for _, m in linegeom.cluster_tuples(big)] == [12]
+
+
+def test_cluster_tuples_signed_zero_and_radius_edge():
+    neg = complex(-0.0, -0.0)
+    for tuples in ([(neg,), (-0.0,)], [(neg, 1.0), (-0.0, 1.0)], [(neg, neg, neg)]):
+        _assert_clusters_match_reference(tuples)
+        for center, _ in linegeom.cluster_tuples(tuples):
+            assert all(math.copysign(1.0, c.real) == 1.0 for c in center)
+    # members exactly at the radius join; the next float out does not
+    edge = np.nextafter(0.25, 1.0)
+    for tuples in ([(0.0,), (0.25,), (edge,)], [(0.0, 0.0), (0.25, 0.0), (edge, 0.0)], [(0.0, 0.0), (0.0, 0.25j)]):
+        _assert_clusters_match_reference(tuples, rel=0.25)
+    assert [m for _, m in linegeom.cluster_tuples([(0.0,), (1e-6,)])] == [2]
+
+
+def test_cluster_tuples_decides_boundary_members_by_the_scalar_formula():
+    # two members at the radius about the seed in C^2, on which np.hypot and
+    # math.hypot round to different sides of it: the first is out by the
+    # scalar formula and the second in
+    seed = (0.21451298000864244 + 0.8249342612897279j, 1.4414390855870582 - 1.3877888074597262j)
+    out = (0.21773532340464144 + 0.825037039807414j, 1.4428944269378439 - 1.3862604749885374j)
+    inside = (0.21695764243020604 + 0.824346351308331j, 1.4441496896123085 - 1.3867032236113301j)
+    rel = 1e-3
+    radius = rel * sum((abs(x) for x in seed), 1.0)
+    for member, scalar_in in ((out, False), (inside, True)):
+        moduli = [abs(x - y) for x, y in zip(member, seed)]
+        assert (math.hypot(*moduli) <= radius) == scalar_in != (np.hypot(*moduli) <= radius)
+    _assert_clusters_match_reference([seed, out, inside], rel=rel)
+    assert sorted(m for _, m in linegeom.cluster_tuples([seed, out, inside], rel)) == [1, 2]
+
+
+def test_greedy_pairing_consumes_the_first_of_equidistant_roots():
+    # lambda = 0 sits midway between the ray-0 roots -delta and +delta; taking
+    # the first leaves +delta, 2 delta from lambda = 3 delta, within PAIR_TOL;
+    # taking the second would leave -delta, 4 delta away, beyond it
+    delta = 2.0**-18
+    lams = np.array([0.0, 3 * delta], dtype=complex)
+    mus = np.zeros(2, dtype=complex)
+    gammas = np.array([1.0, 1j])
+    rays = np.array([[-delta, delta], [0.0, 3 * delta]], dtype=complex)
+    got = linegeom._greedy_pairing(lams, mus, gammas, rays, linegeom.PAIR_TOL)
+    assert got == [(0j, 0j), (3 * delta + 0j, 0j)]
+    assert got == reference_greedy_pairing(lams, mus, gammas, rays, linegeom.PAIR_TOL)
 
 
 def test_arrangement_roundtrip():

@@ -51,15 +51,19 @@ def test_large_dim_equivalence_battery():
     assert max_sigma <= linegeom.WITNESS_SIGMA_REL
 
 
-def test_repeated_and_zero_eigenpairs_at_large_dim():
+def _repeated_and_zero_pair():
     # three (0, 0) pairs, a line of multiplicity 2, a line through lambda = 0
     rng = np.random.default_rng(40)
     n = 40
     lam = np.concatenate([[0, 0, 0, 0.7, 0.7, 0.0], rng.uniform(-1, 1, n - 6) + 1j * rng.uniform(-1, 1, n - 6)])
     mu = np.concatenate([[0, 0, 0, 1.1j, 1.1j, 0.9], rng.uniform(-1, 1, n - 6) + 1j * rng.uniform(-1, 1, n - 6)])
     u = random_unitary(rng, n)
-    a = (u * lam) @ u.conj().T
-    b = (u * mu) @ u.conj().T
+    return lam, mu, (u * lam) @ u.conj().T, (u * mu) @ u.conj().T
+
+
+def test_repeated_and_zero_eigenpairs_at_large_dim():
+    lam, mu, a, b = _repeated_and_zero_pair()
+    n = a.shape[0]
     rep = commute.equivalence_check(a, b)
     assert rep.commute and rep.consistent and rep.verdict.is_lines
     arr = rep.verdict.arrangement
@@ -88,6 +92,46 @@ def test_large_norm_pair_gets_a_certified_witness():
     rep = commute.equivalence_check(a, b)
     assert not rep.commute and rep.consistent and not rep.verdict.is_lines
     assert _relative_sigma_min(a, b, *rep.verdict.witness) <= linegeom.WITNESS_SIGMA_REL
+
+
+def _record_direction_certificate(monkeypatch):
+    """Wrap linegeom._bottlenecks and linegeom._bottleneck; returns the list
+    of (cost stack, mismatches) of each certificate and the list of the cost
+    matrices that went to the per-matrix fallback."""
+    certificates, fallbacks = [], []
+    batched, single = linegeom._bottlenecks, linegeom._bottleneck
+
+    def record_batched(cost):
+        out = batched(cost)
+        certificates.append((cost, out))
+        return out
+
+    def record_single(cost):
+        fallbacks.append(cost)
+        return single(cost)
+
+    monkeypatch.setattr(linegeom, "_bottlenecks", record_batched)
+    monkeypatch.setattr(linegeom, "_bottleneck", record_single)
+    return certificates, fallbacks
+
+
+def test_batched_certificate_matches_per_direction_bottleneck(monkeypatch):
+    # repeated and zero eigenpairs repeat columns of a direction's cost
+    # matrix, so its row argmins can collide and the bisection fallback runs
+    _, _, a, b = _repeated_and_zero_pair()
+    certificates, fallbacks = _record_direction_certificate(monkeypatch)
+    assert linegeom.pencil_verdict(a, b).is_lines
+    [(cost, mismatch)] = certificates
+    assert cost.shape == (a.shape[0] + 1, a.shape[0], a.shape[0])
+    assert 0 < len(fallbacks) < len(cost)
+    assert mismatch.tolist() == [linegeom._bottleneck(c) for c in cost]
+    # a copied row makes every direction's argmins collide
+    forced = cost.copy()
+    forced[:, 1] = forced[:, 0]
+    want = [linegeom._bottleneck(c) for c in forced]
+    fallbacks.clear()
+    assert linegeom._bottlenecks(forced).tolist() == want
+    assert len(fallbacks) == len(forced)
 
 
 def _refuse(*args, **kwargs):
@@ -126,8 +170,14 @@ def test_direction_certificate_refuses_a_wrong_pairing(monkeypatch):
     monkeypatch.setattr(linegeom, "_greedy_pairing", _mispaired)
     rng = np.random.default_rng(12)
     a, b = commuting_pair(rng, 6)
+    certificates, _ = _record_direction_certificate(monkeypatch)
     rep = commute.equivalence_check(a, b)
     assert rep.verdict is None and "paired spectra miss direction" in rep.indeterminate
+    # the named direction is the worst one by a per-direction bottleneck
+    [(cost, _)] = certificates
+    per_direction = [linegeom._bottleneck(c) for c in cost]
+    worst = int(np.argmax(per_direction))
+    assert f"direction {worst} by {per_direction[worst]:.3e}" in rep.indeterminate
     # a non-commuting pair still gets a witness on its own curve
     c, d = noncommuting_pair(rng, 6)
     v = linegeom.pencil_verdict(c, d)
