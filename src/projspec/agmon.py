@@ -11,6 +11,7 @@ ladder where the escape radii diverge.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -186,6 +187,13 @@ def _harmonic(level: int) -> np.ndarray:
     return np.cumsum(1.0 / np.arange(1, level + 1, dtype=np.float64))
 
 
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if level > _MAX_LEVEL:
+        raise LevelTooLarge(f"level {level} exceeds maximum {_MAX_LEVEL}")
+
+
 def example_spectrum(level: int) -> np.ndarray:
     """Eigenvalues 1/(nu_n w_{n,i}) in (n, i) lexicographic order.
 
@@ -193,10 +201,7 @@ def example_spectrum(level: int) -> np.ndarray:
     number; block n contributes 2^n entries of modulus 1/nu_n at every
     2^n-th root direction (conjugated, since 1/w = conj(w) on the circle).
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if level > _MAX_LEVEL:
-        raise LevelTooLarge(f"level {level} exceeds maximum {_MAX_LEVEL}")
+    _check_level(level)
     nu = _harmonic(level)
     blocks = []
     for n in range(1, level + 1):
@@ -215,15 +220,31 @@ def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES
 
     Escape radii that grow without bound down the ladder are the finite-rank
     signature of a spectrum accumulating at 0 from every direction.
+
+    example_spectrum(l) is a prefix of example_spectrum(L) for l <= L, block
+    n being its entries 2^n - 2 .. 2^{n+1} - 3, and a level's blocking radii
+    are the maximum of its blocks' radii. So each block is profiled once and
+    level l reads the running maximum over blocks 1..l.
     """
     if isinstance(levels, (int, np.integer)):
         levels = range(1, int(levels) + 1)
+    levels = [int(level) for level in levels]
+    for level in levels:
+        _check_level(level)
+    if not levels:
+        return []
+    top = max(levels)
+    spectrum = example_spectrum(top)
+    blocks = (
+        escape_radius_profile(spectrum[2**n - 2 : 2 ** (n + 1) - 2], epsilon, n_angles).radii
+        for n in range(1, top + 1)
+    )
+    cumulative = list(itertools.accumulate(blocks, np.maximum))
     rows = []
     for level in levels:
-        spectrum = example_spectrum(int(level))
-        profile = escape_radius_profile(spectrum, epsilon, n_angles)
+        dim = 2 ** (level + 1) - 2
         rows.append(
-            (int(level), int(spectrum.size), max_circular_gap(spectrum), profile.min_radius)
+            (level, dim, max_circular_gap(spectrum[:dim]), float(cumulative[level - 1].min()))
         )
     return rows
 

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from projspec import commute, linegeom
+from projspec import agmon, commute, linegeom
+from projspec.errors import SingularResolvent
 
 
 def random_unitary(rng, n):
@@ -154,3 +155,34 @@ def reference_cluster_tuples(tuples, rel=linegeom.CLUSTER_REL):
         clusters.append((center, len(members)))
     clusters.sort(key=lambda t: key(t[0]))
     return clusters
+
+
+def reference_resolvent_nodes(a, c):
+    """riesz._resolvent_nodes as a per-node loop: one np.linalg.solve per
+    quadrature node."""
+    n = a.shape[0]
+    phases = np.exp(2j * np.pi * np.arange(c.nodes) / c.nodes)
+    eye = np.eye(n, dtype=np.complex128)
+    resolvents = []
+    for ph in phases:
+        u = c.center + c.radius * ph
+        try:
+            resolvents.append(np.linalg.solve(u * eye - a, eye))
+        except np.linalg.LinAlgError:
+            raise SingularResolvent(f"resolvent solve failed at node u = {u:.6g}") from None
+    return phases, resolvents
+
+
+def reference_escape_ladder(levels, epsilon=0.5, n_angles=agmon.DEFAULT_N_ANGLES):
+    """agmon.escape_ladder as a per-level loop: every level profiles all of
+    its blocks again."""
+    if isinstance(levels, (int, np.integer)):
+        levels = range(1, int(levels) + 1)
+    rows = []
+    for level in levels:
+        spectrum = agmon.example_spectrum(int(level))
+        profile = agmon.escape_radius_profile(spectrum, epsilon, n_angles)
+        rows.append(
+            (int(level), int(spectrum.size), agmon.max_circular_gap(spectrum), profile.min_radius)
+        )
+    return rows

@@ -6,6 +6,8 @@ import pytest
 from projspec import agmon
 from projspec.errors import InvalidEpsilon, LevelTooLarge
 
+from helpers import reference_escape_ladder
+
 
 def test_positive_reals_leave_left_half_plane_free():
     wit = agmon.strong_agmon_check([1.0, 2.0, 5.0])
@@ -189,6 +191,69 @@ def test_escape_ladder():
 def test_ladder_accepts_explicit_levels():
     rows = agmon.escape_ladder([2, 4], epsilon=0.5, n_angles=256)
     assert [r[0] for r in rows] == [2, 4]
+    # rows keep the caller's order, repeats included
+    rows = agmon.escape_ladder([4, 2, 3, 3], epsilon=0.5, n_angles=64)
+    assert [r[0] for r in rows] == [4, 2, 3, 3]
+    assert rows[2] == rows[3]
+    assert agmon.escape_ladder([], epsilon=0.5) == []
+    assert agmon.escape_ladder(0, epsilon=0.5) == []
+
+
+def _count_profiled(monkeypatch):
+    """Patch agmon.escape_radius_profile to record the size of every
+    spectrum it is given."""
+    real = agmon.escape_radius_profile
+    sizes = []
+
+    def counting(spectrum, epsilon, n_angles=agmon.DEFAULT_N_ANGLES):
+        sizes.append(len(spectrum))
+        return real(spectrum, epsilon, n_angles)
+
+    monkeypatch.setattr(agmon, "escape_radius_profile", counting)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "levels, error",
+    [([0], ValueError), ([-1], ValueError), ([15], LevelTooLarge),
+     ([3, 0], ValueError), ([2, 15], LevelTooLarge), (15, LevelTooLarge)],
+)
+def test_ladder_rejects_bad_levels_before_any_work(monkeypatch, levels, error):
+    # a running maximum indexed by level - 1 would read the last block for
+    # level 0; every level is checked before the first block is profiled
+    sizes = _count_profiled(monkeypatch)
+    with pytest.raises(error):
+        agmon.escape_ladder(levels, epsilon=0.5, n_angles=64)
+    assert sizes == []
+
+
+def test_ladder_profiles_each_block_once(monkeypatch):
+    sizes = _count_profiled(monkeypatch)
+    agmon.escape_ladder(9, epsilon=0.5, n_angles=64)
+    assert sizes == [2**n for n in range(1, 10)]
+    assert sum(sizes) == 1022
+
+
+def _hex_rows(rows):
+    return [(level, dim, gap.hex(), radius.hex()) for level, dim, gap, radius in rows]
+
+
+# Level 12 against the per-level reference costs about 2 s per epsilon at
+# 4096 angles, so at that size it runs at the default epsilon only.
+_LADDER_CASES = [
+    (levels, n_angles, epsilon)
+    for levels in (12, [4, 2], [3, 3], [])
+    for n_angles in (8, 512, 4096)
+    for epsilon in (0.3, 0.5, 0.9)
+    if not (levels == 12 and n_angles == 4096 and epsilon != 0.5)
+]
+
+
+@pytest.mark.parametrize("levels, n_angles, epsilon", _LADDER_CASES)
+def test_ladder_bit_identical_to_per_level_reference(levels, n_angles, epsilon):
+    got = agmon.escape_ladder(levels, epsilon=epsilon, n_angles=n_angles)
+    want = reference_escape_ladder(levels, epsilon=epsilon, n_angles=n_angles)
+    assert _hex_rows(got) == _hex_rows(want)
 
 
 def test_profile_csv():

@@ -7,10 +7,17 @@ from projspec.errors import (
     EigenvalueOnContour,
     LineNotInSpectrum,
     NoConvergence,
+    SingularResolvent,
 )
 from projspec.riesz import Contour
 
-from helpers import PAULI_X, random_normal, random_unitary, separated_vals
+from helpers import (
+    PAULI_X,
+    random_normal,
+    random_unitary,
+    reference_resolvent_nodes,
+    separated_vals,
+)
 
 
 def test_contour_validation():
@@ -56,10 +63,136 @@ def test_eigenvalue_on_contour():
     a = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(EigenvalueOnContour):
         riesz.riesz_projection(a, Contour(1.0, 1.0))
-    # non-normal detection via the determinant probe
+    # non-normal input: the margin check reads the eigenvalues from eigvals,
+    # and the eigenvalue 2 lies on the circle
     b = np.array([[1, 1], [0, 2]], dtype=complex)
     with pytest.raises(EigenvalueOnContour):
         riesz.riesz_projection(b, Contour(1.0, 1.0))
+
+
+def _triangular(rng, first, n):
+    """Non-normal upper-triangular matrix with eigenvalue `first` and the
+    other n - 1 eigenvalues at modulus 0.2-0.6 or 1.5-2.5."""
+    mods = np.where(np.arange(n - 1) % 2 == 0, rng.uniform(0.2, 0.6, n - 1), rng.uniform(1.5, 2.5, n - 1))
+    diag = np.concatenate([[first], mods * np.exp(2j * np.pi * rng.uniform(0, 1, n - 1))])
+    upper = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    return np.diag(diag) + 0.5 * upper
+
+
+_CONTOUR_CALLS = {
+    "riesz_projection": lambda a, b, c: riesz.riesz_projection(a, c),
+    "first_order_term": lambda a, b, c: riesz.first_order_term(a, b, c),
+    "perturbation_check": lambda a, b, c: riesz.perturbation_check(a, b, 0.0, 0.0, c, [1e-3]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_CONTOUR_CALLS))
+@pytest.mark.parametrize("n", [2, 48])
+def test_nonnormal_eigenvalue_on_contour_between_probe_points(n, call):
+    # e^{i pi / 256} sits on the unit circle halfway between two of the
+    # 4 * 64 points a |det(uI - A)|^{1/n} probe would sample; the other
+    # eigenvalues' factors kept such a probe above the margin
+    rng = np.random.default_rng(900 + n)
+    a = _triangular(rng, np.exp(1j * np.pi / 256), n)
+    b = random_normal(rng, n)
+    with pytest.raises(EigenvalueOnContour, match="^eigenvalue within"):
+        _CONTOUR_CALLS[call](a, b, Contour(0.0, 1.0))
+
+
+def test_nonnormal_margin_is_scale_invariant():
+    # |det(uI - A)| of a 48 x 48 matrix scaled by 1e-8 underflows to 0
+    rng = np.random.default_rng(948)
+    n = 48
+    a = _triangular(rng, 0.3, n)
+    inside = int(np.sum(np.abs(np.diag(a)) < 1.0))
+    r = riesz.riesz_projection(a, Contour(0.0, 1.0))
+    scaled = riesz.riesz_projection(1e-8 * a, Contour(0.0, 1e-8))
+    assert r.rank_estimate == inside
+    assert scaled.rank_estimate == r.rank_estimate
+
+
+def _count_calls(monkeypatch, name):
+    real = getattr(np.linalg, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_margin_check_is_one_eigensolve(monkeypatch):
+    a = _triangular(np.random.default_rng(3), 0.3, 16)
+    dets = _count_calls(monkeypatch, "det")
+    eigvals = _count_calls(monkeypatch, "eigvals")
+    riesz._check_margin(a, Contour(0.0, 1.0), riesz.core.default_tolerances())
+    assert dets[0] == 0
+    assert eigvals[0] == 1
+
+
+def test_one_batched_solve_per_contour(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = _triangular(rng, 0.3, 12)
+    b = random_normal(rng, 12)
+    c = Contour(0.0, 1.0)
+    solves = _count_calls(monkeypatch, "solve")
+    riesz.riesz_projection(a, c)
+    assert solves[0] == 1
+    riesz.first_order_term(a, b, c)
+    assert solves[0] == 2
+    riesz.perturbation_check(a, b, 0.3, 0.0, c, [1e-2, 1e-3, 1e-4])
+    assert solves[0] == 2 + 4
+
+
+def test_singular_resolvent_names_its_node(monkeypatch):
+    # the node u = 1 of the unit circle is an eigenvalue: the batched solve
+    # fails and the node-by-node re-solve names the node
+    a = np.diag([1.0, 3.0]).astype(complex)
+    solves = _count_calls(monkeypatch, "solve")
+    with pytest.raises(SingularResolvent, match=r"node u = \(?1\+0j"):
+        riesz._resolvent_nodes(a, Contour(0.0, 1.0, nodes=16))
+    assert solves[0] == 2
+
+
+def _bit_case(n, normal):
+    """(a, b, contour, lam): a normal or non-normal, the contour around its
+    eigenvalue lam with radius 0.45 of lam's gap to the others."""
+    rng = np.random.default_rng(1000 * n + normal)
+    vals = separated_vals(rng, n, sep=0.1)
+    u = random_unitary(rng, n)
+    t = np.diag(vals)
+    if not normal:
+        t = t + 0.2 * np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    a = u @ t @ u.conj().T
+    lam = complex(vals[0])
+    others = np.abs(vals[1:] - lam)
+    radius = 0.45 * others.min() if others.size else 0.3
+    return a, random_normal(rng, n), Contour(lam, float(radius)), lam
+
+
+@pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 33, 48])
+def test_batched_resolvents_bit_identical_to_node_loop(monkeypatch, n, normal):
+    a, b, c, lam = _bit_case(n, normal)
+
+    def run():
+        r = riesz.riesz_projection(a, c)
+        t = riesz.first_order_term(a, b, c)
+        rep = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
+        return (
+            r.projection.tobytes(),
+            np.array([r.idempotency_residual, r.commutation_residual]).tobytes(),
+            r.rank_estimate,
+            t.tobytes(),
+            rep.residuals.tobytes(),
+            rep.slope,
+        )
+
+    got = run()
+    monkeypatch.setattr(riesz, "_resolvent_nodes", reference_resolvent_nodes)
+    assert got == run()
 
 
 def test_first_order_worked_example():
@@ -239,3 +372,23 @@ def test_lemma34_phase_convention():
     assert piv.imag == pytest.approx(0.0, abs=1e-12)
     assert piv.real > 0
     assert np.linalg.norm(res.vector) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 33])
+def test_lemma34_batched_ramp_bit_identical_to_svd_loop(n):
+    rng = np.random.default_rng(60 + n)
+    u = random_unitary(rng, n)
+    a_vals = np.concatenate([[0.0], rng.uniform(0.5, 1.5, n - 1)])
+    b_vals = np.concatenate([[2.0], rng.uniform(0.2, 1.5, n - 1)])
+    a = (u * a_vals) @ u.conj().T
+    b = (u * b_vals) @ u.conj().T
+    mu = complex(2.0)
+    res = riesz.lemma34_solver(a, b, mu)
+    shifted = np.eye(n, dtype=complex) - b / mu
+    for z, sigma, res_a, res_b in res.history:
+        _, svals, vh = np.linalg.svd(shifted + np.complex128(z) * a)
+        v = riesz._fix_phase(np.conj(vh[-1]))
+        assert float(svals[-1]).hex() == sigma.hex()
+        assert float(np.linalg.norm(a @ v)).hex() == res_a.hex()
+        assert float(np.linalg.norm(b @ v - mu * v)).hex() == res_b.hex()
+    assert v.tobytes() == res.vector.tobytes()
