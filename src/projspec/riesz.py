@@ -8,8 +8,11 @@ from a line contained in the spectrum.
 
 Every quadrature first checks that no eigenvalue lies within
 CONTOUR_MARGIN * radius of the circle: one eigensolve of A (eig_normal for
-normal input, LAPACK eigvals otherwise) and the exact eigenvalue-to-circle
-distances. The resolvents at all nodes are then one batched LAPACK solve.
+normal input, LAPACK eigvals otherwise) and the computed eigenvalues'
+distances to the circle. For strongly non-normal A the computed eigenvalues
+carry an error of about machine epsilon * ||A|| * their condition number, so
+the integer-trace check on the finished projection remains the backstop. The
+resolvents at all nodes are then one batched LAPACK solve.
 """
 
 from __future__ import annotations
@@ -88,8 +91,10 @@ def _check_margin(a: np.ndarray, c: Contour, tol: core.Tolerances) -> None:
     """Reject contours passing within CONTOUR_MARGIN * radius of the spectrum.
 
     The eigenvalues come from eig_normal when A is normal within tol, and
-    from LAPACK eigvals otherwise; either way the test is the exact distance
-    from each eigenvalue to the circle.
+    from LAPACK eigvals otherwise; either way the test is the distance from
+    each computed eigenvalue to the circle. Eigenvalues of strongly
+    non-normal A are only as accurate as their conditioning allows, and
+    _finish_projection's trace check can still reject such a contour.
     """
     try:
         vals = core.eig_normal(a, tol=tol).values
@@ -112,8 +117,11 @@ def _resolvent_nodes(a: np.ndarray, c: Contour):
     eye = np.eye(n, dtype=np.complex128)
     us = c.center + c.radius * phases
     shifted = us[:, None, None] * eye - a
+    # a right-hand side with as many dimensions as the stack: numpy < 2
+    # reads a 2-D b next to a 3-D a as a stack of vectors
+    rhs = np.broadcast_to(eye, shifted.shape)
     try:
-        return phases, np.linalg.solve(shifted, eye)
+        return phases, np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError:
         pass
     # name the first node whose solve fails

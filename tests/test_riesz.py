@@ -146,6 +146,25 @@ def test_one_batched_solve_per_contour(monkeypatch):
     assert solves[0] == 2 + 4
 
 
+def test_resolvent_solve_passes_a_stacked_right_hand_side(monkeypatch):
+    # numpy < 2 reads a 2-D b next to a 3-D a as a stack of vectors; only a
+    # b with a's dimension count means the same on both majors. nodes == n
+    # is the case where the vector reading would not even fail.
+    real = np.linalg.solve
+    dims = []
+
+    def recording(a, b):
+        dims.append((a.ndim, np.ndim(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    for n, nodes in [(3, 16), (16, 16), (5, 64)]:
+        a = _triangular(np.random.default_rng(n), 0.3, n)
+        phases, resolvents = riesz._resolvent_nodes(a, Contour(0.0, 1.0, nodes=nodes))
+        assert resolvents.shape == (nodes, n, n)
+    assert dims and all(ad == bd for ad, bd in dims)
+
+
 def test_singular_resolvent_names_its_node(monkeypatch):
     # the node u = 1 of the unit circle is an eigenvalue: the batched solve
     # fails and the node-by-node re-solve names the node
