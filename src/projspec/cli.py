@@ -149,7 +149,7 @@ def _contour(args) -> riesz.Contour:
 
 def _cmd_riesz(args) -> int:
     a = core.parse_matrix(_read(args.matrix))
-    res = riesz.riesz_projection(a, _contour(args), tol=_tolerances(args))
+    res = riesz.riesz_projection(a, _contour(args))
     out = [
         f"# idempotency_residual={res.idempotency_residual:.17g}",
         f"# commutation_residual={res.commutation_residual:.17g}",
@@ -165,8 +165,7 @@ def _cmd_perturb(args) -> int:
     b = core.parse_matrix(_read(args.matrix_b))
     eps_list = [float(t) for t in args.eps_list.split(",") if t.strip()]
     report = riesz.perturbation_check(
-        a, b, _cli_complex(args.lam), _cli_complex(args.mu),
-        _contour(args), eps_list, tol=_tolerances(args),
+        a, b, _cli_complex(args.lam), _cli_complex(args.mu), _contour(args), eps_list
     )
     _write(args, riesz.emit_slope_csv(report))
     if report.exact or (report.slope is not None and report.slope >= _SLOPE_THRESHOLD):
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--center", required=True, help="contour center (complex literal)")
     s.add_argument("--radius", type=float, required=True)
     s.add_argument("--nodes", type=int, default=riesz.DEFAULT_NODES)
-    _add_common(s)
+    _add_common(s, tols=False)
     s.set_defaults(func=_cmd_riesz)
 
     s = subs.add_parser("perturb", help="first-order perturbation residual slope")
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius", type=float, required=True)
     s.add_argument("--nodes", type=int, default=riesz.DEFAULT_NODES)
     s.add_argument("--eps-list", default="1e-2,1e-3,1e-4")
-    _add_common(s)
+    _add_common(s, tols=False)
     s.set_defaults(func=_cmd_perturb)
 
     s = subs.add_parser("lemma34", help="common eigenvector from a spectral line")

@@ -3,9 +3,8 @@
 The zero set of p is the point projective spectrum of the pair (A, B).
 Coefficients are recovered by evaluation-interpolation: determinants on a
 tensor grid of scaled roots of unity, then one 2-d discrete Fourier pass.
-Below EIGEN_FILL_MIN_N the grid is filled with one LU determinant per node;
-from there up, with one eigensolve per wrapped diagonal of the grid, whose
-nodes all lie on one line w = g z through the origin.
+The grid is filled by one eigensolve per wrapped diagonal, whose nodes all
+lie on one line w = g z through the origin.
 """
 
 from __future__ import annotations
@@ -36,12 +35,6 @@ _C00_GUARD = 1e-3
 
 # Positive floor keeping grid radii finite for (near-)zero matrices.
 _RADIUS_FLOOR = 2.0 ** -40
-
-# Smallest dimension whose grid is filled by eigensolves rather than LU
-# determinants. Below it, the m LUs of a wrapped diagonal cost less than one
-# general eigensolve of the same size; measured by a per-n sweep of both
-# fills on commuting and non-commuting pairs.
-EIGEN_FILL_MIN_N = 32
 
 
 @dataclass
@@ -90,29 +83,26 @@ def total_degree(p: BivarPoly, rel: float = DUST_REL) -> int:
     return int((j + k).max())
 
 
-def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
+def char_poly_pair(a, b) -> BivarPoly:
     """Interpolate det(I + zA + wB) on a scaled roots-of-unity grid.
 
     Grid radii are reciprocal spectral-norm scales, which keeps determinant
     values bounded while giving the recovered coefficients uniform absolute
-    accuracy across total degrees. The (n+1)^2 grid values come from LU
-    determinants below EIGEN_FILL_MIN_N, O(n^5) in all, and from n + 1
-    eigensolves from there up, O(n^4) (see _eigen_fill). A 100-point
-    self-check on the unit bicircle, against LU determinants, guards the
-    result.
+    accuracy across total degrees. The (n+1)^2 grid values come from n + 1
+    eigensolves, O(n^4) in all (see _eigen_fill). A 100-point self-check on
+    the unit bicircle, against LU determinants, guards the result.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
     if a.shape != b.shape:
         raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
     n = a.shape[0]
-    if n > budget:
-        raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {budget}")
+    if n > DEGREE_BUDGET:
+        raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {DEGREE_BUDGET}")
     m = n + 1
     rho_a = 1.0 / (_RADIUS_FLOOR + np.linalg.norm(a, 2))
     rho_b = 1.0 / (_RADIUS_FLOOR + np.linalg.norm(b, 2))
-    fill = _lu_fill if n < EIGEN_FILL_MIN_N else _eigen_fill
-    vals = fill(a, b, rho_a, rho_b)
+    vals = _eigen_fill(a, b, rho_a, rho_b)
     # Values are samples of gamma[j,k] = c[j,k] rho_a^j rho_b^k on the grid
     # of positive-frequency roots of unity, so fft2 / m^2 inverts.
     gamma = np.fft.fft2(vals) / (m * m)
@@ -161,20 +151,6 @@ def char_poly_pair(a, b, *, budget: int = DEGREE_BUDGET) -> BivarPoly:
             f"self-check residual {worst:.3e} exceeds tolerance {probe_tol:.3e}"
         )
     return p
-
-
-def _lu_fill(a, b, rho_a: float, rho_b: float) -> np.ndarray:
-    """Grid values det(I + z_s A + w_k B), one LU determinant per node."""
-    n = a.shape[0]
-    m = n + 1
-    zs = rho_a * np.exp(2j * np.pi * np.arange(m) / m)
-    ws = rho_b * np.exp(2j * np.pi * np.arange(m) / m)
-    eye = np.eye(n, dtype=np.complex128)
-    vals = np.empty((m, m), dtype=np.complex128)
-    for s in range(m):
-        stack = eye[None, :, :] + zs[s] * a[None, :, :] + ws[:, None, None] * b[None, :, :]
-        vals[s, :] = np.linalg.det(stack)
-    return vals
 
 
 def _eigen_fill(a, b, rho_a: float, rho_b: float) -> np.ndarray:

@@ -573,10 +573,11 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
         except np.linalg.LinAlgError as exc:
             raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
         pred = rho_a * pl[None, :] + (rho_b * omega)[:, None] * pm[None, :]
-        mismatch = _bottlenecks(np.abs(nus[:, :, None] - pred[:, None, :]))
-        worst = int(np.argmax(mismatch))
-        if mismatch[worst] <= tol.line:
+        cost = np.abs(nus[:, :, None] - pred[:, None, :])
+        if _bottlenecks_within(cost, tol.line).all():
             return LineVerdict(True, pair_arrangement(pl, pm, norm_a=fa, norm_b=fb))
+        mismatch = _bottlenecks(cost)
+        worst = int(np.argmax(mismatch))
         reason = (
             f"paired spectra miss direction {worst} by {mismatch[worst]:.3e}, "
             f"above tol.line = {tol.line:.1e}"
@@ -672,6 +673,14 @@ def _bottleneck(cost: np.ndarray) -> float:
     return float(levels[lo])
 
 
+def _row_bounds(cost: np.ndarray):
+    """For each matrix in a stack of square cost matrices, its largest row
+    minimum (a lower bound on its bottleneck) and whether its row argmins
+    collide (if not, the bound is exact)."""
+    arg = np.sort(cost.argmin(axis=2), axis=1)
+    return cost.min(axis=2).max(axis=1), (arg[:, 1:] == arg[:, :-1]).any(axis=1)
+
+
 def _bottlenecks(cost: np.ndarray) -> np.ndarray:
     """_bottleneck of each matrix in a stack of square cost matrices.
 
@@ -679,11 +688,24 @@ def _bottlenecks(cost: np.ndarray) -> np.ndarray:
     whole stack at once; only the matrices whose row argmins collide go to
     _bottleneck's bisection.
     """
-    out = cost.min(axis=2).max(axis=1)
-    arg = np.sort(cost.argmin(axis=2), axis=1)
-    for i in np.flatnonzero((arg[:, 1:] == arg[:, :-1]).any(axis=1)):
+    out, collide = _row_bounds(cost)
+    for i in np.flatnonzero(collide):
         out[i] = _bottleneck(cost[i])
     return out
+
+
+def _bottlenecks_within(cost: np.ndarray, bound: float) -> np.ndarray:
+    """Whether the _bottleneck of each matrix in a stack is at most bound.
+
+    Decided without bisection: a row-minimum bound above bound refuses,
+    distinct row argmins accept, and each remaining matrix takes one test
+    for a perfect matching among its entries at most bound.
+    """
+    lower, collide = _row_bounds(cost)
+    ok = lower <= bound
+    for i in np.flatnonzero(ok & collide):
+        ok[i] = _has_perfect_matching(cost[i] <= bound)
+    return ok
 
 
 def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:

@@ -7,9 +7,8 @@ large-|z| singular-vector construction that extracts a common eigenvector
 from a line contained in the spectrum.
 
 Every quadrature first checks that no eigenvalue lies within
-CONTOUR_MARGIN * radius of the circle: one eigensolve of A (eig_normal for
-normal input, LAPACK eigvals otherwise) and the computed eigenvalues'
-distances to the circle. For strongly non-normal A the computed eigenvalues
+CONTOUR_MARGIN * radius of the circle: one LAPACK eigvals of A and the
+computed eigenvalues' distances to the circle. For strongly non-normal A the computed eigenvalues
 carry an error of about machine epsilon * ||A|| * their condition number, so
 the integer-trace check on the finished projection remains the backstop. The
 resolvents at all nodes are then one batched LAPACK solve.
@@ -30,7 +29,6 @@ from .errors import (
     EigenvalueOnContour,
     LineNotInSpectrum,
     NoConvergence,
-    ProjspecError,
     SingularResolvent,
 )
 
@@ -87,19 +85,15 @@ class Lemma34Result:
     history: List[Tuple[complex, float, float, float]] = field(default_factory=list)
 
 
-def _check_margin(a: np.ndarray, c: Contour, tol: core.Tolerances) -> None:
+def _check_margin(a: np.ndarray, c: Contour) -> None:
     """Reject contours passing within CONTOUR_MARGIN * radius of the spectrum.
 
-    The eigenvalues come from eig_normal when A is normal within tol, and
-    from LAPACK eigvals otherwise; either way the test is the distance from
-    each computed eigenvalue to the circle. Eigenvalues of strongly
-    non-normal A are only as accurate as their conditioning allows, and
-    _finish_projection's trace check can still reject such a contour.
+    The test is the distance from each eigenvalue computed by LAPACK eigvals
+    to the circle. Eigenvalues of strongly non-normal A are only as accurate
+    as their conditioning allows, and _finish_projection's trace check can
+    still reject such a contour.
     """
-    try:
-        vals = core.eig_normal(a, tol=tol).values
-    except ProjspecError:
-        vals = np.linalg.eigvals(a)
+    vals = np.linalg.eigvals(a)
     margin = CONTOUR_MARGIN * c.radius
     dist = np.abs(np.abs(vals - c.center) - c.radius)
     if dist.size and float(dist.min()) < margin:
@@ -154,31 +148,27 @@ def _finish_projection(a: np.ndarray, p: np.ndarray) -> RieszResult:
     return RieszResult(p, idem, comm, rank)
 
 
-def riesz_projection(a, c: Contour, *, tol: Optional[core.Tolerances] = None) -> RieszResult:
+def riesz_projection(a, c: Contour) -> RieszResult:
     """Trapezoid quadrature of the spectral projection onto the enclosed part."""
     a = core.as_cmatrix(a)
-    if tol is None:
-        tol = core.default_tolerances()
-    _check_margin(a, c, tol)
+    _check_margin(a, c)
     phases, resolvents = _resolvent_nodes(a, c)
     p = _combine(phases, resolvents, c)
     return _finish_projection(a, p)
 
 
-def first_order_term(a, b, c: Contour, *, tol: Optional[core.Tolerances] = None) -> np.ndarray:
+def first_order_term(a, b, c: Contour) -> np.ndarray:
     """Quadrature of (1/2 pi i) integral (uI-A)^{-1} B (uI-A)^{-1} du."""
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if tol is None:
-        tol = core.default_tolerances()
-    _check_margin(a, c, tol)
+    _check_margin(a, c)
     phases, resolvents = _resolvent_nodes(a, c)
     return _combine(phases, [r @ b @ r for r in resolvents], c)
 
 
-def perturbation_check(a, b, lam, mu, c: Contour, eps_list, *, tol: Optional[core.Tolerances] = None) -> PerturbationReport:
+def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationReport:
     """Residual slope of the first-order eigen-identity under A + eps B.
 
     For each eps, r(eps) = ||P0 (A_eps - lambda_eps I) P_eps
@@ -191,14 +181,12 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list, *, tol: Optional[cor
     b = core.as_cmatrix(b)
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if tol is None:
-        tol = core.default_tolerances()
     lam = complex(lam)
     mu = complex(mu)
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
     if eps_arr.size == 0 or np.any(eps_arr <= 0):
         raise ValueError("eps_list must contain positive reals")
-    _check_margin(a, c, tol)
+    _check_margin(a, c)
     phases, resolvents = _resolvent_nodes(a, c)
     p0 = _combine(phases, resolvents, c)
     eye = np.eye(a.shape[0], dtype=np.complex128)
@@ -207,7 +195,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list, *, tol: Optional[cor
     for k, eps in enumerate(eps_arr):
         a_eps = a + eps * b
         try:
-            _check_margin(a_eps, c, tol)
+            _check_margin(a_eps, c)
         except EigenvalueOnContour as exc:
             raise ContourCapturesPerturbedSpectrumBoundary(
                 f"at eps = {eps:g}: {exc}"

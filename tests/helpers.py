@@ -49,6 +49,8 @@ def commuting_pair(rng, n):
 
 
 def noncommuting_pair(rng, n, threshold=0.1):
+    if n < 2:
+        raise ValueError(f"matrices of dimension {n} always commute")
     while True:
         u1 = random_unitary(rng, n)
         u2 = random_unitary(rng, n)
@@ -155,6 +157,21 @@ def reference_cluster_tuples(tuples, rel=linegeom.CLUSTER_REL):
         clusters.append((center, len(members)))
     clusters.sort(key=lambda t: key(t[0]))
     return clusters
+
+
+def reference_lu_fill(a, b, rho_a, rho_b):
+    """detpoly._eigen_fill as one LU determinant per grid node: the grid
+    values det(I + z_s A + w_k B)."""
+    n = a.shape[0]
+    m = n + 1
+    zs = rho_a * np.exp(2j * np.pi * np.arange(m) / m)
+    ws = rho_b * np.exp(2j * np.pi * np.arange(m) / m)
+    eye = np.eye(n, dtype=np.complex128)
+    vals = np.empty((m, m), dtype=np.complex128)
+    for s in range(m):
+        stack = eye[None, :, :] + zs[s] * a[None, :, :] + ws[:, None, None] * b[None, :, :]
+        vals[s, :] = np.linalg.det(stack)
+    return vals
 
 
 def reference_resolvent_nodes(a, c):

@@ -102,8 +102,7 @@ def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
 
 
 def test_commute_exits_2_when_grid_eigensolve_fails(tmp_path, monkeypatch):
-    # the pencil verdict solves batched eigenproblems at every dimension,
-    # also below detpoly.EIGEN_FILL_MIN_N
+    # the pencil verdict solves batched eigenproblems at every dimension
     fail_batched_eigvals(monkeypatch)
     a, b = noncommuting_pair(np.random.default_rng(23), 8)
     fa = _write_matrix(tmp_path / "a.mat", a)
@@ -119,6 +118,10 @@ def test_dead_tolerance_flags_are_usage_errors(tmp_path, capsys):
     fb = _write_matrix(tmp_path / "b.mat", np.diag([3.0, 4.0]))
     assert cli.main(["commute", fa, fb, "--tol-unitary", "1e-6"]) == 2
     assert cli.main(["detpoly", fa, fb, "--tol-line", "1e-6"]) == 2
+    # the contour margin check reads no tolerance
+    contour = ["--center", "1", "--radius", "0.5"]
+    assert cli.main(["riesz", fa, *contour, "--tol-eig", "1"]) == 2
+    assert cli.main(["perturb", fa, fb, "--lam", "1", "--mu", "3", *contour, "--tol-eig", "1"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     # flags that a subcommand reads still parse
     code, _ = _run(tmp_path, "commute", fa, fb, "--tol-line", "1e-6")

@@ -18,6 +18,7 @@ from helpers import (
     random_diag_vals,
     random_normal,
     random_unitary,
+    reference_lu_fill,
 )
 
 
@@ -168,9 +169,6 @@ def test_degree_budget():
     n = 65
     with pytest.raises(DegreeBudgetExceeded):
         detpoly.char_poly_pair(np.eye(n), np.eye(n))
-    # explicit smaller budget
-    with pytest.raises(DegreeBudgetExceeded):
-        detpoly.char_poly_pair(np.eye(4), np.eye(4), budget=3)
 
 
 def test_dim_mismatch():
@@ -242,39 +240,28 @@ def test_commuting_pair_determinant_factorizes():
     assert abs(p.evaluate(z, w) - expect) <= 1e-9 * abs(expect)
 
 
-def _coeffs_with_fill(monkeypatch, a, b, min_n):
-    """char_poly_pair with the eigen fill switched on from dimension min_n."""
-    with monkeypatch.context() as mp:
-        mp.setattr(detpoly, "EIGEN_FILL_MIN_N", min_n)
-        return detpoly.char_poly_pair(a, b).coeffs
+_FILL_CASES = [(1, "commuting")] + [
+    (n, kind) for n in (2, 5, 16, 31, 32, 48, 64) for kind in ("commuting", "noncommuting")
+]
 
 
-_N0 = detpoly.EIGEN_FILL_MIN_N
-
-
-@pytest.mark.parametrize("n", [_N0 - 1, _N0, 48, 64])
-@pytest.mark.parametrize("kind", ["commuting", "noncommuting"])
-def test_lu_and_eigen_fills_agree(monkeypatch, n, kind):
+@pytest.mark.parametrize("n, kind", _FILL_CASES, ids=[f"{kind}-{n}" for n, kind in _FILL_CASES])
+def test_lu_and_eigen_fills_agree(n, kind):
     # above ~24 the self-check tolerance cannot catch a wrong fill, so the
-    # eigen fill is held to the LU fill directly
+    # eigen fill is held to LU determinants directly
     rng = np.random.default_rng(300 + n)
     a, b = (commuting_pair if kind == "commuting" else noncommuting_pair)(rng, n)
-    lu = _coeffs_with_fill(monkeypatch, a, b, n + 1)
-    eig = _coeffs_with_fill(monkeypatch, a, b, n)
+    rho_a = 1.0 / np.linalg.norm(a, 2)
+    rho_b = 1.0 / np.linalg.norm(b, 2)
+    lu = reference_lu_fill(a, b, rho_a, rho_b)
+    eig = detpoly._eigen_fill(a, b, rho_a, rho_b)
     assert np.abs(eig - lu).max() <= 1e-10 * np.abs(lu).max()
 
 
-def test_fill_switches_at_crossover(monkeypatch):
-    used = []
-    for name in ("_lu_fill", "_eigen_fill"):
-        real = getattr(detpoly, name)
-        monkeypatch.setattr(
-            detpoly, name, lambda *a, name=name, real=real: used.append(name) or real(*a)
-        )
-    rng = np.random.default_rng(17)
-    for n in (_N0 - 1, _N0):
-        detpoly.char_poly_pair(*noncommuting_pair(rng, n))
-    assert used == ["_lu_fill", "_eigen_fill"]
+@pytest.mark.parametrize("n", [0, 1])
+def test_noncommuting_pair_refuses_dimensions_that_always_commute(n):
+    with pytest.raises(ValueError, match="always commute"):
+        noncommuting_pair(np.random.default_rng(0), n)
 
 
 @pytest.mark.parametrize("n", [48, 64])
@@ -293,14 +280,15 @@ def test_commuting_pair_matches_exact_expansion(n):
 
 def test_eigen_fill_nonconvergence_is_interpolation_failure(monkeypatch):
     fail_batched_eigvals(monkeypatch)
-    a, b = noncommuting_pair(np.random.default_rng(19), _N0)
-    with pytest.raises(InterpolationFailure, match="did not converge"):
-        detpoly.char_poly_pair(a, b)
-    # equivalence_check never builds the grid; its own batched pencil
-    # eigensolve fails the same way and must not give a verdict either
-    rep = commute.equivalence_check(a, b)
-    assert rep.verdict is None and rep.consistent is None
-    assert "did not converge" in rep.indeterminate
+    for n in (2, 32):
+        a, b = noncommuting_pair(np.random.default_rng(19), n)
+        with pytest.raises(InterpolationFailure, match="did not converge"):
+            detpoly.char_poly_pair(a, b)
+        # equivalence_check never builds the grid; its own batched pencil
+        # eigensolve fails the same way and must not give a verdict either
+        rep = commute.equivalence_check(a, b)
+        assert rep.verdict is None and rep.consistent is None
+        assert "did not converge" in rep.indeterminate
 
 
 def test_large_norm_failure_names_the_coefficient_range():
@@ -321,7 +309,6 @@ def test_char_poly_pair_leaves_scipy_unloaded():
         "import sys, numpy as np; from projspec import detpoly; "
         "a, b = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 48, 48)))[0]; "
         "detpoly.char_poly_pair(a, b); "
-        "assert detpoly.EIGEN_FILL_MIN_N <= 48; "
         "assert 'scipy' not in sys.modules, 'scipy loaded'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

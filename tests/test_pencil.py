@@ -95,22 +95,22 @@ def test_large_norm_pair_gets_a_certified_witness():
 
 
 def _record_direction_certificate(monkeypatch):
-    """Wrap linegeom._bottlenecks and linegeom._bottleneck; returns the list
-    of (cost stack, mismatches) of each certificate and the list of the cost
-    matrices that went to the per-matrix fallback."""
+    """Wrap linegeom._bottlenecks_within and linegeom._bottleneck; returns
+    the list of (cost stack, bound, verdicts) of each certificate and the
+    list of the cost matrices that went to the per-matrix bisection."""
     certificates, fallbacks = [], []
-    batched, single = linegeom._bottlenecks, linegeom._bottleneck
+    within, single = linegeom._bottlenecks_within, linegeom._bottleneck
 
-    def record_batched(cost):
-        out = batched(cost)
-        certificates.append((cost, out))
+    def record_within(cost, bound):
+        out = within(cost, bound)
+        certificates.append((cost, bound, out))
         return out
 
     def record_single(cost):
         fallbacks.append(cost)
         return single(cost)
 
-    monkeypatch.setattr(linegeom, "_bottlenecks", record_batched)
+    monkeypatch.setattr(linegeom, "_bottlenecks_within", record_within)
     monkeypatch.setattr(linegeom, "_bottleneck", record_single)
     return certificates, fallbacks
 
@@ -121,10 +121,13 @@ def test_batched_certificate_matches_per_direction_bottleneck(monkeypatch):
     _, _, a, b = _repeated_and_zero_pair()
     certificates, fallbacks = _record_direction_certificate(monkeypatch)
     assert linegeom.pencil_verdict(a, b).is_lines
-    [(cost, mismatch)] = certificates
+    [(cost, bound, ok)] = certificates
     assert cost.shape == (a.shape[0] + 1, a.shape[0], a.shape[0])
+    assert ok.all() and fallbacks == []
+    mismatch = linegeom._bottlenecks(cost)
     assert 0 < len(fallbacks) < len(cost)
     assert mismatch.tolist() == [linegeom._bottleneck(c) for c in cost]
+    assert (mismatch <= bound).all()
     # a copied row makes every direction's argmins collide
     forced = cost.copy()
     forced[:, 1] = forced[:, 0]
@@ -132,6 +135,37 @@ def test_batched_certificate_matches_per_direction_bottleneck(monkeypatch):
     fallbacks.clear()
     assert linegeom._bottlenecks(forced).tolist() == want
     assert len(fallbacks) == len(forced)
+    for level in np.unique(want):
+        assert linegeom._bottlenecks_within(forced, level).tolist() == [w <= level for w in want]
+
+
+def _count_matchings(monkeypatch):
+    calls = [0]
+    real = linegeom._has_perfect_matching
+
+    def counting(adj):
+        calls[0] += 1
+        return real(adj)
+
+    monkeypatch.setattr(linegeom, "_has_perfect_matching", counting)
+    return calls
+
+
+def test_few_distinct_eigenvalues_take_one_matching_test_per_direction(monkeypatch):
+    # a conjugated pair of 0/1 diagonals: every direction's row argmins
+    # collide, which a bisection would answer with about 9 matching tests
+    rng = np.random.default_rng(1)
+    n = 64
+    u = random_unitary(rng, n)
+    da, db = rng.integers(0, 2, size=(2, n)).astype(float)
+    a, b = (u * da) @ u.conj().T, (u * db) @ u.conj().T
+    calls = _count_matchings(monkeypatch)
+    verdict = linegeom.pencil_verdict(a, b)
+    assert calls[0] <= n + 1
+    assert verdict.is_lines
+    ref = linegeom.pair_arrangement(da, db)
+    assert verdict.arrangement.deficit == ref.deficit
+    assert linegeom.compare_arrangements(verdict.arrangement, ref) <= 1e-12
 
 
 def _refuse(*args, **kwargs):
@@ -174,7 +208,8 @@ def test_direction_certificate_refuses_a_wrong_pairing(monkeypatch):
     rep = commute.equivalence_check(a, b)
     assert rep.verdict is None and "paired spectra miss direction" in rep.indeterminate
     # the named direction is the worst one by a per-direction bottleneck
-    [(cost, _)] = certificates
+    [(cost, _, ok)] = certificates
+    assert not ok.all()
     per_direction = [linegeom._bottleneck(c) for c in cost]
     worst = int(np.argmax(per_direction))
     assert f"direction {worst} by {per_direction[worst]:.3e}" in rep.indeterminate

@@ -13,6 +13,7 @@ from projspec.riesz import Contour
 
 from helpers import (
     PAULI_X,
+    random_diag_vals,
     random_normal,
     random_unitary,
     reference_resolvent_nodes,
@@ -124,12 +125,21 @@ def _count_calls(monkeypatch, name):
 
 
 def test_margin_check_is_one_eigensolve(monkeypatch):
-    a = _triangular(np.random.default_rng(3), 0.3, 16)
+    rng = np.random.default_rng(3)
+    nonnormal = _triangular(rng, 0.3, 16)
+    normal = random_normal(rng, 16, vals=0.5 * random_diag_vals(rng, 16))
     dets = _count_calls(monkeypatch, "det")
     eigvals = _count_calls(monkeypatch, "eigvals")
-    riesz._check_margin(a, Contour(0.0, 1.0), riesz.core.default_tolerances())
-    assert dets[0] == 0
-    assert eigvals[0] == 1
+    real_eig_normal = riesz.core.eig_normal
+    eig_normal_calls = []
+    monkeypatch.setattr(
+        riesz.core, "eig_normal", lambda *a, **k: eig_normal_calls.append(a) or real_eig_normal(*a, **k)
+    )
+    for k, a in enumerate([nonnormal, normal], start=1):
+        riesz._check_margin(a, Contour(0.0, 1.0))
+        assert dets[0] == 0
+        assert eigvals[0] == k
+        assert eig_normal_calls == []
 
 
 def test_one_batched_solve_per_contour(monkeypatch):
