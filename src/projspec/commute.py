@@ -2,11 +2,12 @@
 
 For normal matrices, [A,B] = 0 exactly when det(I + zA + wB) factors into
 linear terms, i.e. the zero set is a union of lines. This module runs the
-algebraic side (commutator norm), the geometric side (linegeom.pencil_verdict,
-read off the spectra of A, B and A + gB), cross-checks the recovered
+algebraic side (commutator norm, relative to ||A||_F ||B||_F), the geometric
+side (linegeom.pencil_verdict, read off one common Schur basis or, on
+refusal, the spectra of A, B and A + gB), cross-checks the recovered
 arrangement against the eigenvalue pairs of a common eigenbasis, and extends
 the test to tuples by pairwise reduction. Eigensolves that do not converge,
-spectra that neither match a line pairing nor yield a witness on the
+pairs that neither share a triangularizing basis nor yield a witness on the
 matrices' own curve, and pairs whose two sides disagree inside a tuple,
 surface as indeterminate outcomes, never as definitive verdicts.
 """
@@ -103,9 +104,9 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     na = _require_normal(a, "a", tol)
     nb = _require_normal(b, "b", tol)
     cn = core.commutator_norm(a, b)
-    if cn > tol.commute * (na + nb):
+    if cn > tol.commute * na * nb:
         raise NotCommuting(
-            f"commutator norm {cn:.3e} exceeds {tol.commute * (na + nb):.3e}"
+            f"commutator norm {cn:.3e} exceeds {tol.commute * na * nb:.3e}"
         )
     radius_a = DEFLATION_CLUSTER_REL * na
     radius_b = DEFLATION_CLUSTER_REL * nb
@@ -161,11 +162,12 @@ def eigenpair_arrangement(diag_a, diag_b, *, norm_a: float = 1.0, norm_b: float 
 def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:
     """Run both sides of the equivalence and cross-check them.
 
-    commute is decided by the commutator norm; the geometric verdict,
-    whether det(I + zA + wB) = 0 is a union of lines, by
-    linegeom.pencil_verdict from the spectra of A, B and A + gB, without the
-    commutator or a joint basis; consistent records whether the two sides
-    agree. A notlines witness is a point of the matrices' own curve, and its
+    commute is decided by the commutator norm, ||AB - BA||_F at most
+    tol.commute ||A||_F ||B||_F, a bound that scales with the pair; the
+    geometric verdict, whether det(I + zA + wB) = 0 is a union of lines, by
+    linegeom.pencil_verdict from one Schur basis of A + gB, without the
+    commutator or a joint diagonalization; consistent records whether the
+    two sides agree. A notlines witness is a point of the matrices' own curve, and its
     witness_residual is the relative sigma_min(I + zA + wB) there. When both
     sides are affirmative the recovered arrangement is also matched against
     the eigenvalue pairs of a common eigenbasis. A verdict that cannot be
@@ -180,7 +182,7 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     na = _require_normal(a, "a", tol)
     nb = _require_normal(b, "b", tol)
     cn = core.commutator_norm(a, b)
-    commute = cn <= tol.commute * (na + nb)
+    commute = cn <= tol.commute * na * nb
     try:
         verdict = pencil_verdict(a, b, seed=seed, tol=tol)
     except NumericalAmbiguity as exc:

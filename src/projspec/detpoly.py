@@ -160,37 +160,25 @@ def _eigen_fill(a, b, rho_a: float, rho_b: float) -> np.ndarray:
     unity, the nodes with (k - s) mod m = d lie on one line through the
     origin, where I + z_s A + w_k B = I + omega^s M_d with
     M_d = rho_a A + rho_b omega^d B. So the determinant there is
-    prod_i (1 + omega^s lambda_i(M_d)), and the m eigenvalue sets of the M_d
-    give all m^2 values. The Schur form makes the product exact for some
-    M_d + E with ||E|| = O(u ||M_d||), the same backward stability as LU.
-    The radii make ||M_d|| <= 2, so each factor is at most 3 in modulus and
-    the products stay finite.
+    prod_i (1 + omega^s lambda_i(M_d)), and the eigenvalues of the m
+    matrices M_d, from one batched LAPACK call, give all m^2 values. The
+    Schur form makes the product exact for some M_d + E with
+    ||E|| = O(u ||M_d||), the same backward stability as LU. The radii make
+    ||M_d|| <= 2, so each factor is at most 3 in modulus and the products
+    stay finite.
     """
     m = a.shape[0] + 1
     d = np.arange(m)
+    omega = np.exp(2j * np.pi * d / m)
+    mats = rho_a * a[None, :, :] + (rho_b * omega)[:, None, None] * b[None, :, :]
     try:
-        omega, lam = direction_spectra(a, b, rho_a, rho_b)
+        lam = np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise InterpolationFailure(f"grid eigensolve did not converge: {exc}") from None
     diag = np.prod(1.0 + omega[None, :, None] * lam[:, None, :], axis=2)
     vals = np.empty((m, m), dtype=np.complex128)
     vals[d[None, :], (d[None, :] + d[:, None]) % m] = diag
     return vals
-
-
-def direction_spectra(a, b, rho_a: float, rho_b: float):
-    """Eigenvalues of M_d = rho_a A + rho_b omega^d B for d = 0..n.
-
-    omega = exp(2 pi i / (n + 1)); returns (omega^d, eigenvalues), the
-    latter of shape (n + 1, n), from one batched LAPACK call. The n + 1
-    directions are distinct lines w = g z through the origin, on each of
-    which det(I + t M_d) = prod_i (1 + t lambda_i(M_d)). A failed eigensolve
-    raises numpy.linalg.LinAlgError.
-    """
-    m = a.shape[0] + 1
-    omega = np.exp(2j * np.pi * np.arange(m) / m)
-    mats = rho_a * a[None, :, :] + (rho_b * omega)[:, None, None] * b[None, :, :]
-    return omega, np.linalg.eigvals(mats)
 
 
 def univariate_slice(p: BivarPoly, mode: str, value: complex) -> np.ndarray:

@@ -7,9 +7,9 @@ lambda with mu values is resolved on two independent random rays; a
 reconstruction check is mandatory before any affirmative verdict.
 
 For a matrix pair, pencil_verdict decides the same question for
-det(I + zA + wB) without the polynomial: the candidates are the spectra of A
-and B, the rays are spectra of A + gB, and the certificate is a spectral
-match on n + 1 directions.
+det(I + zA + wB) without the polynomial: the certificate is one unitary that
+makes A and B triangular within tol.line, whose diagonal pairs are the
+lines; a refusal looks for a witness on the spectra of A + gB.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import core
-from .detpoly import (
-    _RADIUS_FLOOR,
-    DEGREE_BUDGET,
-    BivarPoly,
-    direction_spectra,
-    total_degree,
-    univariate_slice,
-)
+from .detpoly import DEGREE_BUDGET, BivarPoly, total_degree, univariate_slice
 from .errors import (
     DegenerateInput,
     DegreeBudgetExceeded,
@@ -524,22 +517,25 @@ def _ray_witnesses(lams, mus, rays, tol):
 
 
 def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
-    """Decide union-of-lines structure of det(I + zA + wB) from pencil spectra.
+    """Decide union-of-lines structure of det(I + zA + wB) by one common Schur basis.
 
-    On the line w = g z the determinant is prod_i (1 + z nu_i) over the
-    eigenvalues nu_i of A + gB, so for normal A and B the zero set is the
-    union of the lines {1 + lambda_i z + mu_i w = 0} exactly when one
-    pairing of the eigenvalues of A and B gives spec(A + gB) = {lambda_i +
-    g mu_i} for every g (property L, Motzkin & Taussky). The pairing is
-    found on two random rays drawn from seed. A lines verdict is certified
-    on the n + 1 directions M_d of detpoly.direction_spectra, whose
-    restrictions fix a polynomial of degree n: the bottleneck matching of
-    each spectrum against the paired prediction must be within tol.line,
-    relative since ||M_d|| <= 2. A notlines verdict carries a point of a ray
-    (see _ray_witnesses) whose sigma_min(I + zA + wB), relative to
-    1 + |z| ||A||_F + |w| ||B||_F, is at most WITNESS_SIGMA_REL; that value
-    is its witness_residual. Anything weaker, or an eigensolve that does not
-    converge, raises NumericalAmbiguity.
+    The eigenvectors V of A + g0 B, g0 a random phase drawn from seed, give
+    Q = qr(V), a Schur basis of A + g0 B. Let L_A and L_B be the strictly
+    lower parts of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are
+    triangular in one basis, so their determinant is exactly
+    prod_i (1 + (Q*AQ)_ii z + (Q*BQ)_ii w). A lines verdict is certified when
+    ||L_A||_F <= tol.line ||A||_F and ||L_B||_F <= tol.line ||B||_F: tol.line
+    is the relative backward error, in each matrix, under which the
+    arrangement of those diagonal pairs is exact. For commuting normal A and
+    B every eigenvector of a generic A + g0 B is one of A and of B, so both
+    lower parts vanish up to rounding; for a normal pair the zero set is a
+    union of lines only then (property L, Motzkin & Taussky).
+
+    A notlines verdict carries a point of a ray w = g z (see _ray_witnesses),
+    on the spectra of A + g0 B and of A + g1 B, whose sigma_min(I + zA + wB),
+    relative to 1 + |z| ||A||_F + |w| ||B||_F, is at most WITNESS_SIGMA_REL;
+    that value is its witness_residual. Anything weaker, or an eigensolve
+    that does not converge, raises NumericalAmbiguity.
     """
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
@@ -555,34 +551,25 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     rng = np.random.default_rng(seed)
     gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
     try:
-        spectra = np.linalg.eigvals(np.stack([a, b, a + gammas[0] * b, a + gammas[1] * b]))
+        nus, v = np.linalg.eig(a + gammas[0] * b)
     except np.linalg.LinAlgError as exc:
         raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
-    lams = _sorted_complex(spectra[0])
-    mus = _sorted_complex(spectra[1])
-    rays = list(zip(gammas, spectra[2:]))
-    pairs = _greedy_pairing(lams, mus, gammas, spectra[2:], PAIR_TOL)
-    reason = "no consistent line pairing"
-    if pairs is not None:
-        pl = np.array([l for l, _ in pairs])
-        pm = np.array([m for _, m in pairs])
-        rho_a = 1.0 / (_RADIUS_FLOOR + np.abs(lams).max())
-        rho_b = 1.0 / (_RADIUS_FLOOR + np.abs(mus).max())
-        try:
-            omega, nus = direction_spectra(a, b, rho_a, rho_b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
-        pred = rho_a * pl[None, :] + (rho_b * omega)[:, None] * pm[None, :]
-        cost = np.abs(nus[:, :, None] - pred[:, None, :])
-        if _bottlenecks_within(cost, tol.line).all():
-            return LineVerdict(True, pair_arrangement(pl, pm, norm_a=fa, norm_b=fb))
-        mismatch = _bottlenecks(cost)
-        worst = int(np.argmax(mismatch))
-        reason = (
-            f"paired spectra miss direction {worst} by {mismatch[worst]:.3e}, "
-            f"above tol.line = {tol.line:.1e}"
-        )
-        rays.append((rho_b * omega[worst] / rho_a, nus[worst] / rho_a))
+    q = np.linalg.qr(v)[0]
+    ta = q.conj().T @ a @ q
+    tb = q.conj().T @ b @ q
+    low_a = np.linalg.norm(np.tril(ta, -1)) / max(fa, 1e-300)
+    low_b = np.linalg.norm(np.tril(tb, -1)) / max(fb, 1e-300)
+    if low_a <= tol.line and low_b <= tol.line:
+        return LineVerdict(True, pair_arrangement(np.diag(ta), np.diag(tb), norm_a=fa, norm_b=fb))
+    reason = (
+        f"no common Schur basis: relative lower parts {low_a:.3e} of Q*AQ and {low_b:.3e} "
+        f"of Q*BQ, above tol.line = {tol.line:.1e}"
+    )
+    try:
+        lams, mus, ray = np.linalg.eigvals(np.stack([a, b, a + gammas[1] * b]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
+    rays = [(gammas[0], nus), (gammas[1], ray)]
     eye = np.eye(n, dtype=np.complex128)
     best = math.inf
     for z, w in _ray_witnesses(lams, mus, rays, tol):
@@ -671,41 +658,6 @@ def _bottleneck(cost: np.ndarray) -> float:
         else:
             lo = mid + 1
     return float(levels[lo])
-
-
-def _row_bounds(cost: np.ndarray):
-    """For each matrix in a stack of square cost matrices, its largest row
-    minimum (a lower bound on its bottleneck) and whether its row argmins
-    collide (if not, the bound is exact)."""
-    arg = np.sort(cost.argmin(axis=2), axis=1)
-    return cost.min(axis=2).max(axis=1), (arg[:, 1:] == arg[:, :-1]).any(axis=1)
-
-
-def _bottlenecks(cost: np.ndarray) -> np.ndarray:
-    """_bottleneck of each matrix in a stack of square cost matrices.
-
-    The row-minimum bound and the distinct-argmin test are taken for the
-    whole stack at once; only the matrices whose row argmins collide go to
-    _bottleneck's bisection.
-    """
-    out, collide = _row_bounds(cost)
-    for i in np.flatnonzero(collide):
-        out[i] = _bottleneck(cost[i])
-    return out
-
-
-def _bottlenecks_within(cost: np.ndarray, bound: float) -> np.ndarray:
-    """Whether the _bottleneck of each matrix in a stack is at most bound.
-
-    Decided without bisection: a row-minimum bound above bound refuses,
-    distinct row argmins accept, and each remaining matrix takes one test
-    for a perfect matching among its entries at most bound.
-    """
-    lower, collide = _row_bounds(cost)
-    ok = lower <= bound
-    for i in np.flatnonzero(ok & collide):
-        ok[i] = _has_perfect_matching(cost[i] <= bound)
-    return ok
 
 
 def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from projspec import agmon, commute, linegeom
+from projspec import agmon, commute, detpoly, linegeom
 from projspec.errors import SingularResolvent
 
 
@@ -78,11 +78,31 @@ def off_curve_witnesses(lams, mus, rays, tol):
     return [(0.5 + 0j, 0.25 + 0j)]
 
 
+def near_commuting_pair(rng, n, eps):
+    """A commuting_pair (A, B) with B replaced by W B W*, W = exp(i eps H)
+    for a random Hermitian H: normal, and off commuting by O(eps)."""
+    a, b = commuting_pair(rng, n)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
+    w = (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+    return a, w @ b @ w.conj().T
+
+
+def fail_eig(monkeypatch):
+    """Make np.linalg.eig raise LinAlgError (the Schur-basis eigensolve of
+    linegeom.pencil_verdict)."""
+
+    def failing(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+
+
 def fail_batched_eigvals(monkeypatch, after=0):
     """Make np.linalg.eigvals raise LinAlgError on stacks of matrices (the
-    batched eigensolves of detpoly's grid and of linegeom.pencil_verdict)
-    once `after` stacks have been solved, and behave normally on single
-    matrices."""
+    batched eigensolves of detpoly's grid and of the notlines path of
+    linegeom.pencil_verdict) once `after` stacks have been solved, and behave
+    normally on single matrices."""
     real = np.linalg.eigvals
     solved = [0]
 
@@ -94,6 +114,30 @@ def fail_batched_eigvals(monkeypatch, after=0):
         return real(x)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+def reference_direction_mismatch(a, b, arrangement):
+    """The largest, over the n + 1 directions
+    M_d = rho_a A + rho_b omega^d B, omega = exp(2 pi i / (n + 1)), of the
+    bottleneck matching distance between the eigenvalues of M_d and the
+    values rho_a lambda + rho_b omega^d mu that the arrangement predicts,
+    each line counted with its multiplicity and each unit of deficit as
+    (0, 0). The restrictions to these directions fix a polynomial of degree
+    n, so a mismatch within tol.line certifies the arrangement's product
+    against the spectra; rho_a and rho_b are reciprocal spectral norms."""
+    n = a.shape[0]
+    pairs = [(line.lam, line.mu) for line, m in arrangement.lines for _ in range(m)]
+    pairs += [(0.0, 0.0)] * arrangement.deficit
+    lam, mu = np.array(pairs, dtype=np.complex128).T
+    rho_a = 1.0 / (detpoly._RADIUS_FLOOR + np.linalg.norm(a, 2))
+    rho_b = 1.0 / (detpoly._RADIUS_FLOOR + np.linalg.norm(b, 2))
+    omega = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    worst = 0.0
+    for om in omega:
+        nus = np.linalg.eigvals(rho_a * a + rho_b * om * b)
+        pred = rho_a * lam + rho_b * om * mu
+        worst = max(worst, linegeom._bottleneck(np.abs(nus[:, None] - pred[None, :])))
+    return worst
 
 
 def reference_greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):

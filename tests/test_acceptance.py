@@ -18,6 +18,7 @@ from helpers import (
     noncommuting_pair,
     random_normal,
     random_unitary,
+    reference_direction_mismatch,
     separated_vals,
 )
 
@@ -33,9 +34,13 @@ def _verdict(num, name, ok, stats):
 
 
 def _run_battery(seed):
-    """Deterministic 200+200 equivalence battery; returns (report_text, stats)."""
+    """Deterministic 200+200 equivalence battery; returns (report_text, stats).
+
+    stats["lines"] holds (A, B, arrangement) for every lines verdict.
+    """
     rng = np.random.default_rng(seed)
     out = []
+    lines = []
     indeterminate = 0
     inconsistent = 0
     max_distance = 0.0
@@ -52,6 +57,8 @@ def _run_battery(seed):
         d = rep.arrangement_vs_eigenpairs_distance
         if d is not None:
             max_distance = max(max_distance, d)
+        if rep.verdict.is_lines:
+            lines.append((a, b, rep.verdict.arrangement))
         out.append(
             f"commuting {k} dim={n} consistent={rep.consistent} "
             f"distance={d:.17g}"
@@ -65,6 +72,8 @@ def _run_battery(seed):
             continue
         if not (rep.consistent and not rep.commute):
             inconsistent += 1
+        if rep.verdict.is_lines:
+            lines.append((a, b, rep.verdict.arrangement))
         out.append(
             f"noncommuting {k} dim={n} consistent={rep.consistent} "
             f"commutator_norm={rep.commutator_norm:.17g}"
@@ -75,6 +84,7 @@ def _run_battery(seed):
         "inconsistent": inconsistent,
         "max_distance": max_distance,
         "elapsed": elapsed,
+        "lines": lines,
     }
 
 
@@ -100,6 +110,16 @@ def test_criterion_1_theorem_equivalence_battery():
         f"{stats['inconsistent']} inconsistent, max arrangement distance "
         f"{stats['max_distance']:.3e}, {stats['elapsed']:.1f}s of 60s",
     )
+
+
+def test_battery_lines_pass_the_direction_certificate():
+    # every lines verdict of the battery, certified by one Schur basis, also
+    # matches the spectra on n + 1 directions within tol.line
+    lines = _battery()[1]["lines"]
+    assert len(lines) == len(_BATTERY_DIMS)
+    worst = max(reference_direction_mismatch(a, b, arr) for a, b, arr in lines)
+    print(f"[acceptance] battery lines verdicts: max direction mismatch {worst:.3e}")
+    assert worst <= core.default_tolerances().line
 
 
 def test_criterion_2_arrangement_oracle():

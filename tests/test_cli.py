@@ -102,7 +102,8 @@ def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
 
 
 def test_commute_exits_2_when_grid_eigensolve_fails(tmp_path, monkeypatch):
-    # the pencil verdict solves batched eigenproblems at every dimension
+    # a non-commuting pair fails the Schur-basis check, and the batched
+    # eigensolve of its witness search does not converge
     fail_batched_eigvals(monkeypatch)
     a, b = noncommuting_pair(np.random.default_rng(23), 8)
     fa = _write_matrix(tmp_path / "a.mat", a)

@@ -10,6 +10,7 @@ from helpers import (
     PAULI_Z,
     commuting_pair,
     fail_batched_eigvals,
+    fail_eig,
     inconsistent_report,
     noncommuting_pair,
     off_curve_witnesses,
@@ -184,14 +185,49 @@ def test_off_curve_witness_is_indeterminate(monkeypatch):
     assert "off the matrix curve" in rep.indeterminate
 
 
-@pytest.mark.parametrize("solved", [0, 1], ids=["pencil_spectra", "directions"])
-def test_pencil_eigensolve_failure_is_indeterminate(monkeypatch, solved):
-    a, b = commuting_pair(np.random.default_rng(31), 6)
-    fail_batched_eigvals(monkeypatch, after=solved)
+@pytest.mark.parametrize(
+    "make, fail",
+    [(commuting_pair, fail_eig), (noncommuting_pair, fail_batched_eigvals)],
+    ids=["schur_basis", "pencil_spectra"],
+)
+def test_pencil_eigensolve_failure_is_indeterminate(monkeypatch, make, fail):
+    # a commuting pair needs only the Schur-basis eigensolve; a
+    # non-commuting one goes on to the batched spectra of its witness search
+    a, b = make(np.random.default_rng(31), 6)
+    fail(monkeypatch)
     rep = commute.equivalence_check(a, b)
-    assert rep.commute
+    assert rep.commute == (make is commuting_pair)
     assert rep.verdict is None and rep.consistent is None
     assert "did not converge" in rep.indeterminate
+
+
+_JORDAN = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
+def test_commutator_bound_scales_with_the_pair(scale):
+    # ||AB - BA||_F is quadratic in a common scale of the pair, so its bound
+    # must be too: a scaled non-commuting pair stays non-commuting, and no
+    # scale gets a wrong certified verdict
+    for n in (4, 12):
+        a, b = noncommuting_pair(np.random.default_rng(n), n)
+        rep = commute.equivalence_check(scale * a, scale * b)
+        assert not rep.commute and rep.consistent is not False, n
+        if scale == 1.0:
+            assert rep.consistent and not rep.verdict.is_lines
+        with pytest.raises(NotCommuting):
+            commute.common_eigenbasis(scale * a, scale * b)
+    # the Jordan block is admitted as normal only at tiny scales (a
+    # normality bound linear in scale), where it must not pass as commuting
+    j, jt = scale * 0.1 * _JORDAN, scale * 0.1 * _JORDAN.T
+    if scale < 1.0:
+        rep = commute.equivalence_check(j, jt)
+        assert not rep.commute and rep.consistent is not False
+        with pytest.raises(NotCommuting):
+            commute.common_eigenbasis(j, jt)
+    else:
+        with pytest.raises(NotNormal):
+            commute.equivalence_check(j, jt)
 
 
 def _replayed_pair(seed, rounds, n, other=40):
