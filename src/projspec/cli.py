@@ -24,15 +24,19 @@ _SLOPE_THRESHOLD = 1.8
 
 _TOL_FIELDS = ("normal", "eig", "commute", "line", "recon")
 
+# The tolerance fields each reading subcommand passes on; no other --tol-* parses.
+_EIG_TOLS = ("normal", "eig")
+_LINE_TOLS = ("line", "recon")
+_COMMUTE_TOLS = ("normal", "commute", "line")
 
-def _add_common(sub, seed: bool = False, tols: bool = True):
+
+def _add_common(sub, seed: bool = False, tols=()):
     sub.add_argument("-o", "--output", metavar="PATH", help="write the result here instead of stdout")
-    if tols:
-        for name in _TOL_FIELDS:
-            sub.add_argument(
-                f"--tol-{name}", type=float, default=None, metavar="X",
-                help=f"override the {name} tolerance",
-            )
+    for name in tols:
+        sub.add_argument(
+            f"--tol-{name}", type=float, default=None, metavar="X",
+            help=f"override the {name} tolerance",
+        )
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
 
@@ -40,7 +44,7 @@ def _add_common(sub, seed: bool = False, tols: bool = True):
 def _tolerances(args) -> core.Tolerances:
     overrides = {}
     for name in _TOL_FIELDS:
-        val = getattr(args, f"tol_{name.replace('-', '_')}", None)
+        val = getattr(args, f"tol_{name}", None)
         if val is not None:
             overrides[name] = val
     return core.default_tolerances().override(**overrides)
@@ -122,7 +126,7 @@ def _cmd_agmon(args) -> int:
 
 def _cmd_escape(args) -> int:
     if args.ladder is not None:
-        given = [f"--tol-{name}" for name in _TOL_FIELDS if getattr(args, f"tol_{name}") is not None]
+        given = [f"--tol-{name}" for name in _EIG_TOLS if getattr(args, f"tol_{name}") is not None]
         if given:
             raise ValueError(f"escape --ladder reads no tolerance; {', '.join(given)} not accepted")
         rows = agmon_mod.escape_ladder(args.ladder, args.epsilon, args.n_angles)
@@ -297,23 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("eig", help="eigendecomposition of a normal matrix")
     s.add_argument("matrix")
-    _add_common(s)
+    _add_common(s, tols=_EIG_TOLS)
     s.set_defaults(func=_cmd_eig)
 
     s = subs.add_parser("detpoly", help="coefficients of det(I + zA + wB)")
     s.add_argument("matrix_a")
     s.add_argument("matrix_b")
-    _add_common(s, tols=False)
+    _add_common(s)
     s.set_defaults(func=_cmd_detpoly)
 
     s = subs.add_parser("lines", help="factor a bivariate polynomial into lines")
     s.add_argument("poly")
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, tols=_LINE_TOLS)
     s.set_defaults(func=_cmd_lines)
 
     s = subs.add_parser("agmon", help="widest eigenvalue-free sector of a spectrum")
     s.add_argument("matrix")
-    _add_common(s)
+    _add_common(s, tols=_EIG_TOLS)
     s.set_defaults(func=_cmd_agmon)
 
     s = subs.add_parser("escape", help="escape-radius profile or truncation ladder")
@@ -322,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-angles", type=int, default=agmon_mod.DEFAULT_N_ANGLES)
     s.add_argument("--ladder", type=int, default=None, metavar="N",
                    help="emit the ladder CSV for levels 1..N instead of a profile")
-    _add_common(s)
+    _add_common(s, tols=_EIG_TOLS)
     s.set_defaults(func=_cmd_escape)
 
     s = subs.add_parser("example", help="diagonal model operator at a truncation level")
     s.add_argument("--level", type=int, required=True)
-    _add_common(s, tols=False)
+    _add_common(s)
     s.set_defaults(func=_cmd_example)
 
     s = subs.add_parser("riesz", help="Riesz projection over a circular contour")
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--center", required=True, help="contour center (complex literal)")
     s.add_argument("--radius", type=float, required=True)
     s.add_argument("--nodes", type=int, default=riesz.DEFAULT_NODES)
-    _add_common(s, tols=False)
+    _add_common(s)
     s.set_defaults(func=_cmd_riesz)
 
     s = subs.add_parser("perturb", help="first-order perturbation residual slope")
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius", type=float, required=True)
     s.add_argument("--nodes", type=int, default=riesz.DEFAULT_NODES)
     s.add_argument("--eps-list", default="1e-2,1e-3,1e-4")
-    _add_common(s, tols=False)
+    _add_common(s)
     s.set_defaults(func=_cmd_perturb)
 
     s = subs.add_parser("lemma34", help="common eigenvector from a spectral line")
@@ -355,18 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("matrix_b")
     s.add_argument("--mu", required=True, help="eigenvalue with |mu| = ||B||")
     s.add_argument("--zs", default=None, help="comma-separated complex ramp points")
-    _add_common(s, tols=False)
+    _add_common(s)
     s.set_defaults(func=_cmd_lemma34)
 
     s = subs.add_parser("commute", help="commutativity vs line-structure equivalence")
     s.add_argument("matrix_a")
     s.add_argument("matrix_b")
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, tols=_COMMUTE_TOLS)
     s.set_defaults(func=_cmd_commute)
 
     s = subs.add_parser("tuple", help="pairwise equivalence over an operator tuple")
     s.add_argument("tuple")
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, tols=_COMMUTE_TOLS)
     s.set_defaults(func=_cmd_tuple)
 
     s = subs.add_parser("plot-slice", help="root traces of p(z, w0) over a real sweep")
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--wmax", type=float, default=1.0)
     s.add_argument("--samples", type=int, default=41)
     s.add_argument("--svg", default=None, metavar="PATH", help="also write an SVG scatter")
-    _add_common(s, tols=False)
+    _add_common(s)
     s.set_defaults(func=_cmd_plot_slice)
 
     return parser

@@ -4,12 +4,14 @@ For normal matrices, [A,B] = 0 exactly when det(I + zA + wB) factors into
 linear terms, i.e. the zero set is a union of lines. This module runs the
 algebraic side (commutator norm, relative to ||A||_F ||B||_F), the geometric
 side (linegeom.pencil_verdict, read off one common Schur basis or, on
-refusal, the spectra of A, B and A + gB), cross-checks the recovered
-arrangement against the eigenvalue pairs of a common eigenbasis, and extends
-the test to tuples by pairwise reduction. Eigensolves that do not converge,
-pairs that neither share a triangularizing basis nor yield a witness on the
-matrices' own curve, and pairs whose two sides disagree inside a tuple,
-surface as indeterminate outcomes, never as definitive verdicts.
+refusal, the spectra of A, B and A + gB), and cross-checks the recovered
+arrangement against the eigenvalue pairs of a common eigenbasis. A tuple is
+certified by one common Schur basis of all its members, which gives every
+pair its lines at once; only when that basis is refused is each pair tested
+on its own. Eigensolves that do not converge, pairs that neither share a
+triangularizing basis nor yield a witness on the matrices' own curve, and
+pairs whose two sides disagree inside a tuple, surface as indeterminate
+outcomes, never as definitive verdicts.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from .errors import (
     NumericalAmbiguity,
 )
 from .linegeom import (
-    ZERO_PAIR_REL,
-    LineArrangement,
     LineVerdict,
+    _schur_diagonals,
     cluster_tuples,
     compare_arrangements,
+    drop_constant_factors,
     pair_arrangement,
     pencil_verdict,
+    tuple_distance,
 )
 
 # Joint-diagonalization cluster radius for each member's Hermitian and skew
@@ -74,6 +77,7 @@ class TupleReport:
     diagonals: Optional[np.ndarray] = None
     hyperplanes: Optional[list] = None
     deficit: int = 0
+    schur_vs_hyperplanes_distance: Optional[float] = None
 
 
 def _require_normal(m: np.ndarray, tag: str, tol: core.Tolerances) -> float:
@@ -150,15 +154,6 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     return CommonEigenbasis(u, diag_a, diag_b, residual)
 
 
-def eigenpair_arrangement(diag_a, diag_b, *, norm_a: float = 1.0, norm_b: float = 1.0) -> LineArrangement:
-    """Lines {1 + a_j z + b_j w = 0} from joint eigenvalues, with multiplicity.
-
-    Pairs with both entries at relative zero contribute constant determinant
-    factors and are counted in the deficit instead (linegeom.pair_arrangement).
-    """
-    return pair_arrangement(diag_a, diag_b, norm_a=norm_a, norm_b=norm_b)
-
-
 def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:
     """Run both sides of the equivalence and cross-check them.
 
@@ -194,19 +189,29 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
             basis = common_eigenbasis(a, b, tol=tol)
         except (NotCommuting, NotNormal) as exc:
             return EquivalenceReport(commute, cn, verdict, None, indeterminate=str(exc))
-        reference = eigenpair_arrangement(
-            basis.diag_a, basis.diag_b, norm_a=na, norm_b=nb
-        )
+        reference = pair_arrangement(basis.diag_a, basis.diag_b, norm_a=na, norm_b=nb)
         distance = compare_arrangements(verdict.arrangement, reference)
     return EquivalenceReport(commute, cn, verdict, consistent, distance)
 
 
 def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> TupleReport:
-    """Pairwise equivalence over a tuple, plus a joint eigenbasis when it commutes.
+    """Equivalence over a tuple from one common Schur basis, plus a joint
+    eigenbasis when it commutes.
 
-    The hyperplane arrangement {1 + sum_i a_i^{(k)} z_i = 0} is emitted from
-    the joint diagonals; all-zero coefficient tuples are dropped as constant
-    factors.
+    Q = qr(eigenvectors of M_0 + sum_i g_i M_i), phases g_i drawn from seed
+    (linegeom._schur_diagonals, the basis step of pencil_verdict). When every
+    strictly lower part of Q* M_i Q is within tol.line ||M_i||_F, Q
+    triangularizes every pair, so each pair's verdict is lines, read off the
+    diagonals, and its report adds only the pair's commutator: consistent is
+    whether that commutes. Otherwise every pair runs its own
+    equivalence_check, since witnesses are per pair.
+
+    When every pair commutes and agrees, the hyperplane arrangement
+    {1 + sum_i a_i^{(k)} z_i = 0} is emitted from the joint diagonals;
+    k-tuples that are constant factors (linegeom.drop_constant_factors)
+    count in the deficit. A tuple certified by its Schur basis also gets
+    schur_vs_hyperplanes_distance, the bottleneck distance between the Schur
+    diagonal k-tuples and the multiplicity-expanded hyperplanes.
     """
     mats = [core.as_cmatrix(m) for m in mats]
     if not mats:
@@ -218,12 +223,26 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     if tol is None:
         tol = core.default_tolerances()
     norms = [_require_normal(m, f"member {i}", tol) for i, m in enumerate(mats)]
+    k = len(mats)
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=k - 1))
+    try:
+        _, schur, lower = _schur_diagonals(mats, phases, norms)
+        certified = bool((lower <= tol.line).all())
+    except NumericalAmbiguity:
+        certified = False
     reports = []
     indeterminate = None
     all_commute = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            rep = equivalence_check(mats[i], mats[j], seed=seed, tol=tol)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if certified:
+                cn = core.commutator_norm(mats[i], mats[j])
+                commute = cn <= tol.commute * norms[i] * norms[j]
+                lines = pair_arrangement(schur[i], schur[j], norm_a=norms[i], norm_b=norms[j])
+                rep = EquivalenceReport(commute, cn, LineVerdict(True, lines), commute)
+            else:
+                rep = equivalence_check(mats[i], mats[j], seed=seed, tol=tol)
             reports.append(((i, j), rep))
             if indeterminate is None:
                 if rep.indeterminate is not None:
@@ -241,17 +260,21 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     # two sweeps over all members settle ties
     u = core.joint_diagonalize(parts * 2, radii * 2)
     diags = np.stack([np.diag(u.conj().T @ m @ u).copy() for m in mats])
-    scale = max(norms) if norms else 1.0
-    keep = (np.abs(diags) > ZERO_PAIR_REL * max(scale, 1e-300)).any(axis=0)
-    dropped = n - int(keep.sum())
-    hyperplanes = cluster_tuples(diags.T[keep])
+    tuples, deficit = drop_constant_factors(diags, norms)
+    hyperplanes = cluster_tuples(tuples)
+    distance = None
+    if certified:
+        expanded = [coeffs for coeffs, mult in hyperplanes for _ in range(mult)]
+        schur_tuples, _ = drop_constant_factors(schur, norms)
+        distance = tuple_distance(schur_tuples, np.reshape(expanded, (-1, k)))
     return TupleReport(
         reports,
         True,
         unitary=u,
         diagonals=diags,
         hyperplanes=hyperplanes,
-        deficit=dropped,
+        deficit=deficit,
+        schur_vs_hyperplanes_distance=distance,
     )
 
 

@@ -477,51 +477,96 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     raise NumericalAmbiguity("no consistent line pairing and no certified off-line witness")
 
 
+def drop_constant_factors(diags, norms):
+    """Joint value k-tuples of k matrices, without those that are constant factors.
+
+    diags is a (k, m) array whose column j holds the j-th joint value of
+    each matrix. A column with every entry diags[i, j] at most ZERO_PAIR_REL
+    times its own matrix's norms[i] contributes a constant factor to
+    det(I + sum_i z_i M_i), not a hyperplane. Returns the (m', k) array of
+    the other columns, in order, and m - m', the deficit.
+    """
+    x = np.asarray(diags, dtype=np.complex128)
+    bound = ZERO_PAIR_REL * np.maximum(np.asarray(norms, dtype=float), 1e-300)
+    keep = (np.abs(x) > bound[:, None]).any(axis=0)
+    return x.T[keep], int(x.shape[1] - keep.sum())
+
+
 def pair_arrangement(lams, mus, *, norm_a: float = 1.0, norm_b: float = 1.0) -> LineArrangement:
     """Lines {1 + lams[j] z + mus[j] w = 0} from paired values, with multiplicity.
 
-    Pairs with both entries below ZERO_PAIR_REL times norm_a and norm_b
-    contribute constant determinant factors and are counted in the deficit
-    instead.
+    Pairs that are constant determinant factors (drop_constant_factors) are
+    counted in the deficit instead.
     """
     la = np.asarray(lams, dtype=np.complex128).ravel()
     mu = np.asarray(mus, dtype=np.complex128).ravel()
-    keep = (np.abs(la) > ZERO_PAIR_REL * max(norm_a, 1e-300)) | (
-        np.abs(mu) > ZERO_PAIR_REL * max(norm_b, 1e-300)
-    )
-    pairs = np.stack([la[keep], mu[keep]], axis=1)
+    pairs, deficit = drop_constant_factors(np.stack([la, mu]), (norm_a, norm_b))
     lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
-    return LineArrangement(lines, deficit=int(la.size - len(pairs)))
+    return LineArrangement(lines, deficit=deficit)
 
 
 def _ray_witnesses(lams, mus, rays, tol):
     """Candidate notlines witnesses from ray spectra, most separated first.
 
     Each ray (g, eigenvalues nu of A + gB) gives the points z = -1/nu,
-    w = g z of the zero set. Kept are those farther than
-    tol.line (1 + |z| + |w|) from every candidate line 1 + lambda_i z + mu_j w,
-    which there equals (nu - lambda_i - g mu_j) / nu, ordered by that
-    distance over its bound.
+    w = g z of the zero set, where 1 + lambda_i z + mu_j w equals
+    (nu - lambda_i - g mu_j) / nu. Kept are those with
+    |nu - lambda_i - g mu_j| above tol.line (|nu| + |lambda_i| + |g| |mu_j|)
+    for every candidate line, a test unchanged when A and B are scaled
+    together, ordered by the smallest ratio of the two.
     """
     margins, points = [], []
     for g, nus in rays:
         nus = nus[np.abs(nus) >= 1e-12]
         cand = (lams[:, None] + g * mus[None, :]).ravel()
-        dist = np.abs(nus[:, None] - cand[None, :]).min(axis=1) / np.abs(nus)
+        size = (np.abs(lams)[:, None] + abs(g) * np.abs(mus)[None, :]).ravel()
+        # one expression, so its (n, n^2) temporaries (2-4 MB each at
+        # n = 64) are freed before the next ray builds its own
+        ratio = (np.abs(nus[:, None] - cand[None, :]) / np.add.outer(np.abs(nus), size)).min(axis=1)
+        margins.append(ratio / tol.line)
         z = -1.0 / nus
-        margins.append(dist / (tol.line * (1.0 + (1.0 + abs(g)) * np.abs(z))))
         points.append(np.stack([z, g * z], axis=1))
     margin = np.concatenate(margins)
     order = np.argsort(-margin, kind="stable")
     return [(complex(z), complex(w)) for z, w in np.concatenate(points)[order[margin[order] > 1.0]]]
 
 
+def _schur_diagonals(mats, phases, norms):
+    """One common Schur basis of k square matrices of one size.
+
+    Q = qr(V) for the eigenvectors V of M_0 + sum_{i >= 1} phases[i-1] M_i
+    (a phase shared by all k weights changes no eigenvector, so M_0's is 1).
+    Returns the eigenvalues of that combination, the (k, n) array of the
+    diagonals of Q* M_i Q, and the (k,) array of ||strictly lower part of
+    Q* M_i Q||_F / norms[i]. An eigensolve that does not converge raises
+    NumericalAmbiguity.
+    """
+    n = mats[0].shape[0]
+    if n > DEGREE_BUDGET:
+        raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {DEGREE_BUDGET}")
+    combo = mats[0]
+    for g, m in zip(phases, mats[1:]):
+        combo = combo + g * m
+    try:
+        nus, v = np.linalg.eig(combo)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
+    q = np.linalg.qr(v)[0]
+    diags, lower = [], []
+    for m, norm in zip(mats, norms):
+        t = q.conj().T @ m @ q
+        diags.append(np.diag(t))
+        lower.append(np.linalg.norm(np.tril(t, -1)) / max(norm, 1e-300))
+    return nus, np.stack(diags), np.array(lower)
+
+
 def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
     """Decide union-of-lines structure of det(I + zA + wB) by one common Schur basis.
 
     The eigenvectors V of A + g0 B, g0 a random phase drawn from seed, give
-    Q = qr(V), a Schur basis of A + g0 B. Let L_A and L_B be the strictly
-    lower parts of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are
+    Q = qr(V), a Schur basis of A + g0 B (_schur_diagonals, which
+    commute.tuple_test runs once on a whole tuple). Let L_A and L_B be the
+    strictly lower parts of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are
     triangular in one basis, so their determinant is exactly
     prod_i (1 + (Q*AQ)_ii z + (Q*BQ)_ii w). A lines verdict is certified when
     ||L_A||_F <= tol.line ||A||_F and ||L_B||_F <= tol.line ||B||_F: tol.line
@@ -542,25 +587,15 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     if a.shape != b.shape:
         raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
     n = a.shape[0]
-    if n > DEGREE_BUDGET:
-        raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {DEGREE_BUDGET}")
     if tol is None:
         tol = core.default_tolerances()
     fa = core.frobenius(a)
     fb = core.frobenius(b)
     rng = np.random.default_rng(seed)
     gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
-    try:
-        nus, v = np.linalg.eig(a + gammas[0] * b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
-    q = np.linalg.qr(v)[0]
-    ta = q.conj().T @ a @ q
-    tb = q.conj().T @ b @ q
-    low_a = np.linalg.norm(np.tril(ta, -1)) / max(fa, 1e-300)
-    low_b = np.linalg.norm(np.tril(tb, -1)) / max(fb, 1e-300)
+    nus, diags, (low_a, low_b) = _schur_diagonals([a, b], gammas[:1], (fa, fb))
     if low_a <= tol.line and low_b <= tol.line:
-        return LineVerdict(True, pair_arrangement(np.diag(ta), np.diag(tb), norm_a=fa, norm_b=fb))
+        return LineVerdict(True, pair_arrangement(diags[0], diags[1], norm_a=fa, norm_b=fb))
     reason = (
         f"no common Schur basis: relative lower parts {low_a:.3e} of Q*AQ and {low_b:.3e} "
         f"of Q*BQ, above tol.line = {tol.line:.1e}"
@@ -660,27 +695,31 @@ def _bottleneck(cost: np.ndarray) -> float:
     return float(levels[lo])
 
 
-def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
-    """Minimum-bottleneck matching distance between multiplicity-expanded arrangements.
+def tuple_distance(x, y) -> float:
+    """Minimum-bottleneck matching distance between two multisets of k-tuples.
 
-    Returns the least achievable largest pair distance over one-to-one
-    matchings of the lines, each counted with its multiplicity, or +inf when
-    the expanded cardinalities differ.
+    x and y are (m, k) arrays, one tuple a row. Returns the least achievable
+    largest Euclidean distance over one-to-one matchings of the rows, or
+    +inf when the row counts differ.
     """
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    if len(x) != len(y):
+        return math.inf
+    if not len(x):
+        return 0.0
+    squares = sum(np.abs(x[:, None, c] - y[None, :, c]) ** 2 for c in range(x.shape[1]))
+    return _bottleneck(np.sqrt(squares))
+
+
+def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
+    """tuple_distance between multiplicity-expanded arrangements: the least
+    achievable largest (lam, mu) distance over one-to-one matchings of the
+    lines, each counted with its multiplicity, or +inf when the expanded
+    cardinalities differ."""
     ea = [(line.lam, line.mu) for line, m in a.lines for _ in range(m)]
     eb = [(line.lam, line.mu) for line, m in b.lines for _ in range(m)]
-    if len(ea) != len(eb):
-        return math.inf
-    if not ea:
-        return 0.0
-    la = np.array([t[0] for t in ea])
-    ma = np.array([t[1] for t in ea])
-    lb = np.array([t[0] for t in eb])
-    mb = np.array([t[1] for t in eb])
-    cost = np.sqrt(
-        np.abs(la[:, None] - lb[None, :]) ** 2 + np.abs(ma[:, None] - mb[None, :]) ** 2
-    )
-    return _bottleneck(cost)
+    return tuple_distance(np.reshape(ea, (-1, 2)), np.reshape(eb, (-1, 2)))
 
 
 def parse_arrangement(text: str) -> LineArrangement:

@@ -71,6 +71,25 @@ def inconsistent_report(a, b, **kwargs):
     return commute.EquivalenceReport(True, 0.0, verdict, False)
 
 
+def refuse_common_schur_basis(monkeypatch):
+    """Make the common Schur basis of commute.tuple_test report every lower
+    part as +inf, so the tuple is refused and each pair runs its own
+    equivalence_check."""
+    real = commute._schur_diagonals
+
+    def refusing(mats, phases, norms):
+        nus, diags, lower = real(mats, phases, norms)
+        return nus, diags, np.full_like(lower, np.inf)
+
+    monkeypatch.setattr(commute, "_schur_diagonals", refusing)
+
+
+def commuting_tuple(rng, n, k):
+    """k normal matrices U diag(d_i) U* sharing one random unitary U."""
+    u = random_unitary(rng, n)
+    return [(u * random_diag_vals(rng, n)) @ u.conj().T for _ in range(k)]
+
+
 def off_curve_witnesses(lams, mus, rays, tol):
     """Stand-in for linegeom._ray_witnesses: one candidate witness, off
     every candidate line and off every curve det(I + zA + wB) = 0 that the

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from helpers import (
     inconsistent_report,
     noncommuting_pair,
     off_curve_witnesses,
+    refuse_common_schur_basis,
 )
 
 
@@ -80,6 +82,8 @@ def test_commute_inconsistent_exits_2(tmp_path, monkeypatch):
 
 
 def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
+    # a refused tuple basis sends each pair through equivalence_check
+    refuse_common_schur_basis(monkeypatch)
     monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
     f = tmp_path / "t.ctuple"
     f.write_text(core.emit_tuple([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]))
@@ -114,6 +118,23 @@ def test_commute_exits_2_when_grid_eigensolve_fails(tmp_path, monkeypatch):
     assert code == 2
 
 
+# Minimal arguments of every subcommand, and the tolerance fields it reads.
+_SUBCOMMANDS = {
+    "eig": (["m"], {"normal", "eig"}),
+    "detpoly": (["a", "b"], set()),
+    "lines": (["p"], {"line", "recon"}),
+    "agmon": (["m"], {"normal", "eig"}),
+    "escape": (["m"], {"normal", "eig"}),
+    "example": (["--level", "1"], set()),
+    "riesz": (["m", "--center", "1", "--radius", "0.5"], set()),
+    "perturb": (["a", "b", "--lam", "1", "--mu", "3", "--center", "1", "--radius", "0.5"], set()),
+    "lemma34": (["a", "b", "--mu", "1"], set()),
+    "commute": (["a", "b"], {"normal", "commute", "line"}),
+    "tuple": (["t"], {"normal", "commute", "line"}),
+    "plot-slice": (["p"], set()),
+}
+
+
 def test_dead_tolerance_flags_are_usage_errors(tmp_path, capsys):
     fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 2.0]))
     fb = _write_matrix(tmp_path / "b.mat", np.diag([3.0, 4.0]))
@@ -124,9 +145,30 @@ def test_dead_tolerance_flags_are_usage_errors(tmp_path, capsys):
     assert cli.main(["riesz", fa, *contour, "--tol-eig", "1"]) == 2
     assert cli.main(["perturb", fa, fb, "--lam", "1", "--mu", "3", *contour, "--tol-eig", "1"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    # the commutator and the Schur basis read no eigensolver tolerance
+    assert cli.main(["commute", fa, fb, "--tol-eig", "1e-6"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     # flags that a subcommand reads still parse
     code, _ = _run(tmp_path, "commute", fa, fb, "--tol-line", "1e-6")
     assert code == 0
+    # every subcommand parses exactly the --tol-* flags of the fields it reads
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(_SUBCOMMANDS)
+    accepted = 0
+    for name, (argv, reads) in _SUBCOMMANDS.items():
+        for field in core.Tolerances.__dataclass_fields__:
+            flag = ["--tol-" + field, "1e-6"]
+            if field in reads:
+                args = parser.parse_args([name, *argv, *flag])
+                assert getattr(args, "tol_" + field) == 1e-6
+                accepted += 1
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([name, *argv, *flag])
+                assert exc.value.code == 2, (name, field)
+                assert "unrecognized arguments" in capsys.readouterr().err
+    assert accepted == 14
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -9,6 +9,7 @@ from helpers import (
     PAULI_X,
     PAULI_Z,
     commuting_pair,
+    commuting_tuple,
     fail_batched_eigvals,
     fail_eig,
     inconsistent_report,
@@ -17,6 +18,7 @@ from helpers import (
     random_diag_vals,
     random_normal,
     random_unitary,
+    refuse_common_schur_basis,
 )
 
 
@@ -268,15 +270,15 @@ def test_interpolated_off_curve_witness_is_not_certified():
     assert rep.verdict.witness_residual == pytest.approx(sigma, rel=1e-6, abs=1e-18)
 
 
-def test_eigenpair_arrangement_deficit():
-    arr = commute.eigenpair_arrangement([0.0, 1.0], [0.0, 2.0], norm_a=1.0, norm_b=1.0)
+def test_pair_arrangement_deficit():
+    arr = linegeom.pair_arrangement([0.0, 1.0], [0.0, 2.0], norm_a=1.0, norm_b=1.0)
     assert arr.deficit == 1
     assert len(arr.lines) == 1
     assert arr.lines[0][0].lam == pytest.approx(1.0)
 
 
-def test_eigenpair_arrangement_multiplicity():
-    arr = commute.eigenpair_arrangement([1.0, 1.0, 2.0], [3.0, 3.0, 4.0])
+def test_pair_arrangement_multiplicity():
+    arr = linegeom.pair_arrangement([1.0, 1.0, 2.0], [3.0, 3.0, 4.0])
     mults = sorted(m for _, m in arr.lines)
     assert mults == [1, 2]
     assert arr.deficit == 0
@@ -337,6 +339,8 @@ def test_tuple_joint_basis_diagonalizes_all():
 
 
 def test_tuple_inconsistent_pair_is_indeterminate(monkeypatch):
+    # a refused tuple basis sends each pair through equivalence_check
+    refuse_common_schur_basis(monkeypatch)
     monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
     rep = commute.tuple_test([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
     assert rep.indeterminate.startswith("pair (0,1):")
@@ -348,6 +352,77 @@ def test_tuple_validation():
         commute.tuple_test([])
     with pytest.raises(DimMismatch):
         commute.tuple_test([np.eye(2), np.eye(3)])
+
+
+def test_tuple_drops_constant_factors_as_the_pair_does():
+    # each member's entries are measured against that member's own norm, as
+    # pair_arrangement does, so rescaling one member changes nothing
+    a = np.diag([1e-3, 1e-13])
+    b = np.diag([1e3, 1e-10])
+    pair = commute.equivalence_check(a, b).verdict.arrangement
+    assert (len(pair.lines), pair.deficit) == (2, 0)
+    for mats in ([a, b], [1e6 * a, b], [a, 1e-6 * b]):
+        rep = commute.tuple_test(mats)
+        assert rep.commute and rep.indeterminate is None
+        assert (len(rep.hyperplanes), rep.deficit) == (2, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_commuting_tuple_is_certified_by_one_schur_basis(k, monkeypatch):
+    calls = {"eig": 0, "equivalence_check": 0, "common_eigenbasis": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eig")
+    counted(commute, "equivalence_check")
+    counted(commute, "common_eigenbasis")
+    rng = np.random.default_rng(800 + k)
+    for n in (2, 3, 8, 17, 33, 64):
+        mats = commuting_tuple(rng, n, k)
+        before = dict(calls)
+        rep = commute.tuple_test(mats, seed=n)
+        assert calls["eig"] - before["eig"] == 1, n
+        assert calls["equivalence_check"] == calls["common_eigenbasis"] == 0
+        assert rep.commute and rep.indeterminate is None
+        assert len(rep.reports) == k * (k - 1) // 2
+        for _, pair in rep.reports:
+            assert pair.commute and pair.consistent and pair.verdict.is_lines
+            assert pair.verdict.arrangement.total_multiplicity() == n
+        assert rep.deficit == 0 and sum(m for _, m in rep.hyperplanes) == n
+        assert rep.schur_vs_hyperplanes_distance <= 1e-6
+
+
+def test_certified_tuple_reports_a_commutator_that_disagrees():
+    # no pair commutes within 1e-300 of its norms, while the tuple's Schur
+    # basis still certifies every pair's lines
+    a, b = commuting_pair(np.random.default_rng(83), 5)
+    tol = core.Tolerances().override(commute=1e-300)
+    rep = commute.tuple_test([a, b], tol=tol)
+    assert rep.indeterminate == "pair (0,1): commutator and line verdict disagree"
+    assert rep.hyperplanes is None
+    (_, pair), = rep.reports
+    assert not pair.commute and pair.verdict.is_lines and pair.consistent is False
+
+
+def test_refused_tuple_tests_each_pair_as_equivalence_check_does():
+    rng = np.random.default_rng(87)
+    a, b = commuting_pair(rng, 6)
+    c = random_normal(rng, 6)
+    mats = [a, b, c]
+    rep = commute.tuple_test(mats, seed=5)
+    assert not rep.commute and rep.indeterminate is None
+    assert [ij for ij, _ in rep.reports] == [(0, 1), (0, 2), (1, 2)]
+    for (i, j), pair in rep.reports:
+        assert pair == commute.equivalence_check(mats[i], mats[j], seed=5)
+    by_pair = dict(rep.reports)
+    assert by_pair[(0, 1)].commute and not by_pair[(0, 2)].commute
 
 
 def test_restriction_eigenplane():

@@ -1,8 +1,10 @@
-"""Every name a projspec module imports is referenced in that module, and
-every module it imports is in the standard library, numpy or projspec."""
+"""Every name a projspec module imports is referenced in that module, every
+module it imports is in the standard library, numpy or projspec, and every
+private module-level name it defines is referenced somewhere in projspec."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,54 @@ def test_scan_catches_a_foreign_import():
         "def f():\n    from scipy.optimize import linear_sum_assignment\n    import numba\n"
     )
     assert _foreign_imports(tree) == [(4, "scipy.optimize"), (5, "numba")]
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _dead_private_names(trees: dict) -> list:
+    """(module, name) for each module-level _name, a function, class or
+    assigned constant, that no module of trees references outside its own
+    definition."""
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((mod, node.name, _references(node)[node.name]))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(mod, t.id, 0) for t in targets if isinstance(t, ast.Name)]
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (mod, name)
+        for mod, name, own in defined
+        if name.startswith("_") and not name.startswith("__") and used[name] == own
+    )
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(_SRC.glob("*.py"))}
+    assert _dead_private_names(trees) == []
+
+
+def test_scan_catches_a_dead_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_USED = 1\n_DEAD = 2\n_SHARED: int = 3\n"
+            "def _helper():\n    return _USED\n"
+            "def _orphan():\n    return 0\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+        ),
+        "b.py": ast.parse("from .a import _helper\nfrom . import a\nx = a._SHARED + _helper()\n"),
+    }
+    assert _dead_private_names(trees) == [("a.py", "_DEAD"), ("a.py", "_orphan"), ("a.py", "_recursive")]

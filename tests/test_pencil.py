@@ -200,3 +200,15 @@ def test_near_commuting_pair_is_never_certified_lines(eps):
         assert not verdict.is_lines, n
         assert _relative_sigma_min(a, b, *verdict.witness) <= linegeom.WITNESS_SIGMA_REL
     print(f"[near commuting] eps {eps:.0e}: {refused} of 4 indeterminate, the rest notlines")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e4])
+def test_noncommuting_verdict_is_scale_invariant(scale):
+    # a witness is separated from the candidate lines by a bound homogeneous
+    # in the pair, so scaling both members keeps a certified notlines
+    for n in (4, 12, 24):
+        a, b = noncommuting_pair(np.random.default_rng(n), n)
+        rep = commute.equivalence_check(scale * a, scale * b)
+        assert rep.indeterminate is None, (n, rep.indeterminate)
+        assert not rep.commute and not rep.verdict.is_lines and rep.consistent
+        assert _relative_sigma_min(scale * a, scale * b, *rep.verdict.witness) <= 1e-15
