@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidEpsilon, LevelTooLarge
 
@@ -29,6 +30,8 @@ _EPS_CAP = 1.0 - 1e-12
 
 _MAX_LEVEL = 14
 
+# escape_radius_profile chunks: disks by arc indices
+_PROFILE_DISKS = 64
 _PROFILE_CHUNK = 512
 
 DEFAULT_N_ANGLES = 4096
@@ -158,6 +161,14 @@ def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_AN
 
     radii[k] is the largest ray parameter t > 0 at which e^{i theta_k} t sits
     on the boundary of some forbidden disk, 0 when the ray misses every disk.
+
+    The disk about c = -1/l has radius eps |c|, so a ray meets it only when
+    its direction lies within asin(eps) of arg c, whatever |l| is. Each disk
+    is evaluated on the angle indices of that arc, widened by two indices a
+    side against rounding, in chunks of at most _PROFILE_DISKS disks by
+    _PROFILE_CHUNK indices, and the radii are their scatter-max. Every pair
+    left out is one the full disk-by-angle grid sends to 0, so the radii are
+    those of the full grid, bit for bit.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
@@ -171,15 +182,29 @@ def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_AN
         centers = -1.0 / vals
         # |center|^2 - r^2 = (1 - eps^2)/|lambda|^2 > 0: no disk reaches the origin
         gap = np.abs(centers) ** 2 - (epsilon / np.abs(vals)) ** 2
-        for lo in range(0, n_angles, _PROFILE_CHUNK):
-            hi = min(lo + _PROFILE_CHUNK, n_angles)
-            u = np.exp(1j * angles[lo:hi])
-            b = (np.conj(u)[:, None] * centers[None, :]).real
-            disc = b * b - gap[None, :]
-            hit = disc >= 0.0
-            t = np.where(hit, b + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
-            np.maximum(t, 0.0, out=t)
-            radii[lo:hi] = t.max(axis=1)
+        step = _TWO_PI / n_angles
+        reach = math.asin(epsilon) / step + 2.0
+        width = min(int(2.0 * reach) + 2, n_angles)
+        first = np.floor(np.mod(np.angle(centers), _TWO_PI) / step - reach).astype(np.int64) % n_angles
+        # arcs run past index n_angles - 1 into a copy of the first width
+        # directions, folded back at the end
+        conj_u = np.conj(np.exp(1j * angles))
+        conj_u = np.concatenate([conj_u, conj_u[:width]])
+        wrapped = np.zeros(n_angles + width, dtype=np.float64)
+        for c0 in range(0, width, _PROFILE_CHUNK):
+            cols = min(_PROFILE_CHUNK, width - c0)
+            windows = sliding_window_view(conj_u, cols)
+            offsets = np.arange(cols)
+            for lo in range(0, vals.size, _PROFILE_DISKS):
+                hi = min(lo + _PROFILE_DISKS, vals.size)
+                start = first[lo:hi] + c0
+                b = (windows[start] * centers[lo:hi, None]).real
+                disc = b * b - gap[lo:hi, None]
+                hit = disc >= 0.0
+                t = np.where(hit, b + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
+                np.maximum.at(wrapped, (start[:, None] + offsets).ravel(), t.ravel())
+        radii = wrapped[:n_angles]
+        np.maximum(radii[:width], wrapped[n_angles:], out=radii[:width])
     return EscapeProfile(epsilon, angles, radii, float(radii.min()))
 
 

@@ -505,19 +505,22 @@ def pair_arrangement(lams, mus, *, norm_a: float = 1.0, norm_b: float = 1.0) -> 
     return LineArrangement(lines, deficit=deficit)
 
 
-def _ray_witnesses(lams, mus, rays, tol):
+def _ray_witnesses(lams, mus, rays, norms, tol):
     """Candidate notlines witnesses from ray spectra, most separated first.
 
     Each ray (g, eigenvalues nu of A + gB) gives the points z = -1/nu,
     w = g z of the zero set, where 1 + lambda_i z + mu_j w equals
-    (nu - lambda_i - g mu_j) / nu. Kept are those with
+    (nu - lambda_i - g mu_j) / nu. Eigenvalues below ZERO_PAIR_REL
+    (||A||_F + |g| ||B||_F), with norms = (||A||_F, ||B||_F), are constant
+    factors and give no point. Kept are those with
     |nu - lambda_i - g mu_j| above tol.line (|nu| + |lambda_i| + |g| |mu_j|)
-    for every candidate line, a test unchanged when A and B are scaled
-    together, ordered by the smallest ratio of the two.
+    for every candidate line, ordered by the smallest ratio of the two.
+    Both tests are unchanged when A and B are scaled together.
     """
+    norm_a, norm_b = norms
     margins, points = [], []
     for g, nus in rays:
-        nus = nus[np.abs(nus) >= 1e-12]
+        nus = nus[np.abs(nus) >= ZERO_PAIR_REL * (norm_a + abs(g) * norm_b)]
         cand = (lams[:, None] + g * mus[None, :]).ravel()
         size = (np.abs(lams)[:, None] + abs(g) * np.abs(mus)[None, :]).ravel()
         # one expression, so its (n, n^2) temporaries (2-4 MB each at
@@ -607,7 +610,7 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     rays = [(gammas[0], nus), (gammas[1], ray)]
     eye = np.eye(n, dtype=np.complex128)
     best = math.inf
-    for z, w in _ray_witnesses(lams, mus, rays, tol):
+    for z, w in _ray_witnesses(lams, mus, rays, (fa, fb), tol):
         try:
             smin = np.linalg.svd(eye + z * a + w * b, compute_uv=False)[-1]
         except np.linalg.LinAlgError as exc:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from projspec import agmon, commute, detpoly, linegeom
+from projspec import agmon, commute, core, detpoly, linegeom, riesz
 from projspec.errors import SingularResolvent
 
 
@@ -90,7 +90,7 @@ def commuting_tuple(rng, n, k):
     return [(u * random_diag_vals(rng, n)) @ u.conj().T for _ in range(k)]
 
 
-def off_curve_witnesses(lams, mus, rays, tol):
+def off_curve_witnesses(lams, mus, rays, norms, tol):
     """Stand-in for linegeom._ray_witnesses: one candidate witness, off
     every candidate line and off every curve det(I + zA + wB) = 0 that the
     tests pass it, e.g. 1 - z^2 - w^2 for (PAULI_Z, PAULI_X)."""
@@ -266,3 +266,64 @@ def reference_escape_ladder(levels, epsilon=0.5, n_angles=agmon.DEFAULT_N_ANGLES
             (int(level), int(spectrum.size), agmon.max_circular_gap(spectrum), profile.min_radius)
         )
     return rows
+
+
+def reference_combine(phases, terms, c):
+    """riesz._combine as a Python accumulation over the nodes."""
+    acc = np.zeros_like(terms[0])
+    for ph, t in zip(phases, terms):
+        acc = acc + ph * t
+    return (c.radius / c.nodes) * acc
+
+
+def reference_perturbation_check(a, b, lam, mu, c, eps_list):
+    """riesz.perturbation_check with every contour inverted in full: P0 and
+    each P_eps from all their node resolvents, and the residual
+    ||P0 (A_eps - lambda_eps I) P_eps - eps P0 (B - mu I) P0||_F from the
+    n x n products."""
+    a = core.as_cmatrix(a)
+    b = core.as_cmatrix(b)
+    eps_arr = np.asarray(list(eps_list), dtype=np.float64)
+    riesz._check_margin(a, c)
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    p0 = reference_combine(phases, resolvents, c)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    lead = p0 @ (b - mu * eye) @ p0
+    residuals = np.empty(eps_arr.size, dtype=np.float64)
+    for k, eps in enumerate(eps_arr):
+        a_eps = a + eps * b
+        riesz._check_margin(a_eps, c)
+        ph_e, res_e = riesz._resolvent_nodes(a_eps, c)
+        p_eps = reference_combine(ph_e, res_e, c)
+        m = p0 @ (a_eps - (lam + eps * mu) * eye) @ p_eps - eps * lead
+        residuals[k] = float(np.linalg.norm(m))
+    floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))
+    live = residuals > floor
+    if int(live.sum()) < 2:
+        return riesz.PerturbationReport(eps_arr, residuals, None, True)
+    slope = float(
+        np.polyfit(np.log10(eps_arr[live]), np.log10(residuals[live]), 1)[0]
+    )
+    return riesz.PerturbationReport(eps_arr, residuals, slope, False)
+
+
+def reference_escape_radius_profile(spectrum, epsilon, n_angles=agmon.DEFAULT_N_ANGLES):
+    """agmon.escape_radius_profile on the full grid: every disk at every
+    angle, in chunks of 512 angles. Returns the radii."""
+    angles = 2.0 * math.pi * np.arange(n_angles, dtype=np.float64) / n_angles
+    vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
+    vals = vals[np.abs(vals) > 0.0]
+    radii = np.zeros(n_angles, dtype=np.float64)
+    if vals.size:
+        centers = -1.0 / vals
+        gap = np.abs(centers) ** 2 - (epsilon / np.abs(vals)) ** 2
+        for lo in range(0, n_angles, 512):
+            hi = min(lo + 512, n_angles)
+            u = np.exp(1j * angles[lo:hi])
+            b = (np.conj(u)[:, None] * centers[None, :]).real
+            disc = b * b - gap[None, :]
+            hit = disc >= 0.0
+            t = np.where(hit, b + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
+            np.maximum(t, 0.0, out=t)
+            radii[lo:hi] = t.max(axis=1)
+    return radii

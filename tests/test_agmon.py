@@ -6,7 +6,7 @@ import pytest
 from projspec import agmon
 from projspec.errors import InvalidEpsilon, LevelTooLarge
 
-from helpers import reference_escape_ladder
+from helpers import reference_escape_ladder, reference_escape_radius_profile
 
 
 def test_positive_reals_leave_left_half_plane_free():
@@ -254,6 +254,41 @@ def test_ladder_bit_identical_to_per_level_reference(levels, n_angles, epsilon):
     got = agmon.escape_ladder(levels, epsilon=epsilon, n_angles=n_angles)
     want = reference_escape_ladder(levels, epsilon=epsilon, n_angles=n_angles)
     assert _hex_rows(got) == _hex_rows(want)
+
+
+def _profile_spectra():
+    rng = np.random.default_rng(77)
+    mixed = 10.0 ** rng.uniform(-3, 3, 150) * np.exp(2j * np.pi * rng.uniform(0, 1, 150))
+    zeros = mixed[:40].copy()
+    zeros[::3] = 0.0
+    # arg(-1/lambda) within 1e-3 of 0 on both sides: arcs cross index 0
+    straddle = rng.uniform(0.3, 3.0, 30) * np.exp(1j * (np.pi + rng.uniform(-1e-3, 1e-3, 30)))
+    return {"mixed": mixed, "zeros": zeros, "straddle": straddle}
+
+
+_PROFILE_SPECTRA = _profile_spectra()
+
+
+@pytest.mark.parametrize("n_angles", [8, 512, 4096])
+@pytest.mark.parametrize("epsilon", [1e-6, 0.3, 0.5, 0.9, 1 - 1e-12])
+@pytest.mark.parametrize("name", sorted(_PROFILE_SPECTRA))
+def test_profile_bit_identical_to_full_grid_reference(name, epsilon, n_angles):
+    spectrum = _PROFILE_SPECTRA[name]
+    want = reference_escape_radius_profile(spectrum, epsilon, n_angles)
+    prof = agmon.escape_radius_profile(spectrum, epsilon, n_angles)
+    assert [r.hex() for r in prof.radii] == [r.hex() for r in want]
+    assert prof.min_radius.hex() == float(want.min()).hex()
+
+
+def test_profile_chunk_edges_bit_identical(monkeypatch):
+    # chunks of 3 disks by 5 arc indices: every chunk edge falls inside an arc
+    monkeypatch.setattr(agmon, "_PROFILE_DISKS", 3)
+    monkeypatch.setattr(agmon, "_PROFILE_CHUNK", 5)
+    for spectrum in _PROFILE_SPECTRA.values():
+        for epsilon in (0.3, 0.9):
+            want = reference_escape_radius_profile(spectrum[:20], epsilon, 512)
+            got = agmon.escape_radius_profile(spectrum[:20], epsilon, 512).radii
+            assert got.tobytes() == want.tobytes()
 
 
 def test_profile_csv():

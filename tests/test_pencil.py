@@ -202,7 +202,7 @@ def test_near_commuting_pair_is_never_certified_lines(eps):
     print(f"[near commuting] eps {eps:.0e}: {refused} of 4 indeterminate, the rest notlines")
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e4])
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e-12, 1e-13, 1e-14, 1e4])
 def test_noncommuting_verdict_is_scale_invariant(scale):
     # a witness is separated from the candidate lines by a bound homogeneous
     # in the pair, so scaling both members keeps a certified notlines

@@ -16,6 +16,7 @@ from helpers import (
     random_diag_vals,
     random_normal,
     random_unitary,
+    reference_perturbation_check,
     reference_resolvent_nodes,
     separated_vals,
 )
@@ -222,6 +223,101 @@ def test_batched_resolvents_bit_identical_to_node_loop(monkeypatch, n, normal):
     got = run()
     monkeypatch.setattr(riesz, "_resolvent_nodes", reference_resolvent_nodes)
     assert got == run()
+
+
+def _assert_matches_reference(a, b, lam, mu, c, eps_list):
+    got = riesz.perturbation_check(a, b, lam, mu, c, eps_list)
+    want = reference_perturbation_check(a, b, lam, mu, c, eps_list)
+    assert got.exact == want.exact
+    if want.slope is None:
+        assert got.slope is None
+    else:
+        assert got.slope == pytest.approx(want.slope, abs=1e-6)
+    floor = 1e-13 * (1.0 + np.linalg.norm(a) + np.linalg.norm(b))
+    above = want.residuals > floor
+    assert np.all(got.residuals[~above] <= floor)
+    assert np.all(np.abs(got.residuals[above] - want.residuals[above]) <= 1e-6 * want.residuals[above])
+    return got
+
+
+@pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 33, 48])
+def test_perturbation_check_matches_full_inverse_reference(n, normal):
+    a, b, c, lam = _bit_case(n, normal)
+    for mu in (0.5, complex(b[0, 0])):
+        _assert_matches_reference(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
+
+
+def _cluster_case(rng, n, size, normal):
+    """(a, b, contour, lam, mu): `size` eigenvalues within 0.06 of lam, the
+    contour of radius 0.2 about lam, every other eigenvalue at least 0.5
+    away; mu is the Rayleigh quotient of b at lam's eigenvector."""
+    lam = complex(rng.uniform(0.6, 1.2) * np.exp(2j * np.pi * rng.uniform()))
+    inner = lam + 0.06 * np.exp(2j * np.pi * np.arange(size) / size) if size > 1 else np.array([lam])
+    outer = []
+    while len(outer) < n - size:
+        z = complex(rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2))
+        if abs(z - lam) >= 0.5:
+            outer.append(z)
+    t = np.diag(np.concatenate([inner, outer]))
+    if not normal:
+        t = t + 0.2 * np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    u = random_unitary(rng, n)
+    b = random_normal(rng, n)
+    mu = complex(u[:, 0].conj() @ b @ u[:, 0])
+    return u @ t @ u.conj().T, b, Contour(lam, 0.2), complex(inner[0]), mu
+
+
+@pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("n", [6, 24, 48])
+def test_perturbation_check_cluster_matches_reference(n, size, normal):
+    rng = np.random.default_rng(100 * n + 10 * size + normal)
+    a, b, c, lam, mu = _cluster_case(rng, n, size, normal)
+    _assert_matches_reference(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
+
+
+def test_perturbation_check_empty_contour_matches_reference():
+    # the circle about 10 encloses nothing: P0 has rank 0, every residual is
+    # exactly 0 and the report is exact, as the full-inverse residuals at
+    # the floor make it
+    rng = np.random.default_rng(5)
+    a = random_normal(rng, 12)
+    b = random_normal(rng, 12)
+    rep = _assert_matches_reference(a, b, 10.0, 0.0, Contour(10.0, 1.0), [1e-2, 1e-3, 1e-4])
+    assert rep.exact
+    assert np.all(rep.residuals == 0.0)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_each_eps_contour_solves_rank_many_columns(monkeypatch, size):
+    rng = np.random.default_rng(30 + size)
+    n = 16
+    if size:
+        a, b, c, lam, mu = _cluster_case(rng, n, size, True)
+    else:
+        a, b = random_normal(rng, n), random_normal(rng, n)
+        c, lam, mu = Contour(10.0, 1.0), 10.0, 0.0
+    real = np.linalg.solve
+    shapes = []
+
+    def recording(m, rhs):
+        shapes.append(np.shape(rhs))
+        return real(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    riesz.perturbation_check(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
+    # P0's contour inverts every node; each eps contour solves r columns
+    assert shapes == [(c.nodes, n, n)] + [(c.nodes, n, size)] * 3
+
+
+def test_perturbation_non_integer_trace_raises(monkeypatch):
+    # with the margin check off, an eigenvalue 2% outside the circle leaves
+    # a trapezoid error of about 1.02^-64 = 0.28 in P0's trace
+    monkeypatch.setattr(riesz, "_check_margin", lambda a, c: None)
+    a = np.diag([0.0, 1.02]).astype(complex)
+    with pytest.raises(EigenvalueOnContour, match="^projection trace"):
+        riesz.perturbation_check(a, PAULI_X, 0.0, 0.0, Contour(0.0, 1.0), [1e-3])
 
 
 def test_first_order_worked_example():
