@@ -23,7 +23,6 @@ import numpy as np
 
 from . import core
 from .errors import (
-    DimMismatch,
     NotCommuting,
     NotInvariant,
     NotNormal,
@@ -80,14 +79,66 @@ class TupleReport:
     schur_vs_hyperplanes_distance: Optional[float] = None
 
 
-def _require_normal(m: np.ndarray, tag: str, tol: core.Tolerances) -> float:
-    norm = core.frobenius(m)
-    defect = core.normality_defect(m)
-    if defect > tol.normal * norm:
-        raise NotNormal(
-            f"{tag}: normality defect {defect:.3e} exceeds {tol.normal * norm:.3e}"
+def _admit(mats, names, tol):
+    """The operands as normal matrices of one shape (core.as_cmatrices and
+    core.require_normal, names labelling refusals), the tolerances, and the
+    operands' ||.||_F."""
+    mats = core.as_cmatrices(*mats)
+    if tol is None:
+        tol = core.default_tolerances()
+    message = ": normality defect {defect:.3e} exceeds {bound:.3e}"
+    return mats, tol, [core.require_normal(m, tol, name + message)[0] for m, name in zip(mats, names)]
+
+
+def _commutator(a, b, na: float, nb: float, tol: core.Tolerances) -> Tuple[float, bool]:
+    """||AB - BA||_F and whether it is at most tol.commute na nb, na and nb
+    being ||A||_F and ||B||_F: a bound that scales as the commutator does."""
+    cn = core.commutator_norm(a, b)
+    return cn, cn <= tol.commute * na * nb
+
+
+def _joint_eigenbasis(mats, norms, sweeps, names, tol: core.Tolerances):
+    """Joint unitary diagonalization U of commuting normal matrices.
+
+    Cluster deflation over the Hermitian and skew parts of mats[i] for each
+    i in sweeps, in that order, with radius DEFLATION_CLUSTER_REL norms[i].
+    Every later member compressed to an eigenvalue cluster of mats[0] must
+    be normal (else NotNormal), and U must leave every member diagonal
+    within _OFFDIAG_REL times the sum of the norms (else NotCommuting).
+    Returns U, the (k, n) diagonals of U* M_i U and the largest residual.
+    """
+    parts = [core.hermitian_parts(m) for m in mats]
+    u = core.joint_diagonalize(
+        [part for i in sweeps for part in parts[i]],
+        [DEFLATION_CLUSTER_REL * norms[i] for i in sweeps for _ in range(2)],
+    )
+    ts = [u.conj().T @ m @ u for m in mats]
+    diags = np.stack([np.diag(t) for t in ts])
+    # mats[0]'s eigenvalue clusters, split on real then imaginary parts as
+    # joint_diagonalize splits on H then K. The normality defect of a
+    # compression to a cluster does not depend on the basis of its span.
+    first = diags[0]
+    radius = DEFLATION_CLUSTER_REL * norms[0]
+    by_re = np.argsort(first.real, kind="stable")
+    for group in core._split_sorted(first.real[by_re], radius):
+        if group.size == 1:
+            continue
+        idx = by_re[group]
+        idx = idx[np.argsort(first.imag[idx], kind="stable")]
+        for sub in core._split_sorted(first.imag[idx], radius):
+            if sub.size == 1:
+                continue
+            block = np.ix_(idx[sub], idx[sub])
+            for t, name in zip(ts[1:], names[1:]):
+                refusal = f"compressed {name} on an eigenvalue cluster of {names[0]} is not normal"
+                core.require_normal(t[block], tol, refusal + " (defect {defect:.3e}); the pair does not commute cleanly")
+    residual = max(float(np.linalg.norm(t - np.diag(d))) for t, d in zip(ts, diags))
+    if residual > _OFFDIAG_REL * sum(norms) + 1e-300:
+        what = "the pair commutes" if len(mats) == 2 else "the members commute"
+        raise NotCommuting(
+            f"joint diagonalization left off-diagonal residual {residual:.3e}; {what} only approximately"
         )
-    return norm
+    return u, diags, residual
 
 
 def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonEigenbasis:
@@ -97,61 +148,14 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     then of A again, so that neither side is left carrying the spread of a
     cluster the other side split. B compressed to each eigenvalue cluster of
     A, read off the joint basis, must be normal; the joint basis must leave
-    both sides diagonal.
+    both sides diagonal (_joint_eigenbasis, which tuple_test shares).
     """
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if tol is None:
-        tol = core.default_tolerances()
-    na = _require_normal(a, "a", tol)
-    nb = _require_normal(b, "b", tol)
-    cn = core.commutator_norm(a, b)
-    if cn > tol.commute * na * nb:
-        raise NotCommuting(
-            f"commutator norm {cn:.3e} exceeds {tol.commute * na * nb:.3e}"
-        )
-    radius_a = DEFLATION_CLUSTER_REL * na
-    radius_b = DEFLATION_CLUSTER_REL * nb
-    ha, ka = core.hermitian_parts(a)
-    hb, kb = core.hermitian_parts(b)
-    u = core.joint_diagonalize(
-        [ha, ka, hb, kb, ha, ka],
-        [radius_a, radius_a, radius_b, radius_b, radius_a, radius_a],
-    )
-    ta = u.conj().T @ a @ u
-    tb = u.conj().T @ b @ u
-    diag_a = np.diag(ta).copy()
-    diag_b = np.diag(tb).copy()
-    # A's eigenvalue clusters, split on real then imaginary parts as
-    # joint_diagonalize splits on H then K. The normality defect of B's
-    # compression to a cluster does not depend on the basis of its span.
-    by_re = np.argsort(diag_a.real, kind="stable")
-    for group in core._split_sorted(diag_a.real[by_re], radius_a):
-        if group.size == 1:
-            continue
-        idx = by_re[group]
-        idx = idx[np.argsort(diag_a.imag[idx], kind="stable")]
-        for sub in core._split_sorted(diag_a.imag[idx], radius_a):
-            if sub.size == 1:
-                continue
-            bc = tb[np.ix_(idx[sub], idx[sub])]
-            defect = core.normality_defect(bc)
-            if defect > tol.normal * max(core.frobenius(bc), 1e-300):
-                raise NotNormal(
-                    f"compressed b on an eigenvalue cluster of a is not normal "
-                    f"(defect {defect:.3e}); the pair does not commute cleanly"
-                )
-    off_a = float(np.linalg.norm(ta - np.diag(diag_a)))
-    off_b = float(np.linalg.norm(tb - np.diag(diag_b)))
-    residual = max(off_a, off_b)
-    if residual > _OFFDIAG_REL * (na + nb) + 1e-300:
-        raise NotCommuting(
-            f"joint diagonalization left off-diagonal residual {residual:.3e}; "
-            "the pair commutes only approximately"
-        )
-    return CommonEigenbasis(u, diag_a, diag_b, residual)
+    (a, b), tol, (na, nb) = _admit((a, b), ("a", "b"), tol)
+    cn, commute = _commutator(a, b, na, nb, tol)
+    if not commute:
+        raise NotCommuting(f"commutator norm {cn:.3e} exceeds tol.commute * ||A||_F * ||B||_F")
+    u, diags, residual = _joint_eigenbasis([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol)
+    return CommonEigenbasis(u, diags[0], diags[1], residual)
 
 
 def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:
@@ -168,16 +172,8 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     the eigenvalue pairs of a common eigenbasis. A verdict that cannot be
     certified either way is reported as indeterminate.
     """
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if tol is None:
-        tol = core.default_tolerances()
-    na = _require_normal(a, "a", tol)
-    nb = _require_normal(b, "b", tol)
-    cn = core.commutator_norm(a, b)
-    commute = cn <= tol.commute * na * nb
+    (a, b), tol, (na, nb) = _admit((a, b), ("a", "b"), tol)
+    cn, commute = _commutator(a, b, na, nb, tol)
     try:
         verdict = pencil_verdict(a, b, seed=seed, tol=tol)
     except NumericalAmbiguity as exc:
@@ -206,29 +202,25 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     whether that commutes. Otherwise every pair runs its own
     equivalence_check, since witnesses are per pair.
 
-    When every pair commutes and agrees, the hyperplane arrangement
+    When every pair commutes and agrees, the members are jointly
+    diagonalized, two sweeps over all of them, and the basis must pass the
+    checks of common_eigenbasis (_joint_eigenbasis), or the tuple is
+    indeterminate. The hyperplane arrangement
     {1 + sum_i a_i^{(k)} z_i = 0} is emitted from the joint diagonals;
     k-tuples that are constant factors (linegeom.drop_constant_factors)
     count in the deficit. A tuple certified by its Schur basis also gets
     schur_vs_hyperplanes_distance, the bottleneck distance between the Schur
     diagonal k-tuples and the multiplicity-expanded hyperplanes.
     """
-    mats = [core.as_cmatrix(m) for m in mats]
+    names = [f"member {i}" for i in range(len(mats))]
+    mats, tol, norms = _admit(mats, names, tol)
     if not mats:
         raise ValueError("tuple must contain at least one matrix")
-    n = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape != (n, n):
-            raise DimMismatch(f"tuple members differ in dimension: {m.shape} vs {(n, n)}")
-    if tol is None:
-        tol = core.default_tolerances()
-    norms = [_require_normal(m, f"member {i}", tol) for i, m in enumerate(mats)]
     k = len(mats)
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=k - 1))
     try:
-        _, schur, lower = _schur_diagonals(mats, phases, norms)
-        certified = bool((lower <= tol.line).all())
+        _, schur, _, certified = _schur_diagonals(mats, phases, norms, tol)
     except NumericalAmbiguity:
         certified = False
     reports = []
@@ -237,8 +229,7 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     for i in range(k):
         for j in range(i + 1, k):
             if certified:
-                cn = core.commutator_norm(mats[i], mats[j])
-                commute = cn <= tol.commute * norms[i] * norms[j]
+                cn, commute = _commutator(mats[i], mats[j], norms[i], norms[j], tol)
                 lines = pair_arrangement(schur[i], schur[j], norm_a=norms[i], norm_b=norms[j])
                 rep = EquivalenceReport(commute, cn, LineVerdict(True, lines), commute)
             else:
@@ -255,11 +246,10 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         return TupleReport(reports, all_commute, indeterminate=indeterminate)
     if not all_commute:
         return TupleReport(reports, False)
-    parts = [p for m in mats for p in core.hermitian_parts(m)]
-    radii = [DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)]
-    # two sweeps over all members settle ties
-    u = core.joint_diagonalize(parts * 2, radii * 2)
-    diags = np.stack([np.diag(u.conj().T @ m @ u).copy() for m in mats])
+    try:
+        u, diags, _ = _joint_eigenbasis(mats, norms, list(range(k)) * 2, names, tol)
+    except (NotCommuting, NotNormal) as exc:
+        return TupleReport(reports, True, indeterminate=str(exc))
     tuples, deficit = drop_constant_factors(diags, norms)
     hyperplanes = cluster_tuples(tuples)
     distance = None
@@ -279,11 +269,9 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
 
 
 def restriction_check(a, b, basis_w, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:
-    """Equivalence check of the pair compressed to an invariant subspace."""
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    """Equivalence check of the pair compressed to an invariant subspace:
+    each matrix M may leak at most _INVARIANT_REL ||M||_F out of span(basis_w)."""
+    a, b = core.as_cmatrices(a, b)
     w = np.asarray(basis_w, dtype=np.complex128)
     if w.ndim == 1:
         w = w[:, None]
@@ -299,7 +287,7 @@ def restriction_check(a, b, basis_w, *, seed: int = 0, tol: Optional[core.Tolera
     eye = np.eye(a.shape[0], dtype=np.complex128)
     for m, tag in ((a, "a"), (b, "b")):
         leak = float(np.linalg.norm((eye - proj) @ m @ w))
-        bound = _INVARIANT_REL * max(1.0, core.frobenius(m))
+        bound = _INVARIANT_REL * core.frobenius(m)
         if leak > bound:
             raise NotInvariant(f"{tag} leaks {leak:.3e} out of span(basis_w) (bound {bound:.3e})")
     return equivalence_check(w.conj().T @ a @ w, w.conj().T @ b @ w, seed=seed, tol=tol)

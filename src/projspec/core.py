@@ -1,12 +1,14 @@
 """Matrix substrate: validation, norms, normal eigendecomposition, file formats.
 
 Complex matrices are plain ``numpy.ndarray`` objects with dtype complex128.
-``as_cmatrix`` is the single admission point; every public operation routes
-its inputs through it. Normal matrices are diagonalized by splitting A into
-its Hermitian part H = (A + A*)/2 and skew part, then jointly diagonalizing
-the two commuting Hermitian pieces: LAPACK ``eigh`` on each block
-compression, with cluster deflation between them. The same joint
-diagonalizer serves commuting pairs and tuples in ``commute``.
+Admission rules live here, once each: ``as_cmatrix`` admits one matrix,
+``as_cmatrices`` the operands of a pair or tuple (one shared shape), and
+``require_normal`` a numerically normal matrix; every public operation
+routes its inputs through them. Normal matrices are diagonalized by
+splitting A into its Hermitian part H = (A + A*)/2 and skew part, then
+jointly diagonalizing the two commuting Hermitian pieces: LAPACK ``eigh``
+on each block compression, with cluster deflation between them. The same
+joint diagonalizer serves commuting pairs and tuples in ``commute``.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ def as_cmatrix(obj) -> np.ndarray:
     return a
 
 
+def as_cmatrices(*objs) -> list:
+    """as_cmatrix on each operand; the operands must share one shape."""
+    mats = [as_cmatrix(obj) for obj in objs]
+    if len({m.shape for m in mats}) > 1:
+        raise DimMismatch("operands have shapes " + " and ".join(str(m.shape) for m in mats))
+    return mats
+
+
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
 
@@ -93,12 +103,24 @@ def normality_defect(a) -> float:
     return float(np.linalg.norm(ah @ a - a @ ah))
 
 
+def require_normal(m, tol: Tolerances, message: str) -> tuple[float, float]:
+    """Normality admission: ``||M*M - MM*||_F <= tol.normal * ||M||_F``.
+
+    Returns (||M||_F, defect) for an admitted matrix; otherwise raises
+    NotNormal with ``message`` formatted with ``defect``, ``bound`` (the
+    right-hand side) and ``tol``.
+    """
+    norm = frobenius(m)
+    defect = normality_defect(m)
+    bound = tol.normal * norm
+    if defect > bound:
+        raise NotNormal(message.format(defect=defect, bound=bound, tol=tol))
+    return norm, defect
+
+
 def commutator_norm(a, b) -> float:
     """``||AB - BA||_F`` for same-dimension square matrices."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
+    a, b = as_cmatrices(a, b)
     return float(np.linalg.norm(a @ b - b @ a))
 
 
@@ -163,20 +185,16 @@ class EigenDecomposition:
 def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
     """Eigendecomposition of a (numerically) normal matrix.
 
-    Raises NotNormal when the normality defect exceeds ``tol.normal * ||A||_F``
-    and NoConvergence when the diagonal residual cannot be driven below
-    ``tol.eig * ||A||_F + defect``.
+    Raises NotNormal when require_normal refuses A and NoConvergence when
+    the diagonal residual cannot be driven below ``tol.eig * ||A||_F + defect``.
     """
     if tol is None:
         tol = default_tolerances()
     a = as_cmatrix(a)
     n = a.shape[0]
-    fa = frobenius(a)
-    defect = normality_defect(a)
-    if defect > tol.normal * fa:
-        raise NotNormal(
-            f"normality defect {defect:.3e} exceeds {tol.normal:.1e} * ||A||_F = {tol.normal * fa:.3e}"
-        )
+    fa, defect = require_normal(
+        a, tol, "normality defect {defect:.3e} exceeds {tol.normal:.1e} * ||A||_F = {bound:.3e}"
+    )
     if fa == 0.0:
         return EigenDecomposition(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), 0.0)
     herm, skew = hermitian_parts(a)
@@ -309,10 +327,7 @@ def parse_tuple(text: str) -> list[np.ndarray]:
     if pos != len(items):
         lineno, _ = items[pos]
         raise ParseError("trailing content after tuple blocks", line=lineno, col=1)
-    dims = {m.shape[0] for m in mats}
-    if len(dims) > 1:
-        raise DimMismatch(f"tuple members have mixed dimensions {sorted(dims)}")
-    return mats
+    return as_cmatrices(*mats)
 
 
 def emit_tuple(mats) -> str:

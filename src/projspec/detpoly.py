@@ -71,13 +71,13 @@ class BivarPoly:
         return complex(pz @ self.coeffs @ pw)
 
 
-def total_degree(p: BivarPoly, rel: float = DUST_REL) -> int:
-    """Largest j + k carrying a coefficient above the dust threshold."""
+def total_degree(p: BivarPoly) -> int:
+    """Largest j + k carrying a coefficient above DUST_REL times the largest."""
     mags = np.abs(p.coeffs)
     top = mags.max()
     if top == 0.0:
         return 0
-    j, k = np.nonzero(mags > rel * top)
+    j, k = np.nonzero(mags > DUST_REL * top)
     if len(j) == 0:
         return 0
     return int((j + k).max())
@@ -92,10 +92,7 @@ def char_poly_pair(a, b) -> BivarPoly:
     eigensolves, O(n^4) in all (see _eigen_fill). A 100-point self-check on
     the unit bicircle, against LU determinants, guards the result.
     """
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
+    a, b = core.as_cmatrices(a, b)
     n = a.shape[0]
     if n > DEGREE_BUDGET:
         raise DegreeBudgetExceeded(f"dimension {n} exceeds degree budget {DEGREE_BUDGET}")

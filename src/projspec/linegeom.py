@@ -25,7 +25,6 @@ from .detpoly import DEGREE_BUDGET, BivarPoly, total_degree, univariate_slice
 from .errors import (
     DegenerateInput,
     DegreeBudgetExceeded,
-    DimMismatch,
     NumericalAmbiguity,
     ParseError,
 )
@@ -61,6 +60,9 @@ _SLICE_DUST_REL = 1e-12
 _C00_TOL = 1e-6
 
 _NEWTON_STEPS = 3
+
+# Gauss-Newton steps of _polish_lines.
+_GAUSS_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -119,17 +121,17 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return _polish_roots(monic, np.linalg.eigvals(comp))
 
 
-def poly_roots(coeffs, rel: float = _SLICE_DUST_REL) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """Roots of an ascending-coefficient polynomial via its companion matrix.
 
-    Leading coefficients below rel * max|c| are treated as zero.
+    Leading coefficients below _SLICE_DUST_REL * max|c| are treated as zero.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     mags = np.abs(c)
     top = mags.max() if c.size else 0.0
     if top == 0.0:
         raise ValueError("zero polynomial has no well-defined roots")
-    deg = int(np.nonzero(mags > rel * top)[0].max())
+    deg = int(np.nonzero(mags > _SLICE_DUST_REL * top)[0].max())
     if deg == 0:
         return np.zeros(0, dtype=np.complex128)
     return _sorted_complex(_companion_roots(c[: deg + 1]))
@@ -297,7 +299,7 @@ def _grid_jacobian(lines, n: int) -> np.ndarray:
     return cols.reshape(2 * len(lines), m * m).T
 
 
-def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
+def _polish_lines(coeffs: np.ndarray, lines, n: int):
     """Joint Gauss-Newton refinement of all line parameters at once.
 
     Returns (lines, err), err = ||expand(lines) - coeffs||_F for exactly the
@@ -313,7 +315,7 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int, steps: int = 3):
     work = [[line.lam, line.mu, mult] for line, mult in lines]
     norm_c = np.linalg.norm(coeffs)
     best = None
-    for _ in range(steps):
+    for _ in range(_GAUSS_NEWTON_STEPS):
         current = [(Line(l, m), mu) for l, m, mu in work]
         recon = expand_arrangement(current, n)
         r = coeffs - recon.coeffs
@@ -534,15 +536,16 @@ def _ray_witnesses(lams, mus, rays, norms, tol):
     return [(complex(z), complex(w)) for z, w in np.concatenate(points)[order[margin[order] > 1.0]]]
 
 
-def _schur_diagonals(mats, phases, norms):
-    """One common Schur basis of k square matrices of one size.
+def _schur_diagonals(mats, phases, norms, tol):
+    """One common Schur basis of k square matrices of one size, and its certificate.
 
     Q = qr(V) for the eigenvectors V of M_0 + sum_{i >= 1} phases[i-1] M_i
     (a phase shared by all k weights changes no eigenvector, so M_0's is 1).
     Returns the eigenvalues of that combination, the (k, n) array of the
-    diagonals of Q* M_i Q, and the (k,) array of ||strictly lower part of
-    Q* M_i Q||_F / norms[i]. An eigensolve that does not converge raises
-    NumericalAmbiguity.
+    diagonals of Q* M_i Q, the (k,) array of ||strictly lower part of
+    Q* M_i Q||_F / norms[i], and whether Q certifies lines: every one of
+    those relative lower parts at most tol.line. An eigensolve that does not
+    converge raises NumericalAmbiguity.
     """
     n = mats[0].shape[0]
     if n > DEGREE_BUDGET:
@@ -560,7 +563,8 @@ def _schur_diagonals(mats, phases, norms):
         t = q.conj().T @ m @ q
         diags.append(np.diag(t))
         lower.append(np.linalg.norm(np.tril(t, -1)) / max(norm, 1e-300))
-    return nus, np.stack(diags), np.array(lower)
+    lower = np.array(lower)
+    return nus, np.stack(diags), lower, bool((lower <= tol.line).all())
 
 
 def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
@@ -585,10 +589,7 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     that value is its witness_residual. Anything weaker, or an eigensolve
     that does not converge, raises NumericalAmbiguity.
     """
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
+    a, b = core.as_cmatrices(a, b)
     n = a.shape[0]
     if tol is None:
         tol = core.default_tolerances()
@@ -596,8 +597,8 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     fb = core.frobenius(b)
     rng = np.random.default_rng(seed)
     gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
-    nus, diags, (low_a, low_b) = _schur_diagonals([a, b], gammas[:1], (fa, fb))
-    if low_a <= tol.line and low_b <= tol.line:
+    nus, diags, (low_a, low_b), certified = _schur_diagonals([a, b], gammas[:1], (fa, fb), tol)
+    if certified:
         return LineVerdict(True, pair_arrangement(diags[0], diags[1], norm_a=fa, norm_b=fb))
     reason = (
         f"no common Schur basis: relative lower parts {low_a:.3e} of Q*AQ and {low_b:.3e} "

@@ -29,7 +29,6 @@ from . import core
 from .agmon import strong_agmon_check
 from .errors import (
     ContourCapturesPerturbedSpectrumBoundary,
-    DimMismatch,
     EigenvalueOnContour,
     LineNotInSpectrum,
     NoConvergence,
@@ -172,13 +171,10 @@ def riesz_projection(a, c: Contour) -> RieszResult:
 
 def first_order_term(a, b, c: Contour) -> np.ndarray:
     """Quadrature of (1/2 pi i) integral (uI-A)^{-1} B (uI-A)^{-1} du."""
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = core.as_cmatrices(a, b)
     _check_margin(a, c)
     phases, resolvents = _resolvent_nodes(a, c)
-    return _combine(phases, [r @ b @ r for r in resolvents], c)
+    return _combine(phases, resolvents @ b @ resolvents, c)
 
 
 def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationReport:
@@ -196,10 +192,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     so each eps contour solves the transposed stack (u_j I - A_eps)^T
     against r columns instead of inverting every node.
     """
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = core.as_cmatrices(a, b)
     lam = complex(lam)
     mu = complex(mu)
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
@@ -266,10 +259,7 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     weak-compactness selection of the infinite-dimensional argument becomes
     a deterministic singular-vector sequence here.
     """
-    a = core.as_cmatrix(a)
-    b = core.as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = core.as_cmatrices(a, b)
     mu = complex(mu)
     if mu == 0:
         raise ValueError("mu must be nonzero")

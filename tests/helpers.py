@@ -73,13 +73,13 @@ def inconsistent_report(a, b, **kwargs):
 
 def refuse_common_schur_basis(monkeypatch):
     """Make the common Schur basis of commute.tuple_test report every lower
-    part as +inf, so the tuple is refused and each pair runs its own
-    equivalence_check."""
+    part as +inf, and no certificate, so the tuple is refused and each pair
+    runs its own equivalence_check."""
     real = commute._schur_diagonals
 
-    def refusing(mats, phases, norms):
-        nus, diags, lower = real(mats, phases, norms)
-        return nus, diags, np.full_like(lower, np.inf)
+    def refusing(mats, phases, norms, tol):
+        nus, diags, lower, _ = real(mats, phases, norms, tol)
+        return nus, diags, np.full_like(lower, np.inf), False
 
     monkeypatch.setattr(commute, "_schur_diagonals", refusing)
 

@@ -14,6 +14,7 @@ from helpers import (
     PAULI_X,
     PAULI_Z,
     commuting_pair,
+    commuting_tuple,
     fail_batched_eigvals,
     inconsistent_report,
     noncommuting_pair,
@@ -91,6 +92,20 @@ def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
     lines = text.strip().splitlines()
     assert "pair_0_1_consistent=false" in lines
     assert lines[-1].startswith("indeterminate=pair (0,1):")
+    assert not any(l.startswith("hyperplanes") for l in lines)
+    assert code == 2
+
+
+def test_tuple_exits_2_when_the_joint_basis_leaves_residual(tmp_path, monkeypatch):
+    # a joint basis that is the identity leaves a non-diagonal commuting
+    # triple far above the off-diagonal gate
+    f = tmp_path / "t.ctuple"
+    f.write_text(core.emit_tuple(commuting_tuple(np.random.default_rng(91), 4, 3)))
+    monkeypatch.setattr(core, "joint_diagonalize", lambda mats, radii: np.eye(4, dtype=complex))
+    code, text = _run(tmp_path, "tuple", str(f))
+    lines = text.strip().splitlines()
+    assert "commute=true" in lines and "pair_0_2_consistent=true" in lines
+    assert lines[-1].startswith("indeterminate=joint diagonalization left off-diagonal residual")
     assert not any(l.startswith("hyperplanes") for l in lines)
     assert code == 2
 

@@ -347,6 +347,33 @@ def test_tuple_inconsistent_pair_is_indeterminate(monkeypatch):
     assert rep.hyperplanes is None
 
 
+def test_tuple_joint_basis_above_the_offdiagonal_gate_is_indeterminate(monkeypatch):
+    # every pair commutes and the Schur basis certifies them, but a joint
+    # basis that leaves the members far from diagonal must not give
+    # hyperplanes
+    mats = commuting_tuple(np.random.default_rng(89), 5, 3)
+    monkeypatch.setattr(core, "joint_diagonalize", lambda mats, radii: np.eye(5, dtype=complex))
+    rep = commute.tuple_test(mats)
+    assert rep.commute and rep.hyperplanes is None
+    assert all(pair.commute and pair.consistent for _, pair in rep.reports)
+    assert rep.indeterminate.startswith("joint diagonalization left off-diagonal residual")
+    assert rep.indeterminate.endswith("the members commute only approximately")
+
+
+def test_tuple_joint_basis_checks_cluster_compressions():
+    # the pair of test_common_eigenbasis_rejects_nonnormal_cluster_compression
+    # as a tuple: its Schur basis certifies lines, and the joint basis
+    # refuses it as common_eigenbasis does
+    a = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    b = np.zeros((3, 3), dtype=complex)
+    b[:2, :2] = [[0.0, 1.0 + 1.5e-8], [1.0, 0.0]]
+    b[2, 2] = 5.0
+    rep = commute.tuple_test([a, b])
+    assert rep.hyperplanes is None
+    assert "compressed member 1 on an eigenvalue cluster of member 0" in rep.indeterminate
+    assert "eigenvalue cluster" in commute.equivalence_check(a, b).indeterminate
+
+
 def test_tuple_validation():
     with pytest.raises(ValueError):
         commute.tuple_test([])
@@ -462,6 +489,23 @@ def test_restriction_not_invariant():
     w = np.array([[1.0], [0.0]])
     with pytest.raises(NotInvariant):
         commute.restriction_check(PAULI_X, np.eye(2), w)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+def test_restriction_invariance_bound_scales_with_the_pair(scale):
+    # the leak of e1 under scale * sigma_x is scale itself, so span(e1) is
+    # not invariant at any scale; the bound must shrink with the matrices
+    w = np.array([[1.0], [0.0]])
+    with pytest.raises(NotInvariant):
+        commute.restriction_check(scale * PAULI_X, scale * np.eye(2), w)
+    # two joint eigenvectors of a commuting pair span an invariant plane at
+    # every scale
+    rng = np.random.default_rng(67)
+    u = random_unitary(rng, 4)
+    a = (u * random_diag_vals(rng, 4)) @ u.conj().T
+    b = (u * random_diag_vals(rng, 4)) @ u.conj().T
+    rep = commute.restriction_check(scale * a, scale * b, u[:, :2])
+    assert rep.commute and rep.consistent and rep.verdict.is_lines
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 10])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projspec import core
+from projspec import commute, core, detpoly, linegeom, riesz
 from projspec.errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
 from helpers import PAULI_X, PAULI_Z, random_normal, random_unitary
@@ -296,3 +296,47 @@ def test_as_cmatrix_rejects_bad_shapes():
         core.as_cmatrix(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         core.as_cmatrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+# Every routine that takes a pair admits it by core.as_cmatrices, and every
+# routine that takes normal matrices by core.require_normal.
+_PAIR_SITES = {
+    "core.commutator_norm": lambda a, b: core.commutator_norm(a, b),
+    "detpoly.char_poly_pair": lambda a, b: detpoly.char_poly_pair(a, b),
+    "linegeom.pencil_verdict": lambda a, b: linegeom.pencil_verdict(a, b),
+    "commute.common_eigenbasis": lambda a, b: commute.common_eigenbasis(a, b),
+    "commute.equivalence_check": lambda a, b: commute.equivalence_check(a, b),
+    "commute.restriction_check": lambda a, b: commute.restriction_check(a, b, np.eye(2)),
+    "commute.tuple_test": lambda a, b: commute.tuple_test([a, b]),
+    "core.parse_tuple": lambda a, b: core.parse_tuple(core.emit_tuple([a, b])),
+    "riesz.first_order_term": lambda a, b: riesz.first_order_term(a, b, riesz.Contour(0.0, 0.5)),
+    "riesz.perturbation_check": lambda a, b: riesz.perturbation_check(a, b, 0.0, 0.0, riesz.Contour(0.0, 0.5), [1e-3]),
+    "riesz.lemma34_solver": lambda a, b: riesz.lemma34_solver(a, b, 1.0),
+}
+
+_NORMAL_SITES = {
+    "core.eig_normal": lambda j: core.eig_normal(j),
+    "commute.common_eigenbasis": lambda j: commute.common_eigenbasis(np.eye(2), j),
+    "commute.equivalence_check": lambda j: commute.equivalence_check(j, np.eye(2)),
+    "commute.tuple_test": lambda j: commute.tuple_test([np.eye(2), np.eye(2), j]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_PAIR_SITES))
+def test_pair_sites_refuse_mismatched_shapes(site):
+    with pytest.raises(DimMismatch):
+        _PAIR_SITES[site](np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("site", sorted(_NORMAL_SITES))
+def test_normal_sites_refuse_a_jordan_block(site):
+    with pytest.raises(NotNormal):
+        _NORMAL_SITES[site](np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_require_normal_bound_and_message():
+    j = np.array([[0, 1], [0, 0]], dtype=complex)
+    tol = core.Tolerances()
+    with pytest.raises(NotNormal, match="^J: 1.414e\\+00 > 1.000e-08 at 1e-08$"):
+        core.require_normal(j, tol, "J: {defect:.3e} > {bound:.3e} at {tol.normal:.0e}")
+    assert core.require_normal(np.diag([3.0, 4j]), tol, "") == (5.0, 0.0)

@@ -225,6 +225,17 @@ def test_batched_resolvents_bit_identical_to_node_loop(monkeypatch, n, normal):
     assert got == run()
 
 
+@pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 48])
+def test_first_order_term_bit_identical_to_node_products(n, normal):
+    # one batched product over the resolvent stack, against one r @ b @ r
+    # per quadrature node
+    a, b, c, _ = _bit_case(n, normal)
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    want = riesz._combine(phases, [r @ b @ r for r in resolvents], c)
+    assert riesz.first_order_term(a, b, c).tobytes() == want.tobytes()
+
+
 def _assert_matches_reference(a, b, lam, mu, c, eps_list):
     got = riesz.perturbation_check(a, b, lam, mu, c, eps_list)
     want = reference_perturbation_check(a, b, lam, mu, c, eps_list)
