@@ -8,10 +8,11 @@ refusal, the spectra of A, B and A + gB), and cross-checks the recovered
 arrangement against the eigenvalue pairs of a common eigenbasis. A tuple is
 certified by one common Schur basis of all its members, which gives every
 pair its lines at once; only when that basis is refused is each pair tested
-on its own. Eigensolves that do not converge, pairs that neither share a
-triangularizing basis nor yield a witness on the matrices' own curve, and
-pairs whose two sides disagree inside a tuple, surface as indeterminate
-outcomes, never as definitive verdicts.
+on its own. Pairs and tuples share one joint eigenbasis routine and its
+checks. Eigensolves that do not converge, pairs that neither share a
+triangularizing basis nor yield a witness on the matrices' own curve, pairs
+whose two sides disagree inside a tuple, and joint bases that fail their
+checks, surface as indeterminate outcomes, never as definitive verdicts.
 """
 
 from __future__ import annotations

@@ -301,11 +301,11 @@ def test_as_cmatrix_rejects_bad_shapes():
 # Every routine that takes a pair admits it by core.as_cmatrices, and every
 # routine that takes normal matrices by core.require_normal.
 _PAIR_SITES = {
-    "core.commutator_norm": lambda a, b: core.commutator_norm(a, b),
-    "detpoly.char_poly_pair": lambda a, b: detpoly.char_poly_pair(a, b),
-    "linegeom.pencil_verdict": lambda a, b: linegeom.pencil_verdict(a, b),
-    "commute.common_eigenbasis": lambda a, b: commute.common_eigenbasis(a, b),
-    "commute.equivalence_check": lambda a, b: commute.equivalence_check(a, b),
+    "core.commutator_norm": core.commutator_norm,
+    "detpoly.char_poly_pair": detpoly.char_poly_pair,
+    "linegeom.pencil_verdict": linegeom.pencil_verdict,
+    "commute.common_eigenbasis": commute.common_eigenbasis,
+    "commute.equivalence_check": commute.equivalence_check,
     "commute.restriction_check": lambda a, b: commute.restriction_check(a, b, np.eye(2)),
     "commute.tuple_test": lambda a, b: commute.tuple_test([a, b]),
     "core.parse_tuple": lambda a, b: core.parse_tuple(core.emit_tuple([a, b])),
@@ -315,7 +315,7 @@ _PAIR_SITES = {
 }
 
 _NORMAL_SITES = {
-    "core.eig_normal": lambda j: core.eig_normal(j),
+    "core.eig_normal": core.eig_normal,
     "commute.common_eigenbasis": lambda j: commute.common_eigenbasis(np.eye(2), j),
     "commute.equivalence_check": lambda j: commute.equivalence_check(j, np.eye(2)),
     "commute.tuple_test": lambda j: commute.tuple_test([np.eye(2), np.eye(2), j]),
