@@ -35,6 +35,7 @@ from .linegeom import (
     cluster_tuples,
     compare_arrangements,
     drop_constant_factors,
+    emit_arrangement,
     pair_arrangement,
     pencil_verdict,
     tuple_distance,
@@ -296,8 +297,6 @@ def restriction_check(a, b, basis_w, *, seed: int = 0, tol: Optional[core.Tolera
 
 def format_report(report: EquivalenceReport) -> str:
     """Flat key-value text block with stable key order."""
-    from .linegeom import emit_arrangement
-
     lines = [
         f"commute={'true' if report.commute else 'false'}",
         f"commutator_norm={report.commutator_norm:.17g}",

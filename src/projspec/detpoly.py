@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .errors import DegreeBudgetExceeded, DimMismatch, InterpolationFailure
+from .errors import DegreeBudgetExceeded, DimMismatch, InterpolationFailure, ParseError
 
 DEGREE_BUDGET = 64
 
-# Interpolation dust: coefficients below this fraction of the largest are
-# snapped to zero.
+# Dust: coefficients at most this fraction of the largest are zero, both when
+# interpolated coefficients are snapped and when degrees are read (above_dust).
 DUST_REL = 1e-12
 
 # Self-check configuration: probe count and base tolerance are contract
@@ -71,16 +71,20 @@ class BivarPoly:
         return complex(pz @ self.coeffs @ pw)
 
 
+def above_dust(coeffs) -> np.ndarray:
+    """Where |coeffs| exceeds DUST_REL times its largest entry; nowhere when all are 0.
+
+    The one dust rule: degrees are the largest indices above it, and
+    char_poly_pair snaps everything else to zero.
+    """
+    mags = np.abs(coeffs)
+    return mags > DUST_REL * mags.max(initial=0.0)
+
+
 def total_degree(p: BivarPoly) -> int:
-    """Largest j + k carrying a coefficient above DUST_REL times the largest."""
-    mags = np.abs(p.coeffs)
-    top = mags.max()
-    if top == 0.0:
-        return 0
-    j, k = np.nonzero(mags > DUST_REL * top)
-    if len(j) == 0:
-        return 0
-    return int((j + k).max())
+    """Largest j + k carrying a coefficient above dust (above_dust); 0 for p = 0."""
+    j, k = np.nonzero(above_dust(p.coeffs))
+    return int((j + k).max(initial=0))
 
 
 def char_poly_pair(a, b) -> BivarPoly:
@@ -112,13 +116,13 @@ def char_poly_pair(a, b) -> BivarPoly:
         )
     j, k = np.indices(coeffs.shape)
     coeffs[j + k > n] = 0.0
-    top = np.abs(coeffs).max()
-    if abs(coeffs[0, 0]) < DUST_REL * top:
+    keep = above_dust(coeffs)
+    if not keep[0, 0]:
         raise InterpolationFailure(
             f"coefficient range exceeds double precision: the constant coefficient "
-            f"falls below DUST_REL = {DUST_REL:.0e} times the largest, {top:.3e}"
+            f"falls below DUST_REL = {DUST_REL:.0e} times the largest, {np.abs(coeffs).max():.3e}"
         )
-    coeffs[np.abs(coeffs) < DUST_REL * top] = 0.0
+    coeffs[~keep] = 0.0
     if abs(coeffs[0, 0] - 1.0) > _C00_GUARD:
         raise InterpolationFailure(
             f"constant coefficient interpolated to {coeffs[0, 0]:.6g}, expected 1"
@@ -203,8 +207,6 @@ def univariate_slice(p: BivarPoly, mode: str, value: complex) -> np.ndarray:
 
 def parse_bipoly(text: str) -> BivarPoly:
     """Parse the bipoly text format: `bipoly <n>` then `<j> <k> <re> <im>` rows."""
-    from .errors import ParseError
-
     items = list(core._content_lines(text))
     if not items:
         raise ParseError("expected 'bipoly <n>' header, found end of input")

@@ -9,7 +9,14 @@ reconstruction check is mandatory before any affirmative verdict.
 For a matrix pair, pencil_verdict decides the same question for
 det(I + zA + wB) without the polynomial: the certificate is one unitary that
 makes A and B triangular within tol.line, whose diagonal pairs are the
-lines; a refusal looks for a witness on the spectra of A + gB.
+lines.
+
+Both back a notlines verdict with a witness found by one rule, _ray_witnesses:
+a point z = -1/nu, w = g z of a ray, with nu a root of that ray's slice (an
+eigenvalue of A + gB), that is off every candidate line by the one
+point-on-line test (_line_ratio above tol.line, which line_through_point
+also applies). factor_lines admits it when |p(z, w)| <= WITNESS_PTOL,
+pencil_verdict when it lies on the matrices' own curve.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import core
-from .detpoly import DEGREE_BUDGET, BivarPoly, total_degree, univariate_slice
+from .detpoly import DEGREE_BUDGET, BivarPoly, above_dust, total_degree, univariate_slice
 from .errors import (
     DegenerateInput,
     DegreeBudgetExceeded,
@@ -40,7 +47,7 @@ CLUSTER_REL = 1e-6
 # distance is this close to the radius, relative to it.
 _RADIUS_BAND = 1e-12
 
-# Off-line witness admission: |p(witness)| bound (absolute).
+# factor_lines' witness admission: |p(witness)| bound (absolute).
 WITNESS_PTOL = 1e-8
 
 # Eigenvalue pairs with both entries below this size, relative to each
@@ -52,9 +59,6 @@ ZERO_PAIR_REL = 1e-12
 # matrices: sigma_min(I + zA + wB), relative to
 # 1 + |z| ||A||_F + |w| ||B||_F, at most this.
 WITNESS_SIGMA_REL = 1e-8
-
-# Dust threshold when reading degrees off slice coefficient vectors.
-_SLICE_DUST_REL = 1e-12
 
 # p(0,0) must equal 1 within this bound before factorization is attempted.
 _C00_TOL = 1e-6
@@ -124,14 +128,13 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def poly_roots(coeffs) -> np.ndarray:
     """Roots of an ascending-coefficient polynomial via its companion matrix.
 
-    Leading coefficients below _SLICE_DUST_REL * max|c| are treated as zero.
+    Leading coefficients that are dust (detpoly.above_dust) are treated as zero.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    mags = np.abs(c)
-    top = mags.max() if c.size else 0.0
-    if top == 0.0:
+    keep = np.flatnonzero(above_dust(c))
+    if keep.size == 0:
         raise ValueError("zero polynomial has no well-defined roots")
-    deg = int(np.nonzero(mags > _SLICE_DUST_REL * top)[0].max())
+    deg = int(keep[-1])
     if deg == 0:
         return np.zeros(0, dtype=np.complex128)
     return _sorted_complex(_companion_roots(c[: deg + 1]))
@@ -176,11 +179,10 @@ def _monic_reversed_roots(slice_coeffs, d: int) -> np.ndarray:
     1, so companion roots need no leading-coefficient guesswork.
     """
     s = np.asarray(slice_coeffs, dtype=np.complex128)[: d + 1]
-    mags = np.abs(s)
-    top = mags.max()
-    if top == 0.0:
+    keep = np.flatnonzero(above_dust(s))
+    if keep.size == 0:
         raise DegenerateInput("slice polynomial is identically zero")
-    k = int(np.nonzero(mags > _SLICE_DUST_REL * top)[0].max())
+    k = int(keep[-1])
     if k == 0:
         return np.zeros(d, dtype=np.complex128)
     y = _companion_roots(s[: k + 1][::-1])
@@ -392,51 +394,16 @@ def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
     return pairs
 
 
-def _witness_points(p, lam_vals, mu_vals, ray_info, rng):
-    """Candidate zero-set points, built only as far as they are consumed.
-
-    First the roots of each ray slice (t, gamma t), polished together per
-    ray; then six axis slices alternating fixed z and fixed w, each drawn,
-    sliced and solved only when every earlier point has been rejected.
-    """
-    for gamma, coeffs, roots in ray_info:
-        ts = _polish_roots(coeffs / coeffs[0], -1.0 / roots[np.abs(roots) >= 1e-12])
-        for t in ts:
-            yield complex(t), gamma * complex(t)
-    scale_l = max((abs(v) for v in lam_vals), default=0.0)
-    scale_m = max((abs(v) for v in mu_vals), default=0.0)
-    for attempt in range(6):
-        fix_z = attempt % 2 == 0
-        scale = scale_l if fix_z else scale_m
-        v0 = complex((1.0 / (1.0 + scale)) * np.exp(2j * np.pi * rng.uniform()))
-        try:
-            roots = poly_roots(univariate_slice(p, "fix_z" if fix_z else "fix_w", v0))
-        except ValueError:
-            continue
-        for root in roots:
-            yield (v0, complex(root)) if fix_z else (complex(root), v0)
-
-
-def _witness_search(p, lam_vals, mu_vals, ray_info, rng, tol):
-    """Hunt for a certified point of the zero set off every candidate line."""
-    cand = [(l, m) for l in lam_vals for m in mu_vals]
-    for z, w in _witness_points(p, lam_vals, mu_vals, ray_info, rng):
-        val = abs(p.evaluate(z, w))
-        if val > WITNESS_PTOL:
-            continue
-        margin = tol.line * (1.0 + abs(z) + abs(w))
-        if all(abs(1.0 + l * z + m * w) > margin for l, m in cand):
-            return (z, w), val
-    return None
-
-
 def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
     """Decide union-of-lines structure for the zero set of p.
 
     Affirmative verdicts always pass the reconstruction check (expanded
-    product within tol.recon * ||coeffs|| of p); negative verdicts carry a
-    zero-set point separated from every candidate line. Anything weaker
-    raises NumericalAmbiguity.
+    product within tol.recon * ||coeffs|| of p). When the axis-slice values
+    lams and mus do not pair up, the witness is the first point of
+    _ray_witnesses, on the two rays' slice roots with norms
+    (||lams||_2, ||mus||_2) (||A||_F and ||B||_F for the polynomial of a
+    normal pair), with |p(z, w)| <= WITNESS_PTOL; that value is its
+    witness_residual. Anything weaker raises NumericalAmbiguity.
     """
     if tol is None:
         tol = core.default_tolerances()
@@ -452,11 +419,7 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     mus = _monic_reversed_roots(c[0, :], d)
     rng = np.random.default_rng(seed)
     gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
-    ray_info = []
-    for g in gammas:
-        coeffs = univariate_slice(p, "ray", g)
-        ray_info.append((complex(g), coeffs, _monic_reversed_roots(coeffs, d)))
-    ray_roots = [info[2] for info in ray_info]
+    ray_roots = [_monic_reversed_roots(univariate_slice(p, "ray", g), d) for g in gammas]
     pairs = _greedy_pairing(lams, mus, gammas, ray_roots, PAIR_TOL)
     if pairs is not None:
         lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
@@ -470,12 +433,11 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
             f"pairing succeeded but reconstruction residual {err:.3e} exceeds "
             f"{tol.recon * norm_c:.3e}"
         )
-    lam_vals = [l for (l,), _ in cluster_tuples(lams[:, None])]
-    mu_vals = [m for (m,), _ in cluster_tuples(mus[:, None])]
-    found = _witness_search(p, lam_vals, mu_vals, ray_info, rng, tol)
-    if found is not None:
-        (z, w), val = found
-        return LineVerdict(False, None, (z, w), val)
+    norms = (np.linalg.norm(lams), np.linalg.norm(mus))
+    for z, w in _ray_witnesses(lams, mus, zip(gammas, ray_roots), norms, tol):
+        val = abs(p.evaluate(z, w))
+        if val <= WITNESS_PTOL:
+            return LineVerdict(False, None, (z, w), val)
     raise NumericalAmbiguity("no consistent line pairing and no certified off-line witness")
 
 
@@ -494,7 +456,7 @@ def drop_constant_factors(diags, norms):
     return x.T[keep], int(x.shape[1] - keep.sum())
 
 
-def pair_arrangement(lams, mus, *, norm_a: float = 1.0, norm_b: float = 1.0) -> LineArrangement:
+def pair_arrangement(lams, mus, *, norm_a: float, norm_b: float) -> LineArrangement:
     """Lines {1 + lams[j] z + mus[j] w = 0} from paired values, with multiplicity.
 
     Pairs that are constant determinant factors (drop_constant_factors) are
@@ -507,27 +469,40 @@ def pair_arrangement(lams, mus, *, norm_a: float = 1.0, norm_b: float = 1.0) -> 
     return LineArrangement(lines, deficit=deficit)
 
 
+def _line_ratio(x, s, size):
+    """|x - s| / (|x| + size): the one point-on-line test, on arrays that broadcast.
+
+    A point (z, w) is on the line {1 + lam z + mu w = 0} when this is at most
+    tol.line for x = 1, s = -(lam z + mu w), size = |lam z| + |mu w|
+    (line_through_point). At z = -1/nu, w = g z that is the same ratio as
+    for x = nu, s = lam + g mu, size = |lam| + |g| |mu| (_ray_witnesses),
+    both terms multiplied by |nu|. Scaling the lines by c and the point by
+    1/c leaves it unchanged.
+    """
+    return np.abs(x - s) / (np.abs(x) + size)
+
+
 def _ray_witnesses(lams, mus, rays, norms, tol):
     """Candidate notlines witnesses from ray spectra, most separated first.
 
-    Each ray (g, eigenvalues nu of A + gB) gives the points z = -1/nu,
-    w = g z of the zero set, where 1 + lambda_i z + mu_j w equals
-    (nu - lambda_i - g mu_j) / nu. Eigenvalues below ZERO_PAIR_REL
+    Each ray (g, roots nu of the slice t -> p(t, g t) = prod(1 + nu t),
+    for a matrix pair the eigenvalues of A + gB) gives the points
+    z = -1/nu, w = g z of the zero set. Roots at most ZERO_PAIR_REL
     (||A||_F + |g| ||B||_F), with norms = (||A||_F, ||B||_F), are constant
-    factors and give no point. Kept are those with
-    |nu - lambda_i - g mu_j| above tol.line (|nu| + |lambda_i| + |g| |mu_j|)
-    for every candidate line, ordered by the smallest ratio of the two.
-    Both tests are unchanged when A and B are scaled together.
+    factors and give no point. Kept are those off every candidate line
+    1 + lams[i] z + mus[j] w by _line_ratio above tol.line, ordered by the
+    smallest ratio, largest first. Both tests are unchanged when A and B
+    are scaled together.
     """
     norm_a, norm_b = norms
     margins, points = [], []
     for g, nus in rays:
-        nus = nus[np.abs(nus) >= ZERO_PAIR_REL * (norm_a + abs(g) * norm_b)]
+        nus = nus[np.abs(nus) > ZERO_PAIR_REL * (norm_a + abs(g) * norm_b)]
         cand = (lams[:, None] + g * mus[None, :]).ravel()
         size = (np.abs(lams)[:, None] + abs(g) * np.abs(mus)[None, :]).ravel()
         # one expression, so its (n, n^2) temporaries (2-4 MB each at
         # n = 64) are freed before the next ray builds its own
-        ratio = (np.abs(nus[:, None] - cand[None, :]) / np.add.outer(np.abs(nus), size)).min(axis=1)
+        ratio = _line_ratio(nus[:, None], cand[None, :], size[None, :]).min(axis=1)
         margins.append(ratio / tol.line)
         z = -1.0 / nus
         points.append(np.stack([z, g * z], axis=1))
@@ -629,13 +604,17 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
 
 
 def line_through_point(arr: LineArrangement, z: complex, w: complex, *, tol=None):
-    """All arrangement lines passing within tol.line of the point (z, w)."""
+    """All arrangement lines through the point (z, w): _line_ratio at most tol.line."""
     if tol is None:
         tol = core.default_tolerances()
     z = complex(z)
     w = complex(w)
-    bound = tol.line * (1.0 + abs(z) + abs(w))
-    return [line for line, _ in arr.lines if abs(1.0 + line.lam * z + line.mu * w) <= bound]
+    hits = []
+    for line, _ in arr.lines:
+        lz, mw = line.lam * z, line.mu * w
+        if _line_ratio(1.0, -(lz + mw), abs(lz) + abs(mw)) <= tol.line:
+            hits.append(line)
+    return hits
 
 
 def _has_perfect_matching(adj: np.ndarray) -> bool:

@@ -278,7 +278,8 @@ def test_pair_arrangement_deficit():
 
 
 def test_pair_arrangement_multiplicity():
-    arr = linegeom.pair_arrangement([1.0, 1.0, 2.0], [3.0, 3.0, 4.0])
+    lams, mus = [1.0, 1.0, 2.0], [3.0, 3.0, 4.0]
+    arr = linegeom.pair_arrangement(lams, mus, norm_a=np.linalg.norm(lams), norm_b=np.linalg.norm(mus))
     mults = sorted(m for _, m in arr.lines)
     assert mults == [1, 2]
     assert arr.deficit == 0

@@ -14,6 +14,7 @@ from helpers import (
     PAULI_Z,
     commuting_pair,
     noncommuting_pair,
+    off_curve_witnesses,
     random_unitary,
     reference_cluster_tuples,
     reference_greedy_pairing,
@@ -164,6 +165,14 @@ def test_line_through_point():
     assert linegeom.line_through_point(arr, 5.0, 5.0) == []
 
 
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_line_through_point_is_scale_invariant(c):
+    # |1 + 2c z| = 1 at z = -1/c: the second line misses the point at every
+    # scale, though 1 is below tol.line (1 + |z|) when c is small
+    arr = _arrangement((c, 0, 1), (2 * c, 0, 1))
+    assert linegeom.line_through_point(arr, -1.0 / c, 0.0) == [arr.lines[0][0]]
+
+
 def test_compare_arrangements_cases():
     a = _arrangement((1, 3, 1), (2, 4, 1))
     assert linegeom.compare_arrangements(a, a) == 0.0
@@ -227,10 +236,10 @@ def test_degenerate_input():
 
 
 def test_numerical_ambiguity_when_witness_unreachable(monkeypatch):
-    # force the no-pairing route to fail its witness hunt; the honest outcome
-    # is the indeterminate exception, never a fabricated verdict
+    # the only candidate witness is off the curve 1 - z^2 - w^2; the honest
+    # outcome is the indeterminate exception, never a fabricated verdict
     p = detpoly.char_poly_pair(PAULI_Z, PAULI_X)
-    monkeypatch.setattr(linegeom, "_witness_search", lambda *a, **k: None)
+    monkeypatch.setattr(linegeom, "_ray_witnesses", off_curve_witnesses)
     with pytest.raises(NumericalAmbiguity):
         linegeom.factor_lines(p)
 
@@ -562,26 +571,49 @@ def test_factor_lines_gates_on_the_polish_residual(monkeypatch):
     assert calls["total"] == calls["in_polish"]
 
 
-def test_witness_search_builds_axis_slices_only_when_needed(monkeypatch):
-    calls = []
-    real = linegeom.poly_roots
-    monkeypatch.setattr(linegeom, "poly_roots", lambda *a, **k: calls.append(1) or real(*a, **k))
-    a, b = noncommuting_pair(np.random.default_rng(5), 4)
-    p = detpoly.char_poly_pair(a, b)
-    v = linegeom.factor_lines(p)
-    assert not v.is_lines
-    assert calls == []
-    z, w = v.witness
-    assert abs(p.evaluate(z, w)) <= linegeom.WITNESS_PTOL
+def _scaled(p, c):
+    """The polynomial (z, w) -> p(cz, cw)."""
+    j, k = np.indices(p.coeffs.shape)
+    return detpoly.BivarPoly(p.n, p.coeffs * c ** (j + k))
+
+
+def _assert_certified_witness(p, verdict):
+    z, w = verdict.witness
+    assert verdict.witness_residual == abs(p.evaluate(z, w)) <= linegeom.WITNESS_PTOL
     d = detpoly.total_degree(p)
-    lams = linegeom._monic_reversed_roots(p.coeffs[:, 0], d)
-    mus = linegeom._monic_reversed_roots(p.coeffs[0, :], d)
-    margin = 1e-6 * (1 + abs(z) + abs(w))
-    assert np.abs(1 + np.add.outer(lams * z, mus * w)).min() > margin
-    # with no ray points the first axis slice is built, and it suffices
-    conic = detpoly.char_poly_pair(PAULI_Z, PAULI_X)
-    rng = np.random.default_rng(0)
-    tol = core.default_tolerances()
-    found = linegeom._witness_search(conic, [1.0, -1.0], [1.0, -1.0], [], rng, tol)
-    assert found is not None
-    assert calls == [1]
+    lz = linegeom._monic_reversed_roots(p.coeffs[:, 0], d)[:, None] * z
+    mw = linegeom._monic_reversed_roots(p.coeffs[0, :], d)[None, :] * w
+    ratio = linegeom._line_ratio(1.0, -(lz + mw), np.abs(lz) + np.abs(mw))
+    assert ratio.min() > core.default_tolerances().line
+
+
+def test_factor_lines_witness_is_on_curve_and_off_every_line():
+    rng = np.random.default_rng(5)
+    polys = [detpoly.char_poly_pair(*noncommuting_pair(rng, n)) for n in range(2, 13) for _ in range(4)]
+    conic = np.zeros((3, 3))
+    conic[0, 0], conic[2, 0], conic[0, 2] = 1.0, -1.0, -1.0
+    one_plus_zw = np.zeros((3, 3))
+    one_plus_zw[0, 0] = one_plus_zw[1, 1] = 1.0  # no pure z or w terms: both norms are 0
+    polys += [detpoly.BivarPoly(2, conic), detpoly.BivarPoly(2, one_plus_zw)]
+    truncated = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in polys:
+            v = linegeom.factor_lines(p)
+            assert not v.is_lines
+            _assert_certified_witness(p, v)
+            for c in (1e-2, 1e2):
+                q = _scaled(p, c)
+                if detpoly.total_degree(q) < detpoly.total_degree(p):
+                    # the top coefficients fell below DUST_REL of c00 = 1, so
+                    # q is read as a lower-degree polynomial; never certify lines
+                    truncated += 1
+                    try:
+                        assert not linegeom.factor_lines(q).is_lines
+                    except NumericalAmbiguity:
+                        pass
+                    continue
+                vq = linegeom.factor_lines(q)
+                assert not vq.is_lines
+                _assert_certified_witness(q, vq)
+    assert truncated == 28  # c = 1e-2 at n >= 6

@@ -134,7 +134,7 @@ def test_few_distinct_eigenvalues_certify_without_matching(monkeypatch):
     verdict = linegeom.pencil_verdict(a, b)
     assert calls[0] == 0
     assert verdict.is_lines
-    ref = linegeom.pair_arrangement(da, db)
+    ref = linegeom.pair_arrangement(da, db, norm_a=core.frobenius(a), norm_b=core.frobenius(b))
     assert verdict.arrangement.deficit == ref.deficit
     assert linegeom.compare_arrangements(verdict.arrangement, ref) <= 1e-12
     assert reference_direction_mismatch(a, b, verdict.arrangement) <= core.default_tolerances().line
