@@ -4,8 +4,11 @@ For normal matrices, [A,B] = 0 exactly when det(I + zA + wB) factors into
 linear terms, i.e. the zero set is a union of lines. This module runs the
 algebraic side (commutator norm, relative to ||A||_F ||B||_F), the geometric
 side (linegeom.pencil_verdict, read off one common Schur basis or, on
-refusal, the spectra of A, B and A + gB), and cross-checks the recovered
-arrangement against the eigenvalue pairs of a common eigenbasis. A tuple is
+refusal, a bent eigenvalue branch of A + gB from the same eigensolve), and
+cross-checks the recovered arrangement against the eigenvalue pairs of a
+common eigenbasis. A lines certificate bounds the commutator, so a pair
+whose commutator fails tol.commute but stays inside that bound is
+indeterminate, not inconsistent. A tuple is
 certified by one common Schur basis of all its members, which gives every
 pair its lines at once; only when that basis is refused is each pair tested
 on its own. Pairs and tuples share one joint eigenbasis routine and its
@@ -99,6 +102,29 @@ def _commutator(a, b, na: float, nb: float, tol: core.Tolerances) -> Tuple[float
     return cn, cn <= tol.commute * na * nb
 
 
+def _band_refusal(cn: float, n: int, lower, na: float, nb: float) -> Optional[str]:
+    """Why a lines certificate cannot decide a pair whose commutator fails
+    tol.commute, or None when the commutator is beyond what it allows.
+
+    A certificate with relative lower parts lower = (l_A, l_B) in a unitary
+    basis Q bounds ||AB - BA||_F by K(n) (l_A + l_B) ||A||_F ||B||_F,
+    K(n) = 2 (1 + sqrt(n - 1)): for a normal T = Q*AQ, normality of each
+    leading block split gives sum_{i<j} (j - i) |t_ij|^2 =
+    sum_{i>j} (i - j) |t_ij|^2, so T's strictly upper part is at most
+    sqrt(n - 1) times its strictly lower part, and T = diag + N with
+    ||N||_F <= (1 + sqrt(n - 1)) l_A ||A||_F. Then
+    [A, B] = [T, N_S] + [N_T, diag(S)] in that basis gives the bound.
+    """
+    band = 2.0 * (1.0 + np.sqrt(n - 1)) * (lower[0] + lower[1]) * na * nb
+    if cn > band:
+        return None
+    return (
+        f"commutator norm {cn:.3e} exceeds tol.commute * ||A||_F * ||B||_F but not "
+        f"K(n) (l_A + l_B) ||A||_F ||B||_F = {band:.3e}, the most that the lines "
+        "certificate allows; it cannot separate this pair from a commuting one"
+    )
+
+
 def _joint_eigenbasis(mats, norms, sweeps, names, tol: core.Tolerances):
     """Joint unitary diagonalization U of commuting normal matrices.
 
@@ -172,7 +198,9 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     witness_residual is the relative sigma_min(I + zA + wB) there. When both
     sides are affirmative the recovered arrangement is also matched against
     the eigenvalue pairs of a common eigenbasis. A verdict that cannot be
-    certified either way is reported as indeterminate.
+    certified either way is reported as indeterminate, and so is a lines
+    verdict whose pair fails tol.commute by less than its certificate
+    allows (_band_refusal).
     """
     (a, b), tol, (na, nb) = _admit((a, b), ("a", "b"), tol)
     cn, commute = _commutator(a, b, na, nb, tol)
@@ -180,6 +208,10 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
         verdict = pencil_verdict(a, b, seed=seed, tol=tol)
     except NumericalAmbiguity as exc:
         return EquivalenceReport(commute, cn, None, None, indeterminate=str(exc))
+    if verdict.is_lines and not commute:
+        refusal = _band_refusal(cn, a.shape[0], verdict.lower_parts, na, nb)
+        if refusal is not None:
+            return EquivalenceReport(commute, cn, None, None, indeterminate=refusal)
     consistent = commute == verdict.is_lines
     distance = None
     if commute and verdict.is_lines:
@@ -201,7 +233,9 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     strictly lower part of Q* M_i Q is within tol.line ||M_i||_F, Q
     triangularizes every pair, so each pair's verdict is lines, read off the
     diagonals, and its report adds only the pair's commutator: consistent is
-    whether that commutes. Otherwise every pair runs its own
+    whether that commutes, and a pair that fails tol.commute by less than
+    the certificate allows is indeterminate (_band_refusal), as in
+    equivalence_check. Otherwise every pair runs its own
     equivalence_check, since witnesses are per pair.
 
     When every pair commutes and agrees, the members are jointly
@@ -219,10 +253,11 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     if not mats:
         raise ValueError("tuple must contain at least one matrix")
     k = len(mats)
+    n = mats[0].shape[0]
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=k - 1))
     try:
-        _, schur, _, certified = _schur_diagonals(mats, phases, norms, tol)
+        _, _, schur, lower, certified = _schur_diagonals(mats, phases, norms, tol)
     except NumericalAmbiguity:
         certified = False
     reports = []
@@ -232,8 +267,13 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         for j in range(i + 1, k):
             if certified:
                 cn, commute = _commutator(mats[i], mats[j], norms[i], norms[j], tol)
-                lines = pair_arrangement(schur[i], schur[j], norm_a=norms[i], norm_b=norms[j])
-                rep = EquivalenceReport(commute, cn, LineVerdict(True, lines), commute)
+                parts = (float(lower[i]), float(lower[j]))
+                refusal = None if commute else _band_refusal(cn, n, parts, norms[i], norms[j])
+                if refusal is None:
+                    lines = pair_arrangement(schur[i], schur[j], norm_a=norms[i], norm_b=norms[j])
+                    rep = EquivalenceReport(commute, cn, LineVerdict(True, lines, lower_parts=parts), commute)
+                else:
+                    rep = EquivalenceReport(commute, cn, None, None, indeterminate=refusal)
             else:
                 rep = equivalence_check(mats[i], mats[j], seed=seed, tol=tol)
             reports.append(((i, j), rep))

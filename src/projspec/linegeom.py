@@ -11,12 +11,17 @@ det(I + zA + wB) without the polynomial: the certificate is one unitary that
 makes A and B triangular within tol.line, whose diagonal pairs are the
 lines.
 
-Both back a notlines verdict with a witness found by one rule, _ray_witnesses:
-a point z = -1/nu, w = g z of a ray, with nu a root of that ray's slice (an
-eigenvalue of A + gB), that is off every candidate line by the one
-point-on-line test (_line_ratio above tol.line, which line_through_point
-also applies). factor_lines admits it when |p(z, w)| <= WITNESS_PTOL,
-pencil_verdict when it lies on the matrices' own curve.
+Each backs a notlines verdict with a witness on its curve. factor_lines
+takes it from one rule, _ray_witnesses: a point z = -1/nu, w = g z of a ray,
+with nu a root of that ray's slice, that is off every candidate line by the
+one point-on-line test (_line_ratio above tol.line, which
+line_through_point also applies), admitted when |p(z, w)| <= WITNESS_PTOL.
+pencil_verdict needs no candidate lines: on the ray w = g z the curve's
+points are z = -1/nu(g), nu(g) an eigenvalue of A + gB, and a component is
+a line exactly when its branch nu(g) is affine. So a simple eigenvalue of
+A + g0 B whose branch bends, nu''(g0) above its rounding bound
+(_curvature_witnesses), gives the witness z = -1/nu, w = g0 z, admitted
+when it lies on the matrices' own curve.
 """
 
 from __future__ import annotations
@@ -60,6 +65,20 @@ ZERO_PAIR_REL = 1e-12
 # 1 + |z| ||A||_F + |w| ||B||_F, at most this.
 WITNESS_SIGMA_REL = 1e-8
 
+# pencil_verdict admits the curvature nu_i'' of a branch of A + gB at g0
+# only above its rounding bound, derived, not tuned (_branch_curvatures).
+# The eigenpairs (nu, V) of M = A + g0 B are taken as exact for M + E with
+# ||E||_F <= n _EPS ||M||_F, the eigensolver's backward error. Let kappa be
+# the largest row norm of V^-1, at most cond_2(V) as V has unit columns.
+# To first order in E each nu_k moves by at most eta = kappa n _EPS ||M||_F,
+# and C = V^-1 B V by at most D = |C| G + G |C| + n _EPS kappa ||B||_F
+# entrywise, G_jk = eta / |nu_j - nu_k| the eigenvector rotation bound (the
+# last term is the rounding of forming C). Then nu_i'' moves by at most
+#   2 sum_{k != i} [(D_ik |C_ki| + |C_ik| D_ki + D_ik D_ki) / |d_ik|
+#                   + |C_ik C_ki| 2 eta / (|d_ik| (|d_ik| - 2 eta))],
+# d_ik = nu_i - nu_k. nu_i is simple when every |d_ik| exceeds 2 eta.
+_EPS = float(np.finfo(np.float64).eps)
+
 # p(0,0) must equal 1 within this bound before factorization is attempted.
 _C00_TOL = 1e-6
 
@@ -96,12 +115,14 @@ class LineArrangement:
 @dataclass
 class LineVerdict:
     """Outcome of factor_lines or pencil_verdict: a certified arrangement or a
-    certified witness."""
+    certified witness. A lines verdict of a matrix pair also keeps its
+    certificate, the relative lower parts (l_A, l_B) of _schur_diagonals."""
 
     is_lines: bool
     arrangement: Optional[LineArrangement] = None
     witness: Optional[Tuple[complex, complex]] = None
     witness_residual: Optional[float] = None
+    lower_parts: Optional[Tuple[float, float]] = None
 
 
 def _sorted_complex(values) -> np.ndarray:
@@ -208,11 +229,14 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL):
     same way. Pairs (lam, mu) are the line case.
 
     Cost: one sort and one m x m distance matrix, O(m^2 k), then one mask
-    per cluster and one vector addition per member rank. Moduli are taken
-    with np.hypot, which rounds as Python's abs(complex) does; np.abs on
-    complex128 and np.hypot over k >= 2 components can differ from the
-    scalar formula in the last bit, so distances within _RADIUS_BAND of the
-    radius are decided by that formula (_within).
+    per contested seed and one vector addition per member rank. Moduli are
+    taken with np.hypot, which rounds as Python's abs(complex) does;
+    np.abs on complex128 and np.hypot over k >= 2 components can differ
+    from the scalar formula in the last bit, so distances within
+    _RADIUS_BAND of the radius are decided by that formula (_within). A
+    tuple within no other's radius, and with no other within its own, is a
+    seed of its own; only the other, contested, tuples take the sequential
+    greedy pass.
     """
     x = np.asarray(tuples, dtype=np.complex128)
     if x.size == 0:
@@ -227,20 +251,26 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL):
         radius = radius + moduli[:, c]
     radius = rel * radius[:, None]
     diff = x[:, None, :] - x[None, :, :]
-    dist = np.hypot.reduce(np.hypot(diff.real, diff.imag), axis=2)
+    gaps = np.hypot(diff.real, diff.imag)
+    dist = gaps[:, :, 0]
+    for c in range(1, k):  # left to right, as np.hypot.reduce does
+        dist = np.hypot(dist, gaps[:, :, c])
     within = dist <= radius
     for p, q in zip(*np.nonzero(np.abs(dist - radius) <= _RADIUS_BAND * radius)):
         within[p, q] = _within(x[q].tolist(), x[p].tolist(), rel)
+    np.fill_diagonal(within, False)
+    seed = np.arange(m)
     used = np.zeros(m, dtype=bool)
-    label = np.empty(m, dtype=np.intp)
-    count = 0
-    for p in range(m):
+    for p in np.flatnonzero(within.any(axis=0) | within.any(axis=1)).tolist():
         if used[p]:
             continue
         members = within[p] & ~used
         used |= members
-        label[members] = count
-        count += 1
+        used[p] = True
+        seed[members] = p
+    is_seed = seed == np.arange(m)
+    label = (np.cumsum(is_seed) - 1)[seed]
+    count = int(is_seed.sum())
     sizes = np.bincount(label, minlength=count)
     by_label = np.argsort(label, kind="stable")
     rank = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -250,10 +280,8 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL):
         sums[label[at]] += parts[at]
     centers = sums / sizes[:, None]
     final = np.lexsort(centers.T[::-1])
-    return [
-        (tuple(complex(re, im) for re, im in zip(row[0::2], row[1::2])), size)
-        for row, size in zip(centers[final].tolist(), sizes[final].tolist())
-    ]
+    values = np.ascontiguousarray(centers[final]).view(np.complex128).tolist()
+    return list(zip(map(tuple, values), sizes[final].tolist()))
 
 
 def expand_arrangement(lines, n: int) -> BivarPoly:
@@ -516,7 +544,7 @@ def _schur_diagonals(mats, phases, norms, tol):
 
     Q = qr(V) for the eigenvectors V of M_0 + sum_{i >= 1} phases[i-1] M_i
     (a phase shared by all k weights changes no eigenvector, so M_0's is 1).
-    Returns the eigenvalues of that combination, the (k, n) array of the
+    Returns the eigenvalues of that combination, V, the (k, n) array of the
     diagonals of Q* M_i Q, the (k,) array of ||strictly lower part of
     Q* M_i Q||_F / norms[i], and whether Q certifies lines: every one of
     those relative lower parts at most tol.line. An eigensolve that does not
@@ -539,7 +567,58 @@ def _schur_diagonals(mats, phases, norms, tol):
         diags.append(np.diag(t))
         lower.append(np.linalg.norm(np.tril(t, -1)) / max(norm, 1e-300))
     lower = np.array(lower)
-    return nus, np.stack(diags), lower, bool((lower <= tol.line).all())
+    return nus, v, np.stack(diags), lower, bool((lower <= tol.line).all())
+
+
+def _branch_curvatures(nus, v, b, size_m, size_b):
+    """nu_i''(g0) of every eigenvalue branch of A + gB, and its rounding bound.
+
+    nus and v are the eigenvalues and unit eigenvectors of M = A + g0 B,
+    size_m and size_b bounds on ||M||_F and ||B||_F. With C = V^-1 B V, one
+    solve and two products, second-order perturbation theory gives
+    nu_i'' = 2 sum_{k != i} C_ik C_ki / (nu_i - nu_k). The bound is the one
+    stated at _EPS; it is +inf where nu_i is not simple. Both scale as A and
+    B do, so their ratio does not depend on a common scale.
+    """
+    n = nus.size
+    w = np.linalg.solve(v, np.eye(n, dtype=np.complex128))
+    c = w @ b @ v
+    kappa = float(np.sqrt((np.abs(w) ** 2).sum(axis=1).max()))
+    eta = kappa * n * _EPS * size_m
+    d = nus[:, None] - nus[None, :]
+    gap = np.abs(d)
+    np.fill_diagonal(gap, np.inf)
+    ac = np.abs(c)
+    rot = eta / gap
+    err_c = ac @ rot + rot @ ac + n * _EPS * kappa * size_b
+    pair = c * c.T
+    np.fill_diagonal(d, 1.0)
+    np.fill_diagonal(pair, 0.0)
+    curv = 2.0 * (pair / d).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        moved = np.abs(pair) * 2.0 * eta / (gap * (gap - 2.0 * eta))
+    err = 2.0 * ((err_c * ac.T + ac * err_c.T + err_c * err_c.T) / gap + moved).sum(axis=1)
+    simple = gap.min(axis=1) > 2.0 * eta
+    return curv, np.where(simple, err, np.inf)
+
+
+def _curvature_witnesses(nus, v, b, g, norms):
+    """notlines witnesses of det(I + zA + wB) from bent eigenvalue branches.
+
+    A component of the curve through z = -1/nu, w = g z, nu a simple
+    eigenvalue of A + gB, is a line exactly when the branch nu(g) is affine
+    (property L). So every branch whose |nu''| (_branch_curvatures) exceeds
+    its rounding bound gives the witness (-1/nu, -g/nu); those are returned
+    by that ratio, largest first. Eigenvalues at most ZERO_PAIR_REL
+    (||A||_F + ||B||_F), norms = (||A||_F, ||B||_F), are constant factors
+    and give no point. A singular V raises LinAlgError.
+    """
+    norm_a, norm_b = norms
+    curv, bound = _branch_curvatures(nus, v, b, norm_a + norm_b, norm_b)
+    keep = (np.abs(curv) > bound) & (np.abs(nus) > ZERO_PAIR_REL * (norm_a + norm_b))
+    margin = np.abs(curv[keep]) / bound[keep]
+    z = -1.0 / nus[keep][np.argsort(-margin, kind="stable")]
+    return [(complex(x), complex(g * x)) for x in z]
 
 
 def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
@@ -558,11 +637,13 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     lower parts vanish up to rounding; for a normal pair the zero set is a
     union of lines only then (property L, Motzkin & Taussky).
 
-    A notlines verdict carries a point of a ray w = g z (see _ray_witnesses),
-    on the spectra of A + g0 B and of A + g1 B, whose sigma_min(I + zA + wB),
-    relative to 1 + |z| ||A||_F + |w| ||B||_F, is at most WITNESS_SIGMA_REL;
-    that value is its witness_residual. Anything weaker, or an eigensolve
-    that does not converge, raises NumericalAmbiguity.
+    A notlines verdict reuses that one eigensolve. Its witness is the point
+    z = -1/nu, w = g0 z of the simple eigenvalue nu of A + g0 B whose branch
+    bends the most above its rounding bound (_curvature_witnesses), and
+    whose sigma_min(I + zA + wB), relative to 1 + |z| ||A||_F + |w| ||B||_F,
+    is at most WITNESS_SIGMA_REL; that value is its witness_residual.
+    Anything weaker, an eigensolve that does not converge or a singular V,
+    raises NumericalAmbiguity.
     """
     a, b = core.as_cmatrices(a, b)
     n = a.shape[0]
@@ -570,23 +651,23 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
         tol = core.default_tolerances()
     fa = core.frobenius(a)
     fb = core.frobenius(b)
-    rng = np.random.default_rng(seed)
-    gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
-    nus, diags, (low_a, low_b), certified = _schur_diagonals([a, b], gammas[:1], (fa, fb), tol)
+    g = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0))
+    nus, v, diags, lower, certified = _schur_diagonals([a, b], [g], (fa, fb), tol)
+    low_a, low_b = (float(x) for x in lower)
     if certified:
-        return LineVerdict(True, pair_arrangement(diags[0], diags[1], norm_a=fa, norm_b=fb))
+        lines = pair_arrangement(diags[0], diags[1], norm_a=fa, norm_b=fb)
+        return LineVerdict(True, lines, lower_parts=(low_a, low_b))
     reason = (
         f"no common Schur basis: relative lower parts {low_a:.3e} of Q*AQ and {low_b:.3e} "
         f"of Q*BQ, above tol.line = {tol.line:.1e}"
     )
     try:
-        lams, mus, ray = np.linalg.eigvals(np.stack([a, b, a + gammas[1] * b]))
+        witnesses = _curvature_witnesses(nus, v, b, g, (fa, fb))
     except np.linalg.LinAlgError as exc:
-        raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
-    rays = [(gammas[0], nus), (gammas[1], ray)]
+        raise NumericalAmbiguity(f"{reason}, and the pencil eigenvector solve failed: {exc}") from None
     eye = np.eye(n, dtype=np.complex128)
     best = math.inf
-    for z, w in _ray_witnesses(lams, mus, rays, (fa, fb), tol):
+    for z, w in witnesses:
         try:
             smin = np.linalg.svd(eye + z * a + w * b, compute_uv=False)[-1]
         except np.linalg.LinAlgError as exc:
@@ -597,10 +678,12 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
         best = min(best, sigma)
     if best < math.inf:
         raise NumericalAmbiguity(
-            f"{reason}, and every separated witness is off the matrix curve: smallest "
+            f"{reason}, and every curved-branch witness is off the matrix curve: smallest "
             f"relative sigma_min(I + zA + wB) {best:.3e} exceeds {WITNESS_SIGMA_REL:.1e}"
         )
-    raise NumericalAmbiguity(f"{reason}, and no ray eigenvalue is off every candidate line")
+    raise NumericalAmbiguity(
+        f"{reason}, and no simple eigenvalue branch of A + gB bends above its rounding bound"
+    )
 
 
 def line_through_point(arr: LineArrangement, z: complex, w: complex, *, tol=None):

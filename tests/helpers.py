@@ -78,8 +78,8 @@ def refuse_common_schur_basis(monkeypatch):
     real = commute._schur_diagonals
 
     def refusing(mats, phases, norms, tol):
-        nus, diags, lower, _ = real(mats, phases, norms, tol)
-        return nus, diags, np.full_like(lower, np.inf), False
+        nus, v, diags, lower, _ = real(mats, phases, norms, tol)
+        return nus, v, diags, np.full_like(lower, np.inf), False
 
     monkeypatch.setattr(commute, "_schur_diagonals", refusing)
 
@@ -90,10 +90,11 @@ def commuting_tuple(rng, n, k):
     return [(u * random_diag_vals(rng, n)) @ u.conj().T for _ in range(k)]
 
 
-def off_curve_witnesses(lams, mus, rays, norms, tol):
-    """Stand-in for linegeom._ray_witnesses: one candidate witness, off
-    every candidate line and off every curve det(I + zA + wB) = 0 that the
-    tests pass it, e.g. 1 - z^2 - w^2 for (PAULI_Z, PAULI_X)."""
+def off_curve_witnesses(*args):
+    """Stand-in for linegeom._ray_witnesses (factor_lines) and
+    linegeom._curvature_witnesses (pencil_verdict): one candidate witness,
+    off every candidate line and off every curve det(I + zA + wB) = 0 that
+    the tests pass it, e.g. 1 - z^2 - w^2 for (PAULI_Z, PAULI_X)."""
     return [(0.5 + 0j, 0.25 + 0j)]
 
 
@@ -117,11 +118,21 @@ def fail_eig(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", failing)
 
 
+def fail_solve(monkeypatch):
+    """Make np.linalg.solve raise LinAlgError, as it does on a singular
+    matrix (the eigenvector solve of the notlines path of
+    linegeom.pencil_verdict)."""
+
+    def failing(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+
+
 def fail_batched_eigvals(monkeypatch, after=0):
     """Make np.linalg.eigvals raise LinAlgError on stacks of matrices (the
-    batched eigensolves of detpoly's grid and of the notlines path of
-    linegeom.pencil_verdict) once `after` stacks have been solved, and behave
-    normally on single matrices."""
+    batched eigensolves of detpoly's grid) once `after` stacks have been
+    solved, and behave normally on single matrices."""
     real = np.linalg.eigvals
     solved = [0]
 
@@ -133,6 +144,31 @@ def fail_batched_eigvals(monkeypatch, after=0):
         return real(x)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+def reference_ray_witness_verdict(a, b, seed=0):
+    """linegeom.pencil_verdict with its earlier notlines path: on refusal,
+    the witnesses of linegeom._ray_witnesses on the spectra of A, B,
+    A + g0 B and A + g1 B, g1 the second phase drawn from seed, tried in
+    order against the sigma_min check. Returns None where pencil_verdict
+    raised NumericalAmbiguity for want of a witness."""
+    a, b = core.as_cmatrices(a, b)
+    tol = core.default_tolerances()
+    fa, fb = core.frobenius(a), core.frobenius(b)
+    gammas = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=2))
+    nus, _, diags, lower, certified = linegeom._schur_diagonals([a, b], gammas[:1], (fa, fb), tol)
+    if certified:
+        lines = linegeom.pair_arrangement(diags[0], diags[1], norm_a=fa, norm_b=fb)
+        return linegeom.LineVerdict(True, lines, lower_parts=tuple(float(x) for x in lower))
+    lams, mus, ray = np.linalg.eigvals(np.stack([a, b, a + gammas[1] * b]))
+    rays = [(gammas[0], nus), (gammas[1], ray)]
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    for z, w in linegeom._ray_witnesses(lams, mus, rays, (fa, fb), tol):
+        smin = np.linalg.svd(eye + z * a + w * b, compute_uv=False)[-1]
+        sigma = float(smin / (1.0 + abs(z) * fa + abs(w) * fb))
+        if sigma <= linegeom.WITNESS_SIGMA_REL:
+            return linegeom.LineVerdict(False, None, (z, w), sigma)
+    return None
 
 
 def reference_direction_mismatch(a, b, arrangement):
@@ -220,6 +256,51 @@ def reference_cluster_tuples(tuples, rel=linegeom.CLUSTER_REL):
         clusters.append((center, len(members)))
     clusters.sort(key=lambda t: key(t[0]))
     return clusters
+
+
+def reference_cluster_tuples_all_rows(tuples, rel=linegeom.CLUSTER_REL):
+    """linegeom.cluster_tuples with its earlier greedy pass over every row,
+    and the output built entry by entry. Bit-identical to it."""
+    x = np.asarray(tuples, dtype=np.complex128)
+    if x.size == 0:
+        return []
+    m, k = x.shape
+    parts = np.stack([x.real, x.imag], axis=2).reshape(m, 2 * k)
+    order = np.lexsort(parts.T[::-1])
+    x, parts = x[order], parts[order]
+    moduli = np.hypot(x.real, x.imag)
+    radius = np.ones(m)
+    for c in range(k):  # left to right, as the scalar formula sums
+        radius = radius + moduli[:, c]
+    radius = rel * radius[:, None]
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.hypot.reduce(np.hypot(diff.real, diff.imag), axis=2)
+    within = dist <= radius
+    for p, q in zip(*np.nonzero(np.abs(dist - radius) <= linegeom._RADIUS_BAND * radius)):
+        within[p, q] = linegeom._within(x[q].tolist(), x[p].tolist(), rel)
+    used = np.zeros(m, dtype=bool)
+    label = np.empty(m, dtype=np.intp)
+    count = 0
+    for p in range(m):
+        if used[p]:
+            continue
+        members = within[p] & ~used
+        used |= members
+        label[members] = count
+        count += 1
+    sizes = np.bincount(label, minlength=count)
+    by_label = np.argsort(label, kind="stable")
+    rank = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sums = np.zeros((count, 2 * k))
+    for r in range(int(sizes.max())):
+        at = by_label[rank == r]
+        sums[label[at]] += parts[at]
+    centers = sums / sizes[:, None]
+    final = np.lexsort(centers.T[::-1])
+    return [
+        (tuple(complex(re, im) for re, im in zip(row[0::2], row[1::2])), size)
+        for row, size in zip(centers[final].tolist(), sizes[final].tolist())
+    ]
 
 
 def reference_lu_fill(a, b, rho_a, rho_b):

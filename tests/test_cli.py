@@ -15,7 +15,7 @@ from helpers import (
     PAULI_Z,
     commuting_pair,
     commuting_tuple,
-    fail_batched_eigvals,
+    fail_solve,
     inconsistent_report,
     noncommuting_pair,
     off_curve_witnesses,
@@ -64,11 +64,12 @@ def test_commute_tolerance_flag_reaches_library(tmp_path):
     fb = _write_matrix(tmp_path / "b.mat", b)
     code, text = _run(tmp_path, "commute", fa, fb, "--tol-commute", "1e-30")
     # commutator is nonzero at machine noise, so an absurdly tight tolerance
-    # flips the algebraic side while the geometric side still sees lines; the
-    # two routes then disagree, which is no answer (exit 2)
+    # flips the algebraic side while the geometric side still sees lines;
+    # that commutator is within what the lines certificate allows, so the
+    # pair is indeterminate, which is no answer (exit 2)
     assert text.startswith("commute=false")
-    assert "verdict=lines" in text
-    assert "consistent=false" in text
+    assert "verdict=indeterminate" in text
+    assert "the lines certificate allows; it cannot separate this pair" in text
     assert code == 2
 
 
@@ -111,7 +112,7 @@ def test_tuple_exits_2_when_the_joint_basis_leaves_residual(tmp_path, monkeypatc
 
 
 def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
-    monkeypatch.setattr(linegeom, "_ray_witnesses", off_curve_witnesses)
+    monkeypatch.setattr(linegeom, "_curvature_witnesses", off_curve_witnesses)
     fa = _write_matrix(tmp_path / "a.mat", PAULI_Z)
     fb = _write_matrix(tmp_path / "b.mat", PAULI_X)
     code, text = _run(tmp_path, "commute", fa, fb)
@@ -120,16 +121,16 @@ def test_commute_exits_2_on_off_curve_witness(tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_commute_exits_2_when_grid_eigensolve_fails(tmp_path, monkeypatch):
-    # a non-commuting pair fails the Schur-basis check, and the batched
-    # eigensolve of its witness search does not converge
-    fail_batched_eigvals(monkeypatch)
+def test_commute_exits_2_when_witness_solve_fails(tmp_path, monkeypatch):
+    # a non-commuting pair fails the Schur-basis check, and the eigenvector
+    # solve of its curvature witness fails
     a, b = noncommuting_pair(np.random.default_rng(23), 8)
     fa = _write_matrix(tmp_path / "a.mat", a)
     fb = _write_matrix(tmp_path / "b.mat", b)
+    fail_solve(monkeypatch)
     code, text = _run(tmp_path, "commute", fa, fb)
     assert text.startswith("commute=false")
-    assert "indeterminate=" in text and "did not converge" in text
+    assert "indeterminate=" in text and "eigenvector solve failed" in text
     assert code == 2
 
 

@@ -10,9 +10,10 @@ from helpers import (
     PAULI_Z,
     commuting_pair,
     commuting_tuple,
-    fail_batched_eigvals,
     fail_eig,
+    fail_solve,
     inconsistent_report,
+    near_commuting_pair,
     noncommuting_pair,
     off_curve_witnesses,
     random_diag_vals,
@@ -181,29 +182,61 @@ def test_common_eigenbasis_diagonalizes_a_once(monkeypatch):
 
 
 def test_off_curve_witness_is_indeterminate(monkeypatch):
-    monkeypatch.setattr(linegeom, "_ray_witnesses", off_curve_witnesses)
+    monkeypatch.setattr(linegeom, "_curvature_witnesses", off_curve_witnesses)
     rep = commute.equivalence_check(PAULI_Z, PAULI_X)
     assert rep.verdict is None and rep.consistent is None
     assert "off the matrix curve" in rep.indeterminate
 
 
 @pytest.mark.parametrize(
-    "make, fail",
-    [(commuting_pair, fail_eig), (noncommuting_pair, fail_batched_eigvals)],
-    ids=["schur_basis", "pencil_spectra"],
+    "make, fail, message",
+    [
+        (commuting_pair, fail_eig, "did not converge"),
+        (noncommuting_pair, fail_solve, "eigenvector solve failed"),
+    ],
+    ids=["schur_basis", "witness_solve"],
 )
-def test_pencil_eigensolve_failure_is_indeterminate(monkeypatch, make, fail):
+def test_pencil_eigensolve_failure_is_indeterminate(monkeypatch, make, fail, message):
     # a commuting pair needs only the Schur-basis eigensolve; a
-    # non-commuting one goes on to the batched spectra of its witness search
+    # non-commuting one goes on to the eigenvector solve of its curvature
+    # witness
     a, b = make(np.random.default_rng(31), 6)
     fail(monkeypatch)
     rep = commute.equivalence_check(a, b)
     assert rep.commute == (make is commuting_pair)
     assert rep.verdict is None and rep.consistent is None
-    assert "did not converge" in rep.indeterminate
+    assert message in rep.indeterminate
 
 
 _JORDAN = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def _relative_lower_parts(mats, q):
+    return [np.linalg.norm(np.tril(q.conj().T @ m @ q, -1)) / np.linalg.norm(m) for m in mats]
+
+
+def test_lines_certificate_bounds_the_commutator():
+    # for normal A and B and any unitary Q, ||AB - BA||_F is at most
+    # K(n) (l_A + l_B) ||A||_F ||B||_F with l the relative strictly lower
+    # parts of Q*AQ and Q*BQ and K(n) = 2 (1 + sqrt(n - 1)); _band_refusal
+    # refuses exactly up to that bound
+    rng = np.random.default_rng(4242)
+    tightest = 0.0
+    for n in (2, 3, 5, 8, 16, 32, 64):
+        pairs = [noncommuting_pair(rng, n), near_commuting_pair(rng, n, 1e-6)]
+        pairs.append(near_commuting_pair(rng, n, 1e-10))
+        for a, b in pairs:
+            m = a + np.exp(2j * np.pi * rng.uniform()) * b
+            for q in (random_unitary(rng, n), np.linalg.qr(np.linalg.eig(m)[1])[0]):
+                lower = _relative_lower_parts((a, b), q)
+                na, nb = np.linalg.norm(a), np.linalg.norm(b)
+                cn = np.linalg.norm(a @ b - b @ a)
+                band = 2 * (1 + np.sqrt(n - 1)) * sum(lower) * na * nb
+                tightest = max(tightest, cn / band)
+                assert commute._band_refusal(cn, n, lower, na, nb) is not None, (n, cn, band)
+                assert commute._band_refusal(band * (1 + 1e-12), n, lower, na, nb) is None
+    print(f"[commutator band] largest ||[A,B]||_F / bound {tightest:.3f}")
+    assert tightest <= 1.0
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
@@ -429,14 +462,18 @@ def test_commuting_tuple_is_certified_by_one_schur_basis(k, monkeypatch):
 
 def test_certified_tuple_reports_a_commutator_that_disagrees():
     # no pair commutes within 1e-300 of its norms, while the tuple's Schur
-    # basis still certifies every pair's lines
+    # basis still certifies every pair's lines; the commutator is within
+    # what that certificate allows, so the pair is indeterminate, as
+    # equivalence_check reports it
     a, b = commuting_pair(np.random.default_rng(83), 5)
     tol = core.Tolerances().override(commute=1e-300)
     rep = commute.tuple_test([a, b], tol=tol)
-    assert rep.indeterminate == "pair (0,1): commutator and line verdict disagree"
+    assert rep.indeterminate.startswith("pair (0,1): commutator norm")
+    assert "it cannot separate this pair from a commuting one" in rep.indeterminate
     assert rep.hyperplanes is None
     (_, pair), = rep.reports
-    assert not pair.commute and pair.verdict.is_lines and pair.consistent is False
+    assert not pair.commute and pair.verdict is None and pair.consistent is None
+    assert pair == commute.equivalence_check(a, b, tol=tol)
 
 
 def test_refused_tuple_tests_each_pair_as_equivalence_check_does():

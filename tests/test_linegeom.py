@@ -17,6 +17,7 @@ from helpers import (
     off_curve_witnesses,
     random_unitary,
     reference_cluster_tuples,
+    reference_cluster_tuples_all_rows,
     reference_greedy_pairing,
 )
 
@@ -278,8 +279,8 @@ def test_cluster_tuples():
 
 
 def _pencil_candidates(a, b, seed):
-    """lams, mus, the two ray directions and the ray spectra, drawn as
-    pencil_verdict draws them."""
+    """lams, mus, two ray directions and their spectra; the first direction
+    is pencil_verdict's g0 for this seed."""
     gammas = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=2))
     spectra = np.linalg.eigvals(np.stack([a, b, a + gammas[0] * b, a + gammas[1] * b]))
     return linegeom._sorted_complex(spectra[0]), linegeom._sorted_complex(spectra[1]), gammas, spectra[2:]
@@ -355,6 +356,31 @@ def test_cluster_tuples_matches_reference_loop():
     big = [(1 + 1e-9 * rng.normal() + 1e-9j * rng.normal(), 2 - 1e-9 * rng.normal()) for _ in range(12)]
     _assert_clusters_match_reference(big)
     assert [m for _, m in linegeom.cluster_tuples(big)] == [12]
+
+
+def _cluster_bits(clusters):
+    return [(tuple((c.real.hex(), c.imag.hex()) for c in center), type(mult), mult) for center, mult in clusters]
+
+
+def test_cluster_tuples_bit_identical_to_the_all_rows_pass():
+    # singletons, clusters, exact repeats, members a few ulps either side of
+    # the radius and signed zeros, for k = 1-4 and m up to 64: the greedy
+    # pass over contested rows only gives the same bits as over every row
+    rng = np.random.default_rng(8200)
+    rel = linegeom.CLUSTER_REL
+    for k in (1, 2, 3, 4):
+        for m in (1, 2, 5, 16, 40, 64):
+            spread = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+            base = spread[rng.integers(0, max(1, m // 4), m)]
+            noise = 10 ** rng.uniform(-10, -5, (m, 1)) * (rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))
+            seeds = spread[: max(1, m // 2)]
+            step = rel * (1 + np.abs(seeds).sum(axis=1, keepdims=True)) / np.sqrt(k)
+            edge = seeds + step * (1 + rng.integers(-3, 4, seeds.shape) * 1e-16)
+            signed = np.where(rng.uniform(size=(m, k)) < 0.5, complex(-0.0, -0.0), 0.0) + base * (rng.uniform(size=(m, 1)) < 0.5)
+            for tuples in (spread, base, base + noise, np.concatenate([seeds, edge])[:m], signed):
+                got = linegeom.cluster_tuples(tuples)
+                assert _cluster_bits(got) == _cluster_bits(reference_cluster_tuples_all_rows(tuples)), (k, m)
+                assert all(type(c) is complex for center, _ in got for c in center)
 
 
 def test_cluster_tuples_signed_zero_and_radius_edge():

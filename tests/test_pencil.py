@@ -6,7 +6,7 @@ interpolated polynomial."""
 import numpy as np
 import pytest
 
-from projspec import commute, core, detpoly, linegeom
+from projspec import commute, core, detpoly, linegeom, riesz
 from projspec.errors import DegreeBudgetExceeded, InterpolationFailure, NumericalAmbiguity
 from projspec.linegeom import Line, LineArrangement
 
@@ -16,6 +16,7 @@ from helpers import (
     noncommuting_pair,
     random_unitary,
     reference_direction_mismatch,
+    reference_ray_witness_verdict,
 )
 
 _LARGE_DIMS = [25, 32, 40, 48, 56, 64]
@@ -26,6 +27,11 @@ def _relative_sigma_min(a, b, z, w):
     n = a.shape[0]
     smin = np.linalg.svd(np.eye(n) + z * a + w * b, compute_uv=False)[-1]
     return smin / (1 + abs(z) * np.linalg.norm(a) + abs(w) * np.linalg.norm(b))
+
+
+def _phase(seed):
+    """pencil_verdict's g0 for this seed."""
+    return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0))
 
 
 def test_large_dim_equivalence_battery():
@@ -170,22 +176,30 @@ def test_equivalence_paths_stay_off_the_polynomial(monkeypatch):
 def test_each_lower_part_is_relative_to_its_own_matrix(small):
     # Q triangularizes A + g0 B, so L_B = -L_A / g0: with one member 1e-8 of
     # the other's size, the shared lower part is tiny against the larger
-    # member's norm and only the smaller member's own check refuses
+    # member's norm and only the smaller member's own check refuses; the
+    # refused pair then gets its curvature witness
+    tol = core.default_tolerances()
     for n in (4, 12):
         a, b = noncommuting_pair(np.random.default_rng(n), n)
         if small == "a":
             a = 1e-8 * a
         else:
             b = 1e-8 * b
-        with pytest.raises(NumericalAmbiguity, match="relative lower parts"):
-            linegeom.pencil_verdict(a, b)
+        phase = _phase(0)
+        norms = (np.linalg.norm(a), np.linalg.norm(b))
+        *_, lower, certified = linegeom._schur_diagonals([a, b], [phase], norms, tol)
+        big, tiny = (lower[1], lower[0]) if small == "a" else (lower[0], lower[1])
+        assert not certified and big <= tol.line < tiny
+        verdict = linegeom.pencil_verdict(a, b)
+        assert not verdict.is_lines
+        assert _relative_sigma_min(a, b, *verdict.witness) <= linegeom.WITNESS_SIGMA_REL
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-4])
 def test_near_commuting_pair_is_never_certified_lines(eps):
     # B conjugated by exp(i eps H) is off commuting with A by O(eps), far
     # above rounding, so a Schur basis of A + gB leaves lower parts of B
-    # above tol.line; the spectra move only at O(eps^2), so a refusal may
+    # above tol.line; the branches bend only at O(eps^2), so a refusal may
     # find no witness and be indeterminate
     rng = np.random.default_rng(12)
     refused = 0
@@ -212,3 +226,118 @@ def test_noncommuting_verdict_is_scale_invariant(scale):
         assert rep.indeterminate is None, (n, rep.indeterminate)
         assert not rep.commute and not rep.verdict.is_lines and rep.consistent
         assert _relative_sigma_min(scale * a, scale * b, *rep.verdict.witness) <= 1e-15
+
+
+def _curvatures(a, b, seed=0):
+    """nu'' and its rounding bound on every branch of A + gB at g0, with the
+    eigenvalues nu of A + g0 B."""
+    fa, fb = np.linalg.norm(a), np.linalg.norm(b)
+    tol = core.default_tolerances()
+    nus, v, *_ = linegeom._schur_diagonals([a, b], [_phase(seed)], (fa, fb), tol)
+    curv, bound = linegeom._branch_curvatures(nus, v, b, fa + fb, fb)
+    return nus, curv, bound
+
+
+def _separated_branches(nus, sep):
+    gap = np.abs(nus[:, None] - nus[None, :])
+    np.fill_diagonal(gap, np.inf)
+    return np.flatnonzero(gap.min(axis=1) > sep)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_curvature_matches_a_finite_difference(n):
+    # nu(g0 + h) - 2 nu(g0) + nu(g0 - h), over h^2, on eigenvalues matched
+    # to their nu by nearness: a branch 0.05 from every other moves by far
+    # less than that over |h| = 1e-4
+    a, b = noncommuting_pair(np.random.default_rng(600 + n), n)
+    nus, curv, bound = _curvatures(a, b)
+    g, h = _phase(0), 1e-4
+    near = [np.linalg.eigvals(a + (g + s) * b) for s in (h, -h)]
+    checked = 0
+    for i in _separated_branches(nus, 0.05):
+        plus, minus = (e[np.abs(e - nus[i]).argmin()] for e in near)
+        fd = (plus - 2 * nus[i] + minus) / h**2
+        assert abs(fd - curv[i]) <= 1e-6 * abs(curv).max(), (i, fd, curv[i])
+        assert abs(curv[i]) > bound[i]
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_curvature_is_the_trace_of_the_first_order_riesz_term(n):
+    # nu(g) = tr((A + gB) P(g)) for the Riesz projection P of a simple
+    # eigenvalue, so nu' = tr(B P) and nu'' = tr(B P'), with P' the
+    # contour integral of riesz.first_order_term
+    a, b = noncommuting_pair(np.random.default_rng(700 + n), n)
+    nus, curv, _ = _curvatures(a, b)
+    m = a + _phase(0) * b
+    branches = _separated_branches(nus, 0.05)
+    assert branches.size >= 2
+    for i in branches:
+        contour = riesz.Contour(complex(nus[i]), 0.02, nodes=256)
+        ref = np.trace(b @ riesz.first_order_term(m, b, contour))
+        assert abs(ref - curv[i]) <= 1e-9 * abs(curv).max(), (i, ref, curv[i])
+
+
+def test_commuting_pairs_stay_below_the_curvature_bound():
+    # a commuting pair's branches are affine; rounding alone must not bend
+    # one past its bound, with separated or clustered joint eigenvalues
+    rng = np.random.default_rng(2816)
+    worst = 0.0
+    for n in (2, 3, 8, 16, 32, 48, 64):
+        for seed in range(3):
+            a, b = commuting_pair(rng, n)
+            _, curv, bound = _curvatures(a, b, seed)
+            worst = max(worst, float((np.abs(curv) / bound).max()))
+        u = random_unitary(rng, n)
+        lam = rng.choice([0.5, 1.0, 1j], n) + 1e-6 * rng.normal(size=n)
+        mu = rng.choice([0.3, -0.7], n) + 1e-6 * rng.normal(size=n)
+        _, curv, bound = _curvatures((u * lam) @ u.conj().T, (u * mu) @ u.conj().T)
+        worst = max(worst, float((np.abs(curv) / bound).max()))
+    print(f"[curvature] commuting pairs n 2-64: largest |nu''| / bound {worst:.3e}")
+    assert worst < 1.0
+
+
+def test_curvature_witness_keeps_criterion_1_verdict_classes():
+    # criterion 1's 400 pairs, drawn as test_acceptance draws them: the
+    # verdict class of every pair is the one of the earlier ray-witness
+    # search, lines verdicts are the same arrangements, and every notlines
+    # witness is on the matrices' curve
+    rng = np.random.default_rng(424242)
+    dims = [2 + (k * 23) // 199 for k in range(200)]
+    pairs = [(commuting_pair(rng, n), k) for k, n in enumerate(dims)]
+    pairs += [(noncommuting_pair(rng, n), 200 + k) for k, n in enumerate(dims)]
+    notlines = 0
+    for (a, b), seed in pairs:
+        verdict = linegeom.pencil_verdict(a, b, seed=seed)
+        ref = reference_ray_witness_verdict(a, b, seed=seed)
+        assert ref is not None and verdict.is_lines == ref.is_lines, seed
+        if verdict.is_lines:
+            assert verdict == ref
+        else:
+            notlines += 1
+            assert _relative_sigma_min(a, b, *verdict.witness) <= linegeom.WITNESS_SIGMA_REL
+    assert notlines == 200
+
+
+def test_near_commuting_sweep_has_no_wrong_certified_verdict():
+    # B conjugated by exp(i eps H) for eps from 1e-12 to 1e-3: between
+    # tol.commute and tol.line a pair may fail the commutator bound and still
+    # be certified lines, which the certificate's own commutator bound makes
+    # indeterminate; and no pair that commutes is certified notlines
+    rng = np.random.default_rng(5)
+    counts = {"lines": 0, "notlines": 0, "indeterminate": 0}
+    for n in (4, 12, 24, 48, 64):
+        for eps in np.logspace(-12, -3, 9):
+            for _ in range(3):
+                a, b = near_commuting_pair(rng, n, eps)
+                rep = commute.equivalence_check(a, b)
+                if rep.indeterminate is not None:
+                    counts["indeterminate"] += 1
+                    continue
+                counts["lines" if rep.verdict.is_lines else "notlines"] += 1
+                assert rep.consistent, (n, eps, rep.commute)
+                if not rep.verdict.is_lines:
+                    assert _relative_sigma_min(a, b, *rep.verdict.witness) <= linegeom.WITNESS_SIGMA_REL
+    print(f"[near commuting sweep] 135 pairs: {counts}")
+    assert sum(counts.values()) == 135
