@@ -73,7 +73,9 @@ WITNESS_SIGMA_REL = 1e-8
 # To first order in E each nu_k moves by at most eta = kappa n _EPS ||M||_F,
 # and C = V^-1 B V by at most D = |C| G + G |C| + n _EPS kappa ||B||_F
 # entrywise, G_jk = eta / |nu_j - nu_k| the eigenvector rotation bound (the
-# last term is the rounding of forming C). Then nu_i'' moves by at most
+# last term is the rounding of forming C), G_jk = 0 for a tied pair,
+# |nu_j - nu_k| <= 2 eta, whose rotation leaves every other branch's sum
+# unchanged. Then nu_i'' moves by at most
 #   2 sum_{k != i} [(D_ik |C_ki| + |C_ik| D_ki + D_ik D_ki) / |d_ik|
 #                   + |C_ik C_ki| 2 eta / (|d_ik| (|d_ik| - 2 eta))],
 # d_ik = nu_i - nu_k. nu_i is simple when every |d_ik| exceeds 2 eta.
@@ -587,18 +589,22 @@ def _branch_curvatures(nus, v, b, size_m, size_b):
     eta = kappa * n * _EPS * size_m
     d = nus[:, None] - nus[None, :]
     gap = np.abs(d)
-    np.fill_diagonal(gap, np.inf)
+    tied = gap <= 2.0 * eta
+    np.fill_diagonal(tied, True)
+    # A tied pair, the diagonal included, adds nothing: a rotation inside a
+    # cluster of tied eigenvalues leaves sum_{k in cluster} C_ik C_ki of a
+    # branch i outside it unchanged, and the rows of the cluster are not
+    # simple. With gap = inf there, every division below is finite.
+    gap[tied] = np.inf
+    d[tied] = 1.0
     ac = np.abs(c)
     rot = eta / gap
     err_c = ac @ rot + rot @ ac + n * _EPS * kappa * size_b
-    pair = c * c.T
-    np.fill_diagonal(d, 1.0)
-    np.fill_diagonal(pair, 0.0)
+    pair = np.where(tied, 0.0, c * c.T)
     curv = 2.0 * (pair / d).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        moved = np.abs(pair) * 2.0 * eta / (gap * (gap - 2.0 * eta))
+    moved = np.abs(pair) * 2.0 * eta / (gap * (gap - 2.0 * eta))
     err = 2.0 * ((err_c * ac.T + ac * err_c.T + err_c * err_c.T) / gap + moved).sum(axis=1)
-    simple = gap.min(axis=1) > 2.0 * eta
+    simple = tied.sum(axis=1) == 1
     return curv, np.where(simple, err, np.inf)
 
 

@@ -11,6 +11,8 @@ from projspec.errors import DegreeBudgetExceeded, InterpolationFailure, Numerica
 from projspec.linegeom import Line, LineArrangement
 
 from helpers import (
+    PAULI_X,
+    PAULI_Z,
     commuting_pair,
     near_commuting_pair,
     noncommuting_pair,
@@ -296,6 +298,37 @@ def test_commuting_pairs_stay_below_the_curvature_bound():
         worst = max(worst, float((np.abs(curv) / bound).max()))
     print(f"[curvature] commuting pairs n 2-64: largest |nu''| / bound {worst:.3e}")
     assert worst < 1.0
+
+
+def _direct_sum(p, q):
+    n, m = p.shape[0], q.shape[0]
+    out = np.zeros((n + m, n + m), dtype=complex)
+    out[:n, :n], out[n:, n:] = p, q
+    return out
+
+
+@pytest.mark.parametrize("block", ["zero", "identity"])
+def test_tied_eigenvalue_keeps_the_curvature_witness(block):
+    # a zero or identity block in both members gives A + g0 B an exactly
+    # repeated eigenvalue (0 or 1 + g0); a rotation inside the tie leaves
+    # the curvature of every other branch unchanged, so the bent branches
+    # keep a finite bound and the pair is certified notlines, without a
+    # RuntimeWarning (an error under the test configuration)
+    rng = np.random.default_rng(31)
+    pairs = [(PAULI_Z, PAULI_X)] + [noncommuting_pair(rng, n) for n in (3, 6)]
+    for a0, b0 in pairs:
+        for m in (2, 3):
+            tie = np.zeros((m, m)) if block == "zero" else np.eye(m)
+            a, b = _direct_sum(a0, tie), _direct_sum(b0, tie)
+            nus, curv, bound = _curvatures(a, b)
+            tied = np.abs(nus - nus[-1]) <= 1e-12
+            assert tied.sum() == m and np.isinf(bound[tied]).all()
+            assert np.isfinite(bound[~tied]).all() and (np.abs(curv[~tied]) > bound[~tied]).any()
+            verdict = linegeom.pencil_verdict(a, b)
+            assert not verdict.is_lines
+            assert _relative_sigma_min(a, b, *verdict.witness) <= linegeom.WITNESS_SIGMA_REL
+            rep = commute.equivalence_check(a, b)
+            assert rep.indeterminate is None and not rep.commute and rep.consistent
 
 
 def test_curvature_witness_keeps_criterion_1_verdict_classes():
