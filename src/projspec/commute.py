@@ -197,10 +197,12 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     two sides agree. A notlines witness is a point of the matrices' own curve, and its
     witness_residual is the relative sigma_min(I + zA + wB) there. When both
     sides are affirmative the recovered arrangement is also matched against
-    the eigenvalue pairs of a common eigenbasis. A verdict that cannot be
-    certified either way is reported as indeterminate, and so is a lines
-    verdict whose pair fails tol.commute by less than its certificate
-    allows (_band_refusal).
+    the eigenvalue pairs of a common eigenbasis (common_eigenbasis's joint
+    basis, _joint_eigenbasis). The pair is admitted once, here: one
+    normality defect per member and one commutator serve both sides and
+    the reference. A verdict that cannot be certified either way is
+    reported as indeterminate, and so is a lines verdict whose pair fails
+    tol.commute by less than its certificate allows (_band_refusal).
     """
     (a, b), tol, (na, nb) = _admit((a, b), ("a", "b"), tol)
     cn, commute = _commutator(a, b, na, nb, tol)
@@ -216,10 +218,10 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     distance = None
     if commute and verdict.is_lines:
         try:
-            basis = common_eigenbasis(a, b, tol=tol)
+            _, diags, _ = _joint_eigenbasis([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol)
         except (NotCommuting, NotNormal) as exc:
             return EquivalenceReport(commute, cn, verdict, None, indeterminate=str(exc))
-        reference = pair_arrangement(basis.diag_a, basis.diag_b, norm_a=na, norm_b=nb)
+        reference = pair_arrangement(diags[0], diags[1], norm_a=na, norm_b=nb)
         distance = compare_arrangements(verdict.arrangement, reference)
     return EquivalenceReport(commute, cn, verdict, consistent, distance)
 
@@ -242,7 +244,8 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     diagonalized, two sweeps over all of them, and the basis must pass the
     checks of common_eigenbasis (_joint_eigenbasis), or the tuple is
     indeterminate. The hyperplane arrangement
-    {1 + sum_i a_i^{(k)} z_i = 0} is emitted from the joint diagonals;
+    {1 + sum_i a_i^{(k)} z_i = 0} is emitted from the joint diagonals,
+    clustered with each coordinate in its member's ||.||_F;
     k-tuples that are constant factors (linegeom.drop_constant_factors)
     count in the deficit. A tuple certified by its Schur basis also gets
     schur_vs_hyperplanes_distance, the bottleneck distance between the Schur
@@ -293,7 +296,7 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     except (NotCommuting, NotNormal) as exc:
         return TupleReport(reports, True, indeterminate=str(exc))
     tuples, deficit = drop_constant_factors(diags, norms)
-    hyperplanes = cluster_tuples(tuples)
+    hyperplanes = cluster_tuples(tuples, scales=norms)
     distance = None
     if certified:
         expanded = [coeffs for coeffs, mult in hyperplanes for _ in range(mult)]

@@ -45,7 +45,8 @@ from .errors import (
 PAIR_TOL = 1e-5
 
 # Multiplicity clustering radius, relative to 1 + |lambda| + |mu| (for a
-# coefficient tuple, 1 plus the sum of its moduli).
+# coefficient tuple, 1 plus the sum of its moduli), each coordinate in the
+# units of cluster_tuples' scales.
 CLUSTER_REL = 1e-6
 
 # cluster_tuples re-decides membership in scalar arithmetic where the array
@@ -219,10 +220,15 @@ def _within(item, seed, rel: float) -> bool:
     return math.hypot(*(abs(x - y) for x, y in zip(item, seed))) <= radius
 
 
-def cluster_tuples(tuples, rel: float = CLUSTER_REL):
+def cluster_tuples(tuples, rel: float = CLUSTER_REL, scales=None):
     """Greedy radius clustering of coefficient tuples into (centroid, multiplicity).
 
     tuples is an (m, k) array (or a list of equal-length tuples), k >= 1.
+    scales, when given, holds k positive sizes, one per coordinate (for a
+    pair or tuple, each member's ||.||_F; entries are floored at 1e-300):
+    distances and radii are then measured on x_c / scales[c], so the
+    clusters do not change when a member is rescaled. Centroids stay in the
+    original coordinates. Without scales every coordinate has size 1.
     Deterministic: seeds are taken in lexicographic (re, im) order, ties in
     input order, and each absorbs every unused tuple within
     rel * (1 + sum of the seed's moduli) in Euclidean distance. A centroid
@@ -230,15 +236,19 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL):
     entries give 0.0), over their count. Output is sorted by centroid the
     same way. Pairs (lam, mu) are the line case.
 
-    Cost: one sort and one m x m distance matrix, O(m^2 k), then one mask
-    per contested seed and one vector addition per member rank. Moduli are
-    taken with np.hypot, which rounds as Python's abs(complex) does;
-    np.abs on complex128 and np.hypot over k >= 2 components can differ
-    from the scalar formula in the last bit, so distances within
-    _RADIUS_BAND of the radius are decided by that formula (_within). A
-    tuple within no other's radius, and with no other within its own, is a
-    seed of its own; only the other, contested, tuples take the sequential
-    greedy pass.
+    Cost: one sort, O(m log m). After it the real part of the first
+    (scaled) coordinate rises row by row and bounds every distance from
+    below, so when each step between neighbouring rows exceeds the widest
+    radius by more than 2 _RADIUS_BAND of it, every tuple is a cluster of
+    its own and the sorted rows are the output. Otherwise one m x m
+    distance matrix, O(m^2 k), then one mask per contested seed and one
+    vector addition per member rank. Moduli are taken with np.hypot, which
+    rounds as Python's abs(complex) does; np.abs on complex128 and np.hypot
+    over k >= 2 components can differ from the scalar formula in the last
+    bit, so distances within _RADIUS_BAND of the radius are decided by that
+    formula (_within). A tuple within no other's radius, and with no other
+    within its own, is a seed of its own; only the other, contested, tuples
+    take the sequential greedy pass.
     """
     x = np.asarray(tuples, dtype=np.complex128)
     if x.size == 0:
@@ -247,11 +257,15 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL):
     parts = np.stack([x.real, x.imag], axis=2).reshape(m, 2 * k)
     order = np.lexsort(parts.T[::-1])
     x, parts = x[order], parts[order]
+    if scales is not None:
+        x = x / np.maximum(np.asarray(scales, dtype=float), 1e-300)
     moduli = np.hypot(x.real, x.imag)
     radius = np.ones(m)
     for c in range(k):  # left to right, as the scalar formula sums
         radius = radius + moduli[:, c]
     radius = rel * radius[:, None]
+    if np.all(np.diff(x[:, 0].real) > radius.max() * (1.0 + 2.0 * _RADIUS_BAND)):
+        return list(zip(map(tuple, (parts + 0.0).view(np.complex128).tolist()), [1] * m))
     diff = x[:, None, :] - x[None, :, :]
     gaps = np.hypot(diff.real, diff.imag)
     dist = gaps[:, :, 0]
@@ -490,12 +504,14 @@ def pair_arrangement(lams, mus, *, norm_a: float, norm_b: float) -> LineArrangem
     """Lines {1 + lams[j] z + mus[j] w = 0} from paired values, with multiplicity.
 
     Pairs that are constant determinant factors (drop_constant_factors) are
-    counted in the deficit instead.
+    counted in the deficit instead. Lines are clustered with lams measured
+    in norm_a and mus in norm_b (cluster_tuples' scales), so multiplicities
+    do not change when A or B is rescaled.
     """
     la = np.asarray(lams, dtype=np.complex128).ravel()
     mu = np.asarray(mus, dtype=np.complex128).ravel()
     pairs, deficit = drop_constant_factors(np.stack([la, mu]), (norm_a, norm_b))
-    lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
+    lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs, scales=(norm_a, norm_b))]
     return LineArrangement(lines, deficit=deficit)
 
 

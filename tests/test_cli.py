@@ -57,6 +57,17 @@ def test_commute_commuting_pair(tmp_path):
     assert "consistent=true" in text
 
 
+def test_commute_keeps_two_lines_of_a_small_pair(tmp_path):
+    # (1e-7, 3e-7) and (2e-7, 4e-7) are two lines; a cluster radius with an
+    # absolute 1 in it read them as one double line
+    fa = _write_matrix(tmp_path / "a.mat", 1e-7 * np.diag([1.0, 2.0]))
+    fb = _write_matrix(tmp_path / "b.mat", 1e-7 * np.diag([3.0, 4.0]))
+    code, text = _run(tmp_path, "commute", fa, fb)
+    assert code == 0
+    assert "consistent=true" in text
+    assert "lines=lines 2" in text
+
+
 def test_commute_tolerance_flag_reaches_library(tmp_path):
     rng = np.random.default_rng(73)
     a, b = commuting_pair(rng, 2)

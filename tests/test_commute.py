@@ -181,6 +181,32 @@ def test_common_eigenbasis_diagonalizes_a_once(monkeypatch):
     assert calls == {"eig_normal": 0, "joint_diagonalize": 1}
 
 
+def test_equivalence_check_admits_a_commuting_pair_once(monkeypatch):
+    # the joint-eigenbasis reference reuses the admission's norms and
+    # commutator: two normality defects and one commutator in all
+    a, b = commuting_pair(np.random.default_rng(58), 7)
+    want = commute.equivalence_check(a, b, seed=4)
+    calls = {"normality_defect": 0, "commutator_norm": 0}
+    for name in calls:
+        real = getattr(core, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, counted)
+    rep = commute.equivalence_check(a, b, seed=4)
+    assert calls == {"normality_defect": 2, "commutator_norm": 1}
+    assert rep.commute and rep.consistent and rep.verdict.is_lines
+    # the same text as the route through the public common_eigenbasis
+    basis = commute.common_eigenbasis(a, b)
+    na, nb = core.frobenius(a), core.frobenius(b)
+    reference = linegeom.pair_arrangement(basis.diag_a, basis.diag_b, norm_a=na, norm_b=nb)
+    distance = linegeom.compare_arrangements(rep.verdict.arrangement, reference)
+    assert rep.arrangement_vs_eigenpairs_distance == distance
+    assert commute.format_report(rep) == commute.format_report(want)
+
+
 def test_off_curve_witness_is_indeterminate(monkeypatch):
     monkeypatch.setattr(linegeom, "_curvature_witnesses", off_curve_witnesses)
     rep = commute.equivalence_check(PAULI_Z, PAULI_X)
@@ -426,6 +452,49 @@ def test_tuple_drops_constant_factors_as_the_pair_does():
         rep = commute.tuple_test(mats)
         assert rep.commute and rep.indeterminate is None
         assert (len(rep.hyperplanes), rep.deficit) == (2, 0)
+
+
+def _hermitian_members(rng, n, k):
+    """k commuting Hermitian matrices U diag(d_i) U*, symmetrized so that
+    each is exactly Hermitian, hence of normality defect 0 at every scale,
+    whose joint eigenvalues repeat over one shared set of clusters."""
+    u = random_unitary(rng, n)
+    clusters = rng.integers(0, max(1, n // 2), n)
+    mats = []
+    for _ in range(k):
+        m = (u * rng.uniform(-1.5, 1.5, n)[clusters]) @ u.conj().T
+        mats.append((m + m.conj().T) / 2)
+    return mats
+
+
+def _multiplicities(arrangement):
+    return sorted(m for _, m in arrangement.lines), arrangement.deficit
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-7, 1e7, 1e12])
+def test_line_multiplicities_are_scale_free(c):
+    # joint and separate scaling keep the multiplicities of c = 1; the
+    # absolute 1 of the cluster radius used to merge distinct lines once
+    # the pair was small enough, or one member large enough. The Hermitian
+    # members share their eigenvalue clusters, and the identity's partners
+    # are diagonal, so the Schur basis of the unweighted pencil resolves
+    # them at every scale
+    rng = np.random.default_rng(860)
+    for n in (2, 3, 5, 9, 16, 33):
+        a, b, m = _hermitian_members(rng, n, 3)
+        diagonal = (np.eye(n, dtype=complex), np.diag(np.diag(b)), np.diag(np.diag(m)))
+        for x, y, z in ((a, b, m), diagonal):
+            pair = _multiplicities(commute.equivalence_check(x, y).verdict.arrangement)
+            hyper = sorted(k for _, k in commute.tuple_test([x, y, z]).hyperplanes)
+            for p, q in ((c * x, c * y), (c * x, y), (x, c * y)):
+                rep = commute.equivalence_check(p, q)
+                assert rep.consistent and _multiplicities(rep.verdict.arrangement) == pair, (n, c)
+            for mats in ([c * x, c * y, c * z], [c * x, y, z], [x, y, c * z], [x, c * y, z / c]):
+                rep = commute.tuple_test(mats)
+                assert rep.indeterminate is None, (n, c, rep.indeterminate)
+                assert sorted(k for _, k in rep.hyperplanes) == hyper, (n, c)
+                assert _multiplicities(rep.reports[0][1].verdict.arrangement) == pair, (n, c)
+        assert max(_multiplicities(commute.equivalence_check(a, b).verdict.arrangement)[0]) > 1 or n == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

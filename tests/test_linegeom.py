@@ -412,6 +412,64 @@ def test_cluster_tuples_decides_boundary_members_by_the_scalar_formula():
     assert sorted(m for _, m in linegeom.cluster_tuples([seed, out, inside], rel)) == [1, 2]
 
 
+def test_cluster_tuples_isolated_rows_window_edge():
+    # rows whose sorted real parts of the first coordinate step by more than
+    # the widest radius times (1 + 2 _RADIUS_BAND) are returned as they are;
+    # every other input takes the distance matrix; both give the bits of the
+    # all-rows pass
+    rel = linegeom.CLUSTER_REL
+    neg = complex(-0.0, -0.0)
+    reach = rel * (1.0 + 10.0) * (1.0 + 2.0 * linegeom._RADIUS_BAND)
+    cases = [
+        # real parts inside the window, apart in the imaginary part or in a
+        # later coordinate
+        [(0.0,), (1j,), (2j,)],
+        [(1.0, 0.0), (1.0 + 1e-8, 5.0), (1.0 + 2e-8, -5.0)],
+        [(1.0, 2.0, 0.0), (1.0, 2.0, 1.0), (3.0, 2.0, 1.0)],
+        [(neg, 1.0), (0.0, 2.0)],
+        # a step exactly at the reach, and the next float past it; the third
+        # row sets the widest radius
+        [(0.0,), (reach,), (10.0,)],
+        [(0.0,), (np.nextafter(reach, 1.0),), (10.0,)],
+        # m = 1
+        [(neg,)],
+        [(neg, 2.5 - 1j)],
+        [(1e-300j, neg, -3.0)],
+    ]
+    rng = np.random.default_rng(8300)
+    for k in (1, 2, 3):
+        spread = rng.normal(size=(64, k)) + 1j * rng.normal(size=(64, k))
+        steps = np.diff(np.sort(spread[:, 0].real))
+        assert steps.min() > rel * (1 + np.abs(spread).sum(axis=1)).max()
+        cases.append(spread)
+    for tuples in cases:
+        got = linegeom.cluster_tuples(tuples)
+        assert _cluster_bits(got) == _cluster_bits(reference_cluster_tuples_all_rows(tuples)), tuples
+        assert all(type(c) is complex for center, _ in got for c in center)
+    assert [m for _, m in linegeom.cluster_tuples([(0.0, 0.0), (1e-7, 1e-7j)])] == [2]
+
+
+def test_cluster_tuples_scales_measure_each_coordinate_in_its_own_size():
+    rng = np.random.default_rng(8400)
+    for k in (1, 2, 3):
+        base = rng.normal(size=(6, k)) + 1j * rng.normal(size=(6, k))
+        tuples = base[rng.integers(0, 6, 20)] + 1e-9 * rng.normal(size=(20, k))
+        want = _cluster_bits(linegeom.cluster_tuples(tuples))
+        # unit scales change no bit
+        assert _cluster_bits(linegeom.cluster_tuples(tuples, scales=np.ones(k))) == want
+        mults = sorted(m for _, m in linegeom.cluster_tuples(tuples))
+        for s in (1e-12, 1e-7, 1e7, 1e12):
+            sizes = s ** np.arange(1, k + 1)
+            got = linegeom.cluster_tuples(tuples * sizes, scales=sizes)
+            assert sorted(m for _, m in got) == mults, (k, s)
+    # a zero member: its coordinate is all zeros, its scale floored
+    assert [m for _, m in linegeom.cluster_tuples([(1.0, 0.0), (2.0, 0.0)], scales=(1.0, 0.0))] == [1, 1]
+    # without scales the absolute 1 of the radius merges pairs of size 1e-7
+    tiny = [(1e-7, 3e-7), (2e-7, 4e-7)]
+    assert [m for _, m in linegeom.cluster_tuples(tiny)] == [2]
+    assert [m for _, m in linegeom.cluster_tuples(tiny, scales=(1e-7, 5e-7))] == [1, 1]
+
+
 def test_greedy_pairing_consumes_the_first_of_equidistant_roots():
     # lambda = 0 sits midway between the ray-0 roots -delta and +delta; taking
     # the first leaves +delta, 2 delta from lambda = 3 delta, within PAIR_TOL;
