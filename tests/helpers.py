@@ -260,7 +260,8 @@ def reference_cluster_tuples(tuples, rel=linegeom.CLUSTER_REL):
 
 def reference_cluster_tuples_all_rows(tuples, rel=linegeom.CLUSTER_REL):
     """linegeom.cluster_tuples with its earlier greedy pass over every row,
-    and the output built entry by entry. Bit-identical to it."""
+    always through the distance matrix, and the output built entry by
+    entry. Bit-identical to it without scales."""
     x = np.asarray(tuples, dtype=np.complex128)
     if x.size == 0:
         return []
