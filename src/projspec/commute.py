@@ -11,8 +11,10 @@ whose commutator fails tol.commute but stays inside that bound is
 indeterminate, not inconsistent. A tuple is
 certified by one common Schur basis of all its members, which gives every
 pair its lines at once; only when that basis is refused is each pair tested
-on its own. Pairs and tuples share one joint eigenbasis routine and its
-checks. Eigensolves that do not converge, pairs that neither share a
+on its own, by the check of an admitted pair that equivalence_check runs
+(_check_pair). Pairs and tuples share every per-pair step: one admission
+(_admit), one report rule (_report), one joint eigenbasis routine with its
+checks, and one cross-check against it (_joint_check). Eigensolves that do not converge, pairs that neither share a
 triangularizing basis nor yield a witness on the matrices' own curve, pairs
 whose two sides disagree inside a tuple, and joint bases that fail their
 checks, surface as indeterminate outcomes, never as definitive verdicts.
@@ -34,12 +36,12 @@ from .errors import (
 )
 from .linegeom import (
     LineVerdict,
+    _phases,
     _schur_diagonals,
+    _schur_lines,
     cluster_tuples,
-    compare_arrangements,
     drop_constant_factors,
     emit_arrangement,
-    pair_arrangement,
     pencil_verdict,
     tuple_distance,
 )
@@ -186,6 +188,55 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     return CommonEigenbasis(u, diags[0], diags[1], residual)
 
 
+def _report(cn: float, commute: bool, verdict: LineVerdict, n: int, na: float, nb: float) -> EquivalenceReport:
+    """The report of an admitted n x n pair from its commutator (_commutator,
+    na and nb the pair's ||.||_F) and its line verdict: consistent is whether
+    the two sides agree, but a lines verdict whose pair fails tol.commute by
+    less than its certificate allows is indeterminate (_band_refusal)."""
+    if verdict.is_lines and not commute:
+        refusal = _band_refusal(cn, n, verdict.lower_parts, na, nb)
+        if refusal is not None:
+            return EquivalenceReport(commute, cn, None, None, indeterminate=refusal)
+    return EquivalenceReport(commute, cn, verdict, commute == verdict.is_lines)
+
+
+def _joint_check(mats, norms, sweeps, names, tol: core.Tolerances, rows):
+    """The joint eigenbasis of commuting members and the one cross-check of
+    a certified verdict against it.
+
+    Runs _joint_eigenbasis(mats, norms, sweeps, names, tol) and returns U,
+    the (k, n) joint diagonals, their k-tuples without constant factors
+    (drop_constant_factors), the deficit, and the tuple_distance between
+    rows, the certified value rows, and those k-tuples, unclustered (None
+    when rows is None).
+    """
+    u, diags, _ = _joint_eigenbasis(mats, norms, sweeps, names, tol)
+    tuples, deficit = drop_constant_factors(diags, norms)
+    return u, diags, tuples, deficit, None if rows is None else tuple_distance(rows, tuples)
+
+
+def _check_pair(a, b, na: float, nb: float, seed: int, tol: core.Tolerances) -> EquivalenceReport:
+    """equivalence_check of a pair already admitted (_admit), na and nb its
+    ||.||_F: one commutator, pencil_verdict, the report (_report) and, when
+    the pair commutes and is certified lines, the cross-check of the
+    arrangement, each line counted with its multiplicity, against the
+    eigenvalue pairs of a joint eigenbasis (_joint_check)."""
+    cn, commute = _commutator(a, b, na, nb, tol)
+    try:
+        verdict = pencil_verdict(a, b, seed=seed, tol=tol)
+    except NumericalAmbiguity as exc:
+        return EquivalenceReport(commute, cn, None, None, indeterminate=str(exc))
+    report = _report(cn, commute, verdict, a.shape[0], na, nb)
+    if commute and report.consistent:
+        rows = [(line.lam, line.mu) for line, mult in verdict.arrangement.lines for _ in range(mult)]
+        try:
+            distance = _joint_check([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol, rows)[-1]
+        except (NotCommuting, NotNormal) as exc:
+            return EquivalenceReport(commute, cn, verdict, None, indeterminate=str(exc))
+        report.arrangement_vs_eigenpairs_distance = distance
+    return report
+
+
 def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> EquivalenceReport:
     """Run both sides of the equivalence and cross-check them.
 
@@ -196,34 +247,18 @@ def equivalence_check(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = N
     commutator or a joint diagonalization; consistent records whether the
     two sides agree. A notlines witness is a point of the matrices' own curve, and its
     witness_residual is the relative sigma_min(I + zA + wB) there. When both
-    sides are affirmative the recovered arrangement is also matched against
-    the eigenvalue pairs of a common eigenbasis (common_eigenbasis's joint
-    basis, _joint_eigenbasis). The pair is admitted once, here: one
-    normality defect per member and one commutator serve both sides and
-    the reference. A verdict that cannot be certified either way is
-    reported as indeterminate, and so is a lines verdict whose pair fails
-    tol.commute by less than its certificate allows (_band_refusal).
+    sides are affirmative the recovered arrangement, expanded by
+    multiplicity, is also matched against the eigenvalue pairs of a joint
+    eigenbasis (common_eigenbasis's joint basis, _joint_eigenbasis), constant
+    factors dropped and unclustered. The pair is admitted once, here (_admit),
+    and then checked by _check_pair, which tuple_test shares: one normality
+    defect per member and one commutator serve both sides and the
+    reference. A verdict that cannot be certified either way is reported as
+    indeterminate, and so is a lines verdict whose pair fails tol.commute by
+    less than its certificate allows (_band_refusal).
     """
     (a, b), tol, (na, nb) = _admit((a, b), ("a", "b"), tol)
-    cn, commute = _commutator(a, b, na, nb, tol)
-    try:
-        verdict = pencil_verdict(a, b, seed=seed, tol=tol)
-    except NumericalAmbiguity as exc:
-        return EquivalenceReport(commute, cn, None, None, indeterminate=str(exc))
-    if verdict.is_lines and not commute:
-        refusal = _band_refusal(cn, a.shape[0], verdict.lower_parts, na, nb)
-        if refusal is not None:
-            return EquivalenceReport(commute, cn, None, None, indeterminate=refusal)
-    consistent = commute == verdict.is_lines
-    distance = None
-    if commute and verdict.is_lines:
-        try:
-            _, diags, _ = _joint_eigenbasis([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol)
-        except (NotCommuting, NotNormal) as exc:
-            return EquivalenceReport(commute, cn, verdict, None, indeterminate=str(exc))
-        reference = pair_arrangement(diags[0], diags[1], norm_a=na, norm_b=nb)
-        distance = compare_arrangements(verdict.arrangement, reference)
-    return EquivalenceReport(commute, cn, verdict, consistent, distance)
+    return _check_pair(a, b, na, nb, seed, tol)
 
 
 def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> TupleReport:
@@ -231,14 +266,15 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     eigenbasis when it commutes.
 
     Q = qr(eigenvectors of M_0 + sum_i g_i M_i), phases g_i drawn from seed
-    (linegeom._schur_diagonals, the basis step of pencil_verdict). When every
+    (linegeom._phases and _schur_diagonals, the basis step of
+    pencil_verdict, so a pair's basis is its two-member tuple's). When every
     strictly lower part of Q* M_i Q is within tol.line ||M_i||_F, Q
     triangularizes every pair, so each pair's verdict is lines, read off the
-    diagonals, and its report adds only the pair's commutator: consistent is
-    whether that commutes, and a pair that fails tol.commute by less than
-    the certificate allows is indeterminate (_band_refusal), as in
-    equivalence_check. Otherwise every pair runs its own
-    equivalence_check, since witnesses are per pair.
+    diagonals (linegeom._schur_lines, as pencil_verdict reads it), and its
+    report adds only the pair's commutator, by the rule of equivalence_check
+    (_report). Otherwise every pair runs the check of an admitted pair that
+    equivalence_check runs (_check_pair), since witnesses are per pair; the
+    members are admitted once, here.
 
     When every pair commutes and agrees, the members are jointly
     diagonalized, two sweeps over all of them, and the basis must pass the
@@ -249,7 +285,8 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     k-tuples that are constant factors (linegeom.drop_constant_factors)
     count in the deficit. A tuple certified by its Schur basis also gets
     schur_vs_hyperplanes_distance, the bottleneck distance between the Schur
-    diagonal k-tuples and the multiplicity-expanded hyperplanes.
+    diagonal k-tuples and the joint basis's k-tuples, constant factors
+    dropped from both (_joint_check, the cross-check of a pair).
     """
     names = [f"member {i}" for i in range(len(mats))]
     mats, tol, norms = _admit(mats, names, tol)
@@ -257,10 +294,8 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         raise ValueError("tuple must contain at least one matrix")
     k = len(mats)
     n = mats[0].shape[0]
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=k - 1))
     try:
-        _, _, schur, lower, certified = _schur_diagonals(mats, phases, norms, tol)
+        _, _, schur, lower, certified = _schur_diagonals(mats, _phases(seed, k), norms, tol)
     except NumericalAmbiguity:
         certified = False
     reports = []
@@ -270,15 +305,9 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         for j in range(i + 1, k):
             if certified:
                 cn, commute = _commutator(mats[i], mats[j], norms[i], norms[j], tol)
-                parts = (float(lower[i]), float(lower[j]))
-                refusal = None if commute else _band_refusal(cn, n, parts, norms[i], norms[j])
-                if refusal is None:
-                    lines = pair_arrangement(schur[i], schur[j], norm_a=norms[i], norm_b=norms[j])
-                    rep = EquivalenceReport(commute, cn, LineVerdict(True, lines, lower_parts=parts), commute)
-                else:
-                    rep = EquivalenceReport(commute, cn, None, None, indeterminate=refusal)
+                rep = _report(cn, commute, _schur_lines(schur, lower, norms, i, j), n, norms[i], norms[j])
             else:
-                rep = equivalence_check(mats[i], mats[j], seed=seed, tol=tol)
+                rep = _check_pair(mats[i], mats[j], norms[i], norms[j], seed, tol)
             reports.append(((i, j), rep))
             if indeterminate is None:
                 if rep.indeterminate is not None:
@@ -291,23 +320,17 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         return TupleReport(reports, all_commute, indeterminate=indeterminate)
     if not all_commute:
         return TupleReport(reports, False)
+    rows = drop_constant_factors(schur, norms)[0] if certified else None
     try:
-        u, diags, _ = _joint_eigenbasis(mats, norms, list(range(k)) * 2, names, tol)
+        u, diags, tuples, deficit, distance = _joint_check(mats, norms, list(range(k)) * 2, names, tol, rows)
     except (NotCommuting, NotNormal) as exc:
         return TupleReport(reports, True, indeterminate=str(exc))
-    tuples, deficit = drop_constant_factors(diags, norms)
-    hyperplanes = cluster_tuples(tuples, scales=norms)
-    distance = None
-    if certified:
-        expanded = [coeffs for coeffs, mult in hyperplanes for _ in range(mult)]
-        schur_tuples, _ = drop_constant_factors(schur, norms)
-        distance = tuple_distance(schur_tuples, np.reshape(expanded, (-1, k)))
     return TupleReport(
         reports,
         True,
         unitary=u,
         diagonals=diags,
-        hyperplanes=hyperplanes,
+        hyperplanes=cluster_tuples(tuples, scales=norms),
         deficit=deficit,
         schur_vs_hyperplanes_distance=distance,
     )

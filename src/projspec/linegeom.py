@@ -351,9 +351,10 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int):
     Returns (lines, err), err = ||expand(lines) - coeffs||_F for exactly the
     lines returned. Minimizes that residual over every (lam_i, mu_i). The
     residual and the best-so-far choice use the exact expansion in
-    coefficient space, one expansion per step. The Jacobian is built on the
-    roots-of-unity grid (_grid_jacobian) and the residual mapped there by
-    the unitary inverse DFT; by Parseval that least-squares problem is the
+    coefficient space: at most _GAUSS_NEWTON_STEPS + 1 expansions, with one
+    step between each two and none after the last. The Jacobian is built on
+    the roots-of-unity grid (_grid_jacobian) and the residual mapped there
+    by the unitary inverse DFT; by Parseval that least-squares problem is the
     coefficient-space one. Individual slice roots carry interpolation noise
     amplified by conditioning; fitting the whole table washes that out
     quadratically.
@@ -361,27 +362,21 @@ def _polish_lines(coeffs: np.ndarray, lines, n: int):
     work = [[line.lam, line.mu, mult] for line, mult in lines]
     norm_c = np.linalg.norm(coeffs)
     best = None
-    for _ in range(_GAUSS_NEWTON_STEPS):
+    for step in range(_GAUSS_NEWTON_STEPS + 1):
         current = [(Line(l, m), mu) for l, m, mu in work]
-        recon = expand_arrangement(current, n)
-        r = coeffs - recon.coeffs
+        r = coeffs - expand_arrangement(current, n).coeffs
         err = float(np.linalg.norm(r))
         if best is not None and err >= best[1]:
-            return best
+            break
         best = (current, err)
-        if err <= 1e-15 * norm_c:
-            return best
+        if err <= 1e-15 * norm_c or step == _GAUSS_NEWTON_STEPS:
+            break
         jac = _grid_jacobian(current, n)
         delta, *_ = np.linalg.lstsq(jac, np.fft.ifft2(r, norm="ortho").ravel(), rcond=None)
         for i in range(len(work)):
             work[i][0] = work[i][0] + complex(delta[2 * i])
             work[i][1] = work[i][1] + complex(delta[2 * i + 1])
-    current = [(Line(l, m), mu) for l, m, mu in work]
-    recon = expand_arrangement(current, n)
-    err = float(np.linalg.norm(coeffs - recon.coeffs))
-    if best is not None and err >= best[1]:
-        return best
-    return current, err
+    return best
 
 
 def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
@@ -557,6 +552,12 @@ def _ray_witnesses(lams, mus, rays, norms, tol):
     return [(complex(z), complex(w)) for z, w in np.concatenate(points)[order[margin[order] > 1.0]]]
 
 
+def _phases(seed, k):
+    """The k - 1 phases g_i of _schur_diagonals' combination for k members,
+    uniform on the unit circle, drawn from default_rng(seed)."""
+    return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=k - 1))
+
+
 def _schur_diagonals(mats, phases, norms, tol):
     """One common Schur basis of k square matrices of one size, and its certificate.
 
@@ -586,6 +587,15 @@ def _schur_diagonals(mats, phases, norms, tol):
         lower.append(np.linalg.norm(np.tril(t, -1)) / max(norm, 1e-300))
     lower = np.array(lower)
     return nus, v, np.stack(diags), lower, bool((lower <= tol.line).all())
+
+
+def _schur_lines(diags, lower, norms, i, j) -> LineVerdict:
+    """The lines verdict of members i and j certified by a common Schur
+    basis: the lines of their diagonal pairs (pair_arrangement, in their
+    norms) and the certificate (l_i, l_j), from _schur_diagonals' diagonals
+    and relative lower parts."""
+    lines = pair_arrangement(diags[i], diags[j], norm_a=norms[i], norm_b=norms[j])
+    return LineVerdict(True, lines, lower_parts=(float(lower[i]), float(lower[j])))
 
 
 def _branch_curvatures(nus, v, b, size_m, size_b):
@@ -646,9 +656,10 @@ def _curvature_witnesses(nus, v, b, g, norms):
 def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
     """Decide union-of-lines structure of det(I + zA + wB) by one common Schur basis.
 
-    The eigenvectors V of A + g0 B, g0 a random phase drawn from seed, give
-    Q = qr(V), a Schur basis of A + g0 B (_schur_diagonals, which
-    commute.tuple_test runs once on a whole tuple). Let L_A and L_B be the
+    The eigenvectors V of A + g0 B, g0 a random phase drawn from seed
+    (_phases), give Q = qr(V), a Schur basis of A + g0 B (_schur_diagonals;
+    commute.tuple_test runs both once on a whole tuple, and reads each
+    certified pair by _schur_lines, as here). Let L_A and L_B be the
     strictly lower parts of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are
     triangular in one basis, so their determinant is exactly
     prod_i (1 + (Q*AQ)_ii z + (Q*BQ)_ii w). A lines verdict is certified when
@@ -673,12 +684,11 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
         tol = core.default_tolerances()
     fa = core.frobenius(a)
     fb = core.frobenius(b)
-    g = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0))
+    (g,) = _phases(seed, 2)
     nus, v, diags, lower, certified = _schur_diagonals([a, b], [g], (fa, fb), tol)
-    low_a, low_b = (float(x) for x in lower)
     if certified:
-        lines = pair_arrangement(diags[0], diags[1], norm_a=fa, norm_b=fb)
-        return LineVerdict(True, lines, lower_parts=(low_a, low_b))
+        return _schur_lines(diags, lower, (fa, fb), 0, 1)
+    low_a, low_b = (float(x) for x in lower)
     reason = (
         f"no common Schur basis: relative lower parts {low_a:.3e} of Q*AQ and {low_b:.3e} "
         f"of Q*BQ, above tol.line = {tol.line:.1e}"

@@ -65,8 +65,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def inconsistent_report(a, b, **kwargs):
-    """Stand-in for commute.equivalence_check: a commuting pair certified notlines."""
+def inconsistent_report(a, b, *args, **kwargs):
+    """Stand-in for commute.equivalence_check and for its check of an admitted
+    pair, commute._check_pair: a commuting pair certified notlines."""
     verdict = linegeom.LineVerdict(False, None, (0.5 + 0j, 0.25 + 0j), 0.0)
     return commute.EquivalenceReport(True, 0.0, verdict, False)
 
@@ -74,7 +75,7 @@ def inconsistent_report(a, b, **kwargs):
 def refuse_common_schur_basis(monkeypatch):
     """Make the common Schur basis of commute.tuple_test report every lower
     part as +inf, and no certificate, so the tuple is refused and each pair
-    runs its own equivalence_check."""
+    runs the check of equivalence_check, commute._check_pair."""
     real = commute._schur_diagonals
 
     def refusing(mats, phases, norms, tol):

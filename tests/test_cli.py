@@ -95,9 +95,10 @@ def test_commute_inconsistent_exits_2(tmp_path, monkeypatch):
 
 
 def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
-    # a refused tuple basis sends each pair through equivalence_check
+    # a refused tuple basis sends each pair through the check of an
+    # admitted pair that equivalence_check runs
     refuse_common_schur_basis(monkeypatch)
-    monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
+    monkeypatch.setattr(commute, "_check_pair", inconsistent_report)
     f = tmp_path / "t.ctuple"
     f.write_text(core.emit_tuple([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]))
     code, text = _run(tmp_path, "tuple", str(f))

@@ -207,6 +207,32 @@ def test_equivalence_check_admits_a_commuting_pair_once(monkeypatch):
     assert commute.format_report(rep) == commute.format_report(want)
 
 
+def _count_calls(monkeypatch, calls, *modules):
+    """Count the calls of each function named in calls, through every module
+    given that binds it."""
+    for name in calls:
+        real = getattr(modules[0], name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_equivalence_check_clusters_a_commuting_pair_once(monkeypatch):
+    # pencil_verdict clusters the certified lines; the eigenpair cross-check
+    # matches them against the joint basis's own rows, unclustered
+    a, b = commuting_pair(np.random.default_rng(59), 8)
+    calls = _count_calls(monkeypatch, {"cluster_tuples": 0}, linegeom, commute)
+    rep = commute.equivalence_check(a, b, seed=3)
+    assert rep.commute and rep.consistent and rep.verdict.is_lines
+    assert rep.arrangement_vs_eigenpairs_distance <= 1e-12
+    assert calls == {"cluster_tuples": 1}
+
+
 def test_off_curve_witness_is_indeterminate(monkeypatch):
     monkeypatch.setattr(linegeom, "_curvature_witnesses", off_curve_witnesses)
     rep = commute.equivalence_check(PAULI_Z, PAULI_X)
@@ -399,9 +425,10 @@ def test_tuple_joint_basis_diagonalizes_all():
 
 
 def test_tuple_inconsistent_pair_is_indeterminate(monkeypatch):
-    # a refused tuple basis sends each pair through equivalence_check
+    # a refused tuple basis sends each pair through the check of an
+    # admitted pair that equivalence_check runs
     refuse_common_schur_basis(monkeypatch)
-    monkeypatch.setattr(commute, "equivalence_check", inconsistent_report)
+    monkeypatch.setattr(commute, "_check_pair", inconsistent_report)
     rep = commute.tuple_test([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
     assert rep.indeterminate.startswith("pair (0,1):")
     assert rep.hyperplanes is None
@@ -557,6 +584,18 @@ def test_refused_tuple_tests_each_pair_as_equivalence_check_does():
         assert pair == commute.equivalence_check(mats[i], mats[j], seed=5)
     by_pair = dict(rep.reports)
     assert by_pair[(0, 1)].commute and not by_pair[(0, 2)].commute
+
+
+def test_refused_tuple_admits_each_member_once(monkeypatch):
+    # the triple of the test above: its Schur basis is refused, so each pair
+    # is checked on its own, with the members' admission norms
+    rng = np.random.default_rng(87)
+    a, b = commuting_pair(rng, 6)
+    c = random_normal(rng, 6)
+    calls = _count_calls(monkeypatch, {"normality_defect": 0, "commutator_norm": 0}, core)
+    rep = commute.tuple_test([a, b, c], seed=5)
+    assert not rep.commute and rep.indeterminate is None
+    assert calls == {"normality_defect": 3, "commutator_norm": 3}
 
 
 def test_restriction_eigenplane():

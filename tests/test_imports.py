@@ -1,6 +1,7 @@
 """Every name a projspec module imports is referenced in that module, every
-module it imports is in the standard library, numpy or projspec, and every
-private module-level name it defines is referenced somewhere in projspec."""
+module it imports is in the standard library, numpy or projspec, every
+private module-level name it defines is referenced somewhere in projspec,
+and every parameter of its functions is read."""
 
 import ast
 import sys
@@ -114,3 +115,50 @@ def test_scan_catches_a_dead_private_name():
         "b.py": ast.parse("from .a import _helper\nfrom . import a\nx = a._SHARED + _helper()\n"),
     }
     assert _dead_private_names(trees) == [("a.py", "_DEAD"), ("a.py", "_orphan"), ("a.py", "_recursive")]
+
+
+def _ignored_parameters(tree) -> list:
+    """(line, function, parameter) for each parameter of a function or lambda
+    that its body, nested functions included, never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, name, p.arg) for p in params if p is not None and p.arg not in read]
+    return found
+
+
+def test_no_ignored_parameters():
+    found = [
+        (p.name, *hit)
+        for p in sorted(_SRC.glob("*.py"))
+        for hit in _ignored_parameters(ast.parse(p.read_text(), filename=str(p)))
+    ]
+    assert found == []
+
+
+def test_scan_catches_an_ignored_parameter():
+    tree = ast.parse(
+        "def f(a, b=1, *rest, tol=None, **kw):\n    return a + len(kw)\n"
+        "def g(x, y):\n    def inner():\n        return y\n    x = 2\n    return inner()\n"
+        "h = lambda u, v: u\n"
+        "class C:\n    def m(self, z):\n        return self\n"
+    )
+    assert _ignored_parameters(tree) == [
+        (1, "f", "b"),
+        (1, "f", "rest"),
+        (1, "f", "tol"),
+        (3, "g", "x"),
+        (8, "<lambda>", "v"),
+        (10, "m", "z"),
+    ]
