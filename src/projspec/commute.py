@@ -14,10 +14,11 @@ pair its lines at once; only when that basis is refused is each pair tested
 on its own, by the check of an admitted pair that equivalence_check runs
 (_check_pair). Pairs and tuples share every per-pair step: one admission
 (_admit), one report rule (_report), one joint eigenbasis routine with its
-checks, and one cross-check against it (_joint_check). Eigensolves that do not converge, pairs that neither share a
-triangularizing basis nor yield a witness on the matrices' own curve, pairs
-whose two sides disagree inside a tuple, and joint bases that fail their
-checks, surface as indeterminate outcomes, never as definitive verdicts.
+checks, and one cross-check against it (_joint_check). Eigensolves that
+do not converge, pairs that neither share a triangularizing basis nor yield
+a witness on the matrices' own curve, pairs whose two sides disagree inside
+a tuple, and joint bases that fail their checks, surface as indeterminate
+outcomes, never as definitive verdicts.
 """
 
 from __future__ import annotations
