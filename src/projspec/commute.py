@@ -3,19 +3,20 @@
 For normal matrices, [A,B] = 0 exactly when det(I + zA + wB) factors into
 linear terms, i.e. the zero set is a union of lines. This module runs the
 algebraic side (commutator norm, relative to ||A||_F ||B||_F), the geometric
-side (linegeom.pencil_verdict, read off one common Schur basis or, on
-refusal, a bent eigenvalue branch of A + gB from the same eigensolve), and
-cross-checks the recovered arrangement against the eigenvalue pairs of a
-common eigenbasis. A lines certificate bounds the commutator, so a pair
-whose commutator fails tol.commute but stays inside that bound is
-indeterminate, not inconsistent. A tuple is
-certified by one common Schur basis of all its members, which gives every
+side (linegeom.pencil_verdict, read off one common Schur basis, which
+Hermitian eigensolves give when A + gB is normal, or, on refusal, a bent
+eigenvalue branch of A + gB from LAPACK eig), and cross-checks the
+recovered arrangement against the eigenvalue pairs of a common eigenbasis.
+A lines certificate bounds the commutator, so a pair whose commutator fails
+tol.commute but stays inside that bound is indeterminate, not
+inconsistent. A tuple is certified by one common Schur basis of all its members, which gives every
 pair its lines at once; only when that basis is refused is each pair tested
 on its own, by the check of an admitted pair that equivalence_check runs
 (_check_pair). Pairs and tuples share every per-pair step: one admission
 (_admit), one report rule (_report), one joint eigenbasis routine with its
 checks, and one cross-check against it (_joint_check). Eigensolves that
-do not converge, pairs that neither share a triangularizing basis nor yield
+do not converge (LAPACK eig on the pencil, or eigh in a joint basis,
+NoConvergence), pairs that neither share a triangularizing basis nor yield
 a witness on the matrices' own curve, pairs whose two sides disagree inside
 a tuple, and joint bases that fail their checks, surface as indeterminate
 outcomes, never as definitive verdicts.
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import core
 from .errors import (
+    NoConvergence,
     NotCommuting,
     NotInvariant,
     NotNormal,
@@ -232,7 +234,7 @@ def _check_pair(a, b, na: float, nb: float, seed: int, tol: core.Tolerances) -> 
         rows = [(line.lam, line.mu) for line, mult in verdict.arrangement.lines for _ in range(mult)]
         try:
             distance = _joint_check([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol, rows)[-1]
-        except (NotCommuting, NotNormal) as exc:
+        except (NoConvergence, NotCommuting, NotNormal) as exc:
             return EquivalenceReport(commute, cn, verdict, None, indeterminate=str(exc))
         report.arrangement_vs_eigenpairs_distance = distance
     return report
@@ -266,9 +268,11 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     """Equivalence over a tuple from one common Schur basis, plus a joint
     eigenbasis when it commutes.
 
-    Q = qr(eigenvectors of M_0 + sum_i g_i M_i), phases g_i drawn from seed
+    Q is a Schur basis of M_0 + sum_i g_i M_i, phases g_i drawn from seed
     (linegeom._phases and _schur_diagonals, the basis step of
-    pencil_verdict, so a pair's basis is its two-member tuple's). When every
+    pencil_verdict, so a pair's basis is its two-member tuple's): from
+    Hermitian eigensolves when that combination is normal, as it is for
+    commuting members, and from LAPACK eig and a QR otherwise. When every
     strictly lower part of Q* M_i Q is within tol.line ||M_i||_F, Q
     triangularizes every pair, so each pair's verdict is lines, read off the
     diagonals (linegeom._schur_lines, as pencil_verdict reads it), and its
@@ -324,7 +328,7 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     rows = drop_constant_factors(schur, norms)[0] if certified else None
     try:
         u, diags, tuples, deficit, distance = _joint_check(mats, norms, list(range(k)) * 2, names, tol, rows)
-    except (NotCommuting, NotNormal) as exc:
+    except (NoConvergence, NotCommuting, NotNormal) as exc:
         return TupleReport(reports, True, indeterminate=str(exc))
     return TupleReport(
         reports,

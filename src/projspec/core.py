@@ -7,8 +7,10 @@ Admission rules live here, once each: ``as_cmatrix`` admits one matrix,
 routes its inputs through them. Normal matrices are diagonalized by
 splitting A into its Hermitian part H = (A + A*)/2 and skew part, then
 jointly diagonalizing the two commuting Hermitian pieces: LAPACK ``eigh``
-on each block compression, with cluster deflation between them. The same
-joint diagonalizer serves commuting pairs and tuples in ``commute``.
+on each block compression, with cluster deflation between them
+(``_normal_eigenbasis``, which also gives ``linegeom`` the Schur basis of a
+normal pencil combination). The same joint diagonalizer serves commuting
+pairs and tuples in ``commute``.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
     columns, diagonalized there by LAPACK ``eigh``, and the block is split
     wherever consecutive eigenvalues differ by more than that matrix's
     radius. A matrix may appear more than once, to re-diagonalize it inside
-    blocks that a later split left it mixed in.
+    blocks that a later split left it mixed in. An ``eigh`` that does not
+    converge raises NoConvergence.
     """
     n = hermitian_mats[0].shape[0]
     v = np.eye(n, dtype=np.complex128)
@@ -157,11 +160,27 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
                 continue
             sub = v[:, idx]
             c = sub.conj().T @ (m @ sub)
-            vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
+            try:
+                vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"Hermitian eigensolve did not converge: {exc}") from None
             v[:, idx] = sub @ w
             out.extend(idx[g] for g in _split_sorted(vals, radius))
         blocks = out
     return v
+
+
+def _normal_eigenbasis(a: np.ndarray, norm: float) -> np.ndarray:
+    """Unitary V with V* A V (nearly) diagonal for a normal A, norm = ||A||_F.
+
+    joint_diagonalize over A's Hermitian parts H, K, H, each at radius
+    EIG_CLUSTER_REL * norm. The trailing Hermitian pass cleans the case where
+    a skew-part degeneracy straddles two merged near-degenerate Hermitian
+    clusters. Shared by eig_normal and linegeom's common Schur basis.
+    """
+    herm, skew = hermitian_parts(a)
+    radius = EIG_CLUSTER_REL * norm
+    return joint_diagonalize([herm, skew, herm], [radius, radius, radius])
 
 
 def _arg2pi(z: complex) -> float:
@@ -186,7 +205,8 @@ def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
     """Eigendecomposition of a (numerically) normal matrix.
 
     Raises NotNormal when require_normal refuses A and NoConvergence when
-    the diagonal residual cannot be driven below ``tol.eig * ||A||_F + defect``.
+    ``eigh`` does not converge or the diagonal residual cannot be driven
+    below ``tol.eig * ||A||_F + defect``.
     """
     if tol is None:
         tol = default_tolerances()
@@ -197,11 +217,7 @@ def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
     )
     if fa == 0.0:
         return EigenDecomposition(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), 0.0)
-    herm, skew = hermitian_parts(a)
-    radius = EIG_CLUSTER_REL * fa
-    # The trailing Hermitian pass cleans the case where a skew-part degeneracy
-    # straddles two merged near-degenerate Hermitian clusters.
-    v = joint_diagonalize([herm, skew, herm], [radius, radius, radius])
+    v = _normal_eigenbasis(a, fa)
     t = v.conj().T @ (a @ v)
     values = t.diagonal().copy()
     residual = float(np.linalg.norm(t - np.diag(values)))

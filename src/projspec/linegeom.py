@@ -9,7 +9,9 @@ reconstruction check is mandatory before any affirmative verdict.
 For a matrix pair, pencil_verdict decides the same question for
 det(I + zA + wB) without the polynomial: the certificate is one unitary that
 makes A and B triangular within tol.line, whose diagonal pairs are the
-lines.
+lines. For a normal A + gB, as every commuting normal pair gives, that
+unitary comes from Hermitian eigensolves (core._normal_eigenbasis); else
+from LAPACK eig and a QR.
 
 Each backs a notlines verdict with a witness on its curve. factor_lines
 takes it from one rule, _ray_witnesses: a point z = -1/nu, w = g z of a ray,
@@ -37,6 +39,8 @@ from .detpoly import DEGREE_BUDGET, BivarPoly, above_dust, total_degree, univari
 from .errors import (
     DegenerateInput,
     DegreeBudgetExceeded,
+    NoConvergence,
+    NotNormal,
     NumericalAmbiguity,
     ParseError,
 )
@@ -558,16 +562,37 @@ def _phases(seed, k):
     return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=k - 1))
 
 
-def _schur_diagonals(mats, phases, norms, tol):
-    """One common Schur basis of k square matrices of one size, and its certificate.
+def _triangular_parts(ts, norms, tol):
+    """The (k, n) diagonals of the matrices T_i = Q* M_i Q in ts, the (k,)
+    relative strictly lower parts ||lower(T_i)||_F / norms[i], and whether
+    every one of those is at most tol.line: the certificate of a common
+    Schur basis Q."""
+    lower = np.array([np.linalg.norm(np.tril(t, -1)) / max(norm, 1e-300) for t, norm in zip(ts, norms)])
+    return np.stack([np.diag(t) for t in ts]), lower, bool((lower <= tol.line).all())
 
-    Q = qr(V) for the eigenvectors V of M_0 + sum_{i >= 1} phases[i-1] M_i
-    (a phase shared by all k weights changes no eigenvector, so M_0's is 1).
-    Returns the eigenvalues of that combination, V, the (k, n) array of the
+
+def _schur_diagonals(mats, phases, norms, tol):
+    """One common Schur basis Q of k square matrices of one size, and its certificate.
+
+    Q is a Schur basis of C = M_0 + sum_{i >= 1} phases[i-1] M_i (a phase
+    shared by all k weights changes no Schur basis, so M_0's is 1), found on
+    one of two routes. When C passes core.require_normal (tol.normal), as it
+    does for commuting normal members, a unitary eigenbasis of C is a Schur
+    basis, and Q comes from Hermitian eigensolves, the cluster deflation of
+    core.eig_normal (core._normal_eigenbasis). That Q is kept when it
+    leaves C diagonal within tol.normal ||C||_F, the accuracy at which C
+    was admitted as normal, and is certified. Otherwise, or when that eigh
+    does not converge, Q = qr(V) for the eigenvectors V of C from LAPACK
+    eig. The certificate bounds a backward error that holds for any unitary
+    Q, so the Hermitian route decides nothing by itself: it only spares eig
+    and QR where it certifies.
+
+    Returns the eigenvalues of C and unit eigenvectors V of C (on the
+    Hermitian route, the diagonal of Q* C Q and Q), the (k, n) array of the
     diagonals of Q* M_i Q, the (k,) array of ||strictly lower part of
     Q* M_i Q||_F / norms[i], and whether Q certifies lines: every one of
-    those relative lower parts at most tol.line. An eigensolve that does not
-    converge raises NumericalAmbiguity.
+    those relative lower parts at most tol.line (_triangular_parts). An eig
+    that does not converge raises NumericalAmbiguity.
     """
     n = mats[0].shape[0]
     if n > DEGREE_BUDGET:
@@ -576,17 +601,24 @@ def _schur_diagonals(mats, phases, norms, tol):
     for g, m in zip(phases, mats[1:]):
         combo = combo + g * m
     try:
+        size, _ = core.require_normal(combo, tol, "pencil combination: normality defect {defect:.3e}")
+        q = core._normal_eigenbasis(combo, size)
+    except (NotNormal, NoConvergence):
+        pass
+    else:
+        ts = [q.conj().T @ m @ q for m in mats]
+        t = sum((g * x for g, x in zip(phases, ts[1:])), ts[0])
+        nus = np.diag(t)
+        if np.linalg.norm(t - np.diag(nus)) <= tol.normal * size:
+            certificate = _triangular_parts(ts, norms, tol)
+            if certificate[-1]:
+                return (nus, q, *certificate)
+    try:
         nus, v = np.linalg.eig(combo)
     except np.linalg.LinAlgError as exc:
         raise NumericalAmbiguity(f"pencil eigensolve did not converge: {exc}") from None
     q = np.linalg.qr(v)[0]
-    diags, lower = [], []
-    for m, norm in zip(mats, norms):
-        t = q.conj().T @ m @ q
-        diags.append(np.diag(t))
-        lower.append(np.linalg.norm(np.tril(t, -1)) / max(norm, 1e-300))
-    lower = np.array(lower)
-    return nus, v, np.stack(diags), lower, bool((lower <= tol.line).all())
+    return (nus, v, *_triangular_parts([q.conj().T @ m @ q for m in mats], norms, tol))
 
 
 def _schur_lines(diags, lower, norms, i, j) -> LineVerdict:
@@ -656,12 +688,14 @@ def _curvature_witnesses(nus, v, b, g, norms):
 def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
     """Decide union-of-lines structure of det(I + zA + wB) by one common Schur basis.
 
-    The eigenvectors V of A + g0 B, g0 a random phase drawn from seed
-    (_phases), give Q = qr(V), a Schur basis of A + g0 B (_schur_diagonals;
-    commute.tuple_test runs both once on a whole tuple, and reads each
-    certified pair by _schur_lines, as here). Let L_A and L_B be the
-    strictly lower parts of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are
-    triangular in one basis, so their determinant is exactly
+    Q is a Schur basis of A + g0 B, g0 a random phase drawn from seed
+    (_phases), from _schur_diagonals (commute.tuple_test runs both once on
+    a whole tuple, and reads each certified pair by _schur_lines, as here):
+    a unitary eigenbasis from Hermitian eigensolves when A + g0 B is normal
+    and that basis diagonalizes it and is certified, else Q = qr(V) for the
+    eigenvectors V of A + g0 B from LAPACK eig. Let L_A and L_B be the strictly lower parts
+    of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are triangular in
+    one basis, so their determinant is exactly
     prod_i (1 + (Q*AQ)_ii z + (Q*BQ)_ii w). A lines verdict is certified when
     ||L_A||_F <= tol.line ||A||_F and ||L_B||_F <= tol.line ||B||_F: tol.line
     is the relative backward error, in each matrix, under which the
@@ -670,11 +704,12 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     lower parts vanish up to rounding; for a normal pair the zero set is a
     union of lines only then (property L, Motzkin & Taussky).
 
-    A notlines verdict reuses that one eigensolve. Its witness is the point
-    z = -1/nu, w = g0 z of the simple eigenvalue nu of A + g0 B whose branch
-    bends the most above its rounding bound (_curvature_witnesses), and
-    whose sigma_min(I + zA + wB), relative to 1 + |z| ||A||_F + |w| ||B||_F,
-    is at most WITNESS_SIGMA_REL; that value is its witness_residual.
+    A notlines verdict reuses the eigensolve of the eig route, which every
+    refused pair runs. Its witness is the point z = -1/nu, w = g0 z of the
+    simple eigenvalue nu of A + g0 B whose branch bends the most above its
+    rounding bound (_curvature_witnesses), and whose sigma_min(I + zA + wB),
+    relative to 1 + |z| ||A||_F + |w| ||B||_F, is at most
+    WITNESS_SIGMA_REL; that value is its witness_residual.
     Anything weaker, an eigensolve that does not converge or a singular V,
     raises NumericalAmbiguity.
     """

@@ -119,6 +119,17 @@ def fail_eig(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", failing)
 
 
+def fail_eigh(monkeypatch):
+    """Make np.linalg.eigh raise LinAlgError (the Hermitian eigensolves of
+    core.joint_diagonalize: the normal route of the common Schur basis, the
+    joint eigenbasis of commute and core.eig_normal)."""
+
+    def failing(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+
+
 def fail_solve(monkeypatch):
     """Make np.linalg.solve raise LinAlgError, as it does on a singular
     matrix (the eigenvector solve of the notlines path of

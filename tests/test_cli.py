@@ -15,6 +15,7 @@ from helpers import (
     PAULI_Z,
     commuting_pair,
     commuting_tuple,
+    fail_eigh,
     fail_solve,
     inconsistent_report,
     noncommuting_pair,
@@ -223,6 +224,14 @@ def test_eig_rejects_nonnormal(tmp_path):
     f = _write_matrix(tmp_path / "a.mat", np.array([[0, 1], [0, 0]]))
     code, _ = _run(tmp_path, "eig", f)
     assert code == 2
+
+
+def test_eig_exits_2_when_eigh_does_not_converge(tmp_path, monkeypatch, capsys):
+    f = _write_matrix(tmp_path / "a.mat", np.array([[1, 2], [2, 1]]))
+    fail_eigh(monkeypatch)
+    code, text = _run(tmp_path, "eig", f)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: Hermitian eigensolve did not converge")
 
 
 def test_example_and_agmon(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projspec import commute, core, linegeom
-from projspec.errors import DimMismatch, NotCommuting, NotInvariant, NotNormal
+from projspec.errors import DimMismatch, NoConvergence, NotCommuting, NotInvariant, NotNormal
 from projspec.linegeom import Line, LineArrangement
 
 from helpers import (
@@ -11,6 +11,7 @@ from helpers import (
     commuting_pair,
     commuting_tuple,
     fail_eig,
+    fail_eigh,
     fail_solve,
     inconsistent_report,
     near_commuting_pair,
@@ -181,22 +182,32 @@ def test_common_eigenbasis_diagonalizes_a_once(monkeypatch):
     assert calls == {"eig_normal": 0, "joint_diagonalize": 1}
 
 
+def _count_member_defects(monkeypatch, members):
+    """Count core.normality_defect calls on one of members (admission) and
+    on any other matrix (the normality gate of the common Schur basis's
+    pencil combination) apart."""
+    calls = {"member": 0, "other": 0}
+    real = core.normality_defect
+
+    def counted(m):
+        calls["member" if any(m is x for x in members) else "other"] += 1
+        return real(m)
+
+    monkeypatch.setattr(core, "normality_defect", counted)
+    return calls
+
+
 def test_equivalence_check_admits_a_commuting_pair_once(monkeypatch):
     # the joint-eigenbasis reference reuses the admission's norms and
-    # commutator: two normality defects and one commutator in all
+    # commutator: two normality defects of the members and one commutator
+    # in all; the Schur step adds the one defect of its normality gate
     a, b = commuting_pair(np.random.default_rng(58), 7)
     want = commute.equivalence_check(a, b, seed=4)
-    calls = {"normality_defect": 0, "commutator_norm": 0}
-    for name in calls:
-        real = getattr(core, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(core, name, counted)
+    defects = _count_member_defects(monkeypatch, (a, b))
+    calls = _count_calls(monkeypatch, {"commutator_norm": 0}, core)
     rep = commute.equivalence_check(a, b, seed=4)
-    assert calls == {"normality_defect": 2, "commutator_norm": 1}
+    assert defects == {"member": 2, "other": 1}
+    assert calls == {"commutator_norm": 1}
     assert rep.commute and rep.consistent and rep.verdict.is_lines
     # the same text as the route through the public common_eigenbasis
     basis = commute.common_eigenbasis(a, b)
@@ -240,24 +251,156 @@ def test_off_curve_witness_is_indeterminate(monkeypatch):
     assert "off the matrix curve" in rep.indeterminate
 
 
+def _fail_eigh_and_eig(monkeypatch):
+    fail_eigh(monkeypatch)
+    fail_eig(monkeypatch)
+
+
 @pytest.mark.parametrize(
     "make, fail, message",
     [
-        (commuting_pair, fail_eig, "did not converge"),
+        (commuting_pair, _fail_eigh_and_eig, "pencil eigensolve did not converge"),
         (noncommuting_pair, fail_solve, "eigenvector solve failed"),
     ],
     ids=["schur_basis", "witness_solve"],
 )
 def test_pencil_eigensolve_failure_is_indeterminate(monkeypatch, make, fail, message):
-    # a commuting pair needs only the Schur-basis eigensolve; a
-    # non-commuting one goes on to the eigenvector solve of its curvature
-    # witness
+    # a commuting pair needs only the Schur-basis eigensolves, the Hermitian
+    # ones and, when they fail, LAPACK eig; a non-commuting one goes on to
+    # the eigenvector solve of its curvature witness
     a, b = make(np.random.default_rng(31), 6)
     fail(monkeypatch)
     rep = commute.equivalence_check(a, b)
     assert rep.commute == (make is commuting_pair)
     assert rep.verdict is None and rep.consistent is None
     assert message in rep.indeterminate
+
+
+def test_failed_eig_leaves_a_commuting_pair_certified(monkeypatch):
+    # the Hermitian route certifies a commuting pair without LAPACK eig
+    a, b = commuting_pair(np.random.default_rng(31), 6)
+    want = commute.equivalence_check(a, b)
+    fail_eig(monkeypatch)
+    rep = commute.equivalence_check(a, b)
+    assert rep.commute and rep.consistent and rep.verdict.is_lines
+    assert rep == want
+
+
+def test_failed_eigh_is_indeterminate(monkeypatch):
+    # an eigh that does not converge sends the common Schur basis to LAPACK
+    # eig, which still certifies the lines; the joint eigenbasis of the
+    # cross-check has no such route, so the pair and the tuple are
+    # indeterminate, and eig_normal raises NoConvergence
+    rng = np.random.default_rng(32)
+    a, b = commuting_pair(rng, 6)
+    mats = commuting_tuple(rng, 5, 3)
+    fail_eigh(monkeypatch)
+    rep = commute.equivalence_check(a, b)
+    assert rep.commute and rep.verdict.is_lines and rep.consistent is None
+    assert rep.indeterminate.startswith("Hermitian eigensolve did not converge")
+    trep = commute.tuple_test(mats)
+    assert trep.commute and trep.hyperplanes is None
+    assert all(pair.consistent for _, pair in trep.reports)
+    assert trep.indeterminate.startswith("Hermitian eigensolve did not converge")
+    with pytest.raises(NoConvergence, match="Hermitian eigensolve did not converge"):
+        core.eig_normal(a)
+
+
+def _count_eigensolves(monkeypatch):
+    return _count_calls(monkeypatch, {"eig": 0, "eigh": 0}, np.linalg)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 40])
+def test_noncommuting_schur_step_runs_one_eig_and_no_eigh(n, monkeypatch):
+    # the pencil combination of a non-commuting pair fails the normality
+    # gate, so its Schur step pays the gate and one LAPACK eig only
+    a, b = noncommuting_pair(np.random.default_rng(900 + n), n)
+    norms = (np.linalg.norm(a), np.linalg.norm(b))
+    calls = _count_eigensolves(monkeypatch)
+    *_, certified = linegeom._schur_diagonals([a, b], linegeom._phases(n, 2), norms, core.Tolerances())
+    assert not certified
+    assert calls == {"eig": 1, "eigh": 0}
+
+
+@pytest.mark.parametrize("zero_b", [False, True], ids=["b", "b_zero"])
+def test_equal_real_parts_are_split_by_the_skew_pass(zero_b, monkeypatch):
+    # A's eigenvalues 1, 1 + i and 1 - 2i share their real part, so with
+    # B = 0 the pencil's Hermitian part has a triple eigenvalue, and only
+    # the skew pass of the Hermitian route splits it; both pairs are
+    # certified without LAPACK eig
+    u = random_unitary(np.random.default_rng(33), 4)
+    lam = np.array([1, 1 + 1j, 1 - 2j, 3])
+    mu = np.zeros(4) if zero_b else np.array([2, 2, 0.5j, 1])
+    a, b = ((u * d) @ u.conj().T for d in (lam, mu))
+    calls = _count_eigensolves(monkeypatch)
+    rep = commute.equivalence_check(a, b)
+    assert calls["eig"] == 0
+    assert rep.commute and rep.consistent and rep.verdict.is_lines
+    assert rep.arrangement_vs_eigenpairs_distance <= 1e-12
+    ref = _ref_arrangement(*((l, m, 1) for l, m in zip(lam, mu)))
+    assert linegeom.compare_arrangements(rep.verdict.arrangement, ref) <= 1e-12
+
+
+def test_refused_hermitian_basis_gives_the_eig_route(monkeypatch):
+    # a Hermitian-route basis that neither diagonalizes the pencil nor is
+    # certified (the identity) falls back to eig and QR, bit for bit: the
+    # same diagonals and lower
+    # parts as an explicit eig + QR, and the same report as an eigh that
+    # does not converge
+    rng = np.random.default_rng(34)
+    tol = core.Tolerances()
+    for make, n in ((commuting_pair, 6), (commuting_pair, 17), (noncommuting_pair, 6)):
+        a, b = make(rng, n)
+        norms = (np.linalg.norm(a), np.linalg.norm(b))
+        (g,) = linegeom._phases(0, 2)
+        q = np.linalg.qr(np.linalg.eig(a + g * b)[1])[0]
+        ts = [q.conj().T @ m @ q for m in (a, b)]
+        with monkeypatch.context() as m:
+            m.setattr(core, "_normal_eigenbasis", lambda c, size: np.eye(n, dtype=complex))
+            calls = _count_eigensolves(m)
+            _, _, diags, lower, _ = linegeom._schur_diagonals([a, b], [g], norms, tol)
+            assert calls == {"eig": 1, "eigh": 0}
+            identity_route = commute.equivalence_check(a, b)
+        assert np.array_equal(diags, np.stack([np.diag(t) for t in ts]))
+        assert np.array_equal(lower, [np.linalg.norm(np.tril(t, -1)) / x for t, x in zip(ts, norms)])
+        with monkeypatch.context() as m:
+
+            def failing(c, size):
+                raise NoConvergence("Hermitian eigensolve did not converge")
+
+            m.setattr(core, "_normal_eigenbasis", failing)
+            assert identity_route == commute.equivalence_check(a, b)
+        assert identity_route.consistent and identity_route.verdict.is_lines == (make is commuting_pair)
+
+
+def test_hermitian_basis_must_diagonalize_the_pencil(monkeypatch):
+    # a near-commuting pair whose pencil C passes the normality gate and
+    # whose Hermitian eigenbasis passes the tol.line certificate, but leaves
+    # C off diagonal by more than tol.normal ||C||_F: close real parts of
+    # the eigenvalues of C are split by its Hermitian part alone, which
+    # resolves them poorly. The Schur step takes the eig route's basis,
+    # bit for bit, whose lower parts are far smaller
+    a, b = near_commuting_pair(np.random.default_rng(3), 16, 1e-10)
+    tol = core.Tolerances()
+    norms = (np.linalg.norm(a), np.linalg.norm(b))
+    (g,) = linegeom._phases(0, 2)
+    c = a + g * b
+    size = np.linalg.norm(c)
+    assert core.normality_defect(c) <= tol.normal * size
+    u = core._normal_eigenbasis(c, size)
+    t = u.conj().T @ c @ u
+    assert np.linalg.norm(t - np.diag(np.diag(t))) > tol.normal * size
+    _, hermitian_lower, hermitian_certified = linegeom._triangular_parts(
+        [u.conj().T @ m @ u for m in (a, b)], norms, tol
+    )
+    assert hermitian_certified
+    q = np.linalg.qr(np.linalg.eig(c)[1])[0]
+    ts = [q.conj().T @ m @ q for m in (a, b)]
+    calls = _count_eigensolves(monkeypatch)
+    _, _, diags, lower, certified = linegeom._schur_diagonals([a, b], [g], norms, tol)
+    assert calls["eig"] == 1 and certified
+    assert np.array_equal(diags, np.stack([np.diag(t) for t in ts]))
+    assert lower.max() < hermitian_lower.max() / 10
 
 
 _JORDAN = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -545,7 +688,7 @@ def test_commuting_tuple_is_certified_by_one_schur_basis(k, monkeypatch):
         mats = commuting_tuple(rng, n, k)
         before = dict(calls)
         rep = commute.tuple_test(mats, seed=n)
-        assert calls["eig"] - before["eig"] == 1, n
+        assert calls["eig"] - before["eig"] == 0, n
         assert calls["equivalence_check"] == calls["common_eigenbasis"] == 0
         assert rep.commute and rep.indeterminate is None
         assert len(rep.reports) == k * (k - 1) // 2
@@ -592,10 +735,13 @@ def test_refused_tuple_admits_each_member_once(monkeypatch):
     rng = np.random.default_rng(87)
     a, b = commuting_pair(rng, 6)
     c = random_normal(rng, 6)
-    calls = _count_calls(monkeypatch, {"normality_defect": 0, "commutator_norm": 0}, core)
+    defects = _count_member_defects(monkeypatch, (a, b, c))
+    calls = _count_calls(monkeypatch, {"commutator_norm": 0}, core)
     rep = commute.tuple_test([a, b, c], seed=5)
     assert not rep.commute and rep.indeterminate is None
-    assert calls == {"normality_defect": 3, "commutator_norm": 3}
+    # one gate defect for the tuple's Schur step and one for each pair's
+    assert defects == {"member": 3, "other": 1 + 3}
+    assert calls == {"commutator_norm": 3}
 
 
 def test_restriction_eigenplane():
