@@ -9,10 +9,10 @@ eigenvalue branch of A + gB from LAPACK eig), and cross-checks the
 recovered arrangement against the eigenvalue pairs of a common eigenbasis.
 A lines certificate bounds the commutator, so a pair whose commutator fails
 tol.commute but stays inside that bound is indeterminate, not
-inconsistent. A tuple is certified by one common Schur basis of all its members, which gives every
-pair its lines at once; only when that basis is refused is each pair tested
-on its own, by the check of an admitted pair that equivalence_check runs
-(_check_pair). Pairs and tuples share every per-pair step: one admission
+inconsistent. A tuple is certified by one common Schur basis of all its
+members, which gives every pair its lines at once; only when that basis is
+refused is each pair tested on its own, by the check of an admitted pair
+that equivalence_check runs (_check_pair). Pairs and tuples share every per-pair step: one admission
 (_admit), one report rule (_report), one joint eigenbasis routine with its
 checks, and one cross-check against it (_joint_check). Eigensolves that
 do not converge (LAPACK eig on the pencil, or eigh in a joint basis,

@@ -689,16 +689,16 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
     """Decide union-of-lines structure of det(I + zA + wB) by one common Schur basis.
 
     Q is a Schur basis of A + g0 B, g0 a random phase drawn from seed
-    (_phases), from _schur_diagonals (commute.tuple_test runs both once on
-    a whole tuple, and reads each certified pair by _schur_lines, as here):
-    a unitary eigenbasis from Hermitian eigensolves when A + g0 B is normal
+    (_phases), from _schur_diagonals (commute.tuple_test runs both once on a
+    whole tuple, and reads each certified pair by _schur_lines, as here): a
+    unitary eigenbasis from Hermitian eigensolves when A + g0 B is normal
     and that basis diagonalizes it and is certified, else Q = qr(V) for the
-    eigenvectors V of A + g0 B from LAPACK eig. Let L_A and L_B be the strictly lower parts
-    of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B Q* are triangular in
-    one basis, so their determinant is exactly
-    prod_i (1 + (Q*AQ)_ii z + (Q*BQ)_ii w). A lines verdict is certified when
-    ||L_A||_F <= tol.line ||A||_F and ||L_B||_F <= tol.line ||B||_F: tol.line
-    is the relative backward error, in each matrix, under which the
+    eigenvectors V of A + g0 B from LAPACK eig. Let L_A and L_B be the
+    strictly lower parts of Q*AQ and Q*BQ. Then A - Q L_A Q* and B - Q L_B
+    Q* are triangular in one basis, so their determinant is exactly prod_i
+    (1 + (Q*AQ)_ii z + (Q*BQ)_ii w). A lines verdict is certified when
+    ||L_A||_F <= tol.line ||A||_F and ||L_B||_F <= tol.line ||B||_F:
+    tol.line is the relative backward error, in each matrix, under which the
     arrangement of those diagonal pairs is exact. For commuting normal A and
     B every eigenvector of a generic A + g0 B is one of A and of B, so both
     lower parts vanish up to rounding; for a normal pair the zero set is a
