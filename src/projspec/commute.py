@@ -49,10 +49,6 @@ from .linegeom import (
     tuple_distance,
 )
 
-# Joint-diagonalization cluster radius for each member's Hermitian and skew
-# parts, relative to that member's ||.||_F; wider gaps are distinct.
-DEFLATION_CLUSTER_REL = 1e-7
-
 _OFFDIAG_REL = 1e-8
 
 _ORTHO_TOL = 1e-8
@@ -130,28 +126,27 @@ def _band_refusal(cn: float, n: int, lower, na: float, nb: float) -> Optional[st
     )
 
 
-def _joint_eigenbasis(mats, norms, sweeps, names, tol: core.Tolerances):
+def _joint_eigenbasis(mats, norms, names, tol: core.Tolerances):
     """Joint unitary diagonalization U of commuting normal matrices.
 
-    Cluster deflation over the Hermitian and skew parts of mats[i] for each
-    i in sweeps, in that order, with radius DEFLATION_CLUSTER_REL norms[i].
-    Every later member compressed to an eigenvalue cluster of mats[0] must
-    be normal (else NotNormal), and U must leave every member diagonal
-    within _OFFDIAG_REL times the sum of the norms (else NotCommuting).
-    Returns U, the (k, n) diagonals of U* M_i U and the largest residual.
+    U is the one eigenbasis rule's (core._normal_eigenbasis): the cluster
+    deflation takes the Hermitian and skew parts of each member once, in
+    order, at radius core.DEFLATION_CLUSTER_REL norms[i], and ends with one
+    eigh of their weighted combination inside any block still wider than
+    one column. Every later member compressed to an eigenvalue cluster of
+    mats[0] must be normal (else NotNormal), and U must leave every member
+    diagonal within _OFFDIAG_REL times the sum of the norms (else
+    NotCommuting). Returns U, the (k, n) diagonals of U* M_i U and the
+    largest residual.
     """
-    parts = [core.hermitian_parts(m) for m in mats]
-    u = core.joint_diagonalize(
-        [part for i in sweeps for part in parts[i]],
-        [DEFLATION_CLUSTER_REL * norms[i] for i in sweeps for _ in range(2)],
-    )
+    u = core._normal_eigenbasis(mats, norms)
     ts = [u.conj().T @ m @ u for m in mats]
     diags = np.stack([np.diag(t) for t in ts])
     # mats[0]'s eigenvalue clusters, split on real then imaginary parts as
     # joint_diagonalize splits on H then K. The normality defect of a
     # compression to a cluster does not depend on the basis of its span.
     first = diags[0]
-    radius = DEFLATION_CLUSTER_REL * norms[0]
+    radius = core.DEFLATION_CLUSTER_REL * norms[0]
     by_re = np.argsort(first.real, kind="stable")
     for group in core._split_sorted(first.real[by_re], radius):
         if group.size == 1:
@@ -177,9 +172,11 @@ def _joint_eigenbasis(mats, norms, sweeps, names, tol: core.Tolerances):
 def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonEigenbasis:
     """Joint unitary diagonalization of a commuting normal pair.
 
-    One cluster deflation over the Hermitian and skew parts of A, then of B,
-    then of A again, so that neither side is left carrying the spread of a
-    cluster the other side split. B compressed to each eigenvalue cluster of
+    One cluster deflation over the Hermitian and skew parts of A and then
+    of B, each taken once, with one last eigh of their weighted combination
+    inside any block still wider than one column, so that neither side is
+    left carrying the spread of a cluster the other side split
+    (core._normal_eigenbasis). B compressed to each eigenvalue cluster of
     A, read off the joint basis, must be normal; the joint basis must leave
     both sides diagonal (_joint_eigenbasis, which tuple_test shares).
     """
@@ -187,7 +184,7 @@ def common_eigenbasis(a, b, *, tol: Optional[core.Tolerances] = None) -> CommonE
     cn, commute = _commutator(a, b, na, nb, tol)
     if not commute:
         raise NotCommuting(f"commutator norm {cn:.3e} exceeds tol.commute * ||A||_F * ||B||_F")
-    u, diags, residual = _joint_eigenbasis([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol)
+    u, diags, residual = _joint_eigenbasis([a, b], (na, nb), ("a", "b"), tol)
     return CommonEigenbasis(u, diags[0], diags[1], residual)
 
 
@@ -203,17 +200,17 @@ def _report(cn: float, commute: bool, verdict: LineVerdict, n: int, na: float, n
     return EquivalenceReport(commute, cn, verdict, commute == verdict.is_lines)
 
 
-def _joint_check(mats, norms, sweeps, names, tol: core.Tolerances, rows):
+def _joint_check(mats, norms, names, tol: core.Tolerances, rows):
     """The joint eigenbasis of commuting members and the one cross-check of
     a certified verdict against it.
 
-    Runs _joint_eigenbasis(mats, norms, sweeps, names, tol) and returns U,
+    Runs _joint_eigenbasis(mats, norms, names, tol) and returns U,
     the (k, n) joint diagonals, their k-tuples without constant factors
     (drop_constant_factors), the deficit, and the tuple_distance between
     rows, the certified value rows, and those k-tuples, unclustered (None
     when rows is None).
     """
-    u, diags, _ = _joint_eigenbasis(mats, norms, sweeps, names, tol)
+    u, diags, _ = _joint_eigenbasis(mats, norms, names, tol)
     tuples, deficit = drop_constant_factors(diags, norms)
     return u, diags, tuples, deficit, None if rows is None else tuple_distance(rows, tuples)
 
@@ -233,7 +230,7 @@ def _check_pair(a, b, na: float, nb: float, seed: int, tol: core.Tolerances) -> 
     if commute and report.consistent:
         rows = [(line.lam, line.mu) for line, mult in verdict.arrangement.lines for _ in range(mult)]
         try:
-            distance = _joint_check([a, b], (na, nb), (0, 1, 0), ("a", "b"), tol, rows)[-1]
+            distance = _joint_check([a, b], (na, nb), ("a", "b"), tol, rows)[-1]
         except (NoConvergence, NotCommuting, NotNormal) as exc:
             return EquivalenceReport(commute, cn, verdict, None, indeterminate=str(exc))
         report.arrangement_vs_eigenpairs_distance = distance
@@ -282,7 +279,8 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
     members are admitted once, here.
 
     When every pair commutes and agrees, the members are jointly
-    diagonalized, two sweeps over all of them, and the basis must pass the
+    diagonalized, each member's Hermitian and skew parts taken once
+    (core._normal_eigenbasis), and the basis must pass the
     checks of common_eigenbasis (_joint_eigenbasis), or the tuple is
     indeterminate. The hyperplane arrangement
     {1 + sum_i a_i^{(k)} z_i = 0} is emitted from the joint diagonals,
@@ -327,7 +325,7 @@ def tuple_test(mats, *, seed: int = 0, tol: Optional[core.Tolerances] = None) ->
         return TupleReport(reports, False)
     rows = drop_constant_factors(schur, norms)[0] if certified else None
     try:
-        u, diags, tuples, deficit, distance = _joint_check(mats, norms, list(range(k)) * 2, names, tol, rows)
+        u, diags, tuples, deficit, distance = _joint_check(mats, norms, names, tol, rows)
     except (NoConvergence, NotCommuting, NotNormal) as exc:
         return TupleReport(reports, True, indeterminate=str(exc))
     return TupleReport(

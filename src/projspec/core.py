@@ -4,13 +4,16 @@ Complex matrices are plain ``numpy.ndarray`` objects with dtype complex128.
 Admission rules live here, once each: ``as_cmatrix`` admits one matrix,
 ``as_cmatrices`` the operands of a pair or tuple (one shared shape), and
 ``require_normal`` a numerically normal matrix; every public operation
-routes its inputs through them. Normal matrices are diagonalized by
-splitting A into its Hermitian part H = (A + A*)/2 and skew part, then
-jointly diagonalizing the two commuting Hermitian pieces: LAPACK ``eigh``
-on each block compression, with cluster deflation between them
-(``_normal_eigenbasis``, which also gives ``linegeom`` the Schur basis of a
-normal pencil combination). The same joint diagonalizer serves commuting
-pairs and tuples in ``commute``.
+routes its inputs through them. Every unitary eigenbasis of commuting
+normal matrices comes from one rule, ``_normal_eigenbasis``: each matrix M
+is split into its Hermitian part H = (M + M*)/2 and skew part, and
+``joint_diagonalize`` takes each of those commuting Hermitian pieces once,
+LAPACK ``eigh`` on each block compression with cluster deflation at the one
+radius ``DEFLATION_CLUSTER_REL`` ||M||_F, then one ``eigh`` of a weighted
+combination of all of them inside any block still wider than one column.
+It serves ``eig_normal`` (one matrix), ``linegeom``'s Schur basis of a
+normal pencil combination, and the joint eigenbasis of commuting pairs and
+tuples in ``commute``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 
 from .errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
-# Relative cluster radius used when splitting Hermitian eigenvalues into
-# blocks for the skew-part refinement stage.
-EIG_CLUSTER_REL = 1e-8
+# Cluster radius of the deflation, relative to each matrix's ||.||_F: the
+# eigenvalues of its Hermitian or skew part that lie closer are one block.
+DEFLATION_CLUSTER_REL = 1e-7
 
 DEFAULT_TOL_BASE = 1e-8
 
@@ -138,49 +141,68 @@ def hermitian_parts(a: np.ndarray):
     return (a + ah) / 2.0, (a - ah) / 2.0j
 
 
+def _deflate(v: np.ndarray, blocks, m: np.ndarray, radius: float) -> list:
+    """One deflation pass: rotate v's columns in each block wider than one
+    column by the eigenvectors of m's compression to them, from LAPACK
+    ``eigh`` (NoConvergence when it does not converge), and split the block
+    wherever consecutive eigenvalues differ by more than radius. Returns
+    the new blocks."""
+    out = []
+    for idx in blocks:
+        if idx.size == 1:
+            out.append(idx)
+            continue
+        sub = v[:, idx]
+        c = sub.conj().T @ (m @ sub)
+        try:
+            vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Hermitian eigensolve did not converge: {exc}") from None
+        v[:, idx] = sub @ w
+        out.extend(idx[g] for g in _split_sorted(vals, radius))
+    return out
+
+
 def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
     """Unitary V with V* M V (nearly) diagonal for commuting Hermitian M.
 
     Cluster deflation (Bunse-Gerstner, Byers & Mehrmann 1993): the matrices
-    are taken in order; each one is compressed to every current block of
-    columns, diagonalized there by LAPACK ``eigh``, and the block is split
-    wherever consecutive eigenvalues differ by more than that matrix's
-    radius. A matrix may appear more than once, to re-diagonalize it inside
-    blocks that a later split left it mixed in. An ``eigh`` that does not
-    converge raises NoConvergence.
+    are taken once each, in order; each one is compressed to every current
+    block of columns, diagonalized there by LAPACK ``eigh``, and the block
+    is split wherever consecutive eigenvalues differ by more than that
+    matrix's radius (_deflate). A block that no matrix split may hold
+    eigenvalues that a later compression, degenerate there, rotated freely,
+    mixing eigenvectors an earlier one told apart within its radius. So
+    when a block wider than one column is left, one last pass diagonalizes
+    the combination sum_j sqrt(j + 2) M_j / radii[j] inside each such block:
+    each matrix in units of its radius, with irrational weights, so that
+    distinct joint eigenvalues coincide in it only by accident. Inputs that
+    the passes split into blocks of one column never form it. An ``eigh``
+    that does not converge raises NoConvergence.
     """
     n = hermitian_mats[0].shape[0]
     v = np.eye(n, dtype=np.complex128)
     blocks = [np.arange(n)]
     for m, radius in zip(hermitian_mats, radii):
-        out = []
-        for idx in blocks:
-            if idx.size == 1:
-                out.append(idx)
-                continue
-            sub = v[:, idx]
-            c = sub.conj().T @ (m @ sub)
-            try:
-                vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence(f"Hermitian eigensolve did not converge: {exc}") from None
-            v[:, idx] = sub @ w
-            out.extend(idx[g] for g in _split_sorted(vals, radius))
-        blocks = out
+        blocks = _deflate(v, blocks, m, radius)
+    if len(blocks) < n:
+        weights = [np.sqrt(j + 2) / max(r, 1e-300) for j, r in enumerate(radii)]
+        _deflate(v, blocks, sum(w * m for w, m in zip(weights, hermitian_mats)), np.inf)
     return v
 
 
-def _normal_eigenbasis(a: np.ndarray, norm: float) -> np.ndarray:
-    """Unitary V with V* A V (nearly) diagonal for a normal A, norm = ||A||_F.
+def _normal_eigenbasis(mats, norms) -> np.ndarray:
+    """Unitary V with V* M V (nearly) diagonal for every one of commuting
+    normal mats, norms[i] = ||mats[i]||_F.
 
-    joint_diagonalize over A's Hermitian parts H, K, H, each at radius
-    EIG_CLUSTER_REL * norm. The trailing Hermitian pass cleans the case where
-    a skew-part degeneracy straddles two merged near-degenerate Hermitian
-    clusters. Shared by eig_normal and linegeom's common Schur basis.
+    The one eigenbasis rule: joint_diagonalize over the Hermitian and skew
+    parts of each member once, in order, each at radius
+    DEFLATION_CLUSTER_REL norms[i]. Shared by eig_normal (one matrix),
+    linegeom's common Schur basis (the pencil combination) and commute's
+    joint eigenbasis (the members).
     """
-    herm, skew = hermitian_parts(a)
-    radius = EIG_CLUSTER_REL * norm
-    return joint_diagonalize([herm, skew, herm], [radius, radius, radius])
+    parts = [part for m in mats for part in hermitian_parts(m)]
+    return joint_diagonalize(parts, [DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)])
 
 
 def _arg2pi(z: complex) -> float:
@@ -204,9 +226,13 @@ class EigenDecomposition:
 def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
     """Eigendecomposition of a (numerically) normal matrix.
 
-    Raises NotNormal when require_normal refuses A and NoConvergence when
-    ``eigh`` does not converge or the diagonal residual cannot be driven
-    below ``tol.eig * ||A||_F + defect``.
+    The unitary is the one eigenbasis rule's (_normal_eigenbasis on [A]):
+    ``eigh`` of H and then of K inside H's clusters, at radius
+    DEFLATION_CLUSTER_REL ||A||_F, and a last ``eigh`` of their weighted
+    combination inside any block still wider than one column. Raises
+    NotNormal when require_normal refuses A and NoConvergence when ``eigh``
+    does not converge or the diagonal residual cannot be driven below
+    ``tol.eig * ||A||_F + defect``.
     """
     if tol is None:
         tol = default_tolerances()
@@ -217,7 +243,7 @@ def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
     )
     if fa == 0.0:
         return EigenDecomposition(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), 0.0)
-    v = _normal_eigenbasis(a, fa)
+    v = _normal_eigenbasis([a], [fa])
     t = v.conj().T @ (a @ v)
     values = t.diagonal().copy()
     residual = float(np.linalg.norm(t - np.diag(values)))

@@ -57,7 +57,9 @@ class InvalidEpsilon(ProjspecError):
 
 
 class NotCommuting(ProjspecError):
-    """Commutator norm exceeds the admission tolerance."""
+    """A pair or tuple does not commute cleanly: its commutator norm exceeds
+    the admission tolerance, or its joint eigenbasis leaves a member off
+    diagonal beyond the joint-basis gate."""
 
 
 class EigenvalueOnContour(ProjspecError):

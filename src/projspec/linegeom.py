@@ -578,8 +578,9 @@ def _schur_diagonals(mats, phases, norms, tol):
     shared by all k weights changes no Schur basis, so M_0's is 1), found on
     one of two routes. When C passes core.require_normal (tol.normal), as it
     does for commuting normal members, a unitary eigenbasis of C is a Schur
-    basis, and Q comes from Hermitian eigensolves, the cluster deflation of
-    core.eig_normal (core._normal_eigenbasis). That Q is kept when it
+    basis, and Q comes from Hermitian eigensolves: the one eigenbasis rule,
+    core._normal_eigenbasis on [C] at radius core.DEFLATION_CLUSTER_REL
+    ||C||_F, as core.eig_normal runs it on one matrix. That Q is kept when it
     leaves C diagonal within tol.normal ||C||_F, the accuracy at which C
     was admitted as normal, and is certified. Otherwise, or when that eigh
     does not converge, Q = qr(V) for the eigenvectors V of C from LAPACK
@@ -602,7 +603,7 @@ def _schur_diagonals(mats, phases, norms, tol):
         combo = combo + g * m
     try:
         size, _ = core.require_normal(combo, tol, "pencil combination: normality defect {defect:.3e}")
-        q = core._normal_eigenbasis(combo, size)
+        q = core._normal_eigenbasis([combo], [size])
     except (NotNormal, NoConvergence):
         pass
     else:

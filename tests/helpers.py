@@ -61,6 +61,10 @@ def noncommuting_pair(rng, n, threshold=0.1):
             return a, b
 
 
+# Eigenvalues with a double value 1 + 2i; shifting one copy by less than a
+# deflation radius makes a straddle that a Hermitian or skew pass merges.
+STRADDLE_BASE = np.array([1 + 2j, 1 + 2j, -3 + 0.5j, 2 - 1j])
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

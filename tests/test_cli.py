@@ -15,11 +15,13 @@ from helpers import (
     PAULI_Z,
     commuting_pair,
     commuting_tuple,
+    fail_eig,
     fail_eigh,
     fail_solve,
     inconsistent_report,
     noncommuting_pair,
     off_curve_witnesses,
+    random_normal,
     refuse_common_schur_basis,
 )
 
@@ -107,6 +109,20 @@ def test_tuple_inconsistent_exits_2(tmp_path, monkeypatch):
     assert "pair_0_1_consistent=false" in lines
     assert lines[-1].startswith("indeterminate=pair (0,1):")
     assert not any(l.startswith("hyperplanes") for l in lines)
+    assert code == 2
+
+
+def test_tuple_exits_2_when_pair_eigensolves_fail(tmp_path, monkeypatch):
+    # a non-commuting triple whose Schur-basis and pair eigensolves do not
+    # converge: every pair is indeterminate
+    f = tmp_path / "t.ctuple"
+    rng = np.random.default_rng(72)
+    f.write_text(core.emit_tuple([random_normal(rng, 5) for _ in range(3)]))
+    fail_eig(monkeypatch)
+    code, text = _run(tmp_path, "tuple", str(f))
+    lines = text.strip().splitlines()
+    assert "pair_0_1_verdict=indeterminate" in lines and "pair_1_2_verdict=indeterminate" in lines
+    assert lines[-1].startswith("indeterminate=pair (0,1): pencil eigensolve did not converge")
     assert code == 2
 
 

@@ -8,6 +8,7 @@ from projspec.linegeom import Line, LineArrangement
 from helpers import (
     PAULI_X,
     PAULI_Z,
+    STRADDLE_BASE,
     commuting_pair,
     commuting_tuple,
     fail_eig,
@@ -310,6 +311,59 @@ def _count_eigensolves(monkeypatch):
     return _count_calls(monkeypatch, {"eig": 0, "eigh": 0}, np.linalg)
 
 
+def test_generic_commuting_pair_and_triple_run_two_eigh(monkeypatch):
+    # one eigh for the Schur step's pencil combination and one for the
+    # first member of the joint eigenbasis: the H pass of each splits every
+    # eigenvalue apart, so no later pass runs an eigensolve
+    rng = np.random.default_rng(71)
+    a, b = commuting_pair(rng, 12)
+    mats = commuting_tuple(rng, 10, 3)
+    calls = _count_eigensolves(monkeypatch)
+    rep = commute.equivalence_check(a, b)
+    assert rep.commute and rep.consistent and rep.verdict.is_lines
+    assert calls == {"eig": 0, "eigh": 2}
+    calls["eigh"] = 0
+    trep = commute.tuple_test(mats)
+    assert trep.commute and trep.indeterminate is None and trep.hyperplanes is not None
+    assert calls == {"eig": 0, "eigh": 2}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_real_straddle_is_certified(seed):
+    # A's eigenvalues 1 + 2i and 1 + 2i + 6e-8 ||A||_F straddle less than a
+    # deflation radius, and B is degenerate on them: the H pass of A merges
+    # the two, and the degenerate K and B compressions rotate that block
+    # freely. A trailing K pass of A would mix it again; the last pass over
+    # the weighted combination separates it, so the joint basis is certified
+    base = STRADDLE_BASE.copy()
+    base[1] += 6e-8 * np.linalg.norm(base)
+    u = random_unitary(np.random.default_rng(seed), 4)
+    a = (u * base) @ u.conj().T
+    b = (u * np.array([0.5, 0.5, 1.5j, -0.7])) @ u.conj().T
+    basis = commute.common_eigenbasis(a, b)
+    assert basis.offdiag_residual <= 1e-12 * (np.linalg.norm(a) + np.linalg.norm(b))
+    rep = commute.equivalence_check(a, b)
+    assert rep.indeterminate is None and rep.commute and rep.consistent and rep.verdict.is_lines
+    trep = commute.tuple_test([a, b, a + b])
+    assert trep.indeterminate is None and trep.commute and trep.hyperplanes is not None
+
+
+def test_failed_eig_leaves_a_noncommuting_triple_indeterminate(monkeypatch):
+    # the combination of a non-commuting triple is not normal, so its Schur
+    # basis needs LAPACK eig; when eig does not converge, every pair runs
+    # the check of an admitted pair, whose pencil eig fails as well
+    rng = np.random.default_rng(72)
+    mats = [random_normal(rng, 5) for _ in range(3)]
+    fail_eig(monkeypatch)
+    rep = commute.tuple_test(mats)
+    assert [ij for ij, _ in rep.reports] == [(0, 1), (0, 2), (1, 2)]
+    for _, pair in rep.reports:
+        assert not pair.commute and pair.verdict is None and pair.consistent is None
+        assert pair.indeterminate.startswith("pencil eigensolve did not converge")
+    assert not rep.commute and rep.hyperplanes is None
+    assert rep.indeterminate.startswith("pair (0,1): pencil eigensolve did not converge")
+
+
 @pytest.mark.parametrize("n", [2, 5, 16, 40])
 def test_noncommuting_schur_step_runs_one_eig_and_no_eigh(n, monkeypatch):
     # the pencil combination of a non-commuting pair fails the normality
@@ -341,6 +395,18 @@ def test_equal_real_parts_are_split_by_the_skew_pass(zero_b, monkeypatch):
     assert linegeom.compare_arrangements(rep.verdict.arrangement, ref) <= 1e-12
 
 
+def _schur_step_only(replacement):
+    """core._normal_eigenbasis with replacement on one-member calls (the
+    Schur step's pencil combination) and the real rule on the members of a
+    joint eigenbasis."""
+    real = core._normal_eigenbasis
+
+    def patched(mats, norms):
+        return replacement(mats, norms) if len(mats) == 1 else real(mats, norms)
+
+    return patched
+
+
 def test_refused_hermitian_basis_gives_the_eig_route(monkeypatch):
     # a Hermitian-route basis that neither diagonalizes the pencil nor is
     # certified (the identity) falls back to eig and QR, bit for bit: the
@@ -356,7 +422,7 @@ def test_refused_hermitian_basis_gives_the_eig_route(monkeypatch):
         q = np.linalg.qr(np.linalg.eig(a + g * b)[1])[0]
         ts = [q.conj().T @ m @ q for m in (a, b)]
         with monkeypatch.context() as m:
-            m.setattr(core, "_normal_eigenbasis", lambda c, size: np.eye(n, dtype=complex))
+            m.setattr(core, "_normal_eigenbasis", _schur_step_only(lambda mats, norms: np.eye(n, dtype=complex)))
             calls = _count_eigensolves(m)
             _, _, diags, lower, _ = linegeom._schur_diagonals([a, b], [g], norms, tol)
             assert calls == {"eig": 1, "eigh": 0}
@@ -365,10 +431,10 @@ def test_refused_hermitian_basis_gives_the_eig_route(monkeypatch):
         assert np.array_equal(lower, [np.linalg.norm(np.tril(t, -1)) / x for t, x in zip(ts, norms)])
         with monkeypatch.context() as m:
 
-            def failing(c, size):
+            def failing(mats, norms):
                 raise NoConvergence("Hermitian eigensolve did not converge")
 
-            m.setattr(core, "_normal_eigenbasis", failing)
+            m.setattr(core, "_normal_eigenbasis", _schur_step_only(failing))
             assert identity_route == commute.equivalence_check(a, b)
         assert identity_route.consistent and identity_route.verdict.is_lines == (make is commuting_pair)
 
@@ -387,7 +453,7 @@ def test_hermitian_basis_must_diagonalize_the_pencil(monkeypatch):
     c = a + g * b
     size = np.linalg.norm(c)
     assert core.normality_defect(c) <= tol.normal * size
-    u = core._normal_eigenbasis(c, size)
+    u = core._normal_eigenbasis([c], [size])
     t = u.conj().T @ c @ u
     assert np.linalg.norm(t - np.diag(np.diag(t))) > tol.normal * size
     _, hermitian_lower, hermitian_certified = linegeom._triangular_parts(

@@ -6,7 +6,7 @@ import pytest
 from projspec import commute, core, detpoly, linegeom, riesz
 from projspec.errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
-from helpers import PAULI_X, PAULI_Z, random_normal, random_unitary
+from helpers import PAULI_X, PAULI_Z, STRADDLE_BASE, random_normal, random_unitary
 
 
 def test_normality_defect_diagonal():
@@ -128,7 +128,7 @@ def test_joint_diagonalize_triple_with_repeated_eigenvalues():
     ]
     mats = [(u * d) @ u.conj().T for d in diags]
     parts = [p for m in mats for p in core.hermitian_parts(m)]
-    radii = [core.EIG_CLUSTER_REL * np.linalg.norm(m) for m in mats for _ in range(2)]
+    radii = [core.DEFLATION_CLUSTER_REL * np.linalg.norm(m) for m in mats for _ in range(2)]
     v = core.joint_diagonalize(parts, radii)
     assert np.linalg.norm(v.conj().T @ v - np.eye(6)) <= 1e-12
     for m in mats:
@@ -141,16 +141,18 @@ def test_joint_diagonalize_trailing_pass_fixes_straddle():
     # Two eigenvalues share their imaginary part and have real parts 0.6
     # cluster radii apart: the H pass merges them, and the degenerate K
     # compression then rotates the merged block freely, mixing the two H
-    # eigenvectors. The trailing H pass of eig_normal separates them again.
+    # eigenvectors. A trailing H pass, or the last pass over the weighted
+    # combination that joint_diagonalize runs on the block left wide,
+    # separates them again.
     base = np.array([1 + 2j, 1 + 2j, -3 + 0.5j, 2 - 1j])
-    base[1] += 0.6 * core.EIG_CLUSTER_REL * np.linalg.norm(base)
+    base[1] += 0.6 * core.DEFLATION_CLUSTER_REL * np.linalg.norm(base)
     without_trailing = []
     for seed in range(20):
         u = random_unitary(np.random.default_rng(seed), 4)
         a = (u * base) @ u.conj().T
         fa = np.linalg.norm(a)
         h, k = core.hermitian_parts(a)
-        radius = core.EIG_CLUSTER_REL * fa
+        radius = core.DEFLATION_CLUSTER_REL * fa
         v = core.joint_diagonalize([h, k, h], [radius] * 3)
         assert _offdiag(v, a) <= 1e-12 * fa
         dec = core.eig_normal(a)
@@ -160,8 +162,50 @@ def test_joint_diagonalize_trailing_pass_fixes_straddle():
         )
         v = core.joint_diagonalize([h, k], [radius] * 2)
         without_trailing.append(_offdiag(v, a) / fa)
-    # without the trailing pass the mixed block misses eig_normal's 1e-9 gate
-    assert max(without_trailing) > 1e-9
+    # without the trailing H pass, the last pass over the weighted
+    # combination of the block left wide separates them as well
+    assert max(without_trailing) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eig_normal_separates_an_imaginary_straddle(seed):
+    # equal real parts and imaginary parts 6e-9 ||A||_F apart: the H pass
+    # merges the two, and K does not split them within its radius. A
+    # trailing H pass, degenerate on that block, would rotate it freely and
+    # undo K's separation; the last pass over the weighted combination keeps it
+    base = STRADDLE_BASE.copy()
+    base[1] += 6e-9j * np.linalg.norm(base)
+    u = random_unitary(np.random.default_rng(seed), 4)
+    a = (u * base) @ u.conj().T
+    dec = core.eig_normal(a)
+    assert dec.residual <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("gap", [1.2e-8, 2e-8, 5e-8, 1.2e-7, 3e-7])
+def test_eig_normal_close_real_parts(gap):
+    # two eigenvalues 0.8 apart in their imaginary parts whose real parts
+    # are gap ||A||_F apart, near the deflation radius: the shape of a
+    # matrix on which eig_normal left a residual above its tol.eig gate
+    for seed in range(10):
+        for n in (8, 16, 40):
+            rng = np.random.default_rng(seed)
+            vals = rng.uniform(0.5, 1.2, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+            u = random_unitary(rng, n)
+            vals[1] = vals[0].real + gap * np.linalg.norm(vals) + 1j * (vals[0].imag - 0.8)
+            a = (u * vals) @ u.conj().T
+            dec = core.eig_normal(a)
+            assert dec.residual <= 1e-9 * np.linalg.norm(a)
+
+
+def test_eig_normal_of_a_generic_matrix_runs_one_eigh(monkeypatch):
+    # the H pass splits distinct real parts into blocks of one column, so
+    # neither the K pass nor the last pass runs an eigensolve
+    a = random_normal(np.random.default_rng(12), 12)
+    real = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x.shape) or real(x))
+    core.eig_normal(a)
+    assert calls == [(12, 12)]
 
 
 def _reference_split_sorted(vals, radius):

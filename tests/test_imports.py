@@ -1,9 +1,11 @@
 """Every name a projspec module imports is referenced in that module, every
 module it imports is in the standard library, numpy or projspec, every
 private module-level name it defines is referenced somewhere in projspec,
-and every parameter of its functions is read."""
+every parameter of its functions is read, and the cluster deflation of
+normal eigenbases has one entry point and one radius."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -161,4 +163,59 @@ def test_scan_catches_an_ignored_parameter():
         (3, "g", "x"),
         (8, "<lambda>", "v"),
         (10, "m", "z"),
+    ]
+
+
+# Module-level names of a cluster radius for joint_diagonalize.
+_DEFLATION_RADIUS = re.compile(r"DEFLATION|EIG_CLUSTER")
+
+
+def _deflation_forks(trees: dict) -> list:
+    """(module, name) for each call of joint_diagonalize outside
+    core._normal_eigenbasis, named by the top-level definition that holds
+    it, and for each module-level deflation radius (a name matching
+    _DEFLATION_RADIUS) that a module other than core defines."""
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            owner = getattr(node, "name", "<module>")
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                called = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if called == "joint_diagonalize" and (mod, owner) != ("core.py", "_normal_eigenbasis"):
+                    found.append((mod, owner))
+            if mod != "core.py" and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(mod, t.id) for t in targets if isinstance(t, ast.Name) and _DEFLATION_RADIUS.search(t.id)]
+    return sorted(found)
+
+
+def test_one_deflation_rule():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(_SRC.glob("*.py"))}
+    assert _deflation_forks(trees) == []
+
+
+def test_scan_catches_a_forked_deflation():
+    trees = {
+        "core.py": ast.parse(
+            "DEFLATION_CLUSTER_REL = 1e-7\n"
+            "def joint_diagonalize(mats, radii):\n    return mats\n"
+            "def _normal_eigenbasis(mats, norms):\n    return joint_diagonalize(mats, norms)\n"
+            "def eig_normal(a):\n    return joint_diagonalize([a], [1.0])\n"
+        ),
+        "commute.py": ast.parse(
+            "from . import core\nfrom .core import joint_diagonalize as jd\n"
+            "DEFLATION_CLUSTER_REL = 1e-7\n_EIG_CLUSTER_REL: float = 1e-8\n_OFFDIAG_REL = 1e-8\n"
+            "def _joint_eigenbasis(mats, norms):\n"
+            "    return core._normal_eigenbasis(mats, norms), core.joint_diagonalize(mats, norms)\n"
+            "V = core.joint_diagonalize([], [])\n"
+        ),
+    }
+    assert _deflation_forks(trees) == [
+        ("commute.py", "<module>"),
+        ("commute.py", "DEFLATION_CLUSTER_REL"),
+        ("commute.py", "_EIG_CLUSTER_REL"),
+        ("commute.py", "_joint_eigenbasis"),
+        ("core.py", "eig_normal"),
     ]
