@@ -148,15 +148,11 @@ def _joint_eigenbasis(mats, norms, names, tol: core.Tolerances):
     first = diags[0]
     radius = core.DEFLATION_CLUSTER_REL * norms[0]
     by_re = np.argsort(first.real, kind="stable")
-    for group in core._split_sorted(first.real[by_re], radius):
-        if group.size == 1:
-            continue
-        idx = by_re[group]
+    for lo, hi in core._split_sorted(first.real[by_re], radius):
+        idx = by_re[lo:hi]
         idx = idx[np.argsort(first.imag[idx], kind="stable")]
-        for sub in core._split_sorted(first.imag[idx], radius):
-            if sub.size == 1:
-                continue
-            block = np.ix_(idx[sub], idx[sub])
+        for start, stop in core._split_sorted(first.imag[idx], radius):
+            block = np.ix_(idx[start:stop], idx[start:stop])
             for t, name in zip(ts[1:], names[1:]):
                 refusal = f"compressed {name} on an eigenvalue cluster of {names[0]} is not normal"
                 core.require_normal(t[block], tol, refusal + " (defect {defect:.3e}); the pair does not commute cleanly")

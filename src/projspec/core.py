@@ -129,37 +129,42 @@ def commutator_norm(a, b) -> float:
     return float(np.linalg.norm(a @ b - b @ a))
 
 
-def _split_sorted(vals: np.ndarray, radius: float):
-    """Chain-cluster ascending real values; break where the gap exceeds radius."""
+def _split_sorted(vals: np.ndarray, radius: float, lo: int = 0) -> list:
+    """Chain-cluster ascending real values, breaking where the gap exceeds
+    radius; returns the (start, stop) ranges, offset by lo, of the clusters
+    wider than one value."""
     cuts = [0, *(np.flatnonzero(np.diff(vals) > radius) + 1).tolist(), len(vals)]
-    return [np.arange(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
+    return [(lo + start, lo + stop) for start, stop in zip(cuts, cuts[1:]) if stop - start > 1]
 
 
 def hermitian_parts(a: np.ndarray):
-    """(H, K) with A = H + iK and both Hermitian; they commute when A is normal."""
+    """Yield H and then K, with A = H + iK and both Hermitian; they commute
+    when A is normal. K is formed only when it is asked for."""
     ah = a.conj().T
-    return (a + ah) / 2.0, (a - ah) / 2.0j
+    yield (a + ah) / 2.0
+    yield (a - ah) / 2.0j
 
 
-def _deflate(v: np.ndarray, blocks, m: np.ndarray, radius: float) -> list:
-    """One deflation pass: rotate v's columns in each block wider than one
-    column by the eigenvectors of m's compression to them, from LAPACK
-    ``eigh`` (NoConvergence when it does not converge), and split the block
-    wherever consecutive eigenvalues differ by more than radius. Returns
-    the new blocks."""
+def _eigh(c: np.ndarray):
+    """LAPACK ``eigh`` of c's Hermitian part: ascending eigenvalues and their
+    eigenvectors. NoConvergence when it does not converge."""
+    try:
+        return np.linalg.eigh((c + c.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolve did not converge: {exc}") from None
+
+
+def _deflate(v: np.ndarray, ranges, m: np.ndarray, radius: float) -> list:
+    """One deflation pass: rotate the columns lo:hi of v, for each (lo, hi)
+    in ranges, by the eigenvectors of m's compression to them (_eigh), and
+    split each range wherever consecutive eigenvalues differ by more than
+    radius. Returns the new ranges wider than one column."""
     out = []
-    for idx in blocks:
-        if idx.size == 1:
-            out.append(idx)
-            continue
-        sub = v[:, idx]
-        c = sub.conj().T @ (m @ sub)
-        try:
-            vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"Hermitian eigensolve did not converge: {exc}") from None
-        v[:, idx] = sub @ w
-        out.extend(idx[g] for g in _split_sorted(vals, radius))
+    for lo, hi in ranges:
+        sub = v[:, lo:hi]
+        vals, w = _eigh(sub.conj().T @ (m @ sub))
+        v[:, lo:hi] = sub @ w
+        out += _split_sorted(vals, radius, lo)
     return out
 
 
@@ -170,24 +175,37 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
     are taken once each, in order; each one is compressed to every current
     block of columns, diagonalized there by LAPACK ``eigh``, and the block
     is split wherever consecutive eigenvalues differ by more than that
-    matrix's radius (_deflate). A block that no matrix split may hold
-    eigenvalues that a later compression, degenerate there, rotated freely,
-    mixing eigenvectors an earlier one told apart within its radius. So
-    when a block wider than one column is left, one last pass diagonalizes
-    the combination sum_j sqrt(j + 2) M_j / radii[j] inside each such block:
+    matrix's radius (_deflate). Each block is a contiguous range of columns,
+    since ``eigh`` returns ascending eigenvalues and a split cuts a sorted
+    run, and only the ranges wider than one column are kept: once none is
+    left, V is returned, and the matrices not yet reached are never taken
+    from hermitian_mats (an iterable, so they may be formed on demand).
+    The first matrix is diagonalized whole, without the identity products
+    of a compression; ``V += 0.0`` turns its eigenvectors' negative zeros
+    into the positive zeros that such a product would have left, so that V
+    keeps the same bytes. A block that no matrix split may hold eigenvalues
+    that a later compression, degenerate there, rotated freely, mixing
+    eigenvectors an earlier one told apart within its radius. So when a
+    block wider than one column is left, one last pass diagonalizes the
+    combination sum_j sqrt(j + 2) M_j / radii[j] inside each such block:
     each matrix in units of its radius, with irrational weights, so that
     distinct joint eigenvalues coincide in it only by accident. Inputs that
     the passes split into blocks of one column never form it. An ``eigh``
     that does not converge raises NoConvergence.
     """
-    n = hermitian_mats[0].shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    blocks = [np.arange(n)]
-    for m, radius in zip(hermitian_mats, radii):
-        blocks = _deflate(v, blocks, m, radius)
-    if len(blocks) < n:
-        weights = [np.sqrt(j + 2) / max(r, 1e-300) for j, r in enumerate(radii)]
-        _deflate(v, blocks, sum(w * m for w, m in zip(weights, hermitian_mats)), np.inf)
+    parts = iter(hermitian_mats)
+    taken = [next(parts)]
+    if taken[0].shape[0] == 1:
+        return np.ones((1, 1), dtype=np.complex128)
+    vals, v = _eigh(taken[0])
+    v += 0.0
+    ranges = _split_sorted(vals, radii[0])
+    while ranges and len(taken) < len(radii):
+        taken.append(next(parts))
+        ranges = _deflate(v, ranges, taken[-1], radii[len(taken) - 1])
+    if ranges:
+        weighted = zip(radii, taken + list(parts))
+        _deflate(v, ranges, sum(np.sqrt(j + 2) / max(r, 1e-300) * m for j, (r, m) in enumerate(weighted)), np.inf)
     return v
 
 
@@ -197,11 +215,12 @@ def _normal_eigenbasis(mats, norms) -> np.ndarray:
 
     The one eigenbasis rule: joint_diagonalize over the Hermitian and skew
     parts of each member once, in order, each at radius
-    DEFLATION_CLUSTER_REL norms[i]. Shared by eig_normal (one matrix),
-    linegeom's common Schur basis (the pencil combination) and commute's
-    joint eigenbasis (the members).
+    DEFLATION_CLUSTER_REL norms[i], each part formed only when a pass
+    reaches it. Shared by eig_normal (one matrix), linegeom's common Schur
+    basis (the pencil combination) and commute's joint eigenbasis (the
+    members).
     """
-    parts = [part for m in mats for part in hermitian_parts(m)]
+    parts = (part for m in mats for part in hermitian_parts(m))
     return joint_diagonalize(parts, [DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)])
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from projspec import agmon, commute, core, detpoly, linegeom, riesz
-from projspec.errors import SingularResolvent
+from projspec.errors import NoConvergence, SingularResolvent
 
 
 def random_unitary(rng, n):
@@ -425,3 +425,54 @@ def reference_escape_radius_profile(spectrum, epsilon, n_angles=agmon.DEFAULT_N_
             np.maximum(t, 0.0, out=t)
             radii[lo:hi] = t.max(axis=1)
     return radii
+
+
+def _reference_split_sorted_blocks(vals, radius):
+    """Chain-cluster ascending real values; break where the gap exceeds radius."""
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > radius) + 1).tolist(), len(vals)]
+    return [np.arange(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
+
+
+def _reference_deflate(v, blocks, m, radius):
+    """One deflation pass: rotate v's columns in each block wider than one
+    column by the eigenvectors of m's compression to them, from LAPACK
+    ``eigh`` (NoConvergence when it does not converge), and split the block
+    wherever consecutive eigenvalues differ by more than radius. Returns
+    the new blocks."""
+    out = []
+    for idx in blocks:
+        if idx.size == 1:
+            out.append(idx)
+            continue
+        sub = v[:, idx]
+        c = sub.conj().T @ (m @ sub)
+        try:
+            vals, w = np.linalg.eigh((c + c.conj().T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Hermitian eigensolve did not converge: {exc}") from None
+        v[:, idx] = sub @ w
+        out.extend(idx[g] for g in _reference_split_sorted_blocks(vals, radius))
+    return out
+
+
+def reference_joint_diagonalize(hermitian_mats, radii):
+    """core.joint_diagonalize on index-array blocks: V starts as the
+    identity, every pass compresses every block (skipping blocks of one
+    column) and the last pass runs when any block is wider than one column.
+    hermitian_mats is read twice, so it must be a sequence."""
+    n = hermitian_mats[0].shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    blocks = [np.arange(n)]
+    for m, radius in zip(hermitian_mats, radii):
+        blocks = _reference_deflate(v, blocks, m, radius)
+    if len(blocks) < n:
+        weights = [np.sqrt(j + 2) / max(r, 1e-300) for j, r in enumerate(radii)]
+        _reference_deflate(v, blocks, sum(w * m for w, m in zip(weights, hermitian_mats)), np.inf)
+    return v
+
+
+def reference_normal_eigenbasis(mats, norms):
+    """core._normal_eigenbasis with every Hermitian and skew part formed up
+    front, on reference_joint_diagonalize."""
+    parts = [part for m in mats for part in ((m + m.conj().T) / 2.0, (m - m.conj().T) / 2.0j)]
+    return reference_joint_diagonalize(parts, [core.DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)])

@@ -6,7 +6,17 @@ import pytest
 from projspec import commute, core, detpoly, linegeom, riesz
 from projspec.errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
-from helpers import PAULI_X, PAULI_Z, STRADDLE_BASE, random_normal, random_unitary
+from helpers import (
+    PAULI_X,
+    PAULI_Z,
+    STRADDLE_BASE,
+    commuting_pair,
+    random_normal,
+    random_unitary,
+    reference_joint_diagonalize,
+    reference_normal_eigenbasis,
+    separated_vals,
+)
 
 
 def test_normality_defect_diagonal():
@@ -117,7 +127,7 @@ def _offdiag(v, m):
     return np.linalg.norm(t - np.diag(np.diag(t)))
 
 
-def test_joint_diagonalize_triple_with_repeated_eigenvalues():
+def _repeated_triple():
     # every member is degenerate, but the joint eigenvalue triples are distinct
     rng = np.random.default_rng(61)
     u = random_unitary(rng, 6)
@@ -126,7 +136,11 @@ def test_joint_diagonalize_triple_with_repeated_eigenvalues():
         0.5 + 1j * np.array([3, 3, 4, 4, 5, 5]),
         np.array([-1, 6, -1, 6, -1, 6], dtype=complex),
     ]
-    mats = [(u * d) @ u.conj().T for d in diags]
+    return [(u * d) @ u.conj().T for d in diags]
+
+
+def test_joint_diagonalize_triple_with_repeated_eigenvalues():
+    mats = _repeated_triple()
     parts = [p for m in mats for p in core.hermitian_parts(m)]
     radii = [core.DEFLATION_CLUSTER_REL * np.linalg.norm(m) for m in mats for _ in range(2)]
     v = core.joint_diagonalize(parts, radii)
@@ -208,6 +222,103 @@ def test_eig_normal_of_a_generic_matrix_runs_one_eigh(monkeypatch):
     assert calls == [(12, 12)]
 
 
+def _deflation_family(name):
+    """Lists of commuting normal members on which the cluster deflation is
+    pinned byte for byte to the index-array reference."""
+    rng = np.random.default_rng(2101)
+    if name == "generic":
+        return [list(commuting_pair(rng, n)) for n in (2, 5, 16, 33)]
+    if name == "clustered":
+        # rounded real spectra: clusters in the Hermitian and skew parts
+        cases = []
+        for n in (3, 8, 20):
+            u = random_unitary(rng, n)
+            a = np.round(rng.uniform(-2, 2, n)) + 1j * np.round(rng.uniform(-2, 2, n))
+            cases.append([(u * a) @ u.conj().T, (u * np.round(rng.uniform(-1, 1, n))) @ u.conj().T])
+        return cases
+    if name == "straddle":
+        cases = []
+        for factor in (0.9, 1.0, 1.1, 1.5):
+            for shift in (1.0, 1j):
+                base = STRADDLE_BASE.copy()
+                base[1] += factor * shift * core.DEFLATION_CLUSTER_REL * np.linalg.norm(base)
+                for seed in range(3):
+                    u = random_unitary(np.random.default_rng(seed), 4)
+                    cases.append([(u * base) @ u.conj().T])
+        return cases
+    if name == "triple":
+        return [_repeated_triple()]
+    # diagonal members: exact zeros in every part and in every eigenvector
+    return [
+        [np.diag(np.round(rng.uniform(-2, 2, n)) + 1j * np.round(rng.uniform(-2, 2, n))) for _ in range(2)]
+        for n in (1, 4, 12)
+    ] + [[np.diag(rng.uniform(-1, 1, 9) + 0j)], [np.zeros((3, 3), dtype=complex) + np.eye(3)]]
+
+
+def _outcome(f):
+    """f()'s arrays as bytes, or its exception's type."""
+    try:
+        out = f()
+    except NoConvergence:
+        return NoConvergence
+    if isinstance(out, core.EigenDecomposition):
+        return out.values.tobytes(), out.unitary.tobytes(), out.residual
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("family", ["generic", "clustered", "straddle", "triple", "diagonal"])
+def test_deflation_keeps_the_index_array_bytes(monkeypatch, family):
+    # contiguous column ranges, the first eigh taken whole (with V += 0.0
+    # for its signed zeros) and parts formed on demand give the bytes of
+    # the index-array deflation, signed zeros included
+    for mats in _deflation_family(family):
+        norms = [np.linalg.norm(m) for m in mats]
+        parts = [p for m in mats for p in core.hermitian_parts(m)]
+        radii = [core.DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)]
+        assert _outcome(lambda: core.joint_diagonalize(parts, radii)) == _outcome(
+            lambda: reference_joint_diagonalize(parts, radii)
+        )
+        assert _outcome(lambda: core._normal_eigenbasis(mats, norms)) == _outcome(
+            lambda: reference_normal_eigenbasis(mats, norms)
+        )
+        got = [_outcome(lambda: core.eig_normal(m)) for m in mats]
+        with monkeypatch.context() as m:
+            m.setattr(core, "joint_diagonalize", lambda ms, rs: reference_joint_diagonalize(list(ms), rs))
+            assert got == [_outcome(lambda: core.eig_normal(x)) for x in mats]
+
+
+def _count_eigh(monkeypatch):
+    real = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x.shape) or real(x))
+    return calls
+
+
+def test_equivalence_check_of_a_generic_pair_runs_two_whole_eighs(monkeypatch):
+    # one eigh of the pencil combination's Hermitian part (the Schur step)
+    # and one of A's (the joint eigenbasis): each splits every column off
+    a, b = commuting_pair(np.random.default_rng(2102), 16)
+    calls = _count_eigh(monkeypatch)
+    report = commute.equivalence_check(a, b)
+    assert report.consistent
+    assert calls == [(16, 16), (16, 16)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_k_fold_eigenvalue_leaves_only_k_by_k_eighs(monkeypatch, k):
+    # the first eigh is the whole matrix; every later one is the k-fold
+    # cluster's compression, and no eigh runs on a block of one column
+    rng = np.random.default_rng(2103 + k)
+    vals = separated_vals(rng, 12)
+    vals[:k] = vals[0]
+    a = random_normal(rng, 12, vals)
+    calls = _count_eigh(monkeypatch)
+    dec = core.eig_normal(a)
+    assert dec.residual <= 1e-12 * np.linalg.norm(a)
+    assert calls[0] == (12, 12) and len(calls) > 1
+    assert all(shape == (k, k) for shape in calls[1:])
+
+
 def _reference_split_sorted(vals, radius):
     groups, start = [], 0
     for i in range(1, len(vals)):
@@ -219,14 +330,18 @@ def _reference_split_sorted(vals, radius):
 
 
 def test_split_sorted_matches_gap_loop():
+    # _split_sorted returns only the clusters wider than one value, as
+    # (start, stop) ranges; every other value is a cluster of its own, so
+    # these ranges fix every cut of the gap loop's partition
     rng = np.random.default_rng(5)
     cases = [np.zeros(0), np.array([0.5]), np.array([0.0, 0.1, 0.1, 0.2])]
     cases += [np.sort(np.round(rng.uniform(0, 1, n), 1)) for n in (2, 9, 40)]
     for vals in cases:
         for radius in (0.0, 0.1, 0.25):
-            got = core._split_sorted(vals, radius)
             want = _reference_split_sorted(vals, radius)
-            assert [g.tolist() for g in got] == [g.tolist() for g in want]
+            for lo in (0, 7):
+                got = core._split_sorted(vals, radius, lo)
+                assert got == [(lo + g[0], lo + g[-1] + 1) for g in want if g.size > 1]
 
 
 def test_parse_complex_literals():

@@ -1,0 +1,217 @@
+"""Canonical answers of one checkout on the same-answers corpus, and their digest.
+
+    python3 tools/answers.py [--root CHECKOUT] [--out answers.txt] [--family NAME ...]
+
+Imports projspec from CHECKOUT/src (default: this repository) and runs the
+named families (default: all), one record per call: the report, exit code or
+exception, written as canonical text in which every float and complex
+number is exact (repr, signed zeros included) and every array is its dtype,
+shape and the sha256 of its bytes, so unitaries and diagonals are compared
+byte for byte. The text goes to --out; stdout gets one line per family
+(records, sha256 of its text) and the sha256 of the whole text. Two
+checkouts give the same answers exactly when their digests agree; a diff
+of their --out files shows where they part.
+
+The inputs come from the checkout's own generators, tests/helpers.py and
+perfbench/bench_workloads.py, and the README's `$ projspec` examples, so
+both sides of a comparison see the same matrices. BLAS runs on one thread
+and PROJSPEC_TOL is unset, so the digest does not depend on the caller's
+environment. Families:
+
+  criterion1  criterion 1's battery: 200 commuting and 200 non-commuting
+              pairs, dims 2-24, default_rng(424242), equivalence_check
+  battery     perfbench `battery` rounds 0-9 at seeds 1 and 2
+  large       perfbench `large` rounds 0-3 at seed 1 (pairs and triples)
+  spectral    eig_normal and the agmon results of perfbench `spectral`
+              agmon operations, rounds 0-14 at seed 3
+  sweep       the 135-pair near-commuting sweep: default_rng(5),
+              n in (4, 12, 24, 48, 64), eps in logspace(-12, -3, 9), 3 each
+  readme      every `$ projspec ...` line of README.md, run in order in a
+              directory holding the README's example files
+  clustered   deflation-edge inputs: straddles of the deflation radius at
+              0.9, 1.0, 1.1 and 1.5 times it in the real and imaginary
+              part (eig_normal), commuting pairs and triples with rounded
+              spectra and diagonal members (equivalence_check,
+              common_eigenbasis, tuple_test)
+
+Stdlib and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("PROJSPEC_TOL", None)
+
+import numpy as np  # noqa: E402  (after the BLAS thread settings)
+
+FAMILIES = ("criterion1", "battery", "large", "spectral", "sweep", "readme", "clustered")
+
+
+def canon(obj) -> str:
+    """Exact, deterministic text of a result."""
+    if isinstance(obj, np.ndarray):
+        return f"array({obj.dtype},{obj.shape},{hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()})"
+    if isinstance(obj, (np.floating, np.complexfloating, np.integer, np.bool_)):
+        return f"{type(obj).__name__}({obj.tobytes().hex()})"
+    if isinstance(obj, BaseException):
+        return f"raised {type(obj).__name__}: {obj}"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        inner = ", ".join(f"{f.name}={canon(getattr(obj, f.name))}" for f in dataclasses.fields(obj))
+        return f"{type(obj).__name__}({inner})"
+    if isinstance(obj, (list, tuple)):
+        inner = ", ".join(canon(x) for x in obj)
+        return f"{type(obj).__name__}[{inner}]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{canon(k)}: {canon(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (bool, int, float, complex, str)) or obj is None:
+        return repr(obj)
+    return f"{type(obj).__name__}:{obj!r}"
+
+
+def outcome(call):
+    """call()'s result, or the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # an exception is an answer too
+        return exc
+
+
+def criterion1(env):
+    helpers, commute = env["helpers"], env["projspec"].commute
+    rng = np.random.default_rng(424242)
+    dims = [2 + (k * 23) // 199 for k in range(200)]
+    for k, n in enumerate(dims):
+        a, b = helpers.commuting_pair(rng, n)
+        yield f"commuting {k} n={n}", outcome(lambda: commute.equivalence_check(a, b, seed=k))
+    for k, n in enumerate(dims):
+        a, b = helpers.noncommuting_pair(rng, n)
+        yield f"noncommuting {k} n={n}", outcome(lambda: commute.equivalence_check(a, b, seed=200 + k))
+
+
+def _rounds(workload, rounds, kinds=None):
+    for r in range(rounds):
+        for i, op in enumerate(workload.round(r)):
+            if kinds is None or op.kind in kinds:
+                yield f"round {r} op {i} {op.kind} n={op.n}", outcome(op.call)
+
+
+def battery(env):
+    for seed in (1, 2):
+        for key, value in _rounds(env["bench"].Battery(seed), 10):
+            yield f"seed {seed} {key}", value
+
+
+def large(env):
+    yield from _rounds(env["bench"].Large(1), 4)
+
+
+def spectral(env):
+    yield from _rounds(env["bench"].Spectral(3), 15, kinds=("agmon",))
+
+
+def sweep(env):
+    helpers, commute = env["helpers"], env["projspec"].commute
+    rng = np.random.default_rng(5)
+    for n in (4, 12, 24, 48, 64):
+        for eps in np.logspace(-12, -3, 9):
+            for i in range(3):
+                a, b = helpers.near_commuting_pair(rng, n, eps)
+                yield f"n={n} eps={eps!r} {i}", outcome(lambda: commute.equivalence_check(a, b))
+
+
+def readme(env):
+    cli = env["projspec"].cli
+    commands = [line[2:] for line in (env["root"] / "README.md").read_text().splitlines() if line.startswith("$ projspec ")]
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        env["bench"].write_inputs(Path(tmp), 1)
+        os.chdir(tmp)
+        try:
+            for command in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = outcome(lambda: cli.main(shlex.split(command)[1:]))
+                files = {p.name: p.read_text() for p in sorted(Path(tmp).iterdir()) if p.suffix in (".poly", ".svg")}
+                yield command, {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+        finally:
+            os.chdir(here)
+
+
+def clustered(env):
+    helpers, (core, commute) = env["helpers"], (env["projspec"].core, env["projspec"].commute)
+    base0 = helpers.STRADDLE_BASE
+    for factor in (0.9, 1.0, 1.1, 1.5):
+        for shift in (1.0, 1j):
+            base = base0.copy()
+            base[1] += factor * shift * core.DEFLATION_CLUSTER_REL * np.linalg.norm(base)
+            for s in range(20):
+                u = helpers.random_unitary(np.random.default_rng(s), 4)
+                a = (u * base) @ u.conj().T
+                yield f"straddle {factor} {shift} {s}", outcome(lambda: core.eig_normal(a))
+    rng = np.random.default_rng(2110)
+    for n in (4, 8, 16, 32, 64):
+        for s in range(8):
+            u = helpers.random_unitary(rng, n)
+            diags = [np.round(rng.uniform(-2, 2, n)) + 1j * np.round(rng.uniform(-2, 2, n)) for _ in range(3)]
+            mats = [(u * d) @ u.conj().T for d in diags]
+            yield f"rounded pair n={n} {s}", outcome(lambda: commute.equivalence_check(*mats[:2], seed=s))
+            yield f"rounded basis n={n} {s}", outcome(lambda: commute.common_eigenbasis(*mats[:2]))
+            yield f"rounded eig n={n} {s}", outcome(lambda: core.eig_normal(mats[0]))
+            yield f"rounded triple n={n} {s}", outcome(lambda: commute.tuple_test(mats, seed=s))
+            dmats = [np.diag(d) for d in diags]
+            yield f"diagonal pair n={n} {s}", outcome(lambda: commute.equivalence_check(*dmats[:2], seed=s))
+            yield f"diagonal triple n={n} {s}", outcome(lambda: commute.tuple_test(dmats, seed=s))
+    u = helpers.random_unitary(np.random.default_rng(61), 6)
+    triple = [
+        (u * np.array(d, dtype=complex)) @ u.conj().T
+        for d in ([1, 1, 1, 2, 2, 2], [0.5 + 3j, 0.5 + 3j, 0.5 + 4j, 0.5 + 4j, 0.5 + 5j, 0.5 + 5j], [-1, 6, -1, 6, -1, 6])
+    ]
+    yield "repeated triple", outcome(lambda: commute.tuple_test(triple))
+
+
+def load(root: Path) -> dict:
+    """The checkout's projspec, tests/helpers.py and perfbench/bench_workloads.py."""
+    for sub in ("perfbench", "tests", "src"):
+        sys.path.insert(0, str(root / sub))
+    import bench_workloads
+    import helpers
+    import projspec
+    from projspec import cli, commute, core  # noqa: F401  (submodules used through projspec)
+
+    return {"root": root, "projspec": projspec, "helpers": helpers, "bench": bench_workloads}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--family", action="append", choices=FAMILIES)
+    args = p.parse_args(argv)
+    env = load(args.root.resolve())
+    whole = hashlib.sha256()
+    lines = []
+    for name in args.family or FAMILIES:
+        text = "".join(f"{name} | {key} | {canon(value)}\n" for key, value in globals()[name](env))
+        whole.update(text.encode())
+        lines.append(text)
+        print(f"{name:10s} {text.count(chr(10)):5d} records  sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"{'all':10s} {sum(t.count(chr(10)) for t in lines):5d} records  sha256 {whole.hexdigest()}")
+    if args.out is not None:
+        args.out.write_text("".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
