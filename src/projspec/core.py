@@ -169,7 +169,8 @@ def _deflate(v: np.ndarray, ranges, m: np.ndarray, radius: float) -> list:
 
 
 def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
-    """Unitary V with V* M V (nearly) diagonal for commuting Hermitian M.
+    """Unitary V with V* M V (nearly) diagonal for commuting Hermitian M,
+    radii[j] the cluster radius of the j-th matrix (one radius per matrix).
 
     Cluster deflation (Bunse-Gerstner, Byers & Mehrmann 1993): the matrices
     are taken once each, in order; each one is compressed to every current
@@ -204,8 +205,8 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
         taken.append(next(parts))
         ranges = _deflate(v, ranges, taken[-1], radii[len(taken) - 1])
     if ranges:
-        weighted = zip(radii, taken + list(parts))
-        _deflate(v, ranges, sum(np.sqrt(j + 2) / max(r, 1e-300) * m for j, (r, m) in enumerate(weighted)), np.inf)
+        combo = sum(np.sqrt(j + 2) / max(r, 1e-300) * m for j, (r, m) in enumerate(zip(radii, taken)))
+        _deflate(v, ranges, combo, np.inf)
     return v
 
 
