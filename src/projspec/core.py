@@ -11,6 +11,11 @@ is split into its Hermitian part H = (M + M*)/2 and skew part, and
 LAPACK ``eigh`` on each block compression with cluster deflation at the one
 radius ``DEFLATION_CLUSTER_REL`` ||M||_F, then one ``eigh`` of a weighted
 combination of all of them inside any block still wider than one column.
+The blocks are contiguous column ranges, and only those wider than one
+column are kept, so solved columns are never visited again. The first
+piece is diagonalized whole, with no identity products (``V += 0.0`` gives
+its eigenvectors the positive zeros such a product left), and each piece is
+formed only when a pass reaches it: a generic matrix needs only its first H.
 It serves ``eig_normal`` (one matrix), ``linegeom``'s Schur basis of a
 normal pencil combination, and the joint eigenbasis of commuting pairs and
 tuples in ``commute``.
@@ -173,26 +178,26 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
     radii[j] the cluster radius of the j-th matrix (one radius per matrix).
 
     Cluster deflation (Bunse-Gerstner, Byers & Mehrmann 1993): the matrices
-    are taken once each, in order; each one is compressed to every current
-    block of columns, diagonalized there by LAPACK ``eigh``, and the block
-    is split wherever consecutive eigenvalues differ by more than that
+    are taken at most once each, in order; each one is compressed to every
+    current block of columns, diagonalized there by LAPACK ``eigh``, and the
+    block is split wherever consecutive eigenvalues differ by more than that
     matrix's radius (_deflate). Each block is a contiguous range of columns,
     since ``eigh`` returns ascending eigenvalues and a split cuts a sorted
     run, and only the ranges wider than one column are kept: once none is
     left, V is returned, and the matrices not yet reached are never taken
-    from hermitian_mats (an iterable, so they may be formed on demand).
-    The first matrix is diagonalized whole, without the identity products
-    of a compression; ``V += 0.0`` turns its eigenvectors' negative zeros
-    into the positive zeros that such a product would have left, so that V
-    keeps the same bytes. A block that no matrix split may hold eigenvalues
-    that a later compression, degenerate there, rotated freely, mixing
-    eigenvectors an earlier one told apart within its radius. So when a
-    block wider than one column is left, one last pass diagonalizes the
-    combination sum_j sqrt(j + 2) M_j / radii[j] inside each such block:
-    each matrix in units of its radius, with irrational weights, so that
-    distinct joint eigenvalues coincide in it only by accident. Inputs that
-    the passes split into blocks of one column never form it. An ``eigh``
-    that does not converge raises NoConvergence.
+    from hermitian_mats (an iterable, so they may be formed on demand). The
+    first matrix is diagonalized whole, without the identity products of a
+    compression; ``V += 0.0`` turns its eigenvectors' negative zeros into
+    the positive zeros that such a product would have left, so that V keeps
+    the same bytes. A block that no matrix split may hold eigenvalues that a
+    later compression, degenerate there, rotated freely, mixing eigenvectors
+    an earlier one told apart within its radius. So when a block wider than
+    one column is left, one last pass diagonalizes the combination sum_j
+    sqrt(j + 2) M_j / radii[j] inside each such block: each matrix in units
+    of its radius, with irrational weights, so that distinct joint
+    eigenvalues coincide in it only by accident. Inputs that the passes
+    split into blocks of one column never form it. An ``eigh`` that does not
+    converge raises NoConvergence.
     """
     parts = iter(hermitian_mats)
     taken = [next(parts)]

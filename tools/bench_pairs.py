@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --tag NAME \\
         [--workloads large,battery,spectral,cli] [--pairs 10] [--first-seed S] \\
-        [--seconds N] [--trace-workloads large] [--trace-seed 4242] [--trace-seconds 8] \\
+        [--seconds N] [--trace-workloads large] [--trace-seed 4242] [--trace-seconds 8] [--trace-pairs 3] \\
         [--workdir DIR] [--note TEXT]
 
 Extracts clean checkouts of both commits (`git archive`) under --workdir (a
@@ -24,9 +24,10 @@ The record at the repository root, BENCH_<tag>.json, holds:
                            calls per operation in one untimed run of each checkout
                            (large: seed 1, 20 rounds; battery and spectral: seed 1,
                            10 rounds; cli: seed 1, one round through projspec.cli.main)
-  traced                   one --trace 1 run per side and traced workload: self
-                           milliseconds per operation of every traced function,
-                           from the run's spans file
+  traced                   --trace-pairs alternating pairs of --trace 1 runs per
+                           traced workload: the median over each side's runs of
+                           every traced function's self milliseconds per
+                           operation, from the runs' spans files
 and the commits, seeds, nproc, Python and numpy versions. Stdlib only; the
 counting runs import numpy inside the checkouts.
 """
@@ -173,6 +174,16 @@ def self_ms_per_op(spans_path: Path, ops: int) -> dict:
             for name, s in sorted(own.items(), key=lambda kv: -kv[1])}
 
 
+def median_functions(runs) -> dict:
+    """Per traced function, the median over runs of self_ms_per_op's figures
+    (0 in a run that never called it), largest first."""
+    names = {name for run in runs for name in run["functions"]}
+    zero = {"self_ms_per_op": 0.0, "self_share": 0.0}
+    out = {name: {key: statistics.median(run["functions"].get(name, zero)[key] for run in runs) for key in zero}
+           for name in names}
+    return dict(sorted(out.items(), key=lambda kv: -kv[1]["self_ms_per_op"]))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
@@ -185,6 +196,7 @@ def main(argv=None) -> int:
     p.add_argument("--trace-workloads", default="large")
     p.add_argument("--trace-seed", type=int, default=4242)
     p.add_argument("--trace-seconds", type=int, default=8)
+    p.add_argument("--trace-pairs", type=int, default=3)
     p.add_argument("--workdir", type=Path)
     p.add_argument("--note", default="", help="text for the record's summary, such as the claim it supports")
     args = p.parse_args(argv)
@@ -222,12 +234,17 @@ def main(argv=None) -> int:
                 counts[f"{workload}/{side}"] = json.loads(out.splitlines()[-1])
         traced = {}
         for workload in traced_workloads:
-            traced[workload] = {}
-            for side, root in roots.items():
-                result = run_bench(root, workload, args.trace_seed, args.trace_seconds, 1)
-                spans = root / ".perfbench" / f"spans-{workload}-seed{args.trace_seed}.jsonl"
-                traced[workload][side] = {"ops": result["attempted"], "failed": result["failed"],
-                                          "functions": self_ms_per_op(spans, result["attempted"])}
+            rows = {"parent": [], "change": []}
+            for i in range(args.trace_pairs):
+                seed = args.trace_seed + i
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    result = run_bench(roots[side], workload, seed, args.trace_seconds, 1)
+                    spans = roots[side] / ".perfbench" / f"spans-{workload}-seed{seed}.jsonl"
+                    rows[side].append({"seed": seed, "ops": result["attempted"], "failed": result["failed"],
+                                       "functions": self_ms_per_op(spans, result["attempted"])})
+            traced[workload] = {side: {"runs": [{k: run[k] for k in ("seed", "ops", "failed")} for run in runs_],
+                                       "functions": median_functions(runs_)}
+                                for side, runs_ in rows.items()}
 
     record = {
         "workloads": workloads,
@@ -259,9 +276,10 @@ def main(argv=None) -> int:
             "figures": per_kind,
         },
         "traced": {
-            "what": (f"one run per side with --trace 1, seed {args.trace_seed}, {args.trace_seconds} s: each traced "
-                     "function's self time (its spans less their child spans) in ms per operation and as a share "
-                     "of all traced self time, from .perfbench/spans-<workload>-seed<n>.jsonl"),
+            "what": (f"{args.trace_pairs} alternating pairs of --trace 1 runs, seed {args.trace_seed} + i, "
+                     f"{args.trace_seconds} s each: the median over each side's runs of each traced function's "
+                     "self time (its spans less their child spans) in ms per operation and as a share of all "
+                     "traced self time, from .perfbench/spans-<workload>-seed<n>.jsonl"),
             "figures": traced,
         },
     }
