@@ -252,7 +252,7 @@ def _deflation_family(name):
     return [
         [np.diag(np.round(rng.uniform(-2, 2, n)) + 1j * np.round(rng.uniform(-2, 2, n))) for _ in range(2)]
         for n in (1, 4, 12)
-    ] + [[np.diag(rng.uniform(-1, 1, 9) + 0j)], [np.zeros((3, 3), dtype=complex) + np.eye(3)]]
+    ] + [[np.diag(rng.uniform(-1, 1, 9) + 0j)], [np.eye(3, dtype=complex)]]
 
 
 def _outcome(f):
@@ -282,9 +282,9 @@ def test_deflation_keeps_the_index_array_bytes(monkeypatch, family):
             lambda: reference_normal_eigenbasis(mats, norms)
         )
         got = [_outcome(lambda: core.eig_normal(m)) for m in mats]
-        with monkeypatch.context() as m:
-            m.setattr(core, "joint_diagonalize", lambda ms, rs: reference_joint_diagonalize(list(ms), rs))
-            assert got == [_outcome(lambda: core.eig_normal(x)) for x in mats]
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "joint_diagonalize", lambda ms, rs: reference_joint_diagonalize(list(ms), rs))
+            assert got == [_outcome(lambda: core.eig_normal(m)) for m in mats]
 
 
 def _count_eigh(monkeypatch):
