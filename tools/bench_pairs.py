@@ -39,6 +39,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -255,7 +256,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "seeds": [args.first_seed + i for i in range(args.pairs)],
         "seconds": seconds,
-        "command": ("python3 tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:])),
+        "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])]),
         "order": (f"pair i (0-based, seed {args.first_seed} + i) runs the parent first when i is even, "
                   "the change first when i is odd; each run is python3 perfbench/run.py --workload W --seed S "
                   f"--seconds {seconds} --trace 0 from the root of a clean checkout (git archive) of its commit"),
