@@ -12,13 +12,12 @@ LAPACK ``eigh`` on each block compression with cluster deflation at the one
 radius ``DEFLATION_CLUSTER_REL`` ||M||_F, then one ``eigh`` of a weighted
 combination of all of them inside any block still wider than one column.
 The blocks are contiguous column ranges, and only those wider than one
-column are kept, so solved columns are never visited again. The first
-piece is diagonalized whole, with no identity products (``V += 0.0`` gives
-its eigenvectors the positive zeros such a product left), and each piece is
-formed only when a pass reaches it: a generic matrix needs only its first H.
-It serves ``eig_normal`` (one matrix), ``linegeom``'s Schur basis of a
-normal pencil combination, and the joint eigenbasis of commuting pairs and
-tuples in ``commute``.
+column are kept, so solved columns are never visited again and the passes
+stop once none is left. The first piece is diagonalized whole, with no
+identity products (``V += 0.0`` gives its eigenvectors the positive zeros
+such a product leaves almost everywhere). It serves ``eig_normal`` (one
+matrix), ``linegeom``'s Schur basis of a normal pencil combination, and
+the joint eigenbasis of commuting pairs and tuples in ``commute``.
 """
 
 from __future__ import annotations
@@ -143,11 +142,9 @@ def _split_sorted(vals: np.ndarray, radius: float, lo: int = 0) -> list:
 
 
 def hermitian_parts(a: np.ndarray):
-    """Yield H and then K, with A = H + iK and both Hermitian; they commute
-    when A is normal. K is formed only when it is asked for."""
+    """(H, K) with A = H + iK and both Hermitian; they commute when A is normal."""
     ah = a.conj().T
-    yield (a + ah) / 2.0
-    yield (a - ah) / 2.0j
+    return (a + ah) / 2.0, (a - ah) / 2.0j
 
 
 def _eigh(c: np.ndarray):
@@ -184,33 +181,33 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
     matrix's radius (_deflate). Each block is a contiguous range of columns,
     since ``eigh`` returns ascending eigenvalues and a split cuts a sorted
     run, and only the ranges wider than one column are kept: once none is
-    left, V is returned, and the matrices not yet reached are never taken
-    from hermitian_mats (an iterable, so they may be formed on demand). The
+    left, V is returned and the matrices not yet reached are skipped. The
     first matrix is diagonalized whole, without the identity products of a
     compression; ``V += 0.0`` turns its eigenvectors' negative zeros into
-    the positive zeros that such a product would have left, so that V keeps
-    the same bytes. A block that no matrix split may hold eigenvalues that a
-    later compression, degenerate there, rotated freely, mixing eigenvectors
-    an earlier one told apart within its radius. So when a block wider than
-    one column is left, one last pass diagonalizes the combination sum_j
+    the positive zeros that such a product leaves almost everywhere. (The
+    product keeps a few of them, depending on the BLAS kernel: on inputs
+    with exact zero blocks, V can differ from it in the sign of a zero.) A
+    block that no matrix split may hold eigenvalues that a later
+    compression, degenerate there, rotated freely, mixing eigenvectors an
+    earlier one told apart within its radius. So when a block wider than one
+    column is left, one last pass diagonalizes the combination sum_j
     sqrt(j + 2) M_j / radii[j] inside each such block: each matrix in units
     of its radius, with irrational weights, so that distinct joint
     eigenvalues coincide in it only by accident. Inputs that the passes
     split into blocks of one column never form it. An ``eigh`` that does not
     converge raises NoConvergence.
     """
-    parts = iter(hermitian_mats)
-    taken = [next(parts)]
-    if taken[0].shape[0] == 1:
+    if hermitian_mats[0].shape[0] == 1:
         return np.ones((1, 1), dtype=np.complex128)
-    vals, v = _eigh(taken[0])
+    vals, v = _eigh(hermitian_mats[0])
     v += 0.0
     ranges = _split_sorted(vals, radii[0])
-    while ranges and len(taken) < len(radii):
-        taken.append(next(parts))
-        ranges = _deflate(v, ranges, taken[-1], radii[len(taken) - 1])
+    for m, radius in zip(hermitian_mats[1:], radii[1:]):
+        if not ranges:
+            break
+        ranges = _deflate(v, ranges, m, radius)
     if ranges:
-        combo = sum(np.sqrt(j + 2) / max(r, 1e-300) * m for j, (r, m) in enumerate(zip(radii, taken)))
+        combo = sum(np.sqrt(j + 2) / max(r, 1e-300) * m for j, (r, m) in enumerate(zip(radii, hermitian_mats)))
         _deflate(v, ranges, combo, np.inf)
     return v
 
@@ -221,12 +218,11 @@ def _normal_eigenbasis(mats, norms) -> np.ndarray:
 
     The one eigenbasis rule: joint_diagonalize over the Hermitian and skew
     parts of each member once, in order, each at radius
-    DEFLATION_CLUSTER_REL norms[i], each part formed only when a pass
-    reaches it. Shared by eig_normal (one matrix), linegeom's common Schur
-    basis (the pencil combination) and commute's joint eigenbasis (the
-    members).
+    DEFLATION_CLUSTER_REL norms[i]. Shared by eig_normal (one matrix),
+    linegeom's common Schur basis (the pencil combination) and commute's
+    joint eigenbasis (the members).
     """
-    parts = (part for m in mats for part in hermitian_parts(m))
+    parts = [part for m in mats for part in hermitian_parts(m)]
     return joint_diagonalize(parts, [DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)])
 
 

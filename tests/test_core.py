@@ -248,6 +248,21 @@ def _deflation_family(name):
         return cases
     if name == "triple":
         return [_repeated_triple()]
+    if name == "negative-zero":
+        # Hermitian members whose mirrored entries have real part -0.0, the
+        # first of them under the diagonal, where the first Householder
+        # reflector of eigh reads its sign
+        cases = []
+        for n in (3, 6, 11):
+            h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = (h + h.conj().T) / 2
+            for i, j in ((1, 0), (n - 1, 1)):
+                h[i, j] = complex(-0.0, h[i, j].imag)
+                h[j, i] = complex(-0.0, h[j, i].imag)
+            cases += [[h], [h, 1j * h]]
+        diagonal = np.diag(rng.uniform(-1, 1, 5) + 0j)
+        diagonal[~np.eye(5, dtype=bool)] = complex(-0.0, -0.0)
+        return cases + [[diagonal]]
     # diagonal members: exact zeros in every part and in every eigenvector
     return [
         [np.diag(np.round(rng.uniform(-2, 2, n)) + 1j * np.round(rng.uniform(-2, 2, n))) for _ in range(2)]
@@ -266,11 +281,11 @@ def _outcome(f):
     return out.tobytes()
 
 
-@pytest.mark.parametrize("family", ["generic", "clustered", "straddle", "triple", "diagonal"])
+@pytest.mark.parametrize("family", ["generic", "clustered", "straddle", "triple", "negative-zero", "diagonal"])
 def test_deflation_keeps_the_index_array_bytes(monkeypatch, family):
     # contiguous column ranges, the first eigh taken whole (with V += 0.0
-    # for its signed zeros) and parts formed on demand give the bytes of
-    # the index-array deflation, signed zeros included
+    # for its signed zeros) and the passes stopped once no range is left
+    # give the bytes of the index-array deflation, signed zeros included
     for mats in _deflation_family(family):
         norms = [np.linalg.norm(m) for m in mats]
         parts = [p for m in mats for p in core.hermitian_parts(m)]
@@ -283,8 +298,31 @@ def test_deflation_keeps_the_index_array_bytes(monkeypatch, family):
         )
         got = [_outcome(lambda: core.eig_normal(m)) for m in mats]
         with monkeypatch.context() as patch:
-            patch.setattr(core, "joint_diagonalize", lambda ms, rs: reference_joint_diagonalize(list(ms), rs))
+            patch.setattr(core, "joint_diagonalize", reference_joint_diagonalize)
             assert got == [_outcome(lambda: core.eig_normal(m)) for m in mats]
+
+
+def test_block_diagonal_members_keep_the_index_array_values(monkeypatch):
+    # exact zero blocks: the reference's identity product V = I W keeps a
+    # few of eigh's negative zeros, depending on the BLAS kernel, where
+    # V += 0.0 clears them all; so here only the values are pinned (with
+    # OpenBLAS on x86-64, the bytes of the n = 7 bases differ at this seed)
+    rng = np.random.default_rng(2103)
+    for n in (3, 7, 12):
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a = np.zeros((n, n), dtype=complex)
+        for k in range(0, n, 3):
+            u = random_unitary(rng, min(3, n - k))
+            a[k : k + 3, k : k + 3] = (u * vals[k : k + 3]) @ u.conj().T
+        for mats in ([a], [a, a @ a]):
+            norms = [np.linalg.norm(m) for m in mats]
+            assert np.array_equal(core._normal_eigenbasis(mats, norms), reference_normal_eigenbasis(mats, norms))
+        got = core.eig_normal(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "joint_diagonalize", reference_joint_diagonalize)
+            want = core.eig_normal(a)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.unitary, want.unitary)
+        assert got.residual == want.residual
 
 
 def _count_eigh(monkeypatch):

@@ -1,15 +1,12 @@
 """Record the benchmark in alternating parent/change pairs into BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --parent REV --change REV --tag NAME \\
-        [--workloads large,battery,spectral,cli] [--pairs 10] [--first-seed S] \\
-        [--seconds N] [--trace-workloads large] [--trace-seed 4242] [--trace-seconds 8] [--trace-pairs 3] \\
-        [--workdir DIR] [--note TEXT]
+    python3 tools/bench_pairs.py --parent REV --change REV --tag NAME [--first-seed S] [--note TEXT]
 
-Extracts clean checkouts of both commits (`git archive`) under --workdir (a
-temporary directory by default) and runs each one's own, unmodified
-`perfbench/run.py` from its root, one run at a time. Pair i (seed
-first-seed + i) runs the parent first when i is even and the change first
-when i is odd. --seconds defaults to BENCHMARK.json's run_seconds.
+Extracts clean checkouts of both commits (`git archive`) into a temporary
+directory and runs each one's own, unmodified `perfbench/run.py` from its
+root, one run at a time: PAIRS pairs on every workload of BENCHMARK.json,
+each run as long as its run_seconds. Pair i (seed first-seed + i) runs the
+parent first when i is even and the change first when i is odd.
 
 The record at the repository root, BENCH_<tag>.json, holds:
   runs                     every run's last stdout line (the end-to-end metrics)
@@ -24,8 +21,8 @@ The record at the repository root, BENCH_<tag>.json, holds:
                            calls per operation in one untimed run of each checkout
                            (large: seed 1, 20 rounds; battery and spectral: seed 1,
                            10 rounds; cli: seed 1, one round through projspec.cli.main)
-  traced                   --trace-pairs alternating pairs of --trace 1 runs per
-                           traced workload: the median over each side's runs of
+  traced                   TRACE_PAIRS alternating pairs of --trace 1 runs on
+                           each of TRACE_WORKLOADS: the median over each side's runs of
                            every traced function's self milliseconds per
                            operation, from the runs' spans files
 and the commits, seeds, nproc, Python and numpy versions. Stdlib only; the
@@ -100,6 +97,13 @@ print(json.dumps({
 """
 
 COUNT_ROUNDS = {"large": 20, "battery": 10, "spectral": 10, "cli": 1}
+
+PAIRS = 10
+# Traced runs: workloads, the seed of the first pair, seconds per run, pairs.
+TRACE_WORKLOADS = ["large"]
+TRACE_SEED = 4242
+TRACE_SECONDS = 8
+TRACE_PAIRS = 3
 
 
 def checkout(rev: str, dest: Path) -> str:
@@ -190,23 +194,14 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--tag", required=True, help="the record is BENCH_<tag>.json at the repository root")
-    p.add_argument("--workloads", default="large,battery,spectral,cli")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=int)
-    p.add_argument("--trace-workloads", default="large")
-    p.add_argument("--trace-seed", type=int, default=4242)
-    p.add_argument("--trace-seconds", type=int, default=8)
-    p.add_argument("--trace-pairs", type=int, default=3)
-    p.add_argument("--workdir", type=Path)
     p.add_argument("--note", default="", help="text for the record's summary, such as the claim it supports")
     args = p.parse_args(argv)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = [w for w in args.workloads.split(",") if w]
-    traced_workloads = [w for w in args.trace_workloads.split(",") if w]
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: checkout(getattr(args, side), roots[side]) for side in roots}
         numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -214,7 +209,7 @@ def main(argv=None) -> int:
         runs, per_kind = [], {}
         for workload in workloads:
             kinds = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     result = run_bench(roots[side], workload, seed, seconds, 0)
@@ -234,12 +229,12 @@ def main(argv=None) -> int:
                                      cwd=root, check=True, capture_output=True, text=True).stdout
                 counts[f"{workload}/{side}"] = json.loads(out.splitlines()[-1])
         traced = {}
-        for workload in traced_workloads:
+        for workload in TRACE_WORKLOADS:
             rows = {"parent": [], "change": []}
-            for i in range(args.trace_pairs):
-                seed = args.trace_seed + i
+            for i in range(TRACE_PAIRS):
+                seed = TRACE_SEED + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result = run_bench(roots[side], workload, seed, args.trace_seconds, 1)
+                    result = run_bench(roots[side], workload, seed, TRACE_SECONDS, 1)
                     spans = roots[side] / ".perfbench" / f"spans-{workload}-seed{seed}.jsonl"
                     rows[side].append({"seed": seed, "ops": result["attempted"], "failed": result["failed"],
                                        "functions": self_ms_per_op(spans, result["attempted"])})
@@ -254,7 +249,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "numpy": numpy_version,
         "python": platform.python_version(),
-        "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "seeds": [args.first_seed + i for i in range(PAIRS)],
         "seconds": seconds,
         "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])]),
         "order": (f"pair i (0-based, seed {args.first_seed} + i) runs the parent first when i is even, "
@@ -277,8 +272,8 @@ def main(argv=None) -> int:
             "figures": per_kind,
         },
         "traced": {
-            "what": (f"{args.trace_pairs} alternating pairs of --trace 1 runs, seed {args.trace_seed} + i, "
-                     f"{args.trace_seconds} s each: the median over each side's runs of each traced function's "
+            "what": (f"{TRACE_PAIRS} alternating pairs of --trace 1 runs, seed {TRACE_SEED} + i, "
+                     f"{TRACE_SECONDS} s each: the median over each side's runs of each traced function's "
                      "self time (its spans less their child spans) in ms per operation and as a share of all "
                      "traced self time, from .perfbench/spans-<workload>-seed<n>.jsonl"),
             "figures": traced,
