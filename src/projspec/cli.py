@@ -42,12 +42,7 @@ def _add_common(sub, seed: bool = False, tols=()):
 
 
 def _tolerances(args) -> core.Tolerances:
-    overrides = {}
-    for name in _TOL_FIELDS:
-        val = getattr(args, f"tol_{name}", None)
-        if val is not None:
-            overrides[name] = val
-    return core.default_tolerances().override(**overrides)
+    return core.default_tolerances().override(**{name: getattr(args, f"tol_{name}", None) for name in _TOL_FIELDS})
 
 
 def _read(path: str) -> str:

@@ -197,8 +197,6 @@ def joint_diagonalize(hermitian_mats, radii) -> np.ndarray:
     split into blocks of one column never form it. An ``eigh`` that does not
     converge raises NoConvergence.
     """
-    if hermitian_mats[0].shape[0] == 1:
-        return np.ones((1, 1), dtype=np.complex128)
     vals, v = _eigh(hermitian_mats[0])
     v += 0.0
     ranges = _split_sorted(vals, radii[0])
@@ -224,11 +222,6 @@ def _normal_eigenbasis(mats, norms) -> np.ndarray:
     """
     parts = [part for m in mats for part in hermitian_parts(m)]
     return joint_diagonalize(parts, [DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)])
-
-
-def _arg2pi(z: complex) -> float:
-    a = float(np.angle(z))
-    return a + 2.0 * math.pi if a < 0.0 else a
 
 
 @dataclass
@@ -272,7 +265,9 @@ def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
         raise NoConvergence(
             f"diagonal residual {residual:.3e} exceeds {tol.eig:.1e} * ||A||_F + defect = {tol.eig * fa + defect:.3e}"
         )
-    order = sorted(range(n), key=lambda j: (-abs(values[j]), _arg2pi(values[j]), j))
+    # np.hypot rounds the moduli as scalar abs() does; np.abs on the array
+    # breaks some ties differently. lexsort is stable: exact ties keep position.
+    order = np.lexsort((np.mod(np.angle(values), 2.0 * math.pi), -np.hypot(values.real, values.imag)))
     return EigenDecomposition(values[order], v[:, order], residual)
 
 

@@ -134,10 +134,7 @@ class LineVerdict:
 
 def _sorted_complex(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.size == 0:
-        return arr
-    order = np.lexsort((arr.imag, arr.real))
-    return arr[order]
+    return arr[np.lexsort((arr.imag, arr.real))]
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -403,8 +400,6 @@ def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
     lam_arr = np.asarray(lams)
     mu_arr = np.asarray(mus)
     d = lam_arr.size
-    if d == 0:
-        return []
     predicted = [np.add.outer(lam_arr, g * mu_arr) for g in gammas]
     # dist[r, i * d + j, s] = |lams[i] + g_r mus[j] - ray_roots[r][s]|
     dist = np.empty((len(gammas), d * d, d))
@@ -460,8 +455,7 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
         return LineVerdict(True, LineArrangement([], deficit))
     lams = _monic_reversed_roots(c[:, 0], d)
     mus = _monic_reversed_roots(c[0, :], d)
-    rng = np.random.default_rng(seed)
-    gammas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=2))
+    gammas = _phases(seed, 3)
     ray_roots = [_monic_reversed_roots(univariate_slice(p, "ray", g), d) for g in gammas]
     pairs = _greedy_pairing(lams, mus, gammas, ray_roots, PAIR_TOL)
     if pairs is not None:
@@ -558,7 +552,8 @@ def _ray_witnesses(lams, mus, rays, norms, tol):
 
 def _phases(seed, k):
     """The k - 1 phases g_i of _schur_diagonals' combination for k members,
-    uniform on the unit circle, drawn from default_rng(seed)."""
+    uniform on the unit circle, drawn from default_rng(seed); factor_lines
+    takes its two ray phases as _phases(seed, 3)."""
     return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=k - 1))
 
 

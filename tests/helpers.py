@@ -6,7 +6,10 @@ moduli are kept inside [0.3, 1.5] and away from 0 so no route has to deal
 with near-singular scaling unless a test asks for it.
 """
 
+import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -476,3 +479,39 @@ def reference_normal_eigenbasis(mats, norms):
     front, on reference_joint_diagonalize."""
     parts = [part for m in mats for part in ((m + m.conj().T) / 2.0, (m - m.conj().T) / 2.0j)]
     return reference_joint_diagonalize(parts, [core.DEFLATION_CLUSTER_REL * norm for norm in norms for _ in range(2)])
+
+
+def _reference_arg2pi(z):
+    a = float(np.angle(z))
+    return a + 2.0 * math.pi if a < 0.0 else a
+
+
+def reference_eig_normal(a, tol=None):
+    """core.eig_normal with the per-scalar sort key: descending abs of each
+    numpy scalar, then its argument mapped to [0, 2pi), then its position
+    on the diagonal."""
+    if tol is None:
+        tol = core.default_tolerances()
+    a = core.as_cmatrix(a)
+    n = a.shape[0]
+    fa, defect = core.require_normal(a, tol, "normality defect {defect:.3e}")
+    if fa == 0.0:
+        return core.EigenDecomposition(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), 0.0)
+    v = core._normal_eigenbasis([a], [fa])
+    t = v.conj().T @ (a @ v)
+    values = t.diagonal().copy()
+    residual = float(np.linalg.norm(t - np.diag(values)))
+    if residual > tol.eig * fa + defect:
+        raise NoConvergence(f"diagonal residual {residual:.3e}")
+    order = sorted(range(n), key=lambda j: (-abs(values[j]), _reference_arg2pi(values[j]), j))
+    return core.EigenDecomposition(values[order], v[:, order], residual)
+
+
+@functools.cache
+def answers_module():
+    """tools/answers.py, the same-answers corpus, imported as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "answers.py"
+    spec = importlib.util.spec_from_file_location("answers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

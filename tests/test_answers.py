@@ -1,0 +1,35 @@
+"""The fast families of tools/answers.py as a contract: no wrong certified
+verdict, and no more indeterminate answers than the ceilings below.
+
+Counts, not digests: the digests depend on the number of BLAS threads.
+"""
+
+import pytest
+
+import helpers
+import projspec
+from helpers import answers_module
+
+# Indeterminate answers per family (reports with `indeterminate` set, or
+# raised exceptions); lower is better, and a rise is a regression.
+INDETERMINATE_CEILING = {"criterion1": 0, "sweep": 23, "clustered": 0}
+
+
+def _reports(value):
+    """value and, for a tuple report, each of its pair reports."""
+    yield value
+    yield from (report for _, report in getattr(value, "reports", ()))
+
+
+@pytest.mark.parametrize("family", sorted(INDETERMINATE_CEILING))
+def test_answers_family_is_consistent(family):
+    records = list(getattr(answers_module(), family)({"helpers": helpers, "projspec": projspec}))
+    assert records
+    wrong = [key for key, value in records for r in _reports(value) if getattr(r, "consistent", None) is False]
+    assert wrong == []
+    indeterminate = [
+        key
+        for key, value in records
+        if isinstance(value, BaseException) or getattr(value, "indeterminate", None) is not None
+    ]
+    assert len(indeterminate) <= INDETERMINATE_CEILING[family], indeterminate

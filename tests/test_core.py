@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import projspec
 from projspec import commute, core, detpoly, linegeom, riesz
 from projspec.errors import DimMismatch, NoConvergence, NotNormal, ParseError
 
+import helpers
 from helpers import (
     PAULI_X,
     PAULI_Z,
     STRADDLE_BASE,
+    answers_module,
     commuting_pair,
     random_normal,
     random_unitary,
+    reference_eig_normal,
     reference_joint_diagonalize,
     reference_normal_eigenbasis,
     separated_vals,
@@ -355,6 +359,50 @@ def test_a_k_fold_eigenvalue_leaves_only_k_by_k_eighs(monkeypatch, k):
     assert dec.residual <= 1e-12 * np.linalg.norm(a)
     assert calls[0] == (12, 12) and len(calls) > 1
     assert all(shape == (k, k) for shape in calls[1:])
+
+
+def test_eig_normal_keeps_the_per_scalar_order_on_ties():
+    # one stable lexsort on the moduli (np.hypot of the parts, as the
+    # scalar abs rounds them) and the arguments in [0, 2pi) gives the
+    # reference's order, exact and last-bit ties and signed zeros included
+    for label, a in answers_module().tie_heavy(helpers):
+        assert _outcome(lambda: core.eig_normal(a)) == _outcome(lambda: reference_eig_normal(a)), label
+
+
+def _with_one_by_one_return(real):
+    """joint_diagonalize with an early return of np.ones((1, 1)) for n = 1."""
+
+    def joint_diagonalize(hermitian_mats, radii):
+        if hermitian_mats[0].shape[0] == 1:
+            return np.ones((1, 1), dtype=np.complex128)
+        return real(hermitian_mats, radii)
+
+    return joint_diagonalize
+
+
+def test_one_by_one_inputs_need_no_early_return(monkeypatch):
+    # eigh of a 1x1 block and V += 0.0 give the bytes of np.ones((1, 1)),
+    # so every 1x1 answer is the one an early return gave
+    answers = answers_module()
+    env = {"projspec": projspec}
+    for x in answers.ONE_BY_ONE:
+        a = np.full((1, 1), x)
+        v = core.joint_diagonalize(list(core.hermitian_parts(a)), [core.DEFLATION_CLUSTER_REL * core.frobenius(a)] * 2)
+        assert v.tobytes() == np.ones((1, 1), dtype=np.complex128).tobytes()
+    got = [answers.canon(value) for _, value in answers.one_by_one(env)]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "joint_diagonalize", _with_one_by_one_return(core.joint_diagonalize))
+        assert [answers.canon(value) for _, value in answers.one_by_one(env)] == got
+
+
+def test_eig_normal_of_an_underflowing_norm_returns_zero():
+    # ||[[1e-300]]||_F underflows to 0; the fa == 0 guard returns the
+    # eigenvalue 0 and the identity, where the eigenbasis would give 1e-300
+    dec = core.eig_normal([[1e-300]])
+    assert core.frobenius([[1e-300]]) == 0.0
+    assert dec.values.tobytes() == np.zeros(1, dtype=np.complex128).tobytes()
+    assert dec.unitary.tobytes() == np.eye(1, dtype=np.complex128).tobytes()
+    assert dec.residual == 0.0
 
 
 def _reference_split_sorted(vals, radius):

@@ -33,8 +33,13 @@ environment. Families:
               part (eig_normal), commuting pairs and triples with rounded
               spectra and diagonal members (equivalence_check,
               common_eigenbasis, tuple_test)
+  edges       1x1 matrices (0, -0, 1e-300, 3-2i, -1.5, 2i) through
+              eig_normal, equivalence_check, common_eigenbasis and
+              tuple_test; zero matrices with signed-zero entries at n = 1-6
+              and the tie_heavy matrices through eig_normal
 
-Stdlib and numpy only.
+Stdlib and numpy only. Imported as a module (the Tier-1 tests do), it
+leaves the environment as it is.
 """
 
 from __future__ import annotations
@@ -50,13 +55,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-os.environ.pop("PROJSPEC_TOL", None)
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    os.environ.pop("PROJSPEC_TOL", None)
 
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
-FAMILIES = ("criterion1", "battery", "large", "spectral", "sweep", "readme", "clustered")
+FAMILIES = ("criterion1", "battery", "large", "spectral", "sweep", "readme", "clustered", "edges")
 
 
 def canon(obj) -> str:
@@ -179,6 +185,65 @@ def clustered(env):
         for d in ([1, 1, 1, 2, 2, 2], [0.5 + 3j, 0.5 + 3j, 0.5 + 4j, 0.5 + 4j, 0.5 + 5j, 0.5 + 5j], [-1, 6, -1, 6, -1, 6])
     ]
     yield "repeated triple", outcome(lambda: commute.tuple_test(triple))
+
+
+ONE_BY_ONE = (0j, complex(-0.0, -0.0), 1e-300 + 0j, 3 - 2j, -1.5 + 0j, 2j)
+
+
+def tie_heavy(helpers):
+    """(label, U diag(v) U*) for spectra v heavy with ties in modulus and
+    argument: rounded Gaussian integers, {1, 2} times 8th roots of unity, -1
+    with a +0 or -0 imaginary part, and rounded integers half replaced by
+    signed zeros; U the identity, a permutation or a random unitary."""
+    rng = np.random.default_rng(2201)
+    for n in (3, 8, 17):
+        for s in range(4):
+            signs = np.copysign(0.0, rng.choice([1.0, -1.0], (2, n)))
+            minus_one = np.empty(n, dtype=complex)
+            minus_one.real, minus_one.imag = -1.0, signs[0]
+            zeros = np.round(2 * rng.normal(size=n)) + 1j * np.round(2 * rng.normal(size=n))
+            hit = rng.random(n) < 0.5
+            zeros.real[hit], zeros.imag[hit] = signs[0][hit], signs[1][hit]
+            spectra = {
+                "integers": np.round(3 * rng.normal(size=n)) + 1j * np.round(3 * rng.normal(size=n)),
+                "roots": rng.choice([1.0, 2.0], n) * np.exp(0.25j * np.pi * rng.integers(0, 8, n)),
+                "minus-one": minus_one,
+                "zeros": zeros,
+            }
+            bases = {
+                "identity": np.eye(n, dtype=complex),
+                "permutation": np.eye(n, dtype=complex)[rng.permutation(n)],
+                "unitary": helpers.random_unitary(rng, n),
+            }
+            for kind, v in spectra.items():
+                for basis, u in bases.items():
+                    yield f"{kind} {basis} n={n} {s}", (u * v) @ u.conj().T
+
+
+def one_by_one(env):
+    """The ONE_BY_ONE matrices through eig_normal, and every pair and three
+    cyclic neighbours of them through the pair and tuple operations."""
+    p = env["projspec"]
+    ones = [np.full((1, 1), x) for x in ONE_BY_ONE]
+    for i, a in enumerate(ones):
+        yield f"1x1 eig {i}", outcome(lambda: p.core.eig_normal(a))
+        for j, b in enumerate(ones):
+            yield f"1x1 pair {i} {j}", outcome(lambda: p.commute.equivalence_check(a, b))
+            yield f"1x1 basis {i} {j}", outcome(lambda: p.commute.common_eigenbasis(a, b))
+        yield f"1x1 triple {i}", outcome(lambda: p.commute.tuple_test([a, ones[i - 1], ones[i - 2]]))
+
+
+def edges(env):
+    p = env["projspec"]
+    yield from one_by_one(env)
+    rng = np.random.default_rng(2202)
+    for n in range(1, 7):
+        mixed = np.empty((n, n), dtype=complex)
+        mixed.real, mixed.imag = np.copysign(0.0, rng.choice([1.0, -1.0], (2, n, n)))
+        for label, z in (("+0", np.zeros((n, n), dtype=complex)), ("-0", np.full((n, n), complex(-0.0, -0.0))), ("mixed", mixed)):
+            yield f"zeros {label} n={n}", outcome(lambda: p.core.eig_normal(z))
+    for label, a in tie_heavy(env["helpers"]):
+        yield f"ties {label}", outcome(lambda: p.core.eig_normal(a))
 
 
 def load(root: Path) -> dict:
