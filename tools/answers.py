@@ -14,7 +14,8 @@ of their --out files shows where they part.
 
 The inputs come from the checkout's own generators, tests/helpers.py and
 perfbench/bench_workloads.py, and the README's `$ projspec` examples, so
-both sides of a comparison see the same matrices. BLAS runs on one thread
+both sides of a comparison see the same matrices; `edges` builds its own
+(ONE_BY_ONE, tie_heavy) with only helpers.random_unitary. BLAS runs on one thread
 and PROJSPEC_TOL is unset, so the digest does not depend on the caller's
 environment. Families:
 
