@@ -10,6 +10,7 @@ seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .errors import ProjspecError
 
 _SLOPE_THRESHOLD = 1.8
 
-_TOL_FIELDS = ("normal", "eig", "commute", "line", "recon")
+_TOL_FIELDS = tuple(f.name for f in dataclasses.fields(core.Tolerances))
 
 # The tolerance fields each reading subcommand passes on; no other --tol-* parses.
 _EIG_TOLS = ("normal", "eig")
@@ -57,10 +58,10 @@ def _write(args, text: str) -> None:
 
 
 def _cli_complex(text: str) -> complex:
-    try:
-        return core.parse_complex(text.strip())
-    except ValueError:
-        return complex(text.strip().replace("i", "j"))
+    """A complex argument: the file format's ``<re><sign><im>i`` literals
+    parse to the same bits as core.parse_complex, and Python's own forms
+    (``1``, ``-2.5``, ``0.5j``) are accepted too."""
+    return complex(text.strip().replace("i", "j"))
 
 
 def _cmd_eig(args) -> int:
@@ -388,10 +389,7 @@ def main(argv=None) -> int:
         return int(exc.code) if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ProjspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ProjspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,7 +157,7 @@ def _joint_eigenbasis(mats, norms, names, tol: core.Tolerances):
                 refusal = f"compressed {name} on an eigenvalue cluster of {names[0]} is not normal"
                 core.require_normal(t[block], tol, refusal + " (defect {defect:.3e}); the pair does not commute cleanly")
     residual = max(float(np.linalg.norm(t - np.diag(d))) for t, d in zip(ts, diags))
-    if residual > _OFFDIAG_REL * sum(norms) + 1e-300:
+    if not (residual <= _OFFDIAG_REL * sum(norms) + 1e-300):
         what = "the pair commutes" if len(mats) == 2 else "the members commute"
         raise NotCommuting(
             f"joint diagonalization left off-diagonal residual {residual:.3e}; {what} only approximately"

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,15 +53,8 @@ class Tolerances:
         """Scale every field proportionally from the default base 1e-8."""
         if not (base > 0 and math.isfinite(base)):
             raise ValueError(f"tolerance base must be positive and finite, got {base!r}")
-        f = base / DEFAULT_TOL_BASE
         d = cls()
-        return cls(
-            normal=d.normal * f,
-            eig=d.eig * f,
-            commute=d.commute * f,
-            line=d.line * f,
-            recon=d.recon * f,
-        )
+        return replace(d, **{f.name: getattr(d, f.name) * (base / DEFAULT_TOL_BASE) for f in fields(cls)})
 
     def override(self, **fields) -> "Tolerances":
         return replace(self, **{k: v for k, v in fields.items() if v is not None})
@@ -122,7 +115,7 @@ def require_normal(m, tol: Tolerances, message: str) -> tuple[float, float]:
     norm = frobenius(m)
     defect = normality_defect(m)
     bound = tol.normal * norm
-    if defect > bound:
+    if not (defect <= bound):
         raise NotNormal(message.format(defect=defect, bound=bound, tol=tol))
     return norm, defect
 
@@ -261,7 +254,7 @@ def eig_normal(a, *, tol: Tolerances | None = None) -> EigenDecomposition:
     t = v.conj().T @ (a @ v)
     values = t.diagonal().copy()
     residual = float(np.linalg.norm(t - np.diag(values)))
-    if residual > tol.eig * fa + defect:
+    if not (residual <= tol.eig * fa + defect):
         raise NoConvergence(
             f"diagonal residual {residual:.3e} exceeds {tol.eig:.1e} * ||A||_F + defect = {tol.eig * fa + defect:.3e}"
         )
@@ -305,20 +298,32 @@ def _token_col(line: str, token: str) -> int:
     return pos + 1 if pos >= 0 else 1
 
 
-def _parse_matrix_block(items, pos):
-    """Parse one cmatrix block from _content_lines items starting at pos."""
+def _header(items, pos, form, what, least):
+    """Read the header ``form`` (a keyword and integer fields, such as
+    ``"cmatrix <rows> <cols>"``) from _content_lines items at pos. Returns
+    its line number and the fields; ParseError when the input has ended,
+    the keyword or field count differs, a field is not an integer (at the
+    column of the first field) or a field is below least (1 or 0)."""
     if pos >= len(items):
-        raise ParseError("expected 'cmatrix <rows> <cols>' header, found end of input")
+        raise ParseError(f"expected '{form}' header, found end of input")
     lineno, line = items[pos]
     tokens = line.split()
-    if len(tokens) != 3 or tokens[0] != "cmatrix":
-        raise ParseError("expected 'cmatrix <rows> <cols>' header", line=lineno, col=1)
+    keyword, *names = form.split()
+    if len(tokens) != 1 + len(names) or tokens[0] != keyword:
+        raise ParseError(f"expected '{form}' header", line=lineno, col=1)
     try:
-        rows, cols = int(tokens[1]), int(tokens[2])
+        values = [int(t) for t in tokens[1:]]
     except ValueError:
-        raise ParseError("matrix dimensions must be integers", line=lineno, col=_token_col(line, tokens[1])) from None
-    if rows <= 0 or cols <= 0:
-        raise ParseError("matrix dimensions must be positive", line=lineno, col=1)
+        kind = "integers" if len(names) > 1 else "an integer"
+        raise ParseError(f"{what} must be {kind}", line=lineno, col=_token_col(line, tokens[1])) from None
+    if min(values) < least:
+        raise ParseError(f"{what} must be {'positive' if least else 'nonnegative'}", line=lineno, col=1)
+    return lineno, values
+
+
+def _parse_matrix_block(items, pos):
+    """Parse one cmatrix block from _content_lines items starting at pos."""
+    lineno, (rows, cols) = _header(items, pos, "cmatrix <rows> <cols>", "matrix dimensions", 1)
     data = np.empty((rows, cols), dtype=np.complex128)
     pos += 1
     for r in range(rows):
@@ -365,18 +370,7 @@ def emit_matrix(a) -> str:
 def parse_tuple(text: str) -> list[np.ndarray]:
     """Parse a ``ctuple`` file: k same-dimension square matrix blocks."""
     items = list(_content_lines(text))
-    if not items:
-        raise ParseError("expected 'ctuple <k>' header, found end of input")
-    lineno, line = items[0]
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "ctuple":
-        raise ParseError("expected 'ctuple <k>' header", line=lineno, col=1)
-    try:
-        k = int(tokens[1])
-    except ValueError:
-        raise ParseError("tuple size must be an integer", line=lineno, col=_token_col(line, tokens[1])) from None
-    if k <= 0:
-        raise ParseError("tuple size must be positive", line=lineno, col=1)
+    _, (k,) = _header(items, 0, "ctuple <k>", "tuple size", 1)
     mats = []
     pos = 1
     for _ in range(k):

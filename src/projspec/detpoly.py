@@ -147,7 +147,7 @@ def char_poly_pair(a, b) -> BivarPoly:
         eye[None, :, :] + pz[:, None, None] * a[None, :, :] + pw[:, None, None] * b[None, :, :]
     )
     worst = float(np.abs(approx - exact).max())
-    if worst > probe_tol:
+    if not (worst <= probe_tol):
         raise InterpolationFailure(
             f"self-check residual {worst:.3e} exceeds tolerance {probe_tol:.3e}"
         )
@@ -208,18 +208,7 @@ def univariate_slice(p: BivarPoly, mode: str, value: complex) -> np.ndarray:
 def parse_bipoly(text: str) -> BivarPoly:
     """Parse the bipoly text format: `bipoly <n>` then `<j> <k> <re> <im>` rows."""
     items = list(core._content_lines(text))
-    if not items:
-        raise ParseError("expected 'bipoly <n>' header, found end of input")
-    lineno, line = items[0]
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "bipoly":
-        raise ParseError("expected 'bipoly <n>' header", line=lineno, col=1)
-    try:
-        n = int(tokens[1])
-    except ValueError:
-        raise ParseError("degree bound must be an integer", line=lineno, col=1) from None
-    if n < 0:
-        raise ParseError("degree bound must be nonnegative", line=lineno, col=1)
+    _, (n,) = core._header(items, 0, "bipoly <n>", "degree bound", 0)
     coeffs = np.zeros((n + 1, n + 1), dtype=np.complex128)
     seen = set()
     for lineno, line in items[1:]:

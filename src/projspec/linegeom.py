@@ -390,45 +390,33 @@ def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
     root, the lowest-indexed on ties. Returns the list of paired (lam, mu)
     or None when some selection exceeds the pairing tolerance.
 
-    Every ray has d roots. Cost: each ray's d x d x d distance tensor, with
-    its minimum and argmin over roots, is built once. A step re-takes the
-    minimum, consumed roots counting as +inf, only for the live pairs whose
-    nearest root it consumed: O(d^3) over all d steps when each root is
-    nearest to O(d) pairs; a d-fold eigenvalue, where every pair shares one
-    nearest root, makes it O(d^4).
+    Every ray has d roots. Each ray's d x d x d distance tensor is built
+    once. A step sets the distances to the roots it consumed to +inf, keeps
+    only the rows of the pairs still live, and the next step re-takes the
+    minimum over roots on them: O(d^4) in all.
     """
     lam_arr = np.asarray(lams)
     mu_arr = np.asarray(mus)
     d = lam_arr.size
+    rays = np.arange(len(gammas))
     predicted = [np.add.outer(lam_arr, g * mu_arr) for g in gammas]
     # dist[r, i * d + j, s] = |lams[i] + g_r mus[j] - ray_roots[r][s]|
     dist = np.empty((len(gammas), d * d, d))
     for r, roots in enumerate(ray_roots):
         np.abs(predicted[r].reshape(-1, 1) - np.asarray(roots)[None, :], out=dist[r])
-    nearest = dist.argmin(axis=2)
-    low = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
-    consumed = np.zeros((len(gammas), d), dtype=bool)
-    live = np.ones(d * d, dtype=bool)
-    cost = low.max(axis=0)
+    live = np.arange(d * d)
     pairs = []
     for _ in range(d):
+        cost = dist.min(axis=2).max(axis=0)
         k0 = int(cost.argmin())
-        i0, j0 = divmod(k0, d)
+        i0, j0 = divmod(int(live[k0]), d)
         scale = 1.0 + max(abs(p[i0, j0]) for p in predicted)
         if cost[k0] > pair_tol * scale:
             return None
         pairs.append((complex(lam_arr[i0]), complex(mu_arr[j0])))
-        live[i0 * d : (i0 + 1) * d] = False
-        live[j0::d] = False
-        spent = nearest[:, k0]
-        consumed[np.arange(len(gammas)), spent] = True
-        r, k = np.divmod(np.flatnonzero(live & (nearest == spent[:, None])), d * d)
-        if r.size:
-            rows = dist[r, k]
-            rows[consumed[r]] = np.inf
-            nearest[r, k] = rows.argmin(axis=1)
-            low[r, k] = rows[np.arange(r.size), nearest[r, k]]
-        cost = np.where(live, low.max(axis=0), np.inf)
+        dist[rays, :, dist[:, k0].argmin(axis=1)] = np.inf
+        keep = (live // d != i0) & (live % d != j0)
+        live, dist = live[keep], dist[:, keep]
     return pairs
 
 
@@ -854,17 +842,8 @@ def compare_arrangements(a: LineArrangement, b: LineArrangement) -> float:
 def parse_arrangement(text: str) -> LineArrangement:
     """Parse the arrangement format: `lines <count>` then coefficient rows."""
     items = list(core._content_lines(text))
-    if not items:
-        raise ParseError("expected 'lines <count>' header, found end of input")
-    lineno, line = items[0]
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "lines":
-        raise ParseError("expected 'lines <count>' header", line=lineno, col=1)
-    try:
-        count = int(tokens[1])
-    except ValueError:
-        raise ParseError("line count must be an integer", line=lineno, col=1) from None
-    if count < 0 or len(items) - 1 != count:
+    lineno, (count,) = core._header(items, 0, "lines <count>", "line count", 0)
+    if len(items) - 1 != count:
         raise ParseError(f"expected {count} line rows, found {len(items) - 1}", line=lineno, col=1)
     out = []
     for lineno, row in items[1:]:

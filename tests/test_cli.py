@@ -499,3 +499,49 @@ def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.mat"
     bad.write_text("cmatrix 2 2\n1+0i\n")
     assert cli.main(["eig", str(bad)]) == 2
+
+
+def _file_literals(rng, count):
+    """count file-format literals <re><sign><im>i: integers, decimals with
+    and without digits on one side of the point, exponents from subnormal
+    to overflow, random doubles' repr, and signed zeros."""
+    specials = ["0", "0.0", "0e0", "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+                "1.7976931348623157e308", "1.7976931348623159e308", "1e400", "1e-400"]
+
+    def number():
+        kind = rng.integers(5)
+        if kind == 0:
+            return rng.choice(specials)
+        if kind == 1:
+            return repr(abs(float(rng.normal()) * 10.0 ** int(rng.integers(-320, 308))))
+        if kind == 2:
+            return f"{rng.integers(10**6)}.{rng.integers(10**9)}e{rng.integers(-330, 330)}"
+        if kind == 3:
+            return rng.choice([f".{rng.integers(10**6)}", f"{rng.integers(10**6)}.", f"{rng.integers(10**12)}"])
+        return f"{rng.integers(10)}.{rng.integers(10)}E+{rng.integers(3)}"
+
+    return [f"{rng.choice(['', '+', '-'])}{number()}{rng.choice(['+', '-'])}{number()}i" for _ in range(count)]
+
+
+def test_cli_complex_matches_parse_complex_bit_for_bit():
+    literals = _file_literals(np.random.default_rng(23), 3000)
+    for text in literals + ["-0-0i", "+0-0i", "-0+0i", " 1+2i\n"]:
+        want, got = core.parse_complex(text.strip()), cli._cli_complex(text)
+        assert np.array([want]).tobytes() == np.array([got]).tobytes(), text
+    assert any(math.isinf(core.parse_complex(t).real) for t in literals)
+
+
+@pytest.mark.parametrize("text, value", [("1", 1 + 0j), ("-2.5", -2.5 + 0j), ("0.5j", 0.5j), (" 3-4i ", 3 - 4j)])
+def test_cli_complex_accepts_python_forms(text, value):
+    assert cli._cli_complex(text) == value
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_a_jordan_block_whose_squares_overflow_exits_2(tmp_path, capsys, scale):
+    j = _write_matrix(tmp_path / "j.mat", scale * np.array([[1, 1], [0, 1]]))
+    eye = _write_matrix(tmp_path / "i.mat", np.eye(2))
+    with np.errstate(all="ignore"):
+        assert cli.main(["eig", j]) == 2
+        assert cli.main(["commute", j, eye]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and err.count("normality defect nan") == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -486,6 +487,64 @@ def test_parse_error_carries_location():
         raise AssertionError("expected ParseError")
 
 
+_PARSERS = {
+    "cmatrix": core.parse_matrix,
+    "ctuple": core.parse_tuple,
+    "bipoly": detpoly.parse_bipoly,
+    "lines": linegeom.parse_arrangement,
+}
+
+# (format, text, message, line, col): one core._header for all four formats.
+_HEADER_ERRORS = [
+    ("cmatrix", "", "expected 'cmatrix <rows> <cols>' header, found end of input", None, None),
+    ("cmatrix", "# c\n\n", "expected 'cmatrix <rows> <cols>' header, found end of input", None, None),
+    ("cmatrix", "matrix 2 2\n", "expected 'cmatrix <rows> <cols>' header", 1, 1),
+    ("cmatrix", "cmatrix 2\n", "expected 'cmatrix <rows> <cols>' header", 1, 1),
+    ("cmatrix", "cmatrix 2 2 2\n", "expected 'cmatrix <rows> <cols>' header", 1, 1),
+    ("cmatrix", "# c\n  cmatrix q 2\n", "matrix dimensions must be integers", 2, 11),
+    ("cmatrix", "cmatrix 3 2.0\n", "matrix dimensions must be integers", 1, 9),
+    ("cmatrix", "cmatrix 0 2\n", "matrix dimensions must be positive", 1, 1),
+    ("cmatrix", "\ncmatrix 2 -1\n", "matrix dimensions must be positive", 2, 1),
+    ("ctuple", "", "expected 'ctuple <k>' header, found end of input", None, None),
+    ("ctuple", "cmatrix 1 1\n1+0i\n", "expected 'ctuple <k>' header", 1, 1),
+    ("ctuple", "ctuple 1 1\n", "expected 'ctuple <k>' header", 1, 1),
+    ("ctuple", "ctuple 1.5\n", "tuple size must be an integer", 1, 8),
+    ("ctuple", "# c\nctuple 0\n", "tuple size must be positive", 2, 1),
+    ("ctuple", "ctuple 1\ncmatrix 1 x\n", "matrix dimensions must be integers", 2, 9),
+    ("ctuple", "ctuple 2\ncmatrix 1 1\n1+0i\n", "expected 'cmatrix <rows> <cols>' header, found end of input", None, None),
+    ("bipoly", "", "expected 'bipoly <n>' header, found end of input", None, None),
+    ("bipoly", "poly 1\n", "expected 'bipoly <n>' header", 1, 1),
+    ("bipoly", "bipoly\n", "expected 'bipoly <n>' header", 1, 1),
+    ("bipoly", "  bipoly 1.0\n", "degree bound must be an integer", 1, 10),
+    ("bipoly", "# c\n\nbipoly 2e0\n", "degree bound must be an integer", 3, 8),
+    ("bipoly", "bipoly -1\n", "degree bound must be nonnegative", 1, 1),
+    ("lines", "", "expected 'lines <count>' header, found end of input", None, None),
+    ("lines", "line 0\n", "expected 'lines <count>' header", 1, 1),
+    ("lines", "lines 1 1\n", "expected 'lines <count>' header", 1, 1),
+    ("lines", "lines x\n", "line count must be an integer", 1, 7),
+    ("lines", "# c\nlines -1\n", "line count must be nonnegative", 2, 1),
+    ("lines", "lines -1\n1 0 0 0 1\n", "line count must be nonnegative", 1, 1),
+    ("lines", "lines 2\n1 0 0 0 1\n", "expected 2 line rows, found 1", 1, 1),
+]
+
+
+@pytest.mark.parametrize("form, text, message, line, col", _HEADER_ERRORS)
+def test_header_errors_of_the_four_formats(form, text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[form](text)
+    assert type(info.value) is ParseError
+    assert (info.value.line, info.value.col) == (line, col)
+    where = "" if line is None else f" (line {line}, col {col})"
+    assert str(info.value) == message + where
+
+
+def test_header_fields_of_valid_texts():
+    items = list(core._content_lines("# c\n\n  cmatrix 3 +2\n"))
+    assert core._header(items, 0, "cmatrix <rows> <cols>", "matrix dimensions", 1) == (3, [3, 2])
+    assert detpoly.parse_bipoly("bipoly 0\n").n == 0
+    assert linegeom.parse_arrangement("lines 0\n").lines == []
+
+
 def test_format_roundtrip_dyadic_exact():
     a = np.array([[0.5, -0.25 + 2j], [1024.0, 3.0 - 0.125j]], dtype=complex)
     assert np.array_equal(core.parse_matrix(core.emit_matrix(a)), a)
@@ -518,6 +577,15 @@ def test_tolerances_from_base_scales_proportionally():
     assert t.normal == pytest.approx(1e-6)
     assert t.eig == pytest.approx(1e-7)
     assert t.line == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("base", [1e-6, 3e-10, core.DEFAULT_TOL_BASE])
+def test_tolerances_from_base_scales_every_field(base):
+    t, d = core.Tolerances.from_base(base), core.Tolerances()
+    names = [f.name for f in dataclasses.fields(core.Tolerances)]
+    assert names == ["normal", "eig", "commute", "line", "recon"]
+    for name in names:
+        assert getattr(t, name) == getattr(d, name) * (base / core.DEFAULT_TOL_BASE), name
 
 
 def test_tolerances_override():
@@ -577,6 +645,15 @@ def test_pair_sites_refuse_mismatched_shapes(site):
 def test_normal_sites_refuse_a_jordan_block(site):
     with pytest.raises(NotNormal):
         _NORMAL_SITES[site](np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+@pytest.mark.parametrize("site", sorted(_NORMAL_SITES))
+def test_normal_sites_refuse_a_jordan_block_whose_squares_overflow(site, scale):
+    # ||A*A - AA*||_F is inf - inf = NaN here; a NaN defect must refuse
+    j = scale * np.array([[1, 1], [0, 1]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(NotNormal, match="defect nan"):
+        _NORMAL_SITES[site](j)
 
 
 def test_require_normal_bound_and_message():

@@ -15,7 +15,8 @@ of their --out files shows where they part.
 The inputs come from the checkout's own generators, tests/helpers.py and
 perfbench/bench_workloads.py, and the README's `$ projspec` examples, so
 both sides of a comparison see the same matrices; `edges` builds its own
-(ONE_BY_ONE, tie_heavy) with only helpers.random_unitary. BLAS runs on one thread
+(ONE_BY_ONE, tie_heavy) with only helpers.random_unitary, and `formats` its
+texts (FORMAT_CASES, CLI_COMPLEX). BLAS runs on one thread
 and PROJSPEC_TOL is unset, so the digest does not depend on the caller's
 environment. Families:
 
@@ -38,6 +39,10 @@ environment. Families:
               eig_normal, equivalence_check, common_eigenbasis and
               tuple_test; zero matrices with signed-zero entries at n = 1-6
               and the tie_heavy matrices through eig_normal
+  formats     the FORMAT_CASES texts through the four parsers (cmatrix,
+              ctuple, bipoly, lines): malformed headers and rows, each
+              outcome with its exception type, message, line and column;
+              and the CLI_COMPLEX arguments through cli._cli_complex
 
 Stdlib and numpy only. Imported as a module (the Tier-1 tests do), it
 leaves the environment as it is.
@@ -63,7 +68,7 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
-FAMILIES = ("criterion1", "battery", "large", "spectral", "sweep", "readme", "clustered", "edges")
+FAMILIES = ("criterion1", "battery", "large", "spectral", "sweep", "readme", "clustered", "edges", "formats")
 
 
 def canon(obj) -> str:
@@ -245,6 +250,61 @@ def edges(env):
             yield f"zeros {label} n={n}", outcome(lambda: p.core.eig_normal(z))
     for label, a in tie_heavy(env["helpers"]):
         yield f"ties {label}", outcome(lambda: p.core.eig_normal(a))
+
+
+# (parser, text) for each format: malformed headers (end of input, keyword,
+# field count, non-integer and out-of-range fields, at later lines and
+# indented), malformed rows, and one valid text.
+FORMAT_CASES = {
+    "cmatrix": [
+        "", "# only a comment\n\n", "matrix 2 2\n", "ctuple 1\n", "cmatrix\n", "cmatrix 2\n", "cmatrix 2 2 2\n",
+        "cmatrix x 2\n", "cmatrix 2 x\n", "cmatrix 2.0 2\n", "  cmatrix 2  2e0\n", "\n# c\ncmatrix 22 2x\n",
+        "cmatrix 0 2\n", "cmatrix 2 -1\n", "cmatrix -0 1\n", "\n  cmatrix -3 -3\n",
+        "cmatrix 2 2\n1+0i\n", "cmatrix 2 2\n1+0i 0+0i\n", "cmatrix 2 2\n1+0i 0+0i\n0+0i bogus\n",
+        "cmatrix 1 1\n1+0i\nextra\n", "cmatrix 2 1\n1+0i\n2+0i\n", "cmatrix 1 1\n1e400+0i\n",
+        "cmatrix 1 1\n1+0i 1\n", "cmatrix 1 1\n  -0-0i\n",
+    ],
+    "ctuple": [
+        "", "tuple 1\n", "cmatrix 1 1\n1+0i\n", "ctuple\n", "ctuple 1 1\n", "ctuple x\n", "ctuple t\n",
+        "ctuple 1.5\n", "# c\n  ctuple 0\n", "ctuple -2\n",
+        "ctuple 2\ncmatrix 1 1\n1+0i\n", "ctuple 1\ncmatrix 1 1\n1+0i\nextra\n",
+        "ctuple 2\ncmatrix 1 1\n1+0i\ncmatrix 2 2\n1+0i 0+0i\n0+0i 1+0i\n", "ctuple 1\ncmatrix 1 x\n",
+        "ctuple 1\ncmatrix 1 1\n2-1i\n",
+    ],
+    "bipoly": [
+        "", "poly 1\n", "lines 0\n", "bipoly\n", "bipoly 1 1\n", "bipoly x\n", "bipoly b\n", "  bipoly 1.0\n",
+        "# c\n\nbipoly 2e0\n", "bipoly -1\n", "bipoly 0\n",
+        "bipoly 1\n0 0 1\n", "bipoly 1\n0 0 x 0\n", "bipoly 1\n2 0 1 0\n", "bipoly 1\n1 1 1 0\n",
+        "bipoly 1\n0 0 1 0\n0 0 1 0\n", "bipoly 1\n0 0 inf 0\n", "bipoly 1\n0 0 1 0\n1 0 -0 -0\n",
+    ],
+    "lines": [
+        "", "line 0\n", "bipoly 0\n", "lines\n", "lines 1 1\n", "lines x\n", "lines s\n", "  lines 1.0\n",
+        "# c\n\nlines 2e0\n", "lines -1\n", "lines -1\n1 0 0 0 1\n", "lines 0\n",
+        "lines 2\n1 0 0 0 1\n", "lines 1\n1 0 0 0\n", "lines 1\n1 0 0 x 1\n", "lines 1\n1 0 0 0 0\n",
+        "lines 1\n1 0 0 0 -1\n", "lines 1\n1 0 0 0 1.5\n", "lines 1\n-0 -0 1 2 3\n",
+    ],
+}
+
+# CLI complex arguments: file-format literals and Python's own forms.
+CLI_COMPLEX = (
+    "1+2i", " 3-4i ", "-0-0i", "+0-0i", "1e400+0i", "5e-324-5e-324i", "1.5e-3+2e2i", ".5-.25i", "7.+0i",
+    "1", "-2.5", "0.5j", "1+2j", "i", "1+i", "2i", "(1+2j)", "1_0+0i", "nan", "",
+    "inf", "1 + 2i", "1+2i+3i", "bogus",
+)
+
+
+def formats(env):
+    p = env["projspec"]
+    parsers = {"cmatrix": p.core.parse_matrix, "ctuple": p.core.parse_tuple,
+               "bipoly": p.detpoly.parse_bipoly, "lines": p.linegeom.parse_arrangement}
+    for form, texts in FORMAT_CASES.items():
+        for text in texts:
+            value = outcome(lambda: parsers[form](text))
+            if isinstance(value, BaseException):
+                value = (type(value).__name__, str(value), getattr(value, "line", None), getattr(value, "col", None))
+            yield f"{form} {text!r}", value
+    for text in CLI_COMPLEX:
+        yield f"cli complex {text!r}", outcome(lambda: p.cli._cli_complex(text))
 
 
 def load(root: Path) -> dict:

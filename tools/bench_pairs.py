@@ -22,9 +22,9 @@ The record at the repository root, BENCH_<tag>.json, holds:
                            (large: seed 1, 20 rounds; battery and spectral: seed 1,
                            10 rounds; cli: seed 1, one round through projspec.cli.main)
   traced                   TRACE_PAIRS alternating pairs of --trace 1 runs on
-                           each of TRACE_WORKLOADS: the median over each side's runs of
-                           every traced function's self milliseconds per
-                           operation, from the runs' spans files
+                           every workload of BENCHMARK.json: the median over each
+                           side's runs of every traced function's self
+                           milliseconds per operation, from the runs' spans files
 and the commits, seeds, nproc, Python and numpy versions. Stdlib only; the
 counting runs import numpy inside the checkouts.
 """
@@ -99,8 +99,7 @@ print(json.dumps({
 COUNT_ROUNDS = {"large": 20, "battery": 10, "spectral": 10, "cli": 1}
 
 PAIRS = 10
-# Traced runs: workloads, the seed of the first pair, seconds per run, pairs.
-TRACE_WORKLOADS = ["large"]
+# Traced runs: the seed of the first pair, seconds per run, pairs.
 TRACE_SEED = 4242
 TRACE_SECONDS = 8
 TRACE_PAIRS = 3
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
                                      cwd=root, check=True, capture_output=True, text=True).stdout
                 counts[f"{workload}/{side}"] = json.loads(out.splitlines()[-1])
         traced = {}
-        for workload in TRACE_WORKLOADS:
+        for workload in workloads:
             rows = {"parent": [], "change": []}
             for i in range(TRACE_PAIRS):
                 seed = TRACE_SEED + i
