@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import core
 from .errors import InvalidEpsilon, LevelTooLarge
 
 _TWO_PI = 2.0 * math.pi
@@ -89,23 +90,17 @@ def _distinct_directions(spectrum) -> np.ndarray:
 
 
 def _circular_gaps(directions: np.ndarray):
-    """(width, start) for each circular gap between consecutive directions."""
-    k = directions.size
-    if k == 0:
-        return [(_TWO_PI, 0.0)]
-    if k == 1:
-        return [(_TWO_PI, float(directions[0]))]
-    gaps = [
-        (float(directions[i + 1] - directions[i]), float(directions[i]))
-        for i in range(k - 1)
-    ]
-    gaps.append((float(directions[0] + _TWO_PI - directions[-1]), float(directions[-1])))
-    return gaps
+    """(widths, starts): each circular gap between consecutive directions as
+    an array of widths and one of the directions they start at. Zero or one
+    direction leaves one gap of exactly 2pi."""
+    if directions.size < 2:
+        return np.array([_TWO_PI]), directions if directions.size else np.zeros(1)
+    return np.diff(directions, append=directions[0] + _TWO_PI), directions
 
 
 def max_circular_gap(spectrum) -> float:
     """Widest angular gap free of nonzero-spectrum directions (2pi if none)."""
-    return max(g for g, _ in _circular_gaps(_distinct_directions(spectrum)))
+    return float(_circular_gaps(_distinct_directions(spectrum))[0].max())
 
 
 def strong_agmon_check(spectrum) -> Optional[SectorWitness]:
@@ -118,19 +113,13 @@ def strong_agmon_check(spectrum) -> Optional[SectorWitness]:
     distance >= delta from -1, and the distance from -1 to that ray is
     sin(delta) for delta <= pi/2 and 1 beyond.
     """
-    directions = _distinct_directions(spectrum)
-    gaps = _circular_gaps(directions)
-    widest = max(g for g, _ in gaps)
+    widths, starts = _circular_gaps(_distinct_directions(spectrum))
+    widest = float(widths.max())
     if widest <= _ANGLE_DEDUP:
         return None
-    theta = None
-    for width, start in gaps:
-        if width < widest - _ANGLE_DEDUP:
-            continue
-        center = (start + width / 2.0) % _TWO_PI
-        cand = (math.pi - center) % _TWO_PI
-        if theta is None or cand < theta:
-            theta = cand
+    tied = widths >= widest - _ANGLE_DEDUP
+    centers = np.mod(starts[tied] + widths[tied] / 2.0, _TWO_PI)
+    theta = float(np.mod(math.pi - centers, _TWO_PI).min())
     delta = widest / 2.0
     epsilon = min(math.sin(min(delta, math.pi / 2.0)), _EPS_CAP)
     return SectorWitness(theta=theta, delta=delta, epsilon=epsilon)
@@ -275,14 +264,8 @@ def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES
 
 
 def emit_profile_csv(profile: EscapeProfile) -> str:
-    out = ["angle,escape_radius"]
-    for a, r in zip(profile.angles, profile.radii):
-        out.append(f"{a:.17g},{r:.17g}")
-    return "\n".join(out) + "\n"
+    return core.emit_csv(("angle", "escape_radius"), zip(profile.angles, profile.radii))
 
 
 def emit_ladder_csv(rows) -> str:
-    out = ["level,dim,max_gap,min_escape_radius"]
-    for level, dim, gap, radius in rows:
-        out.append(f"{level},{dim},{gap:.17g},{radius:.17g}")
-    return "\n".join(out) + "\n"
+    return core.emit_csv(("level", "dim", "max_gap", "min_escape_radius"), rows)

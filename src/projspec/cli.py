@@ -5,6 +5,11 @@ Exit codes: 0 affirmative verdict or plain success, 1 negative verdict
 line not in spectrum), 2 errors, indeterminate outcomes and verdicts whose
 two routes disagree (``consistent=false``). Identical arguments, files, and
 seeds produce byte-identical output.
+
+``main`` does all of the file input and output: it parses each input file
+named on the command line (``_INPUTS``), calls the subcommand's handler,
+which returns the result text and exit code, and writes that text to
+stdout or ``-o``. Only ``plot-slice --svg`` writes a file of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +29,16 @@ from .errors import ProjspecError
 _SLOPE_THRESHOLD = 1.8
 
 _TOL_FIELDS = tuple(f.name for f in dataclasses.fields(core.Tolerances))
+
+# The positional inputs, in argument order, and the parser of each one's format:
+# main reads each given one and puts the parsed value in place of its path.
+_INPUTS = {
+    "matrix": core.parse_matrix,
+    "matrix_a": core.parse_matrix,
+    "matrix_b": core.parse_matrix,
+    "poly": detpoly.parse_bipoly,
+    "tuple": core.parse_tuple,
+}
 
 # The tolerance fields each reading subcommand passes on; no other --tol-* parses.
 _EIG_TOLS = ("normal", "eig")
@@ -46,17 +61,6 @@ def _tolerances(args) -> core.Tolerances:
     return core.default_tolerances().override(**{name: getattr(args, f"tol_{name}", None) for name in _TOL_FIELDS})
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
-
-
-def _write(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cli_complex(text: str) -> complex:
     """A complex argument: the file format's ``<re><sign><im>i`` literals
     parse to the same bits as core.parse_complex, and Python's own forms
@@ -64,33 +68,28 @@ def _cli_complex(text: str) -> complex:
     return complex(text.strip().replace("i", "j"))
 
 
-def _cmd_eig(args) -> int:
-    a = core.parse_matrix(_read(args.matrix))
-    dec = core.eig_normal(a, tol=_tolerances(args))
+def _text(out) -> str:
+    return "\n".join(out) + "\n"
+
+
+def _cmd_eig(args):
+    dec = core.eig_normal(args.matrix, tol=_tolerances(args))
     out = [f"eigenvalues {dec.values.size}"]
     out.extend(core.emit_complex(v) for v in dec.values)
     out.append(f"residual={dec.residual:.17g}")
     out.append(core.emit_matrix(dec.unitary).rstrip("\n"))
-    _write(args, "\n".join(out) + "\n")
-    return 0
+    return _text(out), 0
 
 
-def _cmd_detpoly(args) -> int:
-    a = core.parse_matrix(_read(args.matrix_a))
-    b = core.parse_matrix(_read(args.matrix_b))
-    p = detpoly.char_poly_pair(a, b)
-    _write(args, detpoly.emit_bipoly(p))
-    return 0
+def _cmd_detpoly(args):
+    return detpoly.emit_bipoly(detpoly.char_poly_pair(args.matrix_a, args.matrix_b)), 0
 
 
-def _cmd_lines(args) -> int:
-    p = detpoly.parse_bipoly(_read(args.poly))
-    verdict = linegeom.factor_lines(p, seed=args.seed, tol=_tolerances(args))
+def _cmd_lines(args):
+    verdict = linegeom.factor_lines(args.poly, seed=args.seed, tol=_tolerances(args))
     if verdict.is_lines:
         text = linegeom.emit_arrangement(verdict.arrangement)
-        text += f"# deficit={verdict.arrangement.deficit}\n"
-        _write(args, text)
-        return 0
+        return text + f"# deficit={verdict.arrangement.deficit}\n", 0
     z, w = verdict.witness
     out = [
         "notlines",
@@ -98,17 +97,14 @@ def _cmd_lines(args) -> int:
         f"witness_w={core.emit_complex(w)}",
         f"witness_residual={verdict.witness_residual:.17g}",
     ]
-    _write(args, "\n".join(out) + "\n")
-    return 1
+    return _text(out), 1
 
 
-def _cmd_agmon(args) -> int:
-    a = core.parse_matrix(_read(args.matrix))
-    dec = core.eig_normal(a, tol=_tolerances(args))
+def _cmd_agmon(args):
+    dec = core.eig_normal(args.matrix, tol=_tolerances(args))
     wit = agmon_mod.strong_agmon_check(dec.values)
     if wit is None:
-        _write(args, "nosector\n")
-        return 1
+        return "nosector\n", 1
     out = [
         f"theta={wit.theta:.17g}",
         f"delta={wit.delta:.17g}",
@@ -116,92 +112,76 @@ def _cmd_agmon(args) -> int:
         f"sector_center={wit.sector_center:.17g}",
         f"gap={2.0 * wit.delta:.17g}",
     ]
-    _write(args, "\n".join(out) + "\n")
-    return 0
+    return _text(out), 0
 
 
-def _cmd_escape(args) -> int:
+def _cmd_escape(args):
     if args.ladder is not None:
+        if args.matrix is not None:
+            raise ValueError("escape --ladder reads no matrix")
         given = [f"--tol-{name}" for name in _EIG_TOLS if getattr(args, f"tol_{name}") is not None]
         if given:
             raise ValueError(f"escape --ladder reads no tolerance; {', '.join(given)} not accepted")
         rows = agmon_mod.escape_ladder(args.ladder, args.epsilon, args.n_angles)
-        _write(args, agmon_mod.emit_ladder_csv(rows))
-        return 0
+        return agmon_mod.emit_ladder_csv(rows), 0
     if args.matrix is None:
         raise ValueError("escape requires a matrix file unless --ladder is given")
-    a = core.parse_matrix(_read(args.matrix))
-    dec = core.eig_normal(a, tol=_tolerances(args))
+    dec = core.eig_normal(args.matrix, tol=_tolerances(args))
     profile = agmon_mod.escape_radius_profile(dec.values, args.epsilon, args.n_angles)
-    _write(args, agmon_mod.emit_profile_csv(profile))
-    return 0
+    return agmon_mod.emit_profile_csv(profile), 0
 
 
-def _cmd_example(args) -> int:
-    mat = agmon_mod.example_operator(args.level)
-    _write(args, core.emit_matrix(mat))
-    return 0
+def _cmd_example(args):
+    return core.emit_matrix(agmon_mod.example_operator(args.level)), 0
 
 
 def _contour(args) -> riesz.Contour:
     return riesz.Contour(_cli_complex(args.center), args.radius, args.nodes)
 
 
-def _cmd_riesz(args) -> int:
-    a = core.parse_matrix(_read(args.matrix))
-    res = riesz.riesz_projection(a, _contour(args))
+def _cmd_riesz(args):
+    res = riesz.riesz_projection(args.matrix, _contour(args))
     out = [
         f"# idempotency_residual={res.idempotency_residual:.17g}",
         f"# commutation_residual={res.commutation_residual:.17g}",
         f"# rank_estimate={res.rank_estimate}",
         core.emit_matrix(res.projection).rstrip("\n"),
     ]
-    _write(args, "\n".join(out) + "\n")
-    return 0
+    return _text(out), 0
 
 
-def _cmd_perturb(args) -> int:
-    a = core.parse_matrix(_read(args.matrix_a))
-    b = core.parse_matrix(_read(args.matrix_b))
+def _cmd_perturb(args):
     eps_list = [float(t) for t in args.eps_list.split(",") if t.strip()]
-    report = riesz.perturbation_check(
-        a, b, _cli_complex(args.lam), _cli_complex(args.mu), _contour(args), eps_list
-    )
-    _write(args, riesz.emit_slope_csv(report))
-    if report.exact or (report.slope is not None and report.slope >= _SLOPE_THRESHOLD):
-        return 0
-    return 1
+    lam, mu = _cli_complex(args.lam), _cli_complex(args.mu)
+    report = riesz.perturbation_check(args.matrix_a, args.matrix_b, lam, mu, _contour(args), eps_list)
+    passed = report.exact or (report.slope is not None and report.slope >= _SLOPE_THRESHOLD)
+    return riesz.emit_slope_csv(report), 0 if passed else 1
 
 
-def _cmd_lemma34(args) -> int:
-    a = core.parse_matrix(_read(args.matrix_a))
-    b = core.parse_matrix(_read(args.matrix_b))
+def _cmd_lemma34(args):
     zs = None
     if args.zs:
         zs = [_cli_complex(t) for t in args.zs.split(",") if t.strip()]
-    res = riesz.lemma34_solver(a, b, _cli_complex(args.mu), zs)
+    res = riesz.lemma34_solver(args.matrix_a, args.matrix_b, _cli_complex(args.mu), zs)
     out = [
         f"residual_a={res.residual_a:.17g}",
         f"residual_b={res.residual_b:.17g}",
         f"vector {res.vector.size}",
     ]
     out.extend(core.emit_complex(v) for v in res.vector)
-    _write(args, "\n".join(out) + "\n")
-    return 0
+    return _text(out), 0
 
 
-def _cmd_commute(args) -> int:
-    a = core.parse_matrix(_read(args.matrix_a))
-    b = core.parse_matrix(_read(args.matrix_b))
-    report = commute_mod.equivalence_check(a, b, seed=args.seed, tol=_tolerances(args))
-    _write(args, commute_mod.format_report(report))
+def _cmd_commute(args):
+    report = commute_mod.equivalence_check(args.matrix_a, args.matrix_b, seed=args.seed, tol=_tolerances(args))
+    text = commute_mod.format_report(report)
     if report.indeterminate is not None or not report.consistent:
-        return 2
-    return 0 if report.commute else 1
+        return text, 2
+    return text, 0 if report.commute else 1
 
 
-def _cmd_tuple(args) -> int:
-    mats = core.parse_tuple(_read(args.tuple))
+def _cmd_tuple(args):
+    mats = args.tuple
     report = commute_mod.tuple_test(mats, seed=args.seed, tol=_tolerances(args))
     out = [f"members={len(mats)}", f"commute={'true' if report.commute else 'false'}"]
     for (i, j), rep in report.reports:
@@ -216,16 +196,14 @@ def _cmd_tuple(args) -> int:
     if report.indeterminate is not None:
         msg = " ".join(report.indeterminate.split())
         out.append(f"indeterminate={msg}")
-        _write(args, "\n".join(out) + "\n")
-        return 2
+        return _text(out), 2
     if report.commute and report.hyperplanes is not None:
         out.append(f"deficit={report.deficit}")
         out.append(f"hyperplanes {len(report.hyperplanes)} {len(mats)}")
         for coeffs, mult in report.hyperplanes:
             row = " ".join(core.emit_complex(x) for x in coeffs)
             out.append(f"{row} {mult}")
-    _write(args, "\n".join(out) + "\n")
-    return 0 if report.commute else 1
+    return _text(out), 0 if report.commute else 1
 
 
 def plot_slice(p: detpoly.BivarPoly, wmin: float, wmax: float, samples: int):
@@ -274,16 +252,11 @@ def _svg_scatter(rows, wmin: float, wmax: float) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot_slice(args) -> int:
-    p = detpoly.parse_bipoly(_read(args.poly))
-    rows = plot_slice(p, args.wmin, args.wmax, args.samples)
-    out = ["w0,re_z,im_z"]
-    for w0, x, y in rows:
-        out.append(f"{w0:.17g},{x:.17g},{y:.17g}")
-    _write(args, "\n".join(out) + "\n")
+def _cmd_plot_slice(args):
+    rows = plot_slice(args.poly, args.wmin, args.wmax, args.samples)
     if args.svg:
         Path(args.svg).write_text(_svg_scatter(rows, args.wmin, args.wmax))
-    return 0
+    return core.emit_csv(("w0", "re_z", "im_z"), rows), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +361,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        for name, parse in _INPUTS.items():
+            path = getattr(args, name, None)
+            if path is not None:
+                setattr(args, name, parse(Path(path).read_text()))
+        text, code = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ProjspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

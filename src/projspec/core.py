@@ -22,6 +22,7 @@ the joint eigenbasis of commuting pairs and tuples in ``commute``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import re
@@ -284,6 +285,13 @@ def emit_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
+def emit_csv(header, rows) -> str:
+    """CSV text: the header's column names, then each row's values as ``.17g``."""
+    out = [",".join(header)]
+    out.extend(",".join(f"{x:.17g}" for x in row) for row in rows)
+    return "\n".join(out) + "\n"
+
+
 def _content_lines(text: str):
     """Yield (1-based line number, line) skipping blanks and # comments."""
     for i, line in enumerate(text.splitlines(), start=1):
@@ -293,29 +301,31 @@ def _content_lines(text: str):
         yield i, line
 
 
-def _token_col(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _tokens(line: str) -> list:
+    """(1-based column, text) of each whitespace-separated token of line."""
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
 
 
 def _header(items, pos, form, what, least):
     """Read the header ``form`` (a keyword and integer fields, such as
     ``"cmatrix <rows> <cols>"``) from _content_lines items at pos. Returns
     its line number and the fields; ParseError when the input has ended,
-    the keyword or field count differs, a field is not an integer (at the
-    column of the first field) or a field is below least (1 or 0)."""
+    the keyword or field count differs, a field is not an integer (at that
+    field's column) or a field is below least (1 or 0)."""
     if pos >= len(items):
         raise ParseError(f"expected '{form}' header, found end of input")
     lineno, line = items[pos]
-    tokens = line.split()
+    tokens = _tokens(line)
     keyword, *names = form.split()
-    if len(tokens) != 1 + len(names) or tokens[0] != keyword:
+    if len(tokens) != 1 + len(names) or tokens[0][1] != keyword:
         raise ParseError(f"expected '{form}' header", line=lineno, col=1)
-    try:
-        values = [int(t) for t in tokens[1:]]
-    except ValueError:
-        kind = "integers" if len(names) > 1 else "an integer"
-        raise ParseError(f"{what} must be {kind}", line=lineno, col=_token_col(line, tokens[1])) from None
+    values = []
+    for col, text in tokens[1:]:
+        try:
+            values.append(int(text))
+        except ValueError:
+            kind = "integers" if len(names) > 1 else "an integer"
+            raise ParseError(f"{what} must be {kind}", line=lineno, col=col) from None
     if min(values) < least:
         raise ParseError(f"{what} must be {'positive' if least else 'nonnegative'}", line=lineno, col=1)
     return lineno, values
@@ -330,18 +340,18 @@ def _parse_matrix_block(items, pos):
         if pos >= len(items):
             raise ParseError(f"expected {rows} matrix rows, found {r}", line=lineno, col=1)
         rline_no, rline = items[pos]
-        row_tokens = rline.split()
+        row_tokens = _tokens(rline)
         if len(row_tokens) != cols:
             raise ParseError(
                 f"expected {cols} entries in row, found {len(row_tokens)}", line=rline_no, col=1
             )
-        for c, tok in enumerate(row_tokens):
+        for c, (col, tok) in enumerate(row_tokens):
             try:
                 data[r, c] = parse_complex(tok)
             except ValueError:
-                raise ParseError(
-                    f"bad complex literal {tok!r}", line=rline_no, col=_token_col(rline, tok)
-                ) from None
+                raise ParseError(f"bad complex literal {tok!r}", line=rline_no, col=col) from None
+            if not cmath.isfinite(data[r, c]):
+                raise ParseError("matrix entries must be finite", line=rline_no, col=col)
         pos += 1
     if rows != cols:
         raise DimMismatch(f"matrix is {rows}x{cols}, operators must be square")

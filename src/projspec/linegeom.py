@@ -201,13 +201,12 @@ def _monic_reversed_roots(slice_coeffs, d: int) -> np.ndarray:
     For a slice q(t) = prod(1 + s_i t) of total-degree budget d, returns the
     multiset {s_i} padded with exact zeros for the degree deficit: reversing
     q at length (effective degree + 1) is monic because the constant term is
-    1, so companion roots need no leading-coefficient guesswork.
+    1, so companion roots need no leading-coefficient guesswork. That term
+    keeps some coefficient above dust, since factor_lines admits only
+    |p(0,0) - 1| <= _C00_TOL.
     """
     s = np.asarray(slice_coeffs, dtype=np.complex128)[: d + 1]
-    keep = np.flatnonzero(above_dust(s))
-    if keep.size == 0:
-        raise DegenerateInput("slice polynomial is identically zero")
-    k = int(keep[-1])
+    k = int(np.flatnonzero(above_dust(s))[-1])
     if k == 0:
         return np.zeros(d, dtype=np.complex128)
     y = _companion_roots(s[: k + 1][::-1])
@@ -242,8 +241,9 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL, scales=None):
     below, so when each step between neighbouring rows exceeds the widest
     radius by more than 2 _RADIUS_BAND of it, every tuple is a cluster of
     its own and the sorted rows are the output. Otherwise one m x m
-    distance matrix, O(m^2 k), then one mask per contested seed and one
-    vector addition per member rank. Moduli are taken with np.hypot, which
+    distance matrix, O(m^2 k), then one mask per contested seed, and the
+    centroid sums in one unbuffered np.add.at, which adds each cluster's
+    members in row order. Moduli are taken with np.hypot, which
     rounds as Python's abs(complex) does; np.abs on complex128 and np.hypot
     over k >= 2 components can differ from the scalar formula in the last
     bit, so distances within _RADIUS_BAND of the radius are decided by that
@@ -289,12 +289,8 @@ def cluster_tuples(tuples, rel: float = CLUSTER_REL, scales=None):
     label = (np.cumsum(is_seed) - 1)[seed]
     count = int(is_seed.sum())
     sizes = np.bincount(label, minlength=count)
-    by_label = np.argsort(label, kind="stable")
-    rank = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     sums = np.zeros((count, 2 * k))
-    for r in range(int(sizes.max())):
-        at = by_label[rank == r]
-        sums[label[at]] += parts[at]
+    np.add.at(sums, label, parts)
     centers = sums / sizes[:, None]
     final = np.lexsort(centers.T[::-1])
     values = np.ascontiguousarray(centers[final]).view(np.complex128).tolist()
@@ -754,38 +750,23 @@ def line_through_point(arr: LineArrangement, z: complex, w: complex, *, tol=None
 def _has_perfect_matching(adj: np.ndarray) -> bool:
     """Whether the square boolean biadjacency matrix admits a perfect matching.
 
-    Augmenting paths, one breadth-first search per row: each layer reaches
-    every unseen column adjacent to the frontier rows and records the row it
-    came from; a free column ends the path, which is then flipped back to
-    the starting row. A search that runs dry leaves that row unmatched.
+    Kuhn's augmenting paths: each row in turn takes a column that is free
+    or whose row can move, depth first, to another column not yet seen in
+    that search. A search that fails leaves that row unmatched.
     """
-    n = adj.shape[0]
-    row_of = np.full(n, -1)
-    col_of = np.full(n, -1)
-    for start in range(n):
-        via = np.full(n, -1)
-        seen = np.zeros(n, dtype=bool)
-        frontier = np.array([start])
-        free = None
-        while free is None:
-            reach = adj[frontier] & ~seen
-            cols = np.flatnonzero(reach.any(axis=0))
-            if cols.size == 0:
-                return False
-            seen[cols] = True
-            via[cols] = frontier[reach[:, cols].argmax(axis=0)]
-            open_cols = cols[row_of[cols] < 0]
-            if open_cols.size:
-                free = int(open_cols[0])
-            frontier = row_of[cols]
-        col = free
-        while col >= 0:
-            row = via[col]
-            nxt = col_of[row]
-            row_of[col] = row
-            col_of[row] = col
-            col = nxt
-    return True
+    cols_of = [np.flatnonzero(row).tolist() for row in adj]
+    row_of = [-1] * len(cols_of)
+
+    def augment(row, seen):
+        for col in cols_of[row]:
+            if col not in seen:
+                seen.add(col)
+                if row_of[col] < 0 or augment(row_of[col], seen):
+                    row_of[col] = row
+                    return True
+        return False
+
+    return all(augment(row, set()) for row in range(len(cols_of)))
 
 
 def _bottleneck(cost: np.ndarray) -> float:
@@ -857,6 +838,8 @@ def parse_arrangement(text: str) -> LineArrangement:
             raise ParseError("bad arrangement row", line=lineno, col=1) from None
         if mult <= 0:
             raise ParseError("multiplicity must be positive", line=lineno, col=1)
+        if not all(map(math.isfinite, (rl, il, rm, im))):
+            raise ParseError("line coefficients must be finite", line=lineno, col=1)
         out.append((Line(complex(rl, il), complex(rm, im)), mult))
     return LineArrangement(out)
 

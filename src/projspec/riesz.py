@@ -233,14 +233,8 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
 
 
 def emit_slope_csv(report: PerturbationReport) -> str:
-    out = ["epsilon,residual"]
-    for e, r in zip(report.eps, report.residuals):
-        out.append(f"{e:.17g},{r:.17g}")
-    if report.exact:
-        out.append("# exact=true")
-    else:
-        out.append(f"# slope={report.slope:.17g}")
-    return "\n".join(out) + "\n"
+    tail = "# exact=true\n" if report.exact else f"# slope={report.slope:.17g}\n"
+    return core.emit_csv(("epsilon", "residual"), zip(report.eps, report.residuals)) + tail
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projspec import cli, commute, core, detpoly, linegeom
+from projspec import agmon, cli, commute, core, detpoly, linegeom, riesz
 
 from helpers import (
     PAULI_X,
@@ -381,6 +381,59 @@ def test_escape_ladder_rejects_tolerance_flags(tmp_path, capsys):
     fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 1j]))
     code, _ = _run(tmp_path, "escape", fa, "--tol-eig", "1e-6")
     assert code == 0
+
+
+def test_escape_ladder_refuses_a_matrix(tmp_path, capsys):
+    # a matrix next to --ladder would be ignored, so it is refused
+    good = _write_matrix(tmp_path / "m.mat", np.diag([1.0, 1j]))
+    code, text = _run(tmp_path, "escape", good, "--ladder", "2")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: escape --ladder reads no matrix\n"
+    bad = tmp_path / "bad.mat"
+    bad.write_text("garbage\n")
+    code, text = _run(tmp_path, "escape", str(bad), "--ladder", "2")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main(["example", "--level", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    # plot-slice writes its SVG first: an unwritable one leaves no CSV
+    f = tmp_path / "one.bipoly"
+    f.write_text("bipoly 0\n0 0 1 0\n")
+    csv = tmp_path / "slice.csv"
+    assert cli.main(["plot-slice", str(f), "--svg", str(tmp_path / "missing" / "s.svg"), "-o", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
+
+
+def test_emit_csv_gives_the_bytes_of_the_four_csv_outputs(tmp_path):
+    # the layouts the four writers had before core.emit_csv: a header row,
+    # then .17g values (the ladder's level and dim as plain ints)
+    prof = agmon.escape_radius_profile([1.0, -2j, 0.5 + 0.5j], 0.5, n_angles=64)
+    want = "angle,escape_radius\n" + "".join(f"{a:.17g},{r:.17g}\n" for a, r in zip(prof.angles, prof.radii))
+    assert agmon.emit_profile_csv(prof) == want
+    rows = agmon.escape_ladder([1, 3, 9], epsilon=0.5, n_angles=64)
+    want = "level,dim,max_gap,min_escape_radius\n" + "".join(
+        f"{level},{dim},{gap:.17g},{radius:.17g}\n" for level, dim, gap, radius in rows
+    )
+    assert agmon.emit_ladder_csv(rows) == want
+    a = np.diag([0.0, 2.0]).astype(complex)
+    for b, eps in ((PAULI_X, [1e-2, 1e-3, 1e-4]), (np.zeros((2, 2)), [1e-2])):
+        rep = riesz.perturbation_check(a, b, 0.0, 0.0, riesz.Contour(0.0, 0.5), eps)
+        tail = "# exact=true\n" if rep.exact else f"# slope={rep.slope:.17g}\n"
+        want = "epsilon,residual\n" + "".join(f"{e:.17g},{r:.17g}\n" for e, r in zip(rep.eps, rep.residuals))
+        assert riesz.emit_slope_csv(rep) == want + tail
+    p = linegeom.expand_arrangement([(linegeom.Line(1.0, 3.0), 1), (linegeom.Line(2.0 + 1j, -4.0), 2)], 3)
+    f = tmp_path / "p.bipoly"
+    f.write_text(detpoly.emit_bipoly(p))
+    code, text = _run(tmp_path, "plot-slice", str(f), "--samples", "7")
+    want = "w0,re_z,im_z\n" + "".join(f"{w0:.17g},{x:.17g},{y:.17g}\n" for w0, x, y in cli.plot_slice(p, -1.0, 1.0, 7))
+    assert (code, text) == (0, want)
+    assert core.emit_csv(("w0", "re_z", "im_z"), []) == "w0,re_z,im_z\n"
 
 
 def test_escape_requires_input(tmp_path):

@@ -502,26 +502,33 @@ _HEADER_ERRORS = [
     ("cmatrix", "cmatrix 2\n", "expected 'cmatrix <rows> <cols>' header", 1, 1),
     ("cmatrix", "cmatrix 2 2 2\n", "expected 'cmatrix <rows> <cols>' header", 1, 1),
     ("cmatrix", "# c\n  cmatrix q 2\n", "matrix dimensions must be integers", 2, 11),
-    ("cmatrix", "cmatrix 3 2.0\n", "matrix dimensions must be integers", 1, 9),
+    ("cmatrix", "cmatrix 3 2.0\n", "matrix dimensions must be integers", 1, 11),
+    ("cmatrix", "cmatrix x 2\n", "matrix dimensions must be integers", 1, 9),
+    ("cmatrix", "cmatrix 2 x\n", "matrix dimensions must be integers", 1, 11),
+    ("cmatrix", "  cmatrix 2  2e0\n", "matrix dimensions must be integers", 1, 14),
+    ("cmatrix", "\n# c\ncmatrix 22 2x\n", "matrix dimensions must be integers", 3, 12),
     ("cmatrix", "cmatrix 0 2\n", "matrix dimensions must be positive", 1, 1),
     ("cmatrix", "\ncmatrix 2 -1\n", "matrix dimensions must be positive", 2, 1),
     ("ctuple", "", "expected 'ctuple <k>' header, found end of input", None, None),
     ("ctuple", "cmatrix 1 1\n1+0i\n", "expected 'ctuple <k>' header", 1, 1),
     ("ctuple", "ctuple 1 1\n", "expected 'ctuple <k>' header", 1, 1),
     ("ctuple", "ctuple 1.5\n", "tuple size must be an integer", 1, 8),
+    ("ctuple", "ctuple t\n", "tuple size must be an integer", 1, 8),
     ("ctuple", "# c\nctuple 0\n", "tuple size must be positive", 2, 1),
-    ("ctuple", "ctuple 1\ncmatrix 1 x\n", "matrix dimensions must be integers", 2, 9),
+    ("ctuple", "ctuple 1\ncmatrix 1 x\n", "matrix dimensions must be integers", 2, 11),
     ("ctuple", "ctuple 2\ncmatrix 1 1\n1+0i\n", "expected 'cmatrix <rows> <cols>' header, found end of input", None, None),
     ("bipoly", "", "expected 'bipoly <n>' header, found end of input", None, None),
     ("bipoly", "poly 1\n", "expected 'bipoly <n>' header", 1, 1),
     ("bipoly", "bipoly\n", "expected 'bipoly <n>' header", 1, 1),
     ("bipoly", "  bipoly 1.0\n", "degree bound must be an integer", 1, 10),
     ("bipoly", "# c\n\nbipoly 2e0\n", "degree bound must be an integer", 3, 8),
+    ("bipoly", "bipoly b\n", "degree bound must be an integer", 1, 8),
     ("bipoly", "bipoly -1\n", "degree bound must be nonnegative", 1, 1),
     ("lines", "", "expected 'lines <count>' header, found end of input", None, None),
     ("lines", "line 0\n", "expected 'lines <count>' header", 1, 1),
     ("lines", "lines 1 1\n", "expected 'lines <count>' header", 1, 1),
     ("lines", "lines x\n", "line count must be an integer", 1, 7),
+    ("lines", "lines s\n", "line count must be an integer", 1, 7),
     ("lines", "# c\nlines -1\n", "line count must be nonnegative", 2, 1),
     ("lines", "lines -1\n1 0 0 0 1\n", "line count must be nonnegative", 1, 1),
     ("lines", "lines 2\n1 0 0 0 1\n", "expected 2 line rows, found 1", 1, 1),
@@ -536,6 +543,23 @@ def test_header_errors_of_the_four_formats(form, text, message, line, col):
     assert (info.value.line, info.value.col) == (line, col)
     where = "" if line is None else f" (line {line}, col {col})"
     assert str(info.value) == message + where
+
+
+@pytest.mark.parametrize(
+    "form, text, message, line, col",
+    [
+        ("cmatrix", "cmatrix 1 2\n1+0i 1+0\n", "bad complex literal '1+0'", 2, 6),
+        ("cmatrix", "cmatrix 1 1\n1e400+0i\n", "matrix entries must be finite", 2, 1),
+        ("cmatrix", "cmatrix 2 2\n1+0i 0+0i\n0+0i  1-1e999i\n", "matrix entries must be finite", 3, 7),
+        ("ctuple", "ctuple 1\n# c\ncmatrix 1 1\n  -1e309-0i\n", "matrix entries must be finite", 4, 3),
+    ],
+)
+def test_matrix_literals_are_refused_at_their_column(form, text, message, line, col):
+    # '1+0' also starts the row's first literal; 1e400 and 1e309 overflow
+    with pytest.raises(ParseError) as info:
+        _PARSERS[form](text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"{message} (line {line}, col {col})"
 
 
 def test_header_fields_of_valid_texts():

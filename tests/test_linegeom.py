@@ -220,6 +220,22 @@ def test_bottleneck_matches_brute_force(seed):
             assert linegeom._bottleneck(cost) == _brute_bottleneck(cost)
 
 
+def _brute_perfect_matching(adj):
+    n = adj.shape[0]
+    return any(all(adj[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_has_perfect_matching_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 8):
+        for density in (0.15, 0.3, 0.5, 0.7, 0.95):
+            adj = rng.random((n, n)) < density
+            assert linegeom._has_perfect_matching(adj) == _brute_perfect_matching(adj)
+    assert linegeom._has_perfect_matching(np.eye(7, dtype=bool)[::-1])
+    assert not linegeom._has_perfect_matching(np.ones((7, 7), dtype=bool) & (np.arange(7) < 6))
+
+
 def test_scale_covariance():
     pairs = [(0.8, -1.1, 1), (1.5j, 0.6, 1)]
     p = _poly_from_lines(pairs)
@@ -505,6 +521,14 @@ def test_arrangement_roundtrip():
 def test_arrangement_parse_errors(text):
     with pytest.raises(ParseError):
         linegeom.parse_arrangement(text)
+
+
+@pytest.mark.parametrize("row", ["nan 0 inf 0 1", "1 0 -inf 0 1", "1 nan 0 0 2", "1e400 0 0 0 1"])
+def test_arrangement_refuses_nonfinite_coefficients(row):
+    with pytest.raises(ParseError) as info:
+        linegeom.parse_arrangement(f"# c\nlines 1\n{row}\n")
+    assert (info.value.line, info.value.col) == (3, 1)
+    assert str(info.value) == "line coefficients must be finite (line 3, col 1)"
 
 
 def test_factor_lines_from_interpolated_pair():

@@ -262,7 +262,7 @@ FORMAT_CASES = {
         "cmatrix 0 2\n", "cmatrix 2 -1\n", "cmatrix -0 1\n", "\n  cmatrix -3 -3\n",
         "cmatrix 2 2\n1+0i\n", "cmatrix 2 2\n1+0i 0+0i\n", "cmatrix 2 2\n1+0i 0+0i\n0+0i bogus\n",
         "cmatrix 1 1\n1+0i\nextra\n", "cmatrix 2 1\n1+0i\n2+0i\n", "cmatrix 1 1\n1e400+0i\n",
-        "cmatrix 1 1\n1+0i 1\n", "cmatrix 1 1\n  -0-0i\n",
+        "cmatrix 1 1\n1+0i 1\n", "cmatrix 1 1\n  -0-0i\n", "cmatrix 1 2\n1+0i 1+0\n",
     ],
     "ctuple": [
         "", "tuple 1\n", "cmatrix 1 1\n1+0i\n", "ctuple\n", "ctuple 1 1\n", "ctuple x\n", "ctuple t\n",
@@ -281,7 +281,7 @@ FORMAT_CASES = {
         "", "line 0\n", "bipoly 0\n", "lines\n", "lines 1 1\n", "lines x\n", "lines s\n", "  lines 1.0\n",
         "# c\n\nlines 2e0\n", "lines -1\n", "lines -1\n1 0 0 0 1\n", "lines 0\n",
         "lines 2\n1 0 0 0 1\n", "lines 1\n1 0 0 0\n", "lines 1\n1 0 0 x 1\n", "lines 1\n1 0 0 0 0\n",
-        "lines 1\n1 0 0 0 -1\n", "lines 1\n1 0 0 0 1.5\n", "lines 1\n-0 -0 1 2 3\n",
+        "lines 1\n1 0 0 0 -1\n", "lines 1\n1 0 0 0 1.5\n", "lines 1\n-0 -0 1 2 3\n", "lines 1\nnan 0 inf 0 1\n",
     ],
 }
 
