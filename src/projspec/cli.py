@@ -72,7 +72,7 @@ def _text(out) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_eig(args):
+def _cmd_eig(args) -> tuple[str, int]:
     dec = core.eig_normal(args.matrix, tol=_tolerances(args))
     out = [f"eigenvalues {dec.values.size}"]
     out.extend(core.emit_complex(v) for v in dec.values)
@@ -81,11 +81,11 @@ def _cmd_eig(args):
     return _text(out), 0
 
 
-def _cmd_detpoly(args):
+def _cmd_detpoly(args) -> tuple[str, int]:
     return detpoly.emit_bipoly(detpoly.char_poly_pair(args.matrix_a, args.matrix_b)), 0
 
 
-def _cmd_lines(args):
+def _cmd_lines(args) -> tuple[str, int]:
     verdict = linegeom.factor_lines(args.poly, seed=args.seed, tol=_tolerances(args))
     if verdict.is_lines:
         text = linegeom.emit_arrangement(verdict.arrangement)
@@ -100,7 +100,7 @@ def _cmd_lines(args):
     return _text(out), 1
 
 
-def _cmd_agmon(args):
+def _cmd_agmon(args) -> tuple[str, int]:
     dec = core.eig_normal(args.matrix, tol=_tolerances(args))
     wit = agmon_mod.strong_agmon_check(dec.values)
     if wit is None:
@@ -115,7 +115,7 @@ def _cmd_agmon(args):
     return _text(out), 0
 
 
-def _cmd_escape(args):
+def _cmd_escape(args) -> tuple[str, int]:
     if args.ladder is not None:
         if args.matrix is not None:
             raise ValueError("escape --ladder reads no matrix")
@@ -131,7 +131,7 @@ def _cmd_escape(args):
     return agmon_mod.emit_profile_csv(profile), 0
 
 
-def _cmd_example(args):
+def _cmd_example(args) -> tuple[str, int]:
     return core.emit_matrix(agmon_mod.example_operator(args.level)), 0
 
 
@@ -139,7 +139,7 @@ def _contour(args) -> riesz.Contour:
     return riesz.Contour(_cli_complex(args.center), args.radius, args.nodes)
 
 
-def _cmd_riesz(args):
+def _cmd_riesz(args) -> tuple[str, int]:
     res = riesz.riesz_projection(args.matrix, _contour(args))
     out = [
         f"# idempotency_residual={res.idempotency_residual:.17g}",
@@ -150,7 +150,7 @@ def _cmd_riesz(args):
     return _text(out), 0
 
 
-def _cmd_perturb(args):
+def _cmd_perturb(args) -> tuple[str, int]:
     eps_list = [float(t) for t in args.eps_list.split(",") if t.strip()]
     lam, mu = _cli_complex(args.lam), _cli_complex(args.mu)
     report = riesz.perturbation_check(args.matrix_a, args.matrix_b, lam, mu, _contour(args), eps_list)
@@ -158,7 +158,7 @@ def _cmd_perturb(args):
     return riesz.emit_slope_csv(report), 0 if passed else 1
 
 
-def _cmd_lemma34(args):
+def _cmd_lemma34(args) -> tuple[str, int]:
     zs = None
     if args.zs:
         zs = [_cli_complex(t) for t in args.zs.split(",") if t.strip()]
@@ -172,7 +172,7 @@ def _cmd_lemma34(args):
     return _text(out), 0
 
 
-def _cmd_commute(args):
+def _cmd_commute(args) -> tuple[str, int]:
     report = commute_mod.equivalence_check(args.matrix_a, args.matrix_b, seed=args.seed, tol=_tolerances(args))
     text = commute_mod.format_report(report)
     if report.indeterminate is not None or not report.consistent:
@@ -180,7 +180,7 @@ def _cmd_commute(args):
     return text, 0 if report.commute else 1
 
 
-def _cmd_tuple(args):
+def _cmd_tuple(args) -> tuple[str, int]:
     mats = args.tuple
     report = commute_mod.tuple_test(mats, seed=args.seed, tol=_tolerances(args))
     out = [f"members={len(mats)}", f"commute={'true' if report.commute else 'false'}"]
@@ -252,7 +252,7 @@ def _svg_scatter(rows, wmin: float, wmax: float) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot_slice(args):
+def _cmd_plot_slice(args) -> tuple[str, int]:
     rows = plot_slice(args.poly, args.wmin, args.wmax, args.samples)
     if args.svg:
         Path(args.svg).write_text(_svg_scatter(rows, args.wmin, args.wmax))
