@@ -201,12 +201,15 @@ def _monic_reversed_roots(slice_coeffs, d: int) -> np.ndarray:
     For a slice q(t) = prod(1 + s_i t) of total-degree budget d, returns the
     multiset {s_i} padded with exact zeros for the degree deficit: reversing
     q at length (effective degree + 1) is monic because the constant term is
-    1, so companion roots need no leading-coefficient guesswork. That term
-    keeps some coefficient above dust, since factor_lines admits only
-    |p(0,0) - 1| <= _C00_TOL.
+    1, so companion roots need no leading-coefficient guesswork. A slice
+    with an infinite coefficient makes every entry dust against it and is
+    refused as DegenerateInput.
     """
     s = np.asarray(slice_coeffs, dtype=np.complex128)[: d + 1]
-    k = int(np.flatnonzero(above_dust(s))[-1])
+    keep = np.flatnonzero(above_dust(s))
+    if keep.size == 0:
+        raise DegenerateInput("slice polynomial is identically zero")
+    k = int(keep[-1])
     if k == 0:
         return np.zeros(d, dtype=np.complex128)
     y = _companion_roots(s[: k + 1][::-1])
@@ -752,21 +755,29 @@ def _has_perfect_matching(adj: np.ndarray) -> bool:
 
     Kuhn's augmenting paths: each row in turn takes a column that is free
     or whose row can move, depth first, to another column not yet seen in
-    that search. A search that fails leaves that row unmatched.
+    that search. The search keeps an explicit stack of (row, its column
+    iterator, the column it holds) so deep paths need no recursion; a free
+    column hands each row on the stack the column above it. A search that
+    fails leaves that row unmatched.
     """
     cols_of = [np.flatnonzero(row).tolist() for row in adj]
     row_of = [-1] * len(cols_of)
-
-    def augment(row, seen):
-        for col in cols_of[row]:
-            if col not in seen:
+    for start in range(len(cols_of)):
+        seen, stack = set(), [(start, iter(cols_of[start]), -1)]
+        while stack:
+            col = next((c for c in stack[-1][1] if c not in seen), None)
+            if col is None:
+                stack.pop()
+            elif row_of[col] < 0:
+                for row, _, held in reversed(stack):
+                    row_of[col], col = row, held
+                break
+            else:
                 seen.add(col)
-                if row_of[col] < 0 or augment(row_of[col], seen):
-                    row_of[col] = row
-                    return True
-        return False
-
-    return all(augment(row, set()) for row in range(len(cols_of)))
+                stack.append((row_of[col], iter(cols_of[row_of[col]]), col))
+        if not stack:
+            return False
+    return True
 
 
 def _bottleneck(cost: np.ndarray) -> float:

@@ -71,6 +71,11 @@ STRADDLE_BASE = np.array([1 + 2j, 1 + 2j, -3 + 0.5j, 2 - 1j])
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# a bipoly with finite coefficients whose ray slice overflows: its degree-1
+# term 1.7e308 * (1 + g) is inf for most phases g (for factor_lines' seed 0
+# among them), and then every entry, the constant 1 included, is dust
+OVERFLOWING_RAY = "bipoly 1\n0 0 1 0\n1 0 1.7e308 0\n0 1 1.7e308 0\n"
+
 
 def inconsistent_report(a, b, *args, **kwargs):
     """Stand-in for commute.equivalence_check and for its check of an admitted

@@ -11,6 +11,7 @@ import pytest
 from projspec import agmon, cli, commute, core, detpoly, linegeom, riesz
 
 from helpers import (
+    OVERFLOWING_RAY,
     PAULI_X,
     PAULI_Z,
     commuting_pair,
@@ -394,6 +395,16 @@ def test_escape_ladder_refuses_a_matrix(tmp_path, capsys):
     code, text = _run(tmp_path, "escape", str(bad), "--ladder", "2")
     assert (code, text) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lines_with_an_overflowing_ray_slice_exits_2(tmp_path, capsys):
+    f = tmp_path / "ovf.bipoly"
+    f.write_text(OVERFLOWING_RAY)
+    with np.errstate(over="ignore"):
+        assert cli.main(["lines", str(f), "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: slice polynomial is identically zero\n"
 
 
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from projspec.errors import DegenerateInput, NumericalAmbiguity, ParseError
 from projspec.linegeom import Line, LineArrangement
 
 from helpers import (
+    OVERFLOWING_RAY,
     PAULI_X,
     PAULI_Z,
     commuting_pair,
@@ -236,6 +237,19 @@ def test_has_perfect_matching_matches_brute_force(seed):
     assert not linegeom._has_perfect_matching(np.ones((7, 7), dtype=bool) & (np.arange(7) < 6))
 
 
+def test_has_perfect_matching_follows_a_path_through_every_row():
+    # rows i < n-1 see columns {i, i+1}, the last row only column 0: the last
+    # row's search moves every earlier row one column along, a path of depth n
+    n = 1200
+    adj = np.zeros((n, n), dtype=bool)
+    rows = np.arange(n - 1)
+    adj[rows, rows] = adj[rows, rows + 1] = True
+    adj[n - 1, 0] = True
+    assert linegeom._has_perfect_matching(adj)
+    adj[n - 2, n - 1] = False
+    assert not linegeom._has_perfect_matching(adj)
+
+
 def test_scale_covariance():
     pairs = [(0.8, -1.1, 1), (1.5j, 0.6, 1)]
     p = _poly_from_lines(pairs)
@@ -250,6 +264,13 @@ def test_degenerate_input():
     c[1, 0] = 1.0
     with pytest.raises(DegenerateInput):
         linegeom.factor_lines(detpoly.BivarPoly(1, c))
+
+
+def test_degenerate_input_when_a_ray_slice_overflows():
+    p = detpoly.parse_bipoly(OVERFLOWING_RAY)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateInput, match="identically zero"):
+            linegeom.factor_lines(p, seed=0)
 
 
 def test_numerical_ambiguity_when_witness_unreachable(monkeypatch):
