@@ -765,16 +765,18 @@ def _has_perfect_matching(adj: np.ndarray) -> bool:
     for start in range(len(cols_of)):
         seen, stack = set(), [(start, iter(cols_of[start]), -1)]
         while stack:
-            col = next((c for c in stack[-1][1] if c not in seen), None)
-            if col is None:
+            for col in stack[-1][1]:
+                if col not in seen:
+                    break
+            else:
                 stack.pop()
-            elif row_of[col] < 0:
+                continue
+            if row_of[col] < 0:
                 for row, _, held in reversed(stack):
                     row_of[col], col = row, held
                 break
-            else:
-                seen.add(col)
-                stack.append((row_of[col], iter(cols_of[row_of[col]]), col))
+            seen.add(col)
+            stack.append((row_of[col], iter(cols_of[row_of[col]]), col))
         if not stack:
             return False
     return True
