@@ -28,6 +28,7 @@ when it lies on the matrices' own curve.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -97,10 +98,18 @@ _GAUSS_NEWTON_STEPS = 3
 
 @dataclass(frozen=True)
 class Line:
-    """The affine complex line {1 + lam*z + mu*w = 0}; (lam, mu) != (0, 0)."""
+    """The affine complex line {1 + lam*z + mu*w = 0}; (lam, mu) != (0, 0).
+
+    Non-finite coefficients raise ValueError, as in BivarPoly, so that
+    emit_arrangement writes only rows that parse_arrangement reads back.
+    """
 
     lam: complex
     mu: complex
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.lam) and cmath.isfinite(self.mu)):
+            raise ValueError("line coefficients must be finite")
 
 
 @dataclass
@@ -423,7 +432,8 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     """Decide union-of-lines structure for the zero set of p.
 
     Affirmative verdicts always pass the reconstruction check (expanded
-    product within tol.recon * ||coeffs|| of p). When the axis-slice values
+    product within tol.recon * ||coeffs|| of p); a bound that is not finite,
+    ||coeffs|| having overflowed, raises NumericalAmbiguity. When the axis-slice values
     lams and mus do not pair up, the witness is the first point of
     _ray_witnesses, on the two rays' slice roots with norms
     (||lams||_2, ||mus||_2) (||A||_F and ||B||_F for the polynomial of a
@@ -451,11 +461,14 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
         lines.sort(
             key=lambda t: (t[0].lam.real, t[0].lam.imag, t[0].mu.real, t[0].mu.imag)
         )
-        if err <= tol.recon * norm_c:
+        bound = tol.recon * norm_c
+        if not math.isfinite(bound):
+            # ||coeffs|| overflowed: no residual can be measured against it
+            raise NumericalAmbiguity(f"reconstruction bound {bound:.3e} is not finite")
+        if err <= bound:
             return LineVerdict(True, LineArrangement(lines, deficit))
         raise NumericalAmbiguity(
-            f"pairing succeeded but reconstruction residual {err:.3e} exceeds "
-            f"{tol.recon * norm_c:.3e}"
+            f"pairing succeeded but reconstruction residual {err:.3e} exceeds {bound:.3e}"
         )
     norms = (np.linalg.norm(lams), np.linalg.norm(mus))
     for z, w in _ray_witnesses(lams, mus, zip(gammas, ray_roots), norms, tol):

@@ -11,11 +11,25 @@ CONTOUR_MARGIN * radius of the circle: one LAPACK eigvals of A and the
 computed eigenvalues' distances to the circle. For strongly non-normal A the
 computed eigenvalues carry an error of about machine epsilon * ||A|| * their
 condition number, so the integer-trace check on the finished projection
-remains the backstop. The solves at all nodes of a contour are then one
-batched LAPACK solve, summed over the nodes by one tensordot. A projection
-solves against the identity; each perturbed contour of perturbation_check
-solves against only the r rows of P0 its residual reads, r being P0's
-certified rank.
+remains the backstop.
+
+The N-node trapezoid sum then takes one of two routes, chosen by the input.
+For a normal A, core.eig_normal (at the default Tolerances, so that no
+PROJSPEC_TOL setting reaches this module) gives U with U*AU = diag(d) + E,
+E the off-diagonal residual. With g_ji = 1/(u_j - d_i) and the weights
+w_j = (r/N) e^{2 pi i j/N}, the resolvent (u_j - U*AU)^{-1} is
+G_j + G_j E G_j to first order in E, G_j = diag(g_j), so
+P = U (diag(f) + F o E) U* with f_i = sum_j w_j g_ji and
+F_ik = sum_j w_j g_ji g_jk, and the first-order term is
+U (F o C + sum_m (E_im C_mk + C_im E_mk) H_imk) U*, C = U*BU and
+H_imk = sum_j w_j g_ji g_jm g_jk: no solve at any node. The route is taken
+only when max|g| ||E||_F <= sqrt(unit roundoff), where the Neumann terms it
+drops are below rounding relative to those it keeps. Otherwise, and when
+eig_normal refuses A, the solves at all nodes of a contour are one batched
+LAPACK solve, summed over the nodes by one tensordot. A projection solves
+against the identity; each perturbed contour of perturbation_check solves
+against only the r rows of P0 its residual reads, r being P0's certified
+rank, since A + eps B is not normal.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from .errors import (
     EigenvalueOnContour,
     LineNotInSpectrum,
     NoConvergence,
+    NotNormal,
     SingularResolvent,
 )
 
@@ -46,6 +61,10 @@ _LINE_PROBE_COUNT = 5
 _LINE_PROBE_TOL = 1e-8
 
 _LEMMA34_RESID_TOL = 1e-6
+
+# The eigenbasis route's bound on max|g| ||E||_F: the Neumann terms it drops
+# are (max|g| ||E||_F)^2 relative to those it keeps, below the unit roundoff.
+_NEUMANN_BOUND = float(np.sqrt(np.finfo(np.float64).eps / 2))
 
 
 @dataclass(frozen=True)
@@ -106,12 +125,17 @@ def _check_margin(a: np.ndarray, c: Contour) -> None:
         )
 
 
+def _nodes(c: Contour):
+    """The quadrature phases e^{2 pi i j/N} and nodes u_j = center + radius * phase."""
+    phases = np.exp(2j * np.pi * np.arange(c.nodes) / c.nodes)
+    return phases, c.center + c.radius * phases
+
+
 def _solve_nodes(a: np.ndarray, c: Contour, rhs: np.ndarray):
     """Quadrature phases and the (nodes, n, k) stack (u_j I - A)^{-1} rhs
     for an (n, k) right-hand side, one batched solve over all nodes."""
     n = a.shape[0]
-    phases = np.exp(2j * np.pi * np.arange(c.nodes) / c.nodes)
-    us = c.center + c.radius * phases
+    phases, us = _nodes(c)
     # -A at every node, with u_j added along node j's diagonal
     shifted = np.broadcast_to(-a, (c.nodes, n, n)).copy()
     shifted.reshape(c.nodes, n * n)[:, :: n + 1] += us[:, None]
@@ -141,6 +165,46 @@ def _combine(phases: np.ndarray, terms, c: Contour) -> np.ndarray:
     return (c.radius / c.nodes) * np.tensordot(phases, terms, axes=1)
 
 
+def _eigenbasis(a: np.ndarray, c: Contour):
+    """(U, E, g, wg) of the eigenbasis route, or None when it does not apply.
+
+    U is core.eig_normal's unitary at the default Tolerances, E the
+    off-diagonal part of U*AU with diagonal d, g the (nodes, n) table
+    g_ji = 1/(u_j - d_i) and wg_ji = w_j g_ji with _combine's weights
+    w_j = (r/N) e^{2 pi i j/N}. None when eig_normal refuses A (NotNormal,
+    NoConvergence) or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included.
+    """
+    try:
+        u = core.eig_normal(a, tol=core.Tolerances()).unitary
+    except (NotNormal, NoConvergence):
+        return None
+    e = u.conj().T @ (a @ u)
+    d = e.diagonal().copy()
+    np.fill_diagonal(e, 0.0)
+    phases, us = _nodes(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = 1.0 / (us[:, None] - d)
+        size = np.abs(g).max() * np.linalg.norm(e)
+    if not (size <= _NEUMANN_BOUND):
+        return None
+    return u, e, g, (c.radius / c.nodes) * phases[:, None] * g
+
+
+def _projection(a: np.ndarray, c: Contour) -> np.ndarray:
+    """The quadrature projection: U (diag(f) + F o E) U* on the eigenbasis
+    route, f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk; otherwise
+    _combine of the solved resolvents."""
+    basis = _eigenbasis(a, c)
+    if basis is None:
+        phases, resolvents = _resolvent_nodes(a, c)
+        return _combine(phases, resolvents, c)
+    u, e, g, wg = basis
+    m = (wg.T @ g) * e
+    # E's diagonal is zero
+    np.fill_diagonal(m, wg.sum(axis=0))
+    return u @ m @ u.conj().T
+
+
 def _certified_rank(p: np.ndarray) -> int:
     """The rank of a quadrature projection: its trace, which must lie within
     _TRACE_TOL of an integer."""
@@ -164,17 +228,35 @@ def riesz_projection(a, c: Contour) -> RieszResult:
     """Trapezoid quadrature of the spectral projection onto the enclosed part."""
     a = core.as_cmatrix(a)
     _check_margin(a, c)
-    phases, resolvents = _resolvent_nodes(a, c)
-    p = _combine(phases, resolvents, c)
-    return _finish_projection(a, p)
+    return _finish_projection(a, _projection(a, c))
 
 
 def first_order_term(a, b, c: Contour) -> np.ndarray:
-    """Quadrature of (1/2 pi i) integral (uI-A)^{-1} B (uI-A)^{-1} du."""
+    """Quadrature of (1/2 pi i) integral (uI-A)^{-1} B (uI-A)^{-1} du.
+
+    On the eigenbasis route it is U (F o C + sum_m (E_im C_mk + C_im E_mk)
+    H_imk) U*, C = U*BU and H_imk = sum_j w_j g_ji g_jm g_jk, with H built
+    at most `nodes` rows i at a time, so that no temporary is larger than
+    the (nodes, n, n) resolvent stack of the solve route.
+    """
     a, b = core.as_cmatrices(a, b)
     _check_margin(a, c)
-    phases, resolvents = _resolvent_nodes(a, c)
-    return _combine(phases, resolvents @ b @ resolvents, c)
+    basis = _eigenbasis(a, c)
+    if basis is None:
+        phases, resolvents = _resolvent_nodes(a, c)
+        return _combine(phases, resolvents @ b @ resolvents, c)
+    u, e, g, wg = basis
+    uh = u.conj().T
+    cb = uh @ b @ u
+    s = (wg.T @ g) * cb
+    nodes, n = g.shape
+    # gg[j, m * n + k] = g_jm g_jk
+    gg = (g[:, :, None] * g[:, None, :]).reshape(nodes, n * n)
+    for lo in range(0, n, nodes):
+        rows = slice(lo, lo + nodes)
+        h = (wg[:, rows].T @ gg).reshape(-1, n, n)
+        s[rows] += np.einsum("im,imk,mk->ik", e[rows], h, cb) + np.einsum("im,imk,mk->ik", cb[rows], h, e)
+    return u @ s @ uh
 
 
 def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationReport:
@@ -199,8 +281,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     if eps_arr.size == 0 or np.any(eps_arr <= 0):
         raise ValueError("eps_list must contain positive reals")
     _check_margin(a, c)
-    phases, resolvents = _resolvent_nodes(a, c)
-    p0 = _combine(phases, resolvents, c)
+    p0 = _projection(a, c)
     rank = _certified_rank(p0)
     _, svals, vh = np.linalg.svd(p0)
     scale = svals[:rank, None]

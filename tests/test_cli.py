@@ -407,6 +407,17 @@ def test_lines_with_an_overflowing_ray_slice_exits_2(tmp_path, capsys):
     assert captured.err == "error: slice polynomial is identically zero\n"
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_lines_with_an_overflowing_ray_exits_2_at_every_seed(tmp_path, capsys, seed):
+    f = tmp_path / "ovf.bipoly"
+    f.write_text(OVERFLOWING_RAY)
+    with np.errstate(over="ignore"):
+        assert cli.main(["lines", str(f), "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "out.txt"
     assert cli.main(["example", "--level", "1", "-o", str(out)]) == 2

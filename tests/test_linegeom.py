@@ -552,6 +552,30 @@ def test_arrangement_refuses_nonfinite_coefficients(row):
     assert str(info.value) == "line coefficients must be finite (line 3, col 1)"
 
 
+@pytest.mark.parametrize(
+    "lam, mu",
+    [(math.nan, 0), (1, math.inf), (complex(1, -math.inf), 2), (complex(math.nan, 0), complex(0, math.nan))],
+)
+def test_line_refuses_nonfinite_coefficients(lam, mu):
+    # so emit_arrangement never writes a row that parse_arrangement refuses
+    with pytest.raises(ValueError, match="^line coefficients must be finite$"):
+        Line(complex(lam), complex(mu))
+    line = Line(complex(1e308, -2.5), complex(-0.0, 5e-324))
+    text = linegeom.emit_arrangement(LineArrangement([(line, 2)]))
+    assert linegeom.parse_arrangement(text).lines == [(line, 2)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_overflowing_ray_is_refused_at_every_seed(seed):
+    # ||coeffs|| overflows to inf, so no reconstruction residual can be
+    # certified against tol.recon * ||coeffs||; at seed 6 the ray slice
+    # does not overflow and the pairing succeeds
+    p = detpoly.parse_bipoly(OVERFLOWING_RAY)
+    with np.errstate(over="ignore"):
+        with pytest.raises((DegenerateInput, NumericalAmbiguity)):
+            linegeom.factor_lines(p, seed=seed)
+
+
 def test_factor_lines_from_interpolated_pair():
     # full pipeline: commuting normal matrices -> char poly -> lines
     from helpers import random_unitary

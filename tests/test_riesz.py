@@ -7,6 +7,7 @@ from projspec.errors import (
     EigenvalueOnContour,
     LineNotInSpectrum,
     NoConvergence,
+    NotNormal,
     SingularResolvent,
 )
 from projspec.riesz import Contour
@@ -225,15 +226,158 @@ def test_batched_resolvents_bit_identical_to_node_loop(monkeypatch, n, normal):
     assert got == run()
 
 
+def _assert_near(got, want):
+    """got within 1e-13 (1 + ||want||_F) of want in the Frobenius norm."""
+    assert np.linalg.norm(got - want) <= 1e-13 * (1.0 + np.linalg.norm(want))
+
+
 @pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
 @pytest.mark.parametrize("n", [1, 2, 8, 24, 48])
 def test_first_order_term_bit_identical_to_node_products(n, normal):
-    # one batched product over the resolvent stack, against one r @ b @ r
-    # per quadrature node
+    # a non-normal A: one batched product over the resolvent stack, bit for
+    # bit against one r @ b @ r per quadrature node. A normal A (every 1 x 1
+    # matrix is one) takes the eigenbasis route, which forms no resolvent:
+    # it matches the node products to rounding.
     a, b, c, _ = _bit_case(n, normal)
     phases, resolvents = riesz._resolvent_nodes(a, c)
     want = riesz._combine(phases, [r @ b @ r for r in resolvents], c)
+    got = riesz.first_order_term(a, b, c)
+    if normal or n == 1:
+        _assert_near(got, want)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 33, 48])
+def test_normal_projection_matches_the_solved_resolvents(n):
+    a, b, c, _ = _bit_case(n, True)
+    assert riesz._eigenbasis(a, c) is not None
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    _assert_near(riesz.riesz_projection(a, c).projection, riesz._combine(phases, resolvents, c))
+
+
+def test_eigenbasis_route_builds_h_in_row_chunks():
+    # n = 100 > 16 nodes: H_imk is built 16 rows i at a time
+    rng = np.random.default_rng(2500)
+    n = 100
+    vals = np.concatenate([[0.02], rng.uniform(0.5, 1.5, n - 1) * np.exp(2j * np.pi * rng.uniform(0, 1, n - 1))])
+    a = random_normal(rng, n, vals=vals)
+    b = random_normal(rng, n)
+    c = Contour(0.0, 0.05, nodes=16)
+    assert riesz._eigenbasis(a, c) is not None
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    r = riesz.riesz_projection(a, c)
+    assert r.rank_estimate == 1
+    _assert_near(r.projection, riesz._combine(phases, resolvents, c))
+    _assert_near(riesz.first_order_term(a, b, c), riesz._combine(phases, resolvents @ b @ resolvents, c))
+
+
+def _record_solves(monkeypatch):
+    real = np.linalg.solve
+    shapes = []
+
+    def recording(m, rhs):
+        shapes.append(np.shape(rhs))
+        return real(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_normal_contours_invert_no_node(monkeypatch, n):
+    a, b, c, lam = _bit_case(n, True)
+    shapes = _record_solves(monkeypatch)
+    riesz.riesz_projection(a, c)
+    riesz.first_order_term(a, b, c)
+    assert shapes == []
+    riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3])
+    # only the two eps contours, against P0's one row
+    assert shapes == [(c.nodes, n, 1)] * 2
+
+
+def _gate_case():
+    """(a, b, contour, lam): a = U (D + delta N) U*, N strictly upper
+    triangular, which eig_normal admits at the default tolerances while
+    max|g| ||E||_F exceeds the eigenbasis route's bound."""
+    rng = np.random.default_rng(2501)
+    n = 8
+    vals = separated_vals(rng, n, sep=0.3)
+    u = random_unitary(rng, n)
+    strict = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    a = u @ (np.diag(vals) + 1e-9 * strict) @ u.conj().T
+    lam = complex(vals[0])
+    return a, random_normal(rng, n), Contour(lam, float(0.45 * np.abs(vals[1:] - lam).min())), lam
+
+
+def test_gate_failure_takes_the_solve_route_bit_for_bit(monkeypatch):
+    a, b, c, lam = _gate_case()
+    riesz.core.eig_normal(a, tol=riesz.core.Tolerances())
+    assert riesz.core.normality_defect(a) <= 1e-8 * np.linalg.norm(a)
+    assert riesz._eigenbasis(a, c) is None
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    assert riesz.riesz_projection(a, c).projection.tobytes() == riesz._combine(phases, resolvents, c).tobytes()
+    want = riesz._combine(phases, resolvents @ b @ resolvents, c)
     assert riesz.first_order_term(a, b, c).tobytes() == want.tobytes()
+    got = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
+    monkeypatch.setattr(riesz, "_eigenbasis", lambda a, c: None)
+    want = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
+    assert (got.residuals.tobytes(), got.slope, got.exact) == (want.residuals.tobytes(), want.slope, want.exact)
+
+
+def _near_normal_case():
+    """(a, b, contour, lam): the eigenbasis route takes a, whose normality
+    defect lies between 1e-10 and 1e-8 times ||a||_F."""
+    rng = np.random.default_rng(2502)
+    n = 6
+    vals = separated_vals(rng, n, sep=0.3)
+    u = random_unitary(rng, n)
+    strict = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    a = u @ (np.diag(vals) + 1e-10 * strict) @ u.conj().T
+    lam = complex(vals[0])
+    return a, random_normal(rng, n), Contour(lam, 0.45 * float(np.abs(vals[1:] - lam).min())), lam
+
+
+def test_near_normal_input_keeps_the_terms_first_order_in_e():
+    # ||E||_F is about 1e-9 here, so the F o E and H terms are far above the
+    # 1e-13 bound, and the dropped second-order ones far below it
+    a, b, c, _ = _near_normal_case()
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    _assert_near(riesz.riesz_projection(a, c).projection, riesz._combine(phases, resolvents, c))
+    _assert_near(riesz.first_order_term(a, b, c), riesz._combine(phases, resolvents @ b @ resolvents, c))
+
+
+@pytest.mark.parametrize("case", [_near_normal_case, _gate_case, lambda: _bit_case(13, True)], ids=["near-normal", "gate", "normal"])
+def test_projspec_tol_does_not_reach_the_quadrature(monkeypatch, case):
+    a, b, c, lam = case()
+
+    def run():
+        r = riesz.riesz_projection(a, c)
+        rep = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
+        return (
+            r.projection.tobytes(),
+            riesz.first_order_term(a, b, c).tobytes(),
+            rep.residuals.tobytes(),
+            rep.slope,
+            rep.exact,
+        )
+
+    monkeypatch.delenv("PROJSPEC_TOL", raising=False)
+    want = run()
+    for base in ("1e-10", "1e-6"):
+        monkeypatch.setenv("PROJSPEC_TOL", base)
+        assert run() == want
+
+
+def test_near_normal_case_is_refused_at_a_tighter_base():
+    # the input above on which a PROJSPEC_TOL reaching eig_normal would
+    # change the route
+    a, _, c, _ = _near_normal_case()
+    defect = riesz.core.normality_defect(a) / np.linalg.norm(a)
+    assert 1e-10 < defect < 1e-8
+    assert riesz._eigenbasis(a, c) is not None
+    with pytest.raises(NotNormal):
+        riesz.core.eig_normal(a, tol=riesz.core.Tolerances.from_base(1e-10))
 
 
 def _assert_matches_reference(a, b, lam, mu, c, eps_list):
@@ -309,17 +453,20 @@ def test_each_eps_contour_solves_rank_many_columns(monkeypatch, size):
     else:
         a, b = random_normal(rng, n), random_normal(rng, n)
         c, lam, mu = Contour(10.0, 1.0), 10.0, 0.0
-    real = np.linalg.solve
-    shapes = []
+    shapes = _record_solves(monkeypatch)
+    riesz.perturbation_check(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
+    # P0 of a normal A comes from its eigenbasis; each eps contour solves r columns
+    assert shapes == [(c.nodes, n, size)] * 3
 
-    def recording(m, rhs):
-        shapes.append(np.shape(rhs))
-        return real(m, rhs)
 
-    monkeypatch.setattr(np.linalg, "solve", recording)
+def test_nonnormal_p0_contour_inverts_every_node(monkeypatch):
+    rng = np.random.default_rng(32)
+    n = 16
+    a, b, c, lam, mu = _cluster_case(rng, n, 2, False)
+    shapes = _record_solves(monkeypatch)
     riesz.perturbation_check(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
     # P0's contour inverts every node; each eps contour solves r columns
-    assert shapes == [(c.nodes, n, n)] + [(c.nodes, n, size)] * 3
+    assert shapes == [(c.nodes, n, n)] + [(c.nodes, n, 2)] * 3
 
 
 def test_perturbation_non_integer_trace_raises(monkeypatch):

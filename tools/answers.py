@@ -26,6 +26,10 @@ environment. Families:
   large       perfbench `large` rounds 0-3 at seed 1 (pairs and triples)
   spectral    eig_normal and the agmon results of perfbench `spectral`
               agmon operations, rounds 0-14 at seed 3
+  riesz       the riesz_projection, first_order_term, perturbation_check and
+              lemma34_solver operations of perfbench `spectral`, rounds 0-14
+              at seed 3, each also on a non-normal copy of its A
+              (nonnormal_copy, default_rng(2503))
   sweep       the 135-pair near-commuting sweep: default_rng(5),
               n in (4, 12, 24, 48, 64), eps in logspace(-12, -3, 9), 3 each
   readme      every `$ projspec ...` line of README.md, run in order in a
@@ -54,6 +58,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import os
 import shlex
@@ -68,7 +73,7 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
-FAMILIES = ("criterion1", "battery", "large", "spectral", "sweep", "readme", "clustered", "edges", "formats")
+FAMILIES = ("criterion1", "battery", "large", "spectral", "riesz", "sweep", "readme", "clustered", "edges", "formats")
 
 
 def canon(obj) -> str:
@@ -131,6 +136,33 @@ def large(env):
 
 def spectral(env):
     yield from _rounds(env["bench"].Spectral(3), 15, kinds=("agmon",))
+
+
+RIESZ_KINDS = ("riesz_projection", "first_order_term", "perturbation_check", "lemma34_solver")
+
+
+def nonnormal_copy(a, rng):
+    """Q (diag(d) + 0.2 N) Q*, N strictly upper triangular with standard
+    complex Gaussian entries, as tests/test_riesz.py::_bit_case builds its
+    non-normal inputs: Q is the unitary factor of a QR of A's eigenvectors,
+    so Q*AQ is (nearly) triangular, and d is its diagonal, A's eigenvalues."""
+    q = np.linalg.qr(np.linalg.eig(a)[1])[0]
+    n = a.shape[0]
+    strict = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    return q @ (np.diag(np.diag(q.conj().T @ a @ q)) + 0.2 * strict) @ q.conj().T
+
+
+def riesz(env):
+    rng = np.random.default_rng(2503)
+    workload = env["bench"].Spectral(3)
+    for r in range(15):
+        for i, op in enumerate(workload.round(r)):
+            if op.kind in RIESZ_KINDS:
+                key = f"round {r} op {i} {op.kind} n={op.n}"
+                yield f"{key} normal", outcome(op.call)
+                # the operation's A is its call's default argument a
+                a = nonnormal_copy(inspect.signature(op.call).parameters["a"].default, rng)
+                yield f"{key} nonnormal", outcome(lambda: op.call(a=a))
 
 
 def sweep(env):
