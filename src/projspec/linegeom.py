@@ -432,10 +432,10 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     """Decide union-of-lines structure for the zero set of p.
 
     Affirmative verdicts always pass the reconstruction check (expanded
-    product within tol.recon * ||coeffs|| of p); a bound that is not finite,
-    ||coeffs|| having overflowed, raises NumericalAmbiguity. When the axis-slice values
-    lams and mus do not pair up, the witness is the first point of
-    _ray_witnesses, on the two rays' slice roots with norms
+    product within tol.recon * ||coeffs|| of p); a bound that is not
+    finite, ||coeffs|| having overflowed, raises NumericalAmbiguity. When
+    the axis-slice values lams and mus do not pair up, the witness is the
+    first point of _ray_witnesses, on the two rays' slice roots with norms
     (||lams||_2, ||mus||_2) (||A||_F and ||B||_F for the polynomial of a
     normal pair), with |p(z, w)| <= WITNESS_PTOL; that value is its
     witness_residual. Anything weaker raises NumericalAmbiguity.

@@ -552,14 +552,12 @@ def test_arrangement_refuses_nonfinite_coefficients(row):
     assert str(info.value) == "line coefficients must be finite (line 3, col 1)"
 
 
-@pytest.mark.parametrize(
-    "lam, mu",
-    [(math.nan, 0), (1, math.inf), (complex(1, -math.inf), 2), (complex(math.nan, 0), complex(0, math.nan))],
-)
-def test_line_refuses_nonfinite_coefficients(lam, mu):
+def test_line_refuses_nonfinite_coefficients():
     # so emit_arrangement never writes a row that parse_arrangement refuses
-    with pytest.raises(ValueError, match="^line coefficients must be finite$"):
-        Line(complex(lam), complex(mu))
+    nan, inf = math.nan, math.inf
+    for lam, mu in [(nan, 0), (1, inf), (complex(1, -inf), 2), (complex(nan, 0), complex(0, nan))]:
+        with pytest.raises(ValueError, match="^line coefficients must be finite$"):
+            Line(complex(lam), complex(mu))
     line = Line(complex(1e308, -2.5), complex(-0.0, 5e-324))
     text = linegeom.emit_arrangement(LineArrangement([(line, 2)]))
     assert linegeom.parse_arrangement(text).lines == [(line, 2)]
