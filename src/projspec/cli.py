@@ -42,7 +42,7 @@ _INPUTS = {
 
 # The tolerance fields each reading subcommand passes on; no other --tol-* parses.
 _EIG_TOLS = ("normal", "eig")
-_LINE_TOLS = ("line", "recon")
+_LINE_TOLS = ("recon",)
 _COMMUTE_TOLS = ("normal", "commute", "line")
 
 

@@ -2,9 +2,12 @@
 
 Decides whether the zero set of a bivariate polynomial with p(0,0) = 1 is a
 union of complex lines {1 + lambda z + mu w = 0} and extracts the arrangement
-when it is. The candidate multisets come from axis slices; the pairing of
-lambda with mu values is resolved on two independent random rays; a
-reconstruction check is mandatory before any affirmative verdict.
+when it is. factor_lines reads it from one ray w = g z: the roots
+t = -1/nu of p(t, g t) are the branches nu(g) of the curve, and the curve
+is a union of lines exactly when every branch is affine, nu = lam + g mu
+(property L, Motzkin & Taussky). Each root, or cluster of roots, gives nu
+and, by implicit differentiation, mu = nu'(g); a reconstruction check is
+mandatory before any affirmative verdict.
 
 For a matrix pair, pencil_verdict decides the same question for
 det(I + zA + wB) without the polynomial: the certificate is one unitary that
@@ -13,17 +16,14 @@ lines. For a normal A + gB, as every commuting normal pair gives, that
 unitary comes from Hermitian eigensolves (core._normal_eigenbasis); else
 from LAPACK eig and a QR.
 
-Each backs a notlines verdict with a witness on its curve. factor_lines
-takes it from one rule, _ray_witnesses: a point z = -1/nu, w = g z of a ray,
-with nu a root of that ray's slice, that is off every candidate line by the
-one point-on-line test (_line_ratio above tol.line, which
-line_through_point also applies), admitted when |p(z, w)| <= WITNESS_PTOL.
-pencil_verdict needs no candidate lines: on the ray w = g z the curve's
-points are z = -1/nu(g), nu(g) an eigenvalue of A + gB, and a component is
-a line exactly when its branch nu(g) is affine. So a simple eigenvalue of
-A + g0 B whose branch bends, nu''(g0) above its rounding bound
-(_curvature_witnesses), gives the witness z = -1/nu, w = g0 z, admitted
-when it lies on the matrices' own curve.
+Each backs a notlines verdict with a witness on its curve, by one rule
+(_curvature_witnesses): a simple branch whose curvature nu''(g) is above
+its rounding bound gives the point z = -1/nu, w = g z. factor_lines takes
+nu'' and its bound from the ray slice, under the dust rule's coefficient
+noise (_ray_curvatures), and admits the point when |p(z, w)| <= WITNESS_PTOL;
+pencil_verdict takes them from the eigensolve of A + g B
+(_branch_curvatures), and admits the point when it lies on the matrices'
+own curve.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import core
-from .detpoly import DEGREE_BUDGET, BivarPoly, above_dust, total_degree, univariate_slice
+from .detpoly import DEGREE_BUDGET, DUST_REL, BivarPoly, above_dust, total_degree, univariate_slice
 from .errors import (
     DegenerateInput,
     DegreeBudgetExceeded,
@@ -45,9 +45,6 @@ from .errors import (
     NumericalAmbiguity,
     ParseError,
 )
-
-# Greedy pairing acceptance: per-pair ray mismatch relative to the pair scale.
-PAIR_TOL = 1e-5
 
 # Multiplicity clustering radius, relative to 1 + |lambda| + |mu| (for a
 # coefficient tuple, 1 plus the sum of its moduli), each coordinate in the
@@ -91,9 +88,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _C00_TOL = 1e-6
 
 _NEWTON_STEPS = 3
-
-# Gauss-Newton steps of _polish_lines.
-_GAUSS_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -325,157 +319,178 @@ def expand_arrangement(lines, n: int) -> BivarPoly:
     return BivarPoly(n, coeffs)
 
 
-def _grid_jacobian(lines, n: int) -> np.ndarray:
-    """Jacobian of expand_arrangement(lines, n) on the unit roots-of-unity grid.
+def _dust_noise(c, x, d):
+    """noise[e], how far each coefficient of p of total degree d - e may
+    move: the one noise model of _ray_clusters and _ray_curvatures.
 
-    Columns alternate d/d lam_i, d/d mu_i over the lines in order; rows are
-    the (n+1) x (n+1) grid nodes (z_a, w_b), z_a = w_a = exp(2 pi i a/(n+1)),
-    raveled with a major. The derivative in lam_i is mult_i * z * Q_i, in
-    mu_i mult_i * w * Q_i, where Q_i is the product with one copy of factor i
-    removed: prefix and suffix products of the other factors' powers times
-    factor i to the power mult_i - 1. No factor value is divided by, since a
-    line through a grid node makes one vanish there. Values are scaled by
-    1/(n+1), so the grid map of a coefficient table C is
-    np.fft.ifft2(C, norm="ortho"), a unitary transform.
+    The dust rule (detpoly.above_dust) resolves DUST_REL max|c|. It is read
+    on p(z/r, w/r), r = max(1, geometric mean of the nonzero ray roots x):
+    a coefficient of total degree a moves by DUST_REL max_jk |c_jk|
+    r^(a - j - k). So r = 1, the rule as it stands, unless the roots are
+    above 1 on average; there p(cz, cw) gets the same relative noise at
+    every c >= 1, where the rule as it stands would call c_00 = 1 dust.
     """
-    m = n + 1
-    nodes = np.exp(2j * np.pi * np.arange(m) / m)
-    z = nodes[:, None]
-    w = nodes[None, :]
-    mult = np.array([mt for _, mt in lines])
-    factors = np.stack([1.0 + line.lam * z + line.mu * w for line, _ in lines])
-    lower = factors ** (mult - 1)[:, None, None]
-    full = lower * factors
-    ones = np.ones((1, m, m), dtype=np.complex128)
-    before = np.concatenate([ones, np.cumprod(full[:-1], axis=0)])
-    after = np.concatenate([np.cumprod(full[:0:-1], axis=0)[::-1], ones])
-    q = (mult / m)[:, None, None] * before * after * lower
-    cols = np.stack([q * z, q * w], axis=1)
-    return cols.reshape(2 * len(lines), m * m).T
+    r = max(1.0, float(np.exp(np.log(np.abs(x)).sum() / max(x.size, 1))))
+    jk = np.add.outer(np.arange(c.shape[0]), np.arange(c.shape[1]))
+    return DUST_REL * np.max(np.abs(c) / r**jk) * r ** (d - np.arange(d + 1.0))
 
 
-def _polish_lines(coeffs: np.ndarray, lines, n: int):
-    """Joint Gauss-Newton refinement of all line parameters at once.
+def _ray_clusters(x, poly, noise):
+    """Index arrays of the clusters of the roots x of the ascending polynomial poly.
 
-    Returns (lines, err), err = ||expand(lines) - coeffs||_F for exactly the
-    lines returned. Minimizes that residual over every (lam_i, mu_i). The
-    residual and the best-so-far choice use the exact expansion in
-    coefficient space: at most _GAUSS_NEWTON_STEPS + 1 expansions, with one
-    step between each two and none after the last. The Jacobian is built on
-    the roots-of-unity grid (_grid_jacobian) and the residual mapped there
-    by the unitary inverse DFT; by Parseval that least-squares problem is the
-    coefficient-space one. Individual slice roots carry interpolation noise
-    amplified by conditioning; fitting the whole table washes that out
-    quadratically.
+    poly is G(., g) of factor_lines. Each of the d - e + 1 coefficients of p
+    of total degree d - e moves by noise[e] (_dust_noise), so G(x) moves by
+    at most N(|x|) = sum_e (d - e + 1) noise[e] |x|^e. Under that, an m-fold
+    root at c spreads its computed roots up to
+    rho_m(c) = (N(|c|) / |G^(m)(c) / m!|)^(1/m) from c. For each root the m
+    nearest roots, nearest first, ties in index order, form a cluster when
+    each lies within rho_m of their mean; the root takes its largest such
+    m. Clusters are then taken largest first, ties in root order, when they
+    share no root with one already taken; every other root is a cluster of
+    its own.
     """
-    work = [[line.lam, line.mu, mult] for line, mult in lines]
-    norm_c = np.linalg.norm(coeffs)
-    best = None
-    for step in range(_GAUSS_NEWTON_STEPS + 1):
-        current = [(Line(l, m), mu) for l, m, mu in work]
-        r = coeffs - expand_arrangement(current, n).coeffs
-        err = float(np.linalg.norm(r))
-        if best is not None and err >= best[1]:
-            break
-        best = (current, err)
-        if err <= 1e-15 * norm_c or step == _GAUSS_NEWTON_STEPS:
-            break
-        jac = _grid_jacobian(current, n)
-        delta, *_ = np.linalg.lstsq(jac, np.fft.ifft2(r, norm="ortho").ravel(), rcond=None)
-        for i in range(len(work)):
-            work[i][0] = work[i][0] + complex(delta[2 * i])
-            work[i][1] = work[i][1] + complex(delta[2 * i + 1])
-    return best
+    npoly = np.polynomial.polynomial
+    r = x.size
+    order = np.argsort(np.abs(x[:, None] - x[None, :]), axis=1, kind="stable")
+    near = x[order]
+    centers = np.cumsum(near, axis=1) / np.arange(1, r + 1)
+    spread = np.abs(near[:, None, :] - centers[:, :, None])
+    spread = np.where(np.tri(r, dtype=bool), spread, 0.0).max(axis=2, initial=0.0)
+    error = npoly.polyval(np.abs(centers), noise * np.arange(poly.size, 0, -1.0))
+    accept = np.ones((r, r), dtype=bool)
+    for m in range(2, r + 1):
+        top = np.abs(npoly.polyval(centers[:, m - 1], npoly.polyder(poly, m) / math.factorial(m)))
+        accept[:, m - 1] = spread[:, m - 1] <= (error[:, m - 1] / top) ** (1.0 / m)
+    size = np.where(accept, np.arange(1, r + 1), 0).max(axis=1, initial=1)
+    used = np.zeros(r, dtype=bool)
+    out = []
+    for i in np.argsort(-size, kind="stable").tolist():
+        members = order[i, : size[i]]
+        if not used[members].any():
+            used[members] = True
+            out.append(members)
+    return out + [np.array([i]) for i in np.flatnonzero(~used).tolist()]
 
 
-def _greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
-    """Pair lambda and mu candidates using nearest ray-root consistency.
+def _ray_curvatures(x, polys, g, noise):
+    """nu''(g) of the roots x of G(., g), and its rounding bound.
 
-    The cost of a pair (i, j) is the largest, over the rays, of the distance
-    from lams[i] + g mus[j] to the nearest unconsumed root of that ray. Each
-    step takes the cheapest pair with i and j both unused, the first in
-    row-major (i, j) order on ties, and consumes on each ray its nearest
-    root, the lowest-indexed on ties. Returns the list of paired (lam, mu)
-    or None when some selection exceeds the pairing tolerance.
-
-    Every ray has d roots. Each ray's d x d x d distance tensor is built
-    once. A step sets the distances to the roots it consumed to +inf, keeps
-    only the rows of the pairs still live, and the next step re-takes the
-    minimum over roots on them: O(d^4) in all.
+    polys holds G, G_g and G_gg, ascending in x. Differentiating
+    G(nu(g), g) = 0 twice gives nu' = -G_g / G_x and
+    nu'' = -(G_xx nu'^2 + 2 G_xg nu' + G_gg) / G_x. The bound is the
+    first-order change of nu'' when every coefficient c_jk of p of total
+    degree at most d moves by noise[d - j - k] (_dust_noise). That change is
+    linear in the jet of the change of G at (x, g), and the monomial
+    z^j w^k changes G by +-g^k x^e, e = d - j - k, so it adds
+    noise[e] |x|^e |A_k + e B_k / x + e (e - 1) C / x^2| to the bound, A_k,
+    B_k and C from the jet of G. The bound is +inf where x is not simple:
+    within rho_i + rho_j of another root, rho = N(|x|) / |G_x| its
+    first-order displacement (N as in _ray_clusters).
     """
-    lam_arr = np.asarray(lams)
-    mu_arr = np.asarray(mus)
-    d = lam_arr.size
-    rays = np.arange(len(gammas))
-    predicted = [np.add.outer(lam_arr, g * mu_arr) for g in gammas]
-    # dist[r, i * d + j, s] = |lams[i] + g_r mus[j] - ray_roots[r][s]|
-    dist = np.empty((len(gammas), d * d, d))
-    for r, roots in enumerate(ray_roots):
-        np.abs(predicted[r].reshape(-1, 1) - np.asarray(roots)[None, :], out=dist[r])
-    live = np.arange(d * d)
-    pairs = []
-    for _ in range(d):
-        cost = dist.min(axis=2).max(axis=0)
-        k0 = int(cost.argmin())
-        i0, j0 = divmod(int(live[k0]), d)
-        scale = 1.0 + max(abs(p[i0, j0]) for p in predicted)
-        if cost[k0] > pair_tol * scale:
-            return None
-        pairs.append((complex(lam_arr[i0]), complex(mu_arr[j0])))
-        dist[rays, :, dist[:, k0].argmin(axis=1)] = np.inf
-        keep = (live // d != i0) & (live % d != j0)
-        live, dist = live[keep], dist[:, keep]
-    return pairs
+    npoly = np.polynomial.polynomial
+    d = polys[0].size - 1
+    gx, gxx, gxxx, gg, gxg, gxxg, ggg, gxgg = (
+        npoly.polyval(x, npoly.polyder(polys[b], k))
+        for b, k in ((0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
+    )
+    d1 = -gg / gx
+    curv = -(gxx * d1 * d1 + 2.0 * gxg * d1 + ggg) / gx
+    # coefficients of the change of curv on the jet (h, h_x, h_g, h_xx, h_xg, h_gg)
+    u = gxg + gxx * d1
+    w = gxxx * d1 * d1 + 2.0 * gxxg * d1 + gxgg + curv * gxx
+    k_h = (w * gx - 2.0 * u * u) / gx**3
+    k_x = (2.0 * u * d1 / gx - curv) / gx
+    k_g, k_xx, k_xg, k_gg = 2.0 * u / gx**2, -d1 * d1 / gx, -2.0 * d1 / gx, -1.0 / gx
+    e = np.arange(d + 1.0)[:, None]
+    k = np.arange(d + 1.0)[None, :]
+    col = (slice(None), None, None)
+    a_k = k_h[col] + (k_g[col] + k_gg[col] * (k - 1.0) / g) * k / g
+    b_k = k_x[col] + k_xg[col] * k / g
+    xs = x[col]
+    moves = np.abs(xs) ** e * np.abs(a_k + e * b_k / xs + e * (e - 1.0) * k_xx[col] / xs**2)
+    bound = (noise * np.where(e + k <= d, moves, 0.0).sum(axis=2)).sum(axis=1)
+    rho = npoly.polyval(np.abs(x), noise * np.arange(d + 1.0, 0.0, -1.0)) / np.abs(gx)
+    near = np.abs(x[:, None] - x[None, :]) <= rho[:, None] + rho[None, :]
+    np.fill_diagonal(near, False)
+    return curv, np.where(near.any(axis=1), np.inf, bound)
 
 
 def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] = None) -> LineVerdict:
-    """Decide union-of-lines structure for the zero set of p.
+    """Decide union-of-lines structure for the zero set of p from one ray.
 
-    Affirmative verdicts always pass the reconstruction check (expanded
-    product within tol.recon * ||coeffs|| of p); a bound that is not
-    finite, ||coeffs|| having overflowed, raises NumericalAmbiguity. When
-    the axis-slice values lams and mus do not pair up, the witness is the
-    first point of _ray_witnesses, on the two rays' slice roots with norms
-    (||lams||_2, ||mus||_2) (||A||_F and ||B||_F for the polynomial of a
-    normal pair), with |p(z, w)| <= WITNESS_PTOL; that value is its
-    witness_residual. Anything weaker raises NumericalAmbiguity.
+    On the ray w = g z, g the first phase of _phases(seed, 2), the roots t
+    of p(t, g t) are t = -1/nu(g), nu(g) the branches of the curve; p is a
+    union of lines exactly when every branch is affine, nu = lam + g mu.
+    The nu are the roots of G(x, g) = x^d p(-1/x, -g/x) as a polynomial in
+    x, read by _monic_reversed_roots from the ray slice of p and clustered
+    by _ray_clusters. Each cluster of m roots gives one line of multiplicity
+    m: its mean, refined by Newton steps on G^(m-1), is nu, and
+    mu = nu' = -G_g^(m-1)(nu) / G^(m)(nu), lam = nu - g mu (implicit
+    differentiation; the same as mu = nu s^(m-1)(t) / q^(m)(t) for
+    q(t) = p(t, g t) and s(t) = p_w(t, g t)). G_g and G_gg come from the
+    ray slices of dp/dw and d^2p/dw^2 (univariate_slice). Lines within
+    CLUSTER_REL of each other are merged (cluster_tuples).
+
+    An affirmative verdict always passes the reconstruction check (the
+    expanded product within tol.recon * ||coeffs|| of p); a bound that is
+    not finite, ||coeffs|| having overflowed, raises NumericalAmbiguity.
+    Otherwise the witness is z = -1/nu, w = g z for a simple root nu, a
+    cluster of one, whose branch bends: |nu''| above its rounding bound
+    under the dust rule's noise (_ray_curvatures, _dust_noise), largest
+    margin first (_curvature_witnesses), with |p(z, w)| <= WITNESS_PTOL;
+    that value is its witness_residual. Anything weaker raises
+    NumericalAmbiguity.
     """
+    npoly = np.polynomial.polynomial  # imported on first use, not with the CLI
     if tol is None:
         tol = core.default_tolerances()
     c = p.coeffs
     if abs(c[0, 0] - 1.0) > _C00_TOL:
         raise DegenerateInput(f"p(0,0) = {c[0, 0]:.6g}, expected 1")
-    norm_c = float(np.linalg.norm(c))
     d = total_degree(p)
     deficit = p.n - d
     if d == 0:
         return LineVerdict(True, LineArrangement([], deficit))
-    lams = _monic_reversed_roots(c[:, 0], d)
-    mus = _monic_reversed_roots(c[0, :], d)
-    gammas = _phases(seed, 3)
-    ray_roots = [_monic_reversed_roots(univariate_slice(p, "ray", g), d) for g in gammas]
-    pairs = _greedy_pairing(lams, mus, gammas, ray_roots, PAIR_TOL)
-    if pairs is not None:
-        lines = [(Line(l, m), mult) for (l, m), mult in cluster_tuples(pairs)]
-        lines, err = _polish_lines(c, lines, p.n)
-        lines.sort(
-            key=lambda t: (t[0].lam.real, t[0].lam.imag, t[0].mu.real, t[0].mu.imag)
-        )
-        bound = tol.recon * norm_c
-        if not math.isfinite(bound):
-            # ||coeffs|| overflowed: no residual can be measured against it
-            raise NumericalAmbiguity(f"reconstruction bound {bound:.3e} is not finite")
-        if err <= bound:
-            return LineVerdict(True, LineArrangement(lines, deficit))
-        raise NumericalAmbiguity(
-            f"pairing succeeded but reconstruction residual {err:.3e} exceeds {bound:.3e}"
-        )
-    norms = (np.linalg.norm(lams), np.linalg.norm(mus))
-    for z, w in _ray_witnesses(lams, mus, zip(gammas, ray_roots), norms, tol):
+    (g,) = _phases(seed, 2)
+    slices = [univariate_slice(p, "ray", g)]
+    nus = _monic_reversed_roots(slices[0], d)
+    bound = tol.recon * float(np.linalg.norm(c))
+    if not math.isfinite(bound):
+        # ||coeffs|| overflowed: no residual can be measured against it
+        raise NumericalAmbiguity(f"reconstruction bound {bound:.3e} is not finite")
+    table = c  # every |c_jk| < 1.4e154 here, so no derivative table overflows
+    for _ in range(2):
+        table = np.pad(table[:, 1:] * np.arange(1, p.n + 1), ((0, 0), (0, 1)))
+        slices.append(univariate_slice(BivarPoly(p.n, table), "ray", g))
+    sign = (-1.0) ** np.arange(d + 1)
+    polys = [(sign * np.pad(s[: d + 1 - b], (b, 0)))[::-1] for b, s in enumerate(slices)]
+    x = nus[nus != 0]
+    err = math.inf
+    with np.errstate(all="ignore"):  # a non-finite value fails every test below
+        noise = _dust_noise(c, x, d)
+        clusters = _ray_clusters(x, polys[0], noise)
+        read = []
+        for members in clusters:
+            m = members.size
+            nu = _polish_roots(npoly.polyder(polys[0], m - 1), x[members].mean(keepdims=True))[0]
+            mu = -npoly.polyval(nu, npoly.polyder(polys[1], m - 1)) / npoly.polyval(nu, npoly.polyder(polys[0], m))
+            read += [(nu - g * mu, mu)] * m
+        if x.size == d and np.isfinite(read).all():
+            lines = [(Line(l, m), k) for (l, m), k in cluster_tuples(read)]
+            err = float(np.linalg.norm(c - expand_arrangement(lines, p.n).coeffs))
+            if err <= bound:
+                return LineVerdict(True, LineArrangement(lines, deficit))
+        curv, rounding = _ray_curvatures(x, polys, g, noise)
+    single = np.zeros(x.size, dtype=bool)
+    single[[members[0] for members in clusters if members.size == 1]] = True
+    for z, w in _curvature_witnesses(x, curv, np.where(single, rounding, np.inf), g, float(np.linalg.norm(x))):
         val = abs(p.evaluate(z, w))
         if val <= WITNESS_PTOL:
             return LineVerdict(False, None, (z, w), val)
-    raise NumericalAmbiguity("no consistent line pairing and no certified off-line witness")
+    raise NumericalAmbiguity(
+        f"the lines read from the ray leave reconstruction residual {err:.3e} above {bound:.3e}, and no "
+        f"simple branch that bends above its rounding bound has |p| <= {WITNESS_PTOL:.0e}"
+    )
 
 
 def drop_constant_factors(diags, norms):
@@ -514,46 +529,17 @@ def _line_ratio(x, s, size):
     A point (z, w) is on the line {1 + lam z + mu w = 0} when this is at most
     tol.line for x = 1, s = -(lam z + mu w), size = |lam z| + |mu w|
     (line_through_point). At z = -1/nu, w = g z that is the same ratio as
-    for x = nu, s = lam + g mu, size = |lam| + |g| |mu| (_ray_witnesses),
-    both terms multiplied by |nu|. Scaling the lines by c and the point by
-    1/c leaves it unchanged.
+    for x = nu, s = lam + g mu, size = |lam| + |g| |mu|, both terms
+    multiplied by |nu|. Scaling the lines by c and the point by 1/c leaves
+    it unchanged.
     """
     return np.abs(x - s) / (np.abs(x) + size)
-
-
-def _ray_witnesses(lams, mus, rays, norms, tol):
-    """Candidate notlines witnesses from ray spectra, most separated first.
-
-    Each ray (g, roots nu of the slice t -> p(t, g t) = prod(1 + nu t),
-    for a matrix pair the eigenvalues of A + gB) gives the points
-    z = -1/nu, w = g z of the zero set. Roots at most ZERO_PAIR_REL
-    (||A||_F + |g| ||B||_F), with norms = (||A||_F, ||B||_F), are constant
-    factors and give no point. Kept are those off every candidate line
-    1 + lams[i] z + mus[j] w by _line_ratio above tol.line, ordered by the
-    smallest ratio, largest first. Both tests are unchanged when A and B
-    are scaled together.
-    """
-    norm_a, norm_b = norms
-    margins, points = [], []
-    for g, nus in rays:
-        nus = nus[np.abs(nus) > ZERO_PAIR_REL * (norm_a + abs(g) * norm_b)]
-        cand = (lams[:, None] + g * mus[None, :]).ravel()
-        size = (np.abs(lams)[:, None] + abs(g) * np.abs(mus)[None, :]).ravel()
-        # one expression, so its (n, n^2) temporaries (2-4 MB each at
-        # n = 64) are freed before the next ray builds its own
-        ratio = _line_ratio(nus[:, None], cand[None, :], size[None, :]).min(axis=1)
-        margins.append(ratio / tol.line)
-        z = -1.0 / nus
-        points.append(np.stack([z, g * z], axis=1))
-    margin = np.concatenate(margins)
-    order = np.argsort(-margin, kind="stable")
-    return [(complex(z), complex(w)) for z, w in np.concatenate(points)[order[margin[order] > 1.0]]]
 
 
 def _phases(seed, k):
     """The k - 1 phases g_i of _schur_diagonals' combination for k members,
     uniform on the unit circle, drawn from default_rng(seed); factor_lines
-    takes its two ray phases as _phases(seed, 3)."""
+    takes its ray phase as _phases(seed, 2), the phase of pencil_verdict."""
     return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=k - 1))
 
 
@@ -662,20 +648,18 @@ def _branch_curvatures(nus, v, b, size_m, size_b):
     return curv, np.where(simple, err, np.inf)
 
 
-def _curvature_witnesses(nus, v, b, g, norms):
-    """notlines witnesses of det(I + zA + wB) from bent eigenvalue branches.
+def _curvature_witnesses(nus, curv, bound, g, size):
+    """notlines witnesses of a curve from bent branches on the ray w = g z.
 
-    A component of the curve through z = -1/nu, w = g z, nu a simple
-    eigenvalue of A + gB, is a line exactly when the branch nu(g) is affine
-    (property L). So every branch whose |nu''| (_branch_curvatures) exceeds
-    its rounding bound gives the witness (-1/nu, -g/nu); those are returned
-    by that ratio, largest first. Eigenvalues at most ZERO_PAIR_REL
-    (||A||_F + ||B||_F), norms = (||A||_F, ||B||_F), are constant factors
-    and give no point. A singular V raises LinAlgError.
+    A component of the curve through z = -1/nu, w = g z, nu(g) a simple
+    branch on that ray, is a line exactly when the branch is affine
+    (property L). So every branch whose |nu''| (curv) exceeds its rounding
+    bound gives the witness (-1/nu, -g/nu); those are returned by that
+    ratio, largest first. Branches with |nu| at most ZERO_PAIR_REL size are
+    constant factors and give no point. pencil_verdict takes curv and bound
+    from _branch_curvatures, factor_lines from _ray_curvatures.
     """
-    norm_a, norm_b = norms
-    curv, bound = _branch_curvatures(nus, v, b, norm_a + norm_b, norm_b)
-    keep = (np.abs(curv) > bound) & (np.abs(nus) > ZERO_PAIR_REL * (norm_a + norm_b))
+    keep = (np.abs(curv) > bound) & (np.abs(nus) > ZERO_PAIR_REL * size)
     margin = np.abs(curv[keep]) / bound[keep]
     z = -1.0 / nus[keep][np.argsort(-margin, kind="stable")]
     return [(complex(x), complex(g * x)) for x in z]
@@ -725,9 +709,10 @@ def pencil_verdict(a, b, *, seed: int = 0, tol: Optional[core.Tolerances] = None
         f"of Q*BQ, above tol.line = {tol.line:.1e}"
     )
     try:
-        witnesses = _curvature_witnesses(nus, v, b, g, (fa, fb))
+        curv, bound = _branch_curvatures(nus, v, b, fa + fb, fb)
     except np.linalg.LinAlgError as exc:
         raise NumericalAmbiguity(f"{reason}, and the pencil eigenvector solve failed: {exc}") from None
+    witnesses = _curvature_witnesses(nus, curv, bound, g, fa + fb)
     eye = np.eye(n, dtype=np.complex128)
     best = math.inf
     for z, w in witnesses:

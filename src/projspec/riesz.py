@@ -34,6 +34,7 @@ rank, since A + eps B is not normal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -47,6 +48,7 @@ from .errors import (
     LineNotInSpectrum,
     NoConvergence,
     NotNormal,
+    NumericalAmbiguity,
     SingularResolvent,
 )
 
@@ -219,8 +221,12 @@ def _certified_rank(p: np.ndarray) -> int:
 
 
 def _finish_projection(a: np.ndarray, p: np.ndarray) -> RieszResult:
+    """The result of a quadrature projection p of a; a residual that is
+    not finite raises NumericalAmbiguity."""
     idem = float(np.linalg.norm(p @ p - p))
     comm = float(np.linalg.norm(a @ p - p @ a))
+    if not (math.isfinite(idem) and math.isfinite(comm)):
+        raise NumericalAmbiguity(f"projection residuals are not finite: idempotency {idem:.3e}, commutation {comm:.3e}")
     return RieszResult(p, idem, comm, _certified_rank(p))
 
 

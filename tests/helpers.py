@@ -72,9 +72,25 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # a bipoly with finite coefficients whose ray slice overflows: its degree-1
-# term 1.7e308 * (1 + g) is inf for most phases g (for factor_lines' seed 0
-# among them), and then every entry, the constant 1 included, is dust
+# term 1.7e308 * (1 + g) is inf for most phases g (for factor_lines' seeds
+# 2-5), and then every entry, the constant 1 included, is dust
 OVERFLOWING_RAY = "bipoly 1\n0 0 1 0\n1 0 1.7e308 0\n0 1 1.7e308 0\n"
+
+
+def line_product(lines):
+    """The polynomial prod (1 + lam z + mu w)^m of (lam, mu, m) triples, in
+    its own total degree."""
+    arr = [(linegeom.Line(complex(lam), complex(mu)), m) for lam, mu, m in lines]
+    return linegeom.expand_arrangement(arr, sum(m for _, _, m in lines))
+
+
+def line_powers():
+    """(m, lines) for exact line powers (1 + lam z + mu w)^m, m = 2-8, alone
+    and times two other lines."""
+    others = [(0.5 - 0.3j, 1.2j, 1), (-0.8, 0.4 + 0.6j, 1)]
+    for m in range(2, 9):
+        for extra in ([], others):
+            yield m, [(0.7 + 0.2j, -1.1 + 0.5j, m), *extra]
 
 
 def inconsistent_report(a, b, *args, **kwargs):
@@ -104,10 +120,10 @@ def commuting_tuple(rng, n, k):
 
 
 def off_curve_witnesses(*args):
-    """Stand-in for linegeom._ray_witnesses (factor_lines) and
-    linegeom._curvature_witnesses (pencil_verdict): one candidate witness,
-    off every candidate line and off every curve det(I + zA + wB) = 0 that
-    the tests pass it, e.g. 1 - z^2 - w^2 for (PAULI_Z, PAULI_X)."""
+    """Stand-in for linegeom._curvature_witnesses, the witness selection of
+    factor_lines and pencil_verdict: one candidate witness, off every curve
+    det(I + zA + wB) = 0 that the tests pass it, e.g. 1 - z^2 - w^2 for
+    (PAULI_Z, PAULI_X)."""
     return [(0.5 + 0j, 0.25 + 0j)]
 
 
@@ -170,9 +186,36 @@ def fail_batched_eigvals(monkeypatch, after=0):
     monkeypatch.setattr(np.linalg, "eigvals", failing)
 
 
+def _ray_witnesses(lams, mus, rays, norms, tol):
+    """Candidate notlines witnesses from ray spectra, most separated first:
+    the earlier witness rule of linegeom.factor_lines and pencil_verdict.
+
+    Each ray (g, roots nu of the slice t -> p(t, g t) = prod(1 + nu t),
+    for a matrix pair the eigenvalues of A + gB) gives the points
+    z = -1/nu, w = g z of the zero set. Roots at most ZERO_PAIR_REL
+    (||A||_F + |g| ||B||_F), with norms = (||A||_F, ||B||_F), are constant
+    factors and give no point. Kept are those off every candidate line
+    1 + lams[i] z + mus[j] w by linegeom._line_ratio above tol.line,
+    ordered by the smallest ratio, largest first.
+    """
+    norm_a, norm_b = norms
+    margins, points = [], []
+    for g, nus in rays:
+        nus = nus[np.abs(nus) > linegeom.ZERO_PAIR_REL * (norm_a + abs(g) * norm_b)]
+        cand = (lams[:, None] + g * mus[None, :]).ravel()
+        size = (np.abs(lams)[:, None] + abs(g) * np.abs(mus)[None, :]).ravel()
+        ratio = linegeom._line_ratio(nus[:, None], cand[None, :], size[None, :]).min(axis=1)
+        margins.append(ratio / tol.line)
+        z = -1.0 / nus
+        points.append(np.stack([z, g * z], axis=1))
+    margin = np.concatenate(margins)
+    order = np.argsort(-margin, kind="stable")
+    return [(complex(z), complex(w)) for z, w in np.concatenate(points)[order[margin[order] > 1.0]]]
+
+
 def reference_ray_witness_verdict(a, b, seed=0):
     """linegeom.pencil_verdict with its earlier notlines path: on refusal,
-    the witnesses of linegeom._ray_witnesses on the spectra of A, B,
+    the witnesses of _ray_witnesses on the spectra of A, B,
     A + g0 B and A + g1 B, g1 the second phase drawn from seed, tried in
     order against the sigma_min check. Returns None where pencil_verdict
     raised NumericalAmbiguity for want of a witness."""
@@ -187,7 +230,7 @@ def reference_ray_witness_verdict(a, b, seed=0):
     lams, mus, ray = np.linalg.eigvals(np.stack([a, b, a + gammas[1] * b]))
     rays = [(gammas[0], nus), (gammas[1], ray)]
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    for z, w in linegeom._ray_witnesses(lams, mus, rays, (fa, fb), tol):
+    for z, w in _ray_witnesses(lams, mus, rays, (fa, fb), tol):
         smin = np.linalg.svd(eye + z * a + w * b, compute_uv=False)[-1]
         sigma = float(smin / (1.0 + abs(z) * fa + abs(w) * fb))
         if sigma <= linegeom.WITNESS_SIGMA_REL:
@@ -217,42 +260,6 @@ def reference_direction_mismatch(a, b, arrangement):
         pred = rho_a * lam + rho_b * om * mu
         worst = max(worst, linegeom._bottleneck(np.abs(nus[:, None] - pred[None, :])))
     return worst
-
-
-def reference_greedy_pairing(lams, mus, gammas, ray_roots, pair_tol):
-    """linegeom._greedy_pairing as a plain O(d^4) loop: every step rebuilds
-    the distance tensor of the unused candidates and ray roots."""
-    d = len(lams)
-    lam_arr = np.asarray(lams)
-    mu_arr = np.asarray(mus)
-    avail_l = np.ones(d, dtype=bool)
-    avail_m = np.ones(d, dtype=bool)
-    avail_s = [np.ones(d, dtype=bool) for _ in gammas]
-    predicted = [np.add.outer(lam_arr, g * mu_arr) for g in gammas]
-    pairs = []
-    for _ in range(d):
-        li = np.flatnonzero(avail_l)
-        mi = np.flatnonzero(avail_m)
-        ray_min = []
-        ray_arg = []
-        for r in range(len(gammas)):
-            si = np.flatnonzero(avail_s[r])
-            dist = np.abs(predicted[r][np.ix_(li, mi)][:, :, None] - ray_roots[r][si][None, None, :])
-            ray_min.append(dist.min(axis=2))
-            ray_arg.append((si, dist.argmin(axis=2)))
-        cost = np.maximum.reduce(ray_min)
-        ii, jj = np.unravel_index(int(cost.argmin()), cost.shape)
-        i0, j0 = int(li[ii]), int(mi[jj])
-        scale = 1.0 + max(abs(predicted[r][i0, j0]) for r in range(len(gammas)))
-        if cost[ii, jj] > pair_tol * scale:
-            return None
-        pairs.append((complex(lam_arr[i0]), complex(mu_arr[j0])))
-        avail_l[i0] = False
-        avail_m[j0] = False
-        for r in range(len(gammas)):
-            si, arg = ray_arg[r]
-            avail_s[r][si[arg[ii, jj]]] = False
-    return pairs
 
 
 def reference_cluster_tuples(tuples, rel=linegeom.CLUSTER_REL):

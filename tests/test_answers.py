@@ -33,3 +33,13 @@ def test_answers_family_is_consistent(family):
         if isinstance(value, BaseException) or getattr(value, "indeterminate", None) is not None
     ]
     assert len(indeterminate) <= INDETERMINATE_CEILING[family], indeterminate
+
+
+def test_detpoly_lines_subset_is_never_notlines():
+    # every input is a union of lines, so a notlines verdict is wrong; the
+    # ceiling is the count measured at n = 36 (2 of 6) and n = 48 (5 of 6)
+    records = list(answers_module().detpoly_lines({"helpers": helpers, "projspec": projspec}, ns=(36, 48)))
+    assert len(records) == 12 + 56
+    assert [key for key, value in records if getattr(value, "is_lines", None) is False] == []
+    indeterminate = [key for key, value in records if isinstance(value, BaseException)]
+    assert len(indeterminate) <= 7, indeterminate

@@ -168,7 +168,7 @@ def test_commute_exits_2_when_witness_solve_fails(tmp_path, monkeypatch):
 _SUBCOMMANDS = {
     "eig": (["m"], {"normal", "eig"}),
     "detpoly": (["a", "b"], set()),
-    "lines": (["p"], {"line", "recon"}),
+    "lines": (["p"], {"recon"}),
     "agmon": (["m"], {"normal", "eig"}),
     "escape": (["m"], {"normal", "eig"}),
     "example": (["--level", "1"], set()),
@@ -214,7 +214,7 @@ def test_dead_tolerance_flags_are_usage_errors(tmp_path, capsys):
                     parser.parse_args([name, *argv, *flag])
                 assert exc.value.code == 2, (name, field)
                 assert "unrecognized arguments" in capsys.readouterr().err
-    assert accepted == 14
+    assert accepted == 13
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -283,6 +283,26 @@ def test_detpoly_lines_roundtrip_product(tmp_path):
     assert "# deficit=0" in text
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_detpoly_then_lines_of_a_repeated_identity_is_never_notlines(tmp_path, k):
+    # det(I + z I_k + w I_k) = (1 + z + w)^k: one line of multiplicity k at
+    # seed 0, where `commute` prints the same; indeterminate is the only
+    # other admissible answer
+    f = _write_matrix(tmp_path / "i.mat", np.eye(k))
+    code, poly_text = _run(tmp_path, "detpoly", f, f)
+    assert code == 0
+    poly_file = tmp_path / "p.bipoly"
+    poly_file.write_text(poly_text)
+    for seed in range(4):
+        code, text = _run(tmp_path, "lines", str(poly_file), "--seed", str(seed))
+        assert code in (0, 2), seed
+        if seed == 0:
+            arr = linegeom.parse_arrangement("".join(l + "\n" for l in text.splitlines() if not l.startswith("#")))
+            assert [m for _, m in arr.lines] == [k]
+            (line, _), = arr.lines
+            assert abs(line.lam - 1) <= 1e-9 and abs(line.mu - 1) <= 1e-9
+
+
 def test_detpoly_lines_roundtrip_conic(tmp_path):
     fa = _write_matrix(tmp_path / "a.mat", PAULI_Z)
     fb = _write_matrix(tmp_path / "b.mat", PAULI_X)
@@ -311,6 +331,19 @@ def test_riesz_cli_on_contour(tmp_path):
     f = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 2.0]))
     code, _ = _run(tmp_path, "riesz", f, "--center", "1+0i", "--radius", "1.0")
     assert code == 2
+
+
+def test_riesz_with_a_residual_that_overflows_exits_2(tmp_path, capsys):
+    # the commutation residual of this projection is inf; it must not be
+    # printed as a result with exit 0
+    f = tmp_path / "ovf.mat"
+    f.write_text("cmatrix 2 2\n1e200+1e200i 1e308+0i\n1e-320+0i 0+0i\n")
+    out = tmp_path / "p.txt"
+    with np.errstate(all="ignore"):
+        assert cli.main(["riesz", str(f), "--center", "0", "--radius", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: projection residuals are not finite") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_perturb_cli(tmp_path):
@@ -398,10 +431,11 @@ def test_escape_ladder_refuses_a_matrix(tmp_path, capsys):
 
 
 def test_lines_with_an_overflowing_ray_slice_exits_2(tmp_path, capsys):
+    # seed 2: the ray phase at which the slice's 1.7e308 (1 + g) overflows
     f = tmp_path / "ovf.bipoly"
     f.write_text(OVERFLOWING_RAY)
     with np.errstate(over="ignore"):
-        assert cli.main(["lines", str(f), "--seed", "0"]) == 2
+        assert cli.main(["lines", str(f), "--seed", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: slice polynomial is identically zero\n"

@@ -13,13 +13,12 @@ from helpers import (
     OVERFLOWING_RAY,
     PAULI_X,
     PAULI_Z,
-    commuting_pair,
+    line_powers,
+    line_product,
     noncommuting_pair,
     off_curve_witnesses,
-    random_unitary,
     reference_cluster_tuples,
     reference_cluster_tuples_all_rows,
-    reference_greedy_pairing,
 )
 
 
@@ -267,17 +266,18 @@ def test_degenerate_input():
 
 
 def test_degenerate_input_when_a_ray_slice_overflows():
+    # seed 2: the ray phase at which the slice's 1.7e308 (1 + g) overflows
     p = detpoly.parse_bipoly(OVERFLOWING_RAY)
     with np.errstate(over="ignore"):
         with pytest.raises(DegenerateInput, match="identically zero"):
-            linegeom.factor_lines(p, seed=0)
+            linegeom.factor_lines(p, seed=2)
 
 
 def test_numerical_ambiguity_when_witness_unreachable(monkeypatch):
     # the only candidate witness is off the curve 1 - z^2 - w^2; the honest
     # outcome is the indeterminate exception, never a fabricated verdict
     p = detpoly.char_poly_pair(PAULI_Z, PAULI_X)
-    monkeypatch.setattr(linegeom, "_ray_witnesses", off_curve_witnesses)
+    monkeypatch.setattr(linegeom, "_curvature_witnesses", off_curve_witnesses)
     with pytest.raises(NumericalAmbiguity):
         linegeom.factor_lines(p)
 
@@ -313,58 +313,6 @@ def test_cluster_tuples():
     assert len(out) == 2
     counts = sorted(m for _, m in out)
     assert counts == [1, 2]
-
-
-def _pencil_candidates(a, b, seed):
-    """lams, mus, two ray directions and their spectra; the first direction
-    is pencil_verdict's g0 for this seed."""
-    gammas = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.0, 1.0, size=2))
-    spectra = np.linalg.eigvals(np.stack([a, b, a + gammas[0] * b, a + gammas[1] * b]))
-    return linegeom._sorted_complex(spectra[0]), linegeom._sorted_complex(spectra[1]), gammas, spectra[2:]
-
-
-def _pairing_case(family, rng, n):
-    if family == "commuting" or (family == "noncommuting" and n == 1):
-        return _pencil_candidates(*commuting_pair(rng, n), n)
-    if family == "noncommuting":
-        return _pencil_candidates(*noncommuting_pair(rng, n), n)
-    if family == "near_commuting":
-        a, b = commuting_pair(rng, n)
-        return _pencil_candidates(a + 10 ** rng.uniform(-8, -4) * rng.normal(size=(n, n)), b, n)
-    if family == "repeated_zero":
-        # a (0, 0) pair, a doubled pair and a pair with lambda = 0
-        lam = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        lam[:5], mu[:5] = [0, 0.7, 0.7, 0.0, 0.3][:n], [0, 1.1j, 1.1j, 0.9, 0.3][:n]
-        u = random_unitary(rng, n)
-        return _pencil_candidates((u * lam) @ u.conj().T, (u * mu) @ u.conj().T, n)
-    # "tied": exact small-integer spectra and rays, so many pairs cost exactly
-    # the same and many ray roots coincide
-    lam = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
-    mu = rng.integers(-2, 3, n).astype(complex)
-    gammas = np.array([1.0, 1j])
-    rays = np.stack([rng.permutation(lam + g * mu) for g in gammas])
-    return linegeom._sorted_complex(lam), linegeom._sorted_complex(mu), gammas, rays
-
-
-_PAIRING_FAMILIES = ("commuting", "noncommuting", "near_commuting", "repeated_zero", "tied")
-
-
-@pytest.mark.parametrize("family", _PAIRING_FAMILIES)
-def test_greedy_pairing_matches_reference_loop(family):
-    # every n from 1 to 64 falls to one family; each family also runs 1, 2, 64
-    k = _PAIRING_FAMILIES.index(family)
-    rng = np.random.default_rng(8000 + k)
-    outcomes = set()
-    for n in sorted({1, 2, 64, *range(1 + k, 65, len(_PAIRING_FAMILIES))}):
-        case = _pairing_case(family, rng, n)
-        got = linegeom._greedy_pairing(*case, linegeom.PAIR_TOL)
-        assert got == reference_greedy_pairing(*case, linegeom.PAIR_TOL), n
-        outcomes.add(got is None)
-    if family in ("commuting", "repeated_zero"):
-        assert outcomes == {False}
-    if family == "noncommuting":
-        assert True in outcomes
 
 
 def _bits(clusters):
@@ -507,20 +455,6 @@ def test_cluster_tuples_scales_measure_each_coordinate_in_its_own_size():
     assert [m for _, m in linegeom.cluster_tuples(tiny, scales=(1e-7, 5e-7))] == [1, 1]
 
 
-def test_greedy_pairing_consumes_the_first_of_equidistant_roots():
-    # lambda = 0 sits midway between the ray-0 roots -delta and +delta; taking
-    # the first leaves +delta, 2 delta from lambda = 3 delta, within PAIR_TOL;
-    # taking the second would leave -delta, 4 delta away, beyond it
-    delta = 2.0**-18
-    lams = np.array([0.0, 3 * delta], dtype=complex)
-    mus = np.zeros(2, dtype=complex)
-    gammas = np.array([1.0, 1j])
-    rays = np.array([[-delta, delta], [0.0, 3 * delta]], dtype=complex)
-    got = linegeom._greedy_pairing(lams, mus, gammas, rays, linegeom.PAIR_TOL)
-    assert got == [(0j, 0j), (3 * delta + 0j, 0j)]
-    assert got == reference_greedy_pairing(lams, mus, gammas, rays, linegeom.PAIR_TOL)
-
-
 def test_arrangement_roundtrip():
     arr = _arrangement((1.25, -3.5, 2), (0.125 + 1j, 4, 1))
     back = linegeom.parse_arrangement(linegeom.emit_arrangement(arr))
@@ -645,81 +579,27 @@ def test_polish_roots_matches_root_by_root_reference():
     assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
-def _shifted_derivatives(lines, n):
-    """Coefficient tables of d expand / d lam_i and d mu_i, one factor removed."""
-    cols = []
-    for i, (_, mult) in enumerate(lines):
-        others = [(line, mt - (j == i)) for j, (line, mt) in enumerate(lines) if mt - (j == i) > 0]
-        q = linegeom.expand_arrangement(others, n).coeffs
-        dz = np.zeros_like(q)
-        dz[1:, :] = mult * q[:n, :]
-        dw = np.zeros_like(q)
-        dw[:, 1:] = mult * q[:, :n]
-        cols += [dz, dw]
-    return cols
-
-
-# a double line, and 1 - z = 0, which meets the grid column z = 1
-_GRID_LINES = [
-    (Line(0.3 + 0.2j, -0.5 + 0.1j), 2),
-    (Line(-1.0 + 0j, 0j), 1),
-    (Line(0.7 + 0j, 1.1j), 1),
-]
-
-
-def test_grid_jacobian_matches_coefficient_derivatives():
-    n = 5
-    m = n + 1
-    jac = linegeom._grid_jacobian(_GRID_LINES, n)
-    assert jac.shape == (m * m, 2 * len(_GRID_LINES))
-    assert np.isfinite(jac).all()
-    for col, ref in zip(jac.T, _shifted_derivatives(_GRID_LINES, n)):
-        got = np.fft.fft2(col.reshape(m, m), norm="ortho")
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_polish_lines_recovers_perturbed_lines():
-    n = 5
-    coeffs = linegeom.expand_arrangement(_GRID_LINES, n).coeffs
-    rng = np.random.default_rng(11)
-    kick = 1e-6 * (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
-    start = [
-        (Line(line.lam + dl, line.mu + dm), mult)
-        for (line, mult), (dl, dm) in zip(_GRID_LINES, kick)
-    ]
-    out, err = linegeom._polish_lines(coeffs, start, n)
-    assert err == float(np.linalg.norm(coeffs - linegeom.expand_arrangement(out, n).coeffs))
-    assert [mult for _, mult in out] == [2, 1, 1]
-    for (got, _), (ref, _) in zip(out, _GRID_LINES):
-        assert abs(got.lam - ref.lam) <= 1e-10
-        assert abs(got.mu - ref.mu) <= 1e-10
-
-
-def test_factor_lines_gates_on_the_polish_residual(monkeypatch):
-    # the reconstruction gate reads the residual _polish_lines scored, so a
-    # commuting polynomial costs no expansion outside the polish
-    calls = {"total": 0, "in_polish": 0}
+def test_factor_lines_gates_on_the_reconstruction_residual(monkeypatch):
+    # one expansion of the lines read from the ray is the whole check: the
+    # residual it leaves (1.1e-15 relative here) passes tol.recon, and a
+    # bound below it refuses the same polynomial
+    p = _poly_from_lines([(1.0, 2.0, 1), (-0.5, 0.3, 2), (0.2 + 0.4j, -1.1, 1)], n=6)
+    calls = []
     expand = linegeom.expand_arrangement
-    polish = linegeom._polish_lines
 
-    def counted_expand(*args, **kwargs):
-        calls["total"] += 1
-        return expand(*args, **kwargs)
-
-    def counted_polish(*args, **kwargs):
-        before = calls["total"]
-        out = polish(*args, **kwargs)
-        calls["in_polish"] += calls["total"] - before
+    def counted_expand(lines, n):
+        out = expand(lines, n)
+        calls.append(float(np.linalg.norm(p.coeffs - out.coeffs)))
         return out
 
     monkeypatch.setattr(linegeom, "expand_arrangement", counted_expand)
-    monkeypatch.setattr(linegeom, "_polish_lines", counted_polish)
-    p = _poly_from_lines([(1.0, 2.0, 1), (-0.5, 0.3, 2), (0.2 + 0.4j, -1.1, 1)], n=6)
-    calls["total"] = 0
     v = linegeom.factor_lines(p)
-    assert v.is_lines
-    assert calls["in_polish"] >= 1
-    assert calls["total"] == calls["in_polish"]
+    assert v.is_lines and [m for _, m in v.arrangement.lines] == [2, 1, 1]
+    assert len(calls) == 1 and 0 < calls[0] <= 1e-14 * np.linalg.norm(p.coeffs)
+    calls.clear()
+    with pytest.raises(NumericalAmbiguity, match="reconstruction"):
+        linegeom.factor_lines(p, tol=core.Tolerances(recon=1e-17))
+    assert len(calls) == 1
 
 
 def _scaled(p, c):
@@ -768,3 +648,34 @@ def test_factor_lines_witness_is_on_curve_and_off_every_line():
                 assert not vq.is_lines
                 _assert_certified_witness(q, vq)
     assert truncated == 28  # c = 1e-2 at n >= 6
+
+
+@pytest.mark.parametrize("m, lines", list(line_powers()))
+def test_line_powers_are_never_notlines(m, lines):
+    # m >= 4 came out notlines at every seed from the axis-slice pairing,
+    # and m = 3 as three separate lines
+    p = line_product(lines)
+    for seed in range(4):
+        v = linegeom.factor_lines(p, seed=seed)
+        assert v.is_lines, seed
+        assert linegeom.compare_arrangements(v.arrangement, _arrangement(*lines)) <= 1e-9
+        assert sorted(k for _, k in v.arrangement.lines) == sorted(k for _, _, k in lines)
+
+
+def test_scaled_line_products_are_never_notlines():
+    # products of 4-12 random lines scaled by c = 1e-2, (z, w) -> (cz, cw),
+    # whose total degree is kept: the axis slices lost their top
+    # coefficients to dust and certified notlines on some of them
+    rng = np.random.default_rng(7)
+    verdicts = []
+    while len(verdicts) < 60:
+        k = int(rng.integers(4, 13))
+        lam, mu = (rng.uniform(0.3, 1.5, (2, k)) * np.exp(2j * np.pi * rng.uniform(size=(2, k))))
+        q = _scaled(line_product([(l, m, 1) for l, m in zip(lam, mu)]), 1e-2)
+        if detpoly.total_degree(q) == k:
+            try:
+                verdicts.append(linegeom.factor_lines(q).is_lines)
+            except NumericalAmbiguity:
+                verdicts.append(None)
+    assert False not in verdicts
+    assert verdicts.count(True) >= 38

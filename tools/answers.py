@@ -47,6 +47,12 @@ environment. Families:
               ctuple, bipoly, lines): malformed headers and rows, each
               outcome with its exception type, message, line and column;
               and the CLI_COMPLEX arguments through cli._cli_complex
+  detpoly_lines
+              unions of lines through factor_lines: char_poly_pair of
+              helpers.commuting_pair(default_rng(1000 n + s), n) (the
+              pairs of perfbench's commuting_pair) for n in
+              DETPOLY_LINES_NS and s = 0-5, then helpers.line_powers at
+              seeds 0-3; a notlines verdict on any of them is wrong
 
 Stdlib and numpy only. Imported as a module (the Tier-1 tests do), it
 leaves the environment as it is.
@@ -73,7 +79,10 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
-FAMILIES = ("criterion1", "battery", "large", "spectral", "riesz", "sweep", "readme", "clustered", "edges", "formats")
+FAMILIES = (
+    "criterion1", "battery", "large", "spectral", "riesz", "sweep", "readme", "clustered", "edges", "formats",
+    "detpoly_lines",
+)
 
 
 def canon(obj) -> str:
@@ -337,6 +346,21 @@ def formats(env):
             yield f"{form} {text!r}", value
     for text in CLI_COMPLEX:
         yield f"cli complex {text!r}", outcome(lambda: p.cli._cli_complex(text))
+
+
+DETPOLY_LINES_NS = (24, 28, 32, 36, 40, 48, 56, 64)
+
+
+def detpoly_lines(env, ns=DETPOLY_LINES_NS):
+    helpers, (detpoly, linegeom) = env["helpers"], (env["projspec"].detpoly, env["projspec"].linegeom)
+    for n in ns:
+        for s in range(6):
+            a, b = helpers.commuting_pair(np.random.default_rng(1000 * n + s), n)
+            yield f"commuting n={n} s={s}", outcome(lambda: linegeom.factor_lines(detpoly.char_poly_pair(a, b)))
+    for m, lines in helpers.line_powers():
+        p = helpers.line_product(lines)
+        for seed in range(4):
+            yield f"power m={m} lines={len(lines)} seed={seed}", outcome(lambda: linegeom.factor_lines(p, seed=seed))
 
 
 def load(root: Path) -> dict:
