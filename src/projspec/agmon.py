@@ -103,11 +103,12 @@ def max_circular_gap(spectrum) -> float:
     return float(_circular_gaps(_distinct_directions(spectrum))[0].max())
 
 
-def strong_agmon_check(spectrum) -> Optional[SectorWitness]:
+def strong_agmon_check(spectrum) -> SectorWitness:
     """Locate the widest eigenvalue-free sector and certify a witness ray.
 
-    Returns None only when every circular gap is below the 1e-12 angular
-    resolution. Ties between equally wide gaps resolve to the smallest
+    There always is one: k deduplicated directions leave a gap of at least
+    2pi/k, far above the 1e-12 angular resolution for any k that fits in
+    memory. Ties between equally wide gaps resolve to the smallest
     returned theta. The certified epsilon is min(sin(min(delta, pi/2)),
     1 - 1e-12): along z = e^{i theta} t the point lambda z stays at angular
     distance >= delta from -1, and the distance from -1 to that ray is
@@ -115,8 +116,6 @@ def strong_agmon_check(spectrum) -> Optional[SectorWitness]:
     """
     widths, starts = _circular_gaps(_distinct_directions(spectrum))
     widest = float(widths.max())
-    if widest <= _ANGLE_DEDUP:
-        return None
     tied = widths >= widest - _ANGLE_DEDUP
     centers = np.mod(starts[tied] + widths[tied] / 2.0, _TWO_PI)
     theta = float(np.mod(math.pi - centers, _TWO_PI).min())

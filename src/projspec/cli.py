@@ -1,10 +1,10 @@
 """Command-line interface: file-in/file-out subcommands over all modules.
 
 Exit codes: 0 affirmative verdict or plain success, 1 negative verdict
-(not a union of lines, not commuting, no sector, slope below threshold,
-line not in spectrum), 2 errors, indeterminate outcomes and verdicts whose
-two routes disagree (``consistent=false``). Identical arguments, files, and
-seeds produce byte-identical output.
+(not a union of lines, not commuting, slope below threshold), 2 errors,
+indeterminate outcomes and verdicts whose two routes disagree
+(``consistent=false``). Identical arguments, files, and seeds produce
+byte-identical output.
 
 ``main`` does all of the file input and output: it parses each input file
 named on the command line (``_INPUTS``), calls the subcommand's handler,
@@ -103,8 +103,6 @@ def _cmd_lines(args) -> tuple[str, int]:
 def _cmd_agmon(args) -> tuple[str, int]:
     dec = core.eig_normal(args.matrix, tol=_tolerances(args))
     wit = agmon_mod.strong_agmon_check(dec.values)
-    if wit is None:
-        return "nosector\n", 1
     out = [
         f"theta={wit.theta:.17g}",
         f"delta={wit.delta:.17g}",

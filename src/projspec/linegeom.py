@@ -433,7 +433,9 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
 
     An affirmative verdict always passes the reconstruction check (the
     expanded product within tol.recon * ||coeffs|| of p); a bound that is
-    not finite, ||coeffs|| having overflowed, raises NumericalAmbiguity.
+    not finite, ||coeffs|| having overflowed, raises NumericalAmbiguity, and
+    a ray slice that overflows raises DegenerateInput (_monic_reversed_roots),
+    neither with a numpy warning.
     Otherwise the witness is z = -1/nu, w = g z for a simple root nu, a
     cluster of one, whose branch bends: |nu''| above its rounding bound
     under the dust rule's noise (_ray_curvatures, _dust_noise), largest
@@ -452,9 +454,10 @@ def factor_lines(p: BivarPoly, *, seed: int = 0, tol: Optional[core.Tolerances] 
     if d == 0:
         return LineVerdict(True, LineArrangement([], deficit))
     (g,) = _phases(seed, 2)
-    slices = [univariate_slice(p, "ray", g)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        slices = [univariate_slice(p, "ray", g)]
+        bound = tol.recon * float(np.linalg.norm(c))
     nus = _monic_reversed_roots(slices[0], d)
-    bound = tol.recon * float(np.linalg.norm(c))
     if not math.isfinite(bound):
         # ||coeffs|| overflowed: no residual can be measured against it
         raise NumericalAmbiguity(f"reconstruction bound {bound:.3e} is not finite")

@@ -6,14 +6,7 @@ check for the second-order remainder of the eigen-equation identity, and the
 large-|z| singular-vector construction that extracts a common eigenvector
 from a line contained in the spectrum.
 
-Every quadrature first checks that no eigenvalue lies within
-CONTOUR_MARGIN * radius of the circle: one LAPACK eigvals of A and the
-computed eigenvalues' distances to the circle. For strongly non-normal A the
-computed eigenvalues carry an error of about machine epsilon * ||A|| * their
-condition number, so the integer-trace check on the finished projection
-remains the backstop.
-
-The N-node trapezoid sum then takes one of two routes, chosen by the input.
+The N-node trapezoid sum takes one of two routes, chosen by the input.
 For a normal A, core.eig_normal (at the default Tolerances, so that no
 PROJSPEC_TOL setting reaches this module) gives U with U*AU = diag(d) + E,
 E the off-diagonal residual. With g_ji = 1/(u_j - d_i) and the weights
@@ -30,6 +23,17 @@ LAPACK solve, summed over the nodes by one tensordot. A projection solves
 against the identity; each perturbed contour of perturbation_check solves
 against only the r rows of P0 its residual reads, r being P0's certified
 rank, since A + eps B is not normal.
+
+Every contour is first checked to pass no closer than CONTOUR_MARGIN *
+radius to the spectrum, on whichever spectrum its route holds (_eigenbasis).
+On the eigenbasis route that is d, each distance shrunk by the slack
+||E||_F + n eps ||A||_F: by Bauer-Fike every eigenvalue of U*AU lies within
+||E||_2 of some d_i, and n eps ||A||_F bounds the eigensolver's backward
+error. On the solve route, and on each perturbed contour of
+perturbation_check, it is one LAPACK eigvals. For strongly non-normal A the
+computed eigenvalues carry an error of about machine epsilon * ||A|| * their
+condition number, so the integer-trace check on the finished projection
+remains the backstop.
 """
 
 from __future__ import annotations
@@ -109,16 +113,16 @@ class Lemma34Result:
     history: List[Tuple[complex, float, float, float]] = field(default_factory=list)
 
 
-def _check_margin(a: np.ndarray, c: Contour) -> None:
+def _check_margin(vals: np.ndarray, slack: float, c: Contour) -> None:
     """Reject contours passing within CONTOUR_MARGIN * radius of the spectrum.
 
-    The test is the distance from each eigenvalue computed by LAPACK eigvals
-    to the circle. Eigenvalues of strongly non-normal A are only as accurate
-    as their conditioning allows, and _finish_projection's trace check can
-    still reject such a contour.
+    vals are computed eigenvalues, and slack bounds how far each eigenvalue
+    of A may lie from the nearest of them: the test is every distance from
+    vals to the circle against the margin grown by slack. Eigenvalues of
+    strongly non-normal A are only as accurate as their conditioning allows,
+    and _finish_projection's trace check can still reject such a contour.
     """
-    vals = np.linalg.eigvals(a)
-    margin = CONTOUR_MARGIN * c.radius
+    margin = CONTOUR_MARGIN * c.radius + slack
     dist = np.abs(np.abs(vals - c.center) - c.radius)
     if dist.size and float(dist.min()) < margin:
         raise EigenvalueOnContour(
@@ -168,28 +172,36 @@ def _combine(phases: np.ndarray, terms, c: Contour) -> np.ndarray:
 
 
 def _eigenbasis(a: np.ndarray, c: Contour):
-    """(U, E, g, wg) of the eigenbasis route, or None when it does not apply.
+    """(U, E, g, wg) of the eigenbasis route, or None when it does not apply;
+    either way the contour has passed _check_margin.
 
     U is core.eig_normal's unitary at the default Tolerances, E the
     off-diagonal part of U*AU with diagonal d, g the (nodes, n) table
     g_ji = 1/(u_j - d_i) and wg_ji = w_j g_ji with _combine's weights
-    w_j = (r/N) e^{2 pi i j/N}. None when eig_normal refuses A (NotNormal,
-    NoConvergence) or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included.
+    w_j = (r/N) e^{2 pi i j/N}; the margin is checked on d with the slack
+    ||E||_F + n eps ||A||_F. None when eig_normal refuses A (NotNormal,
+    NoConvergence) or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included;
+    the margin is then checked on one LAPACK eigvals of A.
     """
     try:
-        u = core.eig_normal(a, tol=core.Tolerances()).unitary
+        with np.errstate(over="ignore", invalid="ignore"):  # eig_normal's gates refuse what overflows
+            u = core.eig_normal(a, tol=core.Tolerances()).unitary
     except (NotNormal, NoConvergence):
-        return None
-    e = u.conj().T @ (a @ u)
-    d = e.diagonal().copy()
-    np.fill_diagonal(e, 0.0)
-    phases, us = _nodes(c)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = 1.0 / (us[:, None] - d)
-        size = np.abs(g).max() * np.linalg.norm(e)
-    if not (size <= _NEUMANN_BOUND):
-        return None
-    return u, e, g, (c.radius / c.nodes) * phases[:, None] * g
+        u = None
+    if u is not None:
+        e = u.conj().T @ (a @ u)
+        d = e.diagonal().copy()
+        np.fill_diagonal(e, 0.0)
+        phases, us = _nodes(c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = 1.0 / (us[:, None] - d)
+            off = np.linalg.norm(e)
+            size = np.abs(g).max() * off
+        if size <= _NEUMANN_BOUND:
+            _check_margin(d, off + d.size * np.finfo(np.float64).eps * core.frobenius(a), c)
+            return u, e, g, (c.radius / c.nodes) * phases[:, None] * g
+    _check_margin(np.linalg.eigvals(a), 0.0, c)
+    return None
 
 
 def _projection(a: np.ndarray, c: Contour) -> np.ndarray:
@@ -233,7 +245,6 @@ def _finish_projection(a: np.ndarray, p: np.ndarray) -> RieszResult:
 def riesz_projection(a, c: Contour) -> RieszResult:
     """Trapezoid quadrature of the spectral projection onto the enclosed part."""
     a = core.as_cmatrix(a)
-    _check_margin(a, c)
     return _finish_projection(a, _projection(a, c))
 
 
@@ -246,7 +257,6 @@ def first_order_term(a, b, c: Contour) -> np.ndarray:
     the (nodes, n, n) resolvent stack of the solve route.
     """
     a, b = core.as_cmatrices(a, b)
-    _check_margin(a, c)
     basis = _eigenbasis(a, c)
     if basis is None:
         phases, resolvents = _resolvent_nodes(a, c)
@@ -286,7 +296,6 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
     if eps_arr.size == 0 or np.any(eps_arr <= 0):
         raise ValueError("eps_list must contain positive reals")
-    _check_margin(a, c)
     p0 = _projection(a, c)
     rank = _certified_rank(p0)
     _, svals, vh = np.linalg.svd(p0)
@@ -298,7 +307,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     for k, eps in enumerate(eps_arr):
         a_eps = a + eps * b
         try:
-            _check_margin(a_eps, c)
+            _check_margin(np.linalg.eigvals(a_eps), 0.0, c)
         except EigenvalueOnContour as exc:
             raise ContourCapturesPerturbedSpectrumBoundary(
                 f"at eps = {eps:g}: {exc}"
@@ -363,9 +372,7 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
                 f"exceeds {_LINE_PROBE_TOL}"
             )
     if zs is None:
-        wit = strong_agmon_check(np.linalg.eigvals(a))
-        theta = wit.theta if wit is not None else 0.0
-        zs = np.exp(1j * theta) * (10.0 ** np.arange(1, 7))
+        zs = np.exp(1j * strong_agmon_check(np.linalg.eigvals(a)).theta) * (10.0 ** np.arange(1, 7))
     zarr = np.asarray(list(zs), dtype=np.complex128)
     if zarr.size == 0:
         raise ValueError("zs must be nonempty")

@@ -397,7 +397,7 @@ def reference_perturbation_check(a, b, lam, mu, c, eps_list):
     a = core.as_cmatrix(a)
     b = core.as_cmatrix(b)
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
-    riesz._check_margin(a, c)
+    riesz._check_margin(np.linalg.eigvals(a), 0.0, c)
     phases, resolvents = riesz._resolvent_nodes(a, c)
     p0 = reference_combine(phases, resolvents, c)
     eye = np.eye(a.shape[0], dtype=np.complex128)
@@ -405,7 +405,7 @@ def reference_perturbation_check(a, b, lam, mu, c, eps_list):
     residuals = np.empty(eps_arr.size, dtype=np.float64)
     for k, eps in enumerate(eps_arr):
         a_eps = a + eps * b
-        riesz._check_margin(a_eps, c)
+        riesz._check_margin(np.linalg.eigvals(a_eps), 0.0, c)
         ph_e, res_e = riesz._resolvent_nodes(a_eps, c)
         p_eps = reference_combine(ph_e, res_e, c)
         m = p0 @ (a_eps - (lam + eps * mu) * eye) @ p_eps - eps * lead

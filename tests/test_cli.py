@@ -452,6 +452,20 @@ def test_lines_with_an_overflowing_ray_exits_2_at_every_seed(tmp_path, capsys, s
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_lines_with_an_overflowing_ray_warns_nothing(tmp_path, capsys, seed):
+    # with numpy's floating-point errors at their defaults (and RuntimeWarning
+    # an error under this suite's settings), neither the overflowing ray
+    # slice (seeds 3-5) nor the overflowing reconstruction bound (seeds 0,
+    # 1, 6, 7) may reach stderr as a warning: one error line only
+    f = tmp_path / "ovf.bipoly"
+    f.write_text(OVERFLOWING_RAY)
+    assert cli.main(["lines", str(f), "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "out.txt"
     assert cli.main(["example", "--level", "1", "-o", str(out)]) == 2
@@ -570,6 +584,18 @@ def test_plot_slice_constant_poly(tmp_path):
     code, text = _run(tmp_path, "plot-slice", str(f))
     assert code == 0
     assert text.strip() == "w0,re_z,im_z"
+
+
+def test_plot_slice_skips_a_vanishing_slice(tmp_path):
+    # p = 1 + w: the slice at w0 = -1 is identically zero and is skipped;
+    # those at w0 = 0 and 1 are nonzero constants with no root
+    c = np.zeros((2, 2), dtype=complex)
+    c[0, 0] = c[0, 1] = 1.0
+    f = tmp_path / "w.bipoly"
+    f.write_text(detpoly.emit_bipoly(detpoly.BivarPoly(1, c)))
+    code, text = _run(tmp_path, "plot-slice", str(f), "--samples", "3")
+    assert code == 0
+    assert text == "w0,re_z,im_z\n"
 
 
 def test_determinism_byte_identical(tmp_path):

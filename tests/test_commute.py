@@ -821,6 +821,19 @@ def test_restriction_eigenplane():
     assert linegeom.compare_arrangements(rep.verdict.arrangement, ref) <= 1e-8
 
 
+def test_restriction_basis_forms():
+    # one vector as a 1-D array, and a plane as a (k, n) sequence of row
+    # vectors, read as the columns they are
+    a = np.diag([1.0, 2.0, 5.0]).astype(complex)
+    b = np.diag([3.0, 4.0, 6.0]).astype(complex)
+    e = np.eye(3, dtype=complex)
+    rep = commute.restriction_check(a, b, e[1])
+    assert rep.commute and rep.consistent
+    assert linegeom.compare_arrangements(rep.verdict.arrangement, _ref_arrangement((2, 4, 1))) <= 1e-8
+    rows = commute.restriction_check(a, b, [e[0], e[1]])
+    assert commute.format_report(rows) == commute.format_report(commute.restriction_check(a, b, e[:, :2]))
+
+
 def test_restriction_full_space_matches_equivalence():
     rng = np.random.default_rng(61)
     a, b = commuting_pair(rng, 3)

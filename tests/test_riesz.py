@@ -127,6 +127,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_margin_check_is_one_eigensolve(monkeypatch):
+    # the margin reads the spectrum that _eigenbasis already holds: one
+    # eigvals when eig_normal refuses A, the eigenbasis's diagonal when it
+    # admits A; never a determinant probe
     rng = np.random.default_rng(3)
     nonnormal = _triangular(rng, 0.3, 16)
     normal = random_normal(rng, 16, vals=0.5 * random_diag_vals(rng, 16))
@@ -137,11 +140,73 @@ def test_margin_check_is_one_eigensolve(monkeypatch):
     monkeypatch.setattr(
         riesz.core, "eig_normal", lambda *a, **k: eig_normal_calls.append(a) or real_eig_normal(*a, **k)
     )
-    for k, a in enumerate([nonnormal, normal], start=1):
-        riesz._check_margin(a, Contour(0.0, 1.0))
+    for k, (a, routed) in enumerate([(nonnormal, False), (normal, True)], start=1):
+        assert (riesz._eigenbasis(a, Contour(0.0, 1.0)) is not None) == routed
         assert dets[0] == 0
-        assert eigvals[0] == k
-        assert eig_normal_calls == []
+        assert eigvals[0] == 1
+        assert len(eig_normal_calls) == k
+    # _check_margin itself reads only the values it is given
+    riesz._check_margin(np.array([0.3, 2.0]), 1e-12, Contour(0.0, 1.0))
+    assert (dets[0], eigvals[0], len(eig_normal_calls)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("case", ["normal", "nonnormal", "gate"])
+def test_eigvals_per_call(monkeypatch, case):
+    # a normal A on the eigenbasis route reads its margin from the
+    # eigenbasis, so only perturbation_check's eps contours run eigvals;
+    # a non-normal A, or one that fails the gate, adds one per call
+    a, b, c, lam = _gate_case() if case == "gate" else _bit_case(13, case == "normal")
+    assert (riesz._eigenbasis(a, c) is not None) == (case == "normal")
+    extra = 0 if case == "normal" else 1
+    eps_list = [1e-2, 1e-3, 1e-4]
+    eigvals = _count_calls(monkeypatch, "eigvals")
+    riesz.riesz_projection(a, c)
+    assert eigvals[0] == extra
+    riesz.first_order_term(a, b, c)
+    assert eigvals[0] == 2 * extra
+    riesz.perturbation_check(a, b, lam, 0.5, c, eps_list)
+    assert eigvals[0] == 3 * extra + len(eps_list)
+
+
+def test_eigenbasis_margin_reads_the_diagonal(monkeypatch):
+    # 1.02 is 2% of the radius outside the unit circle and 0.02 from the
+    # nearest node: the gate holds (E = 0) and the margin refuses d itself
+    eigvals = _count_calls(monkeypatch, "eigvals")
+    with pytest.raises(EigenvalueOnContour, match="^eigenvalue within 2.000e-02"):
+        riesz.riesz_projection(np.diag([0.3, 1.02]).astype(complex), Contour(0.0, 1.0))
+    assert eigvals[0] == 0
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_an_overflowing_normal_matrix_warns_nothing(scale):
+    # eig_normal refuses s diag(1, 2), whose squares overflow, through its
+    # NaN-safe gates; the margin and the quadrature then read eigvals and
+    # the solves, with no numpy warning (an error under this suite)
+    a = scale * np.diag([1.0, 2.0]).astype(complex)
+    with pytest.raises(EigenvalueOnContour, match="^eigenvalue within"):
+        riesz.riesz_projection(a, Contour(scale, scale))
+    assert riesz.riesz_projection(a, Contour(scale, scale / 2)).rank_estimate == 1
+
+
+def test_margin_grows_by_the_slack():
+    c = Contour(0.0, 1.0)
+    vals = np.array([0.3, 1.05 + 1e-12])
+    riesz._check_margin(vals, 0.0, c)
+    with pytest.raises(EigenvalueOnContour, match=r"\(margin 5\.000e-02\)"):
+        riesz._check_margin(vals, 2e-12, c)
+
+
+@pytest.mark.parametrize("case", ["normal", "near-normal"])
+def test_eigenbasis_slack_holds_the_off_diagonal_residual(monkeypatch, case):
+    # ||E||_F is about 1e-9 for the near-normal input and at rounding level
+    # for a normal one; the slack carries it
+    a, _, c, _ = _near_normal_case() if case == "near-normal" else _bit_case(13, True)
+    slacks = []
+    real = riesz._check_margin
+    monkeypatch.setattr(riesz, "_check_margin", lambda vals, slack, c: slacks.append(slack) or real(vals, slack, c))
+    assert riesz._eigenbasis(a, c) is not None
+    low, high = (1e-10, 1e-8) if case == "near-normal" else (0.0, 1e-12)
+    assert len(slacks) == 1 and low < slacks[0] < high
 
 
 def test_one_batched_solve_per_contour(monkeypatch):
@@ -469,7 +534,7 @@ def test_nonnormal_p0_contour_inverts_every_node(monkeypatch):
 def test_perturbation_non_integer_trace_raises(monkeypatch):
     # with the margin check off, an eigenvalue 2% outside the circle leaves
     # a trapezoid error of about 1.02^-64 = 0.28 in P0's trace
-    monkeypatch.setattr(riesz, "_check_margin", lambda a, c: None)
+    monkeypatch.setattr(riesz, "_check_margin", lambda vals, slack, c: None)
     a = np.diag([0.0, 1.02]).astype(complex)
     with pytest.raises(EigenvalueOnContour, match="^projection trace"):
         riesz.perturbation_check(a, PAULI_X, 0.0, 0.0, Contour(0.0, 1.0), [1e-3])

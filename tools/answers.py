@@ -28,8 +28,8 @@ environment. Families:
               agmon operations, rounds 0-14 at seed 3
   riesz       the riesz_projection, first_order_term, perturbation_check and
               lemma34_solver operations of perfbench `spectral`, rounds 0-14
-              at seed 3, each also on a non-normal copy of its A
-              (nonnormal_copy, default_rng(2503))
+              at seed 3 (`rounds` sets how many), each also on a non-normal
+              copy of its A (nonnormal_copy, default_rng(2503))
   sweep       the 135-pair near-commuting sweep: default_rng(5),
               n in (4, 12, 24, 48, 64), eps in logspace(-12, -3, 9), 3 each
   readme      every `$ projspec ...` line of README.md, run in order in a
@@ -161,10 +161,10 @@ def nonnormal_copy(a, rng):
     return q @ (np.diag(np.diag(q.conj().T @ a @ q)) + 0.2 * strict) @ q.conj().T
 
 
-def riesz(env):
+def riesz(env, rounds=15):
     rng = np.random.default_rng(2503)
     workload = env["bench"].Spectral(3)
-    for r in range(15):
+    for r in range(rounds):
         for i, op in enumerate(workload.round(r)):
             if op.kind in RIESZ_KINDS:
                 key = f"round {r} op {i} {op.kind} n={op.n}"

@@ -17,8 +17,9 @@ The record at the repository root, BENCH_<tag>.json, holds:
   per_kind_median_ms       the median over each side's runs of each run's median
                            probe-scaled seconds per operation kind, from the
                            run's details file .perfbench/<workload>-seed<n>-trace0.json
-  eigensolve_calls_per_op  np.linalg.eigh, np.linalg.eig and core.joint_diagonalize
-                           calls per operation in one untimed run of each checkout
+  eigensolve_calls_per_op  np.linalg.eigh, np.linalg.eig, np.linalg.eigvals and
+                           core.joint_diagonalize calls per operation in one
+                           untimed run of each checkout
                            (large: seed 1, 20 rounds; battery and spectral: seed 1,
                            10 rounds; cli: seed 1, one round through projspec.cli.main)
   traced                   TRACE_PAIRS alternating pairs of --trace 1 runs on
@@ -66,6 +67,7 @@ def counted(owner, attr, label):
     setattr(owner, attr, wrapper)
 counted(np.linalg, "eigh", "np.linalg.eigh")
 counted(np.linalg, "eig", "np.linalg.eig")
+counted(np.linalg, "eigvals", "np.linalg.eigvals")
 counted(core, "joint_diagonalize", "core.joint_diagonalize")
 if name == "cli":
     import tempfile
@@ -260,8 +262,8 @@ def main(argv=None) -> int:
         "medians": {w: medians(runs, w, spec["end_to_end"]) for w in workloads},
         "runs": runs,
         "eigensolve_calls_per_op": {
-            "what": ("np.linalg.eigh, np.linalg.eig and core.joint_diagonalize calls per operation, counted by "
-                     "wrapping them in a separate untimed run of each checkout: "
+            "what": ("np.linalg.eigh, np.linalg.eig, np.linalg.eigvals and core.joint_diagonalize calls per "
+                     "operation, counted by wrapping them in a separate untimed run of each checkout: "
                      + "; ".join(f"{w} seed 1, {COUNT_ROUNDS[w]} rounds" for w in workloads)),
             "figures": counts,
         },
