@@ -11,7 +11,6 @@ ladder where the escape radii diverge.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import core
-from .errors import InvalidEpsilon, LevelTooLarge
+from .errors import InvalidEpsilon, LevelTooLarge, NumericalAmbiguity
 
 _TWO_PI = 2.0 * math.pi
 
@@ -31,9 +30,8 @@ _EPS_CAP = 1.0 - 1e-12
 
 _MAX_LEVEL = 14
 
-# escape_radius_profile chunks: disks by arc indices
-_PROFILE_DISKS = 64
-_PROFILE_CHUNK = 512
+# forbidden disks per window gather in _blocking_radii
+_PROFILE_DISKS = 16
 
 DEFAULT_N_ANGLES = 4096
 
@@ -144,56 +142,75 @@ def verify_witness(spectrum, zs, epsilon: float) -> WitnessCheck:
     return WitnessCheck(value >= epsilon, complex(vals[i]), complex(zarr[j]), value)
 
 
-def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_ANGLES) -> EscapeProfile:
-    """Per-direction blocking radii of the forbidden disks D(-1/l, eps/|l|).
+def _angles(n_angles: int) -> np.ndarray:
+    return _TWO_PI * np.arange(n_angles, dtype=np.float64) / n_angles
 
-    radii[k] is the largest ray parameter t > 0 at which e^{i theta_k} t sits
-    on the boundary of some forbidden disk, 0 when the ray misses every disk.
+
+def _blocking_radii(vals: np.ndarray, epsilon: float, n_angles: int, ends) -> list:
+    """For each k in the ascending ends, the blocking radii of the forbidden
+    disks D(-1/l, eps/|l|) of the first k of the nonzero vals at the angles
+    2 pi j / n_angles: entry j is the largest ray parameter t > 0 at which
+    e^{i theta_j} t sits on the boundary of one of those disks, 0 when the
+    ray misses them all.
 
     The disk about c = -1/l has radius eps |c|, so a ray meets it only when
     its direction lies within asin(eps) of arg c, whatever |l| is. Each disk
-    is evaluated on the angle indices of that arc, widened by two indices a
-    side against rounding, in chunks of at most _PROFILE_DISKS disks by
-    _PROFILE_CHUNK indices, and the radii are their scatter-max. Every pair
-    left out is one the full disk-by-angle grid sends to 0, so the radii are
-    those of the full grid, bit for bit.
+    is evaluated once, on the angle indices of that arc, widened by two
+    indices a side against rounding, _PROFILE_DISKS disks to a gather, and
+    maxed into its own slice of one running maximum; the radii after k disks
+    are that maximum read at k. Every pair left out is one the full
+    disk-by-angle grid sends to 0, so the radii are those of the full grid,
+    bit for bit. A disk whose centre or |c|^2 - r^2 is not a finite double
+    raises NumericalAmbiguity.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
-    angles = _TWO_PI * np.arange(n_angles, dtype=np.float64) / n_angles
-    vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
-    vals = vals[np.abs(vals) > 0.0]
-    radii = np.zeros(n_angles, dtype=np.float64)
-    if vals.size:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         centers = -1.0 / vals
         # |center|^2 - r^2 = (1 - eps^2)/|lambda|^2 > 0: no disk reaches the origin
         gap = np.abs(centers) ** 2 - (epsilon / np.abs(vals)) ** 2
-        step = _TWO_PI / n_angles
-        reach = math.asin(epsilon) / step + 2.0
-        width = min(int(2.0 * reach) + 2, n_angles)
-        first = np.floor(np.mod(np.angle(centers), _TWO_PI) / step - reach).astype(np.int64) % n_angles
-        # arcs run past index n_angles - 1 into a copy of the first width
-        # directions, folded back at the end
-        conj_u = np.conj(np.exp(1j * angles))
-        conj_u = np.concatenate([conj_u, conj_u[:width]])
-        wrapped = np.zeros(n_angles + width, dtype=np.float64)
-        for c0 in range(0, width, _PROFILE_CHUNK):
-            cols = min(_PROFILE_CHUNK, width - c0)
-            windows = sliding_window_view(conj_u, cols)
-            offsets = np.arange(cols)
-            for lo in range(0, vals.size, _PROFILE_DISKS):
-                hi = min(lo + _PROFILE_DISKS, vals.size)
-                start = first[lo:hi] + c0
-                b = (windows[start] * centers[lo:hi, None]).real
-                disc = b * b - gap[lo:hi, None]
-                hit = disc >= 0.0
-                t = np.where(hit, b + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
-                np.maximum.at(wrapped, (start[:, None] + offsets).ravel(), t.ravel())
-        radii = wrapped[:n_angles]
-        np.maximum(radii[:width], wrapped[n_angles:], out=radii[:width])
-    return EscapeProfile(epsilon, angles, radii, float(radii.min()))
+    if not np.isfinite(gap).all():
+        raise NumericalAmbiguity(f"forbidden disk of eigenvalue {complex(vals[~np.isfinite(gap)][0]):.6g} overflows")
+    step = _TWO_PI / n_angles
+    reach = math.asin(epsilon) / step + 2.0
+    width = min(int(2.0 * reach) + 2, n_angles)
+    first = np.floor(np.mod(np.angle(centers), _TWO_PI) / step - reach).astype(np.int64) % n_angles
+    # arcs run past index n_angles - 1 into a copy of the first width
+    # directions, folded back (a max, so in place) at each read
+    conj_u = np.conj(np.exp(1j * _angles(n_angles)))
+    windows = sliding_window_view(np.concatenate([conj_u, conj_u[:width]]), width)
+    running = np.zeros(n_angles + width, dtype=np.float64)
+    out = []
+    for done, k in zip([0, *ends], ends):
+        for lo in range(done, k, _PROFILE_DISKS):
+            hi = min(lo + _PROFILE_DISKS, k)
+            b = (windows[first[lo:hi]] * centers[lo:hi, None]).real
+            disc = b * b - gap[lo:hi, None]
+            hit = disc >= 0.0
+            t = np.where(hit, b + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
+            for start, row in zip(first[lo:hi].tolist(), t):
+                arc = running[start : start + width]
+                np.maximum(arc, row, out=arc)
+        np.maximum(running[:width], running[n_angles:], out=running[:width])
+        out.append(running[:n_angles].copy())
+    return out
+
+
+def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_ANGLES) -> EscapeProfile:
+    """Per-direction blocking radii of the forbidden disks D(-1/l, eps/|l|).
+
+    radii[k] is the largest ray parameter t > 0 at which e^{i theta_k} t sits
+    on the boundary of some forbidden disk, 0 when the ray misses every disk:
+    one _blocking_radii pass over the nonzero spectrum, bit for bit the
+    radii of the full disk-by-angle grid. NumericalAmbiguity when a disk
+    overflows (|1/l|^2 not a finite double).
+    """
+    vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
+    vals = vals[np.abs(vals) > 0.0]
+    (radii,) = _blocking_radii(vals, epsilon, n_angles, [vals.size])
+    return EscapeProfile(epsilon, _angles(n_angles), radii, float(radii.min()))
 
 
 def _harmonic(level: int) -> np.ndarray:
@@ -234,10 +251,11 @@ def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES
     Escape radii that grow without bound down the ladder are the finite-rank
     signature of a spectrum accumulating at 0 from every direction.
 
-    example_spectrum(l) is a prefix of example_spectrum(L) for l <= L, block
-    n being its entries 2^n - 2 .. 2^{n+1} - 3, and a level's blocking radii
-    are the maximum of its blocks' radii. So each block is profiled once and
-    level l reads the running maximum over blocks 1..l.
+    example_spectrum(l) is a prefix of example_spectrum(L) for l <= L, of
+    dimension 2^{l+1} - 2, and a level's blocking radii are the maximum over
+    its disks. So one _blocking_radii pass over example_spectrum of the top
+    level evaluates every disk once, and each level reads the running
+    maximum at its own dimension.
     """
     if isinstance(levels, (int, np.integer)):
         levels = range(1, int(levels) + 1)
@@ -246,20 +264,11 @@ def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES
         _check_level(level)
     if not levels:
         return []
-    top = max(levels)
-    spectrum = example_spectrum(top)
-    blocks = (
-        escape_radius_profile(spectrum[2**n - 2 : 2 ** (n + 1) - 2], epsilon, n_angles).radii
-        for n in range(1, top + 1)
-    )
-    cumulative = list(itertools.accumulate(blocks, np.maximum))
-    rows = []
-    for level in levels:
-        dim = 2 ** (level + 1) - 2
-        rows.append(
-            (level, dim, max_circular_gap(spectrum[:dim]), float(cumulative[level - 1].min()))
-        )
-    return rows
+    spectrum = example_spectrum(max(levels))
+    dims = [2 ** (level + 1) - 2 for level in levels]
+    ends = sorted(set(dims))
+    radii = dict(zip(ends, _blocking_radii(spectrum, epsilon, n_angles, ends)))
+    return [(level, dim, max_circular_gap(spectrum[:dim]), float(radii[dim].min())) for level, dim in zip(levels, dims)]
 
 
 def emit_profile_csv(profile: EscapeProfile) -> str:

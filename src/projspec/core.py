@@ -111,12 +111,16 @@ def require_normal(m, tol: Tolerances, message: str) -> tuple[float, float]:
 
     Returns (||M||_F, defect) for an admitted matrix; otherwise raises
     NotNormal with ``message`` formatted with ``defect``, ``bound`` (the
-    right-hand side) and ``tol``.
+    right-hand side) and ``tol``. Both norms are formed with numpy's
+    overflow and invalid warnings off: a ||M||_F that is not finite is
+    refused, and so is a defect that is not finite, by the NaN-safe test.
     """
-    norm = frobenius(m)
-    defect = normality_defect(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = frobenius(m)
+        defect = normality_defect(m)
     bound = tol.normal * norm
-    if not (defect <= bound):
+    # a norm that overflows to inf would admit a defect that overflows too
+    if not (defect <= bound and math.isfinite(norm)):
         raise NotNormal(message.format(defect=defect, bound=bound, tol=tol))
     return norm, defect
 

@@ -25,15 +25,15 @@ against only the r rows of P0 its residual reads, r being P0's certified
 rank, since A + eps B is not normal.
 
 Every contour is first checked to pass no closer than CONTOUR_MARGIN *
-radius to the spectrum, on whichever spectrum its route holds (_eigenbasis).
-On the eigenbasis route that is d, each distance shrunk by the slack
-||E||_F + n eps ||A||_F: by Bauer-Fike every eigenvalue of U*AU lies within
-||E||_2 of some d_i, and n eps ||A||_F bounds the eigensolver's backward
-error. On the solve route, and on each perturbed contour of
-perturbation_check, it is one LAPACK eigvals. For strongly non-normal A the
-computed eigenvalues carry an error of about machine epsilon * ||A|| * their
-condition number, so the integer-trace check on the finished projection
-remains the backstop.
+radius to the spectrum (_eigenbasis). When eig_normal admits A, whichever
+route the quadrature then takes, that is checked on d, each distance shrunk
+by the slack ||E||_F + n eps ||A||_F: by Bauer-Fike every eigenvalue of
+U*AU lies within ||E||_2 of some d_i, and n eps ||A||_F bounds the
+eigensolver's backward error. When eig_normal refuses A, and on each
+perturbed contour of perturbation_check, it is one LAPACK eigvals. For
+strongly non-normal A the computed eigenvalues carry an error of about
+machine epsilon * ||A|| * their condition number, so the integer-trace
+check on the finished projection remains the backstop.
 """
 
 from __future__ import annotations
@@ -178,30 +178,27 @@ def _eigenbasis(a: np.ndarray, c: Contour):
     U is core.eig_normal's unitary at the default Tolerances, E the
     off-diagonal part of U*AU with diagonal d, g the (nodes, n) table
     g_ji = 1/(u_j - d_i) and wg_ji = w_j g_ji with _combine's weights
-    w_j = (r/N) e^{2 pi i j/N}; the margin is checked on d with the slack
-    ||E||_F + n eps ||A||_F. None when eig_normal refuses A (NotNormal,
-    NoConvergence) or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included;
-    the margin is then checked on one LAPACK eigvals of A.
+    w_j = (r/N) e^{2 pi i j/N}. When eig_normal admits A the margin is
+    checked on d with the slack ||E||_F + n eps ||A||_F, and the result is
+    None when max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included. When
+    eig_normal refuses A (NotNormal, NoConvergence) the margin is checked on
+    one LAPACK eigvals of A and the result is None.
     """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # eig_normal's gates refuse what overflows
-            u = core.eig_normal(a, tol=core.Tolerances()).unitary
+        u = core.eig_normal(a, tol=core.Tolerances()).unitary
     except (NotNormal, NoConvergence):
-        u = None
-    if u is not None:
-        e = u.conj().T @ (a @ u)
-        d = e.diagonal().copy()
-        np.fill_diagonal(e, 0.0)
-        phases, us = _nodes(c)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = 1.0 / (us[:, None] - d)
-            off = np.linalg.norm(e)
-            size = np.abs(g).max() * off
-        if size <= _NEUMANN_BOUND:
-            _check_margin(d, off + d.size * np.finfo(np.float64).eps * core.frobenius(a), c)
-            return u, e, g, (c.radius / c.nodes) * phases[:, None] * g
-    _check_margin(np.linalg.eigvals(a), 0.0, c)
-    return None
+        _check_margin(np.linalg.eigvals(a), 0.0, c)
+        return None
+    e = u.conj().T @ (a @ u)
+    d = e.diagonal().copy()
+    np.fill_diagonal(e, 0.0)
+    phases, us = _nodes(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = 1.0 / (us[:, None] - d)
+        off = np.linalg.norm(e)
+        size = np.abs(g).max() * off
+    _check_margin(d, off + d.size * np.finfo(np.float64).eps * core.frobenius(a), c)
+    return (u, e, g, (c.radius / c.nodes) * phases[:, None] * g) if size <= _NEUMANN_BOUND else None
 
 
 def _projection(a: np.ndarray, c: Contour) -> np.ndarray:
@@ -282,7 +279,8 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     - eps P0 (B - mu I) P0||_F with lambda_eps = lambda + eps mu; the
     least-squares slope of log r vs log eps certifies the quadratic
     remainder when >= 1.8. Residuals at the rounding floor for every eps are
-    reported as exact instead of sloped.
+    reported as exact instead of sloped. A floor 1e-13 (1 + ||A||_F +
+    ||B||_F) or a residual that is not finite raises NumericalAmbiguity.
 
     P0's rank r is certified by the integer-trace rule of riesz_projection.
     With P0 = U_r S_r V_r* from its top r singular triplets, the residual is
@@ -318,7 +316,10 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
         ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
         m = scale * (_combine(ph_e, sol, c).T - eps * lead)
         residuals[k] = float(np.linalg.norm(m))
-    floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))
+    with np.errstate(over="ignore"):
+        floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))
+    if not (math.isfinite(floor) and np.isfinite(residuals).all()):
+        raise NumericalAmbiguity(f"rounding floor {floor:.3e} and largest residual {residuals.max():.3e} must be finite")
     live = residuals > floor
     if int(live.sum()) < 2:
         return PerturbationReport(eps_arr, residuals, None, True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projspec import agmon
-from projspec.errors import InvalidEpsilon, LevelTooLarge
+from projspec.errors import InvalidEpsilon, LevelTooLarge, NumericalAmbiguity
 
 from helpers import reference_escape_ladder, reference_escape_radius_profile
 
@@ -135,6 +135,15 @@ def test_escape_profile_validation():
         agmon.escape_radius_profile([1.0], 0.5, n_angles=7)
 
 
+@pytest.mark.parametrize("tiny", [3e-200, 1e-320])
+def test_escape_profile_refuses_a_disk_that_overflows(tiny):
+    # the disk of 3e-200 blocks the ray at pi out to about 5e199, but
+    # |c|^2 - r^2 is inf - inf; for 1e-320 the centre itself is -inf. Either
+    # is refused, with no numpy warning, and never dropped as a miss
+    with pytest.raises(NumericalAmbiguity, match="^forbidden disk of eigenvalue"):
+        agmon.escape_radius_profile([tiny, 1.0], 0.5, n_angles=8)
+
+
 def test_escape_profile_epsilon_monotone():
     spectrum = agmon.example_spectrum(3)
     small = agmon.escape_radius_profile(spectrum, 0.3, n_angles=256)
@@ -199,18 +208,18 @@ def test_ladder_accepts_explicit_levels():
     assert agmon.escape_ladder(0, epsilon=0.5) == []
 
 
-def _count_profiled(monkeypatch):
-    """Patch agmon.escape_radius_profile to record the size of every
-    spectrum it is given."""
-    real = agmon.escape_radius_profile
-    sizes = []
+def _count_passes(monkeypatch):
+    """Patch agmon._blocking_radii to record the disk count and the ends of
+    every pass."""
+    real = agmon._blocking_radii
+    passes = []
 
-    def counting(spectrum, epsilon, n_angles=agmon.DEFAULT_N_ANGLES):
-        sizes.append(len(spectrum))
-        return real(spectrum, epsilon, n_angles)
+    def counting(vals, epsilon, n_angles, ends):
+        passes.append((len(vals), list(ends)))
+        return real(vals, epsilon, n_angles, ends)
 
-    monkeypatch.setattr(agmon, "escape_radius_profile", counting)
-    return sizes
+    monkeypatch.setattr(agmon, "_blocking_radii", counting)
+    return passes
 
 
 @pytest.mark.parametrize(
@@ -219,19 +228,19 @@ def _count_profiled(monkeypatch):
      ([3, 0], ValueError), ([2, 15], LevelTooLarge), (15, LevelTooLarge)],
 )
 def test_ladder_rejects_bad_levels_before_any_work(monkeypatch, levels, error):
-    # a running maximum indexed by level - 1 would read the last block for
-    # level 0; every level is checked before the first block is profiled
-    sizes = _count_profiled(monkeypatch)
+    # a running maximum read at level 0's dimension would read no disk;
+    # every level is checked before the pass starts
+    passes = _count_passes(monkeypatch)
     with pytest.raises(error):
         agmon.escape_ladder(levels, epsilon=0.5, n_angles=64)
-    assert sizes == []
+    assert passes == []
 
 
 def test_ladder_profiles_each_block_once(monkeypatch):
-    sizes = _count_profiled(monkeypatch)
+    # one pass over the top level's 1022 disks, read at every level's dimension
+    passes = _count_passes(monkeypatch)
     agmon.escape_ladder(9, epsilon=0.5, n_angles=64)
-    assert sizes == [2**n for n in range(1, 10)]
-    assert sum(sizes) == 1022
+    assert passes == [(1022, [2 ** (n + 1) - 2 for n in range(1, 10)])]
 
 
 def _hex_rows(rows):
@@ -281,9 +290,8 @@ def test_profile_bit_identical_to_full_grid_reference(name, epsilon, n_angles):
 
 
 def test_profile_chunk_edges_bit_identical(monkeypatch):
-    # chunks of 3 disks by 5 arc indices: every chunk edge falls inside an arc
+    # gathers of 3 disks: the last gather of most spectra is a partial one
     monkeypatch.setattr(agmon, "_PROFILE_DISKS", 3)
-    monkeypatch.setattr(agmon, "_PROFILE_CHUNK", 5)
     for spectrum in _PROFILE_SPECTRA.values():
         for epsilon in (0.3, 0.9):
             want = reference_escape_radius_profile(spectrum[:20], epsilon, 512)

@@ -1,8 +1,10 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +466,65 @@ def test_lines_with_an_overflowing_ray_warns_nothing(tmp_path, capsys, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Matrices of the overflow-edge sweep, entries from {1e308, 1e-320, 0, -0,
+# 1e200+1e200i, 1, 3e-200, 2-1i, 1e-160, 1e160}, as rows of cmatrix
+# literals; then the pair of perturbation_check's overflowing rounding floor
+# (p154) and the same pair at 1e150, where the floor is finite.
+_EDGE_MATRICES = {
+    "big-diag": ["1e308+0i 0+0i", "0+0i 1+0i"],
+    "big-complex": ["1e200+1e200i"],
+    "big-complex-2": ["1e200+1e200i 0+0i", "0+0i 1+0i"],
+    "tiny-disk": ["3e-200+0i 0+0i", "0+0i 1+0i"],
+    "subnormal-disk": ["1e-320+0i 0+0i", "0+0i 2-1i"],
+    "wide-diag": ["1e-160+0i 0+0i", "0+0i 1e160+0i"],
+    "big-upper": ["1e160+0i 1+0i", "0+0i 1e-160+0i"],
+    "zeros": ["0+0i -0+0i", "1e-320+0i 1+0i"],
+    "mixed-3": ["2-1i 1e160+0i 0+0i", "0+0i 1+0i 1e-160+0i", "1e308+0i 0+0i -0+0i"],
+    "one": ["1+0i 0+0i", "0+0i 2-1i"],
+    "p150a": ["1e150+0i 0+0i", "0+0i 2e150+0i"],
+    "p150b": ["3e149+0i 1e150+0i", "1e150+0i 1e149+0i"],
+    "p154a": ["1e154+0i 0+0i", "0+0i 2e154+0i"],
+    "p154b": ["3e153+0i 1e154+0i", "1e154+0i 1e153+0i"],
+}
+
+_SINGLES = ["big-diag", "big-complex", "tiny-disk", "subnormal-disk", "wide-diag", "big-upper", "zeros", "mixed-3"]
+_PAIRS = [
+    ("big-diag", "one"), ("one", "big-complex-2"), ("wide-diag", "tiny-disk"), ("big-upper", "one"),
+    ("zeros", "one"), ("mixed-3", "mixed-3"),
+]
+_EDGE_CASES = [
+    *([sub, name] for name in _SINGLES for sub in ("eig", "agmon")),
+    *(["escape", name, "--n-angles", "8"] for name in _SINGLES),
+    *([sub, a, b] for a, b in _PAIRS for sub in ("commute", "detpoly")),
+    *(
+        ["perturb", f"p{s}a", f"p{s}b", "--lam", f"1e{s}", "--mu", f"3e{s - 1}",
+         "--center", f"1e{s}", "--radius", f"5e{s - 1}"]
+        for s in (150, 154)
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)
+def test_cli_contract_at_overflow_edges(tmp_path, capsys, argv):
+    # exit 0, 1 or 2; exit 2 prints one error line and nothing else, exit 0
+    # or 1 no stderr and no inf or nan; no numpy warning either way
+    for name, rows in _EDGE_MATRICES.items():
+        (tmp_path / name).write_text(f"cmatrix {len(rows)} {len(rows)}\n" + "\n".join(rows) + "\n")
+    argv = [str(tmp_path / arg) if arg in _EDGE_MATRICES else arg for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        assert re.search(r"(?i)\b(inf|nan)\b", captured.out) is None
 
 
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys):

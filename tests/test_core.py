@@ -680,6 +680,17 @@ def test_normal_sites_refuse_a_jordan_block_whose_squares_overflow(site, scale):
         _NORMAL_SITES[site](j)
 
 
+def test_require_normal_refuses_a_norm_that_overflows():
+    # ||A||_F^2 and the defect's squares overflow, so the bound and the
+    # defect are both inf; inf <= inf must not admit this non-normal A,
+    # whose eigenvalues are all 6e153, and numpy must print no warning
+    a = np.triu(np.full((3, 3), 6e153)).astype(complex)
+    with pytest.raises(NotNormal, match="^defect inf, bound inf$"):
+        core.require_normal(a, core.Tolerances(), "defect {defect:.3e}, bound {bound:.3e}")
+    with pytest.raises(NotNormal):
+        core.eig_normal(a)
+
+
 def test_require_normal_bound_and_message():
     j = np.array([[0, 1], [0, 0]], dtype=complex)
     tol = core.Tolerances()

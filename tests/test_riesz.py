@@ -8,6 +8,7 @@ from projspec.errors import (
     LineNotInSpectrum,
     NoConvergence,
     NotNormal,
+    NumericalAmbiguity,
     SingularResolvent,
 )
 from projspec.riesz import Contour
@@ -152,12 +153,12 @@ def test_margin_check_is_one_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("case", ["normal", "nonnormal", "gate"])
 def test_eigvals_per_call(monkeypatch, case):
-    # a normal A on the eigenbasis route reads its margin from the
-    # eigenbasis, so only perturbation_check's eps contours run eigvals;
-    # a non-normal A, or one that fails the gate, adds one per call
+    # an A that eig_normal admits reads its margin from the eigenbasis,
+    # whether or not it passes the gate, so only perturbation_check's eps
+    # contours run eigvals; a non-normal A adds one per call
     a, b, c, lam = _gate_case() if case == "gate" else _bit_case(13, case == "normal")
     assert (riesz._eigenbasis(a, c) is not None) == (case == "normal")
-    extra = 0 if case == "normal" else 1
+    extra = 1 if case == "nonnormal" else 0
     eps_list = [1e-2, 1e-3, 1e-4]
     eigvals = _count_calls(monkeypatch, "eigvals")
     riesz.riesz_projection(a, c)
@@ -585,6 +586,21 @@ def test_perturbation_diagonal_exact():
     b = np.diag([1.0, 0.0]).astype(complex)
     rep = riesz.perturbation_check(a, b, 0.0, 1.0, Contour(0.0, 0.5), [1e-2, 1e-3])
     assert rep.exact
+
+
+def test_perturbation_needs_a_finite_rounding_floor():
+    # at 1e154 the floor 1e-13 (1 + ||A||_F + ||B||_F) overflows, and every
+    # finite residual would sit below it: refused, with no numpy warning,
+    # where the parent certified exact; at 1e150 the floor is finite
+    def run(scale):
+        a = scale * np.diag([1.0, 2.0]).astype(complex)
+        b = scale * np.array([[0.3, 1.0], [1.0, 0.1]], dtype=complex)
+        return riesz.perturbation_check(a, b, scale, 0.3 * scale, Contour(scale, scale / 2), [1e-2, 1e-3, 1e-4])
+
+    rep = run(1e150)
+    assert not rep.exact and rep.slope == pytest.approx(2.0, abs=1e-3)
+    with pytest.raises(NumericalAmbiguity, match="^rounding floor inf and largest residual"):
+        run(1e154)
 
 
 def test_perturbation_contour_capture():

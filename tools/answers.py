@@ -25,7 +25,8 @@ environment. Families:
   battery     perfbench `battery` rounds 0-9 at seeds 1 and 2
   large       perfbench `large` rounds 0-3 at seed 1 (pairs and triples)
   spectral    eig_normal and the agmon results of perfbench `spectral`
-              agmon operations, rounds 0-14 at seed 3
+              agmon operations, and its level-9 escape_ladder operations,
+              rounds 0-14 at seed 3
   riesz       the riesz_projection, first_order_term, perturbation_check and
               lemma34_solver operations of perfbench `spectral`, rounds 0-14
               at seed 3 (`rounds` sets how many), each also on a non-normal
@@ -144,7 +145,7 @@ def large(env):
 
 
 def spectral(env):
-    yield from _rounds(env["bench"].Spectral(3), 15, kinds=("agmon",))
+    yield from _rounds(env["bench"].Spectral(3), 15, kinds=("agmon", "escape_ladder"))
 
 
 RIESZ_KINDS = ("riesz_projection", "first_order_term", "perturbation_check", "lemma34_solver")
