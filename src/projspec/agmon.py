@@ -23,8 +23,9 @@ from .errors import InvalidEpsilon, LevelTooLarge, NumericalAmbiguity
 
 _TWO_PI = 2.0 * math.pi
 
-# Angular resolution: arguments closer than this are one direction.
-_ANGLE_DEDUP = 1e-12
+# strong_agmon_check's tie rule: gaps within this many radians of the widest
+# tie with it, and the witness comes from the smallest theta among them.
+_GAP_TIE = 1e-12
 
 _EPS_CAP = 1.0 - 1e-12
 
@@ -71,50 +72,40 @@ class EscapeProfile:
     min_radius: float
 
 
-def _distinct_directions(spectrum) -> np.ndarray:
-    """Sorted deduplicated arguments of the nonzero spectrum entries."""
+def _circular_gaps(spectrum):
+    """(widths, starts): the circular gaps between consecutive arguments in
+    [0, 2pi) of the nonzero spectrum entries, sorted once, as an array of
+    widths and one of the arguments they start at. A repeated direction
+    leaves a gap of width zero; zero or one nonzero entry leaves one gap of
+    exactly 2pi."""
     vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
-    nz = vals[np.abs(vals) > 0.0]
-    if nz.size == 0:
-        return np.zeros(0)
-    args = np.sort(np.mod(np.angle(nz), _TWO_PI))
-    keep = [float(args[0])]
-    for a in args[1:]:
-        if float(a) - keep[-1] > _ANGLE_DEDUP:
-            keep.append(float(a))
-    if len(keep) > 1 and (keep[0] + _TWO_PI) - keep[-1] <= _ANGLE_DEDUP:
-        keep.pop()
-    return np.array(keep)
-
-
-def _circular_gaps(directions: np.ndarray):
-    """(widths, starts): each circular gap between consecutive directions as
-    an array of widths and one of the directions they start at. Zero or one
-    direction leaves one gap of exactly 2pi."""
-    if directions.size < 2:
-        return np.array([_TWO_PI]), directions if directions.size else np.zeros(1)
-    return np.diff(directions, append=directions[0] + _TWO_PI), directions
+    args = np.sort(np.mod(np.angle(vals[np.abs(vals) > 0.0]), _TWO_PI))
+    if args.size < 2:
+        return np.array([_TWO_PI]), args if args.size else np.zeros(1)
+    return np.diff(args, append=args[0] + _TWO_PI), args
 
 
 def max_circular_gap(spectrum) -> float:
     """Widest angular gap free of nonzero-spectrum directions (2pi if none)."""
-    return float(_circular_gaps(_distinct_directions(spectrum))[0].max())
+    return float(_circular_gaps(spectrum)[0].max())
 
 
 def strong_agmon_check(spectrum) -> SectorWitness:
     """Locate the widest eigenvalue-free sector and certify a witness ray.
 
-    There always is one: k deduplicated directions leave a gap of at least
-    2pi/k, far above the 1e-12 angular resolution for any k that fits in
-    memory. Ties between equally wide gaps resolve to the smallest
-    returned theta. The certified epsilon is min(sin(min(delta, pi/2)),
+    The gaps lie between the eigenvalues' own directions (_circular_gaps),
+    and there always is a free one: k nonzero eigenvalues leave a gap of at
+    least 2pi/k. Gaps within _GAP_TIE of the widest tie with it, and the
+    tie resolves to the smallest returned theta; a repeated direction's
+    zero-width gap never ties, as the widest is far above _GAP_TIE for any k
+    that fits in memory. The certified epsilon is min(sin(min(delta, pi/2)),
     1 - 1e-12): along z = e^{i theta} t the point lambda z stays at angular
     distance >= delta from -1, and the distance from -1 to that ray is
     sin(delta) for delta <= pi/2 and 1 beyond.
     """
-    widths, starts = _circular_gaps(_distinct_directions(spectrum))
+    widths, starts = _circular_gaps(spectrum)
     widest = float(widths.max())
-    tied = widths >= widest - _ANGLE_DEDUP
+    tied = widths >= widest - _GAP_TIE
     centers = np.mod(starts[tied] + widths[tied] / 2.0, _TWO_PI)
     theta = float(np.mod(math.pi - centers, _TWO_PI).min())
     delta = widest / 2.0

@@ -84,6 +84,9 @@ class Contour:
     def __post_init__(self):
         if not (self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius}")
+        # every node then has finite parts
+        if not math.isfinite(abs(self.center) + self.radius):
+            raise ValueError(f"contour about {self.center:.6g} of radius {self.radius:.6g} leaves double range")
         if self.nodes < 16:
             raise ValueError(f"nodes must be >= 16, got {self.nodes}")
 
@@ -204,21 +207,25 @@ def _eigenbasis(a: np.ndarray, c: Contour):
 def _projection(a: np.ndarray, c: Contour) -> np.ndarray:
     """The quadrature projection: U (diag(f) + F o E) U* on the eigenbasis
     route, f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk; otherwise
-    _combine of the solved resolvents."""
+    _combine of the solved resolvents. It is formed with numpy's overflow
+    warnings off; _certified_rank refuses one that is not finite."""
     basis = _eigenbasis(a, c)
-    if basis is None:
-        phases, resolvents = _resolvent_nodes(a, c)
-        return _combine(phases, resolvents, c)
-    u, e, g, wg = basis
-    m = (wg.T @ g) * e
-    # E's diagonal is zero
-    np.fill_diagonal(m, wg.sum(axis=0))
-    return u @ m @ u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis is None:
+            return _combine(*_resolvent_nodes(a, c), c)
+        u, e, g, wg = basis
+        m = (wg.T @ g) * e
+        # E's diagonal is zero
+        np.fill_diagonal(m, wg.sum(axis=0))
+        return u @ m @ u.conj().T
 
 
 def _certified_rank(p: np.ndarray) -> int:
     """The rank of a quadrature projection: its trace, which must lie within
-    _TRACE_TOL of an integer."""
+    _TRACE_TOL of an integer. A projection that is not finite raises
+    NumericalAmbiguity."""
+    if not np.isfinite(p).all():
+        raise NumericalAmbiguity("quadrature projection is not finite")
     tr = complex(np.trace(p))
     rank = int(round(tr.real))
     if abs(tr - rank) > _TRACE_TOL:
@@ -231,9 +238,11 @@ def _certified_rank(p: np.ndarray) -> int:
 
 def _finish_projection(a: np.ndarray, p: np.ndarray) -> RieszResult:
     """The result of a quadrature projection p of a; a residual that is
-    not finite raises NumericalAmbiguity."""
-    idem = float(np.linalg.norm(p @ p - p))
-    comm = float(np.linalg.norm(a @ p - p @ a))
+    not finite (formed with numpy's overflow warnings off) raises
+    NumericalAmbiguity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        idem = float(np.linalg.norm(p @ p - p))
+        comm = float(np.linalg.norm(a @ p - p @ a))
     if not (math.isfinite(idem) and math.isfinite(comm)):
         raise NumericalAmbiguity(f"projection residuals are not finite: idempotency {idem:.3e}, commutation {comm:.3e}")
     return RieszResult(p, idem, comm, _certified_rank(p))
@@ -279,8 +288,9 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     - eps P0 (B - mu I) P0||_F with lambda_eps = lambda + eps mu; the
     least-squares slope of log r vs log eps certifies the quadratic
     remainder when >= 1.8. Residuals at the rounding floor for every eps are
-    reported as exact instead of sloped. A floor 1e-13 (1 + ||A||_F +
-    ||B||_F) or a residual that is not finite raises NumericalAmbiguity.
+    reported as exact instead of sloped. The floor 1e-13 (1 + ||A||_F +
+    ||B||_F) and each residual are formed with numpy's overflow warnings
+    off, and one that is not finite raises NumericalAmbiguity.
 
     P0's rank r is certified by the integer-trace rule of riesz_projection.
     With P0 = U_r S_r V_r* from its top r singular triplets, the residual is
@@ -300,7 +310,8 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     scale = svals[:rank, None]
     rows = vh[:rank]
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    lead = rows @ (b - mu * eye) @ p0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = rows @ (b - mu * eye) @ p0
     residuals = np.empty(eps_arr.size, dtype=np.float64)
     for k, eps in enumerate(eps_arr):
         a_eps = a + eps * b
@@ -312,10 +323,11 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
             ) from None
         # X (u_j I - A_eps)^{-1} = (((u_j I - A_eps)^T)^{-1} X^T)^T for the
         # r rows X = V_r* (A_eps - lambda_eps I)
-        x = rows @ (a_eps - (lam + eps * mu) * eye)
-        ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
-        m = scale * (_combine(ph_e, sol, c).T - eps * lead)
-        residuals[k] = float(np.linalg.norm(m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = rows @ (a_eps - (lam + eps * mu) * eye)
+            ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
+            m = scale * (_combine(ph_e, sol, c).T - eps * lead)
+            residuals[k] = float(np.linalg.norm(m))
     with np.errstate(over="ignore"):
         floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))
     if not (math.isfinite(floor) and np.isfinite(residuals).all()):
@@ -335,11 +347,22 @@ def emit_slope_csv(report: PerturbationReport) -> str:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if pivot == 0:
-        return v
+    """v with its largest entry made real and positive; v is a unit vector,
+    so that entry is at least n^-1/2."""
+    pivot = v[int(np.argmax(np.abs(v)))]
     return v * (abs(pivot) / pivot)
+
+
+def _ramp(shifted: np.ndarray, zs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The stack I + zA - B/mu = shifted + zA over zs, formed with numpy's
+    overflow warnings off; NumericalAmbiguity names the first z where it is
+    not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = shifted + zs[:, None, None] * a
+    overflowed = ~np.isfinite(stack).all(axis=(1, 2))
+    if overflowed.any():
+        raise NumericalAmbiguity(f"ramp matrix I + zA - B/mu overflows at z = {zs[overflowed][0]:.6g}")
+    return stack
 
 
 def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
@@ -349,25 +372,34 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     I + zA - B/mu converges to a unit vector with Av = 0 and Bv = mu v; the
     weak-compactness selection of the infinite-dimensional argument becomes
     a deterministic singular-vector sequence here.
+
+    Every gate is NaN-safe: mu is refused unless ||B||_2 is finite and
+    matches |mu|, a probe whose smallest singular value is not at most
+    _LINE_PROBE_TOL raises LineNotInSpectrum, and final residuals not at
+    most _LEMMA34_RESID_TOL raise NoConvergence. B/mu and the residuals are
+    formed with numpy's overflow warnings off, and a probe or ramp matrix
+    I + zA - B/mu that is not finite raises NumericalAmbiguity naming its z
+    (_ramp).
     """
     a, b = core.as_cmatrices(a, b)
     mu = complex(mu)
     if mu == 0:
         raise ValueError("mu must be nonzero")
     opn = np.linalg.norm(b, 2)
-    if abs(abs(mu) - opn) > 1e-8 * (1.0 + opn):
+    # an opn of inf would admit every mu: inf <= 1e-8 * (1 + inf)
+    if not (math.isfinite(opn) and abs(abs(mu) - opn) <= 1e-8 * (1.0 + opn)):
         raise ValueError(
             f"|mu| = {abs(mu):.12g} must match the operator norm of b ({opn:.12g})"
         )
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    shifted = eye - b / mu
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = eye - b / mu
     # probe that I + zA - B/mu is singular along the line, not just at one z
     rho = 1.0 / (1.0 + np.linalg.norm(a, 2))
     probes = rho * np.exp(2j * np.pi * np.arange(_LINE_PROBE_COUNT) / _LINE_PROBE_COUNT)
-    sigmas = np.linalg.svd(shifted + probes[:, None, None] * a, compute_uv=False)[:, -1]
+    sigmas = np.linalg.svd(_ramp(shifted, probes, a), compute_uv=False)[:, -1]
     for z, sigma in zip(probes, sigmas):
-        if sigma > _LINE_PROBE_TOL:
+        if not (sigma <= _LINE_PROBE_TOL):
             raise LineNotInSpectrum(
                 f"smallest singular value {sigma:.3e} at probe z = {z:.6g} "
                 f"exceeds {_LINE_PROBE_TOL}"
@@ -378,14 +410,15 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     if zarr.size == 0:
         raise ValueError("zs must be nonempty")
     history = []
-    _, svals_all, vh_all = np.linalg.svd(shifted + zarr[:, None, None] * a)
+    _, svals_all, vh_all = np.linalg.svd(_ramp(shifted, zarr, a))
     for z, svals, vh in zip(zarr, svals_all, vh_all):
         v = _fix_phase(np.conj(vh[-1]))
-        res_a = float(np.linalg.norm(a @ v))
-        res_b = float(np.linalg.norm(b @ v - mu * v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res_a = float(np.linalg.norm(a @ v))
+            res_b = float(np.linalg.norm(b @ v - mu * v))
         history.append((complex(z), float(svals[-1]), res_a, res_b))
-    res_a, res_b = history[-1][2], history[-1][3]
-    if res_a > _LEMMA34_RESID_TOL or res_b > _LEMMA34_RESID_TOL:
+    # res_a and res_b are the last step's
+    if not (res_a <= _LEMMA34_RESID_TOL and res_b <= _LEMMA34_RESID_TOL):
         raise NoConvergence(
             f"residuals ||Av|| = {res_a:.3e}, ||Bv - mu v|| = {res_b:.3e} "
             f"did not settle below {_LEMMA34_RESID_TOL} along the z ramp"

@@ -520,10 +520,15 @@ def reference_eig_normal(a, tol=None):
 
 
 @functools.cache
-def answers_module():
-    """tools/answers.py, the same-answers corpus, imported as a module."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "answers.py"
-    spec = importlib.util.spec_from_file_location("answers", path)
+def tool_module(name):
+    """tools/<name>.py imported as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def answers_module():
+    """tools/answers.py, the same-answers corpus, imported as a module."""
+    return tool_module("answers")

@@ -43,15 +43,32 @@ def test_vacuous_spectra():
 
 
 def test_no_sector_when_directions_dense():
-    # 50 directions spaced 1e-13, below the angular resolution: they all
-    # collapse to one direction after dedup, so the sector survives
+    # 50 directions spaced 1e-13 leave 49 gaps of 1e-13 and one of
+    # 2pi - 4.9e-12, so the sector survives
     args = np.arange(50) * 1e-13
     spectrum = np.exp(1j * args)
-    # these all collapse to one direction after dedup, sector survives
     assert agmon.strong_agmon_check(spectrum) is not None
     # a genuinely gap-free cover cannot be materialized at double precision
     # with > 2pi/1e-12 points, so max_circular_gap is the tested surface:
     assert agmon.max_circular_gap(spectrum) == pytest.approx(2 * math.pi)
+
+
+def test_gaps_lie_between_the_eigenvalues_own_directions():
+    # two directions 5e-13 apart near 4pi/3: the gap between them is 5e-13
+    # wide, and the widest gaps are the exact thirds of the circle; merging
+    # the two would widen a third by 5e-13 and overstate delta
+    spectrum = np.exp(1j * np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3 - 5e-13, 4 * math.pi / 3]))
+    wit = agmon.strong_agmon_check(spectrum)
+    assert abs(wit.delta - math.pi / 3) <= 1e-15
+    assert agmon.max_circular_gap(spectrum) == 2 * wit.delta
+
+
+def test_a_repeated_direction_leaves_a_zero_width_gap():
+    widths, starts = agmon._circular_gaps([2.0, 1j, 1.0, 3.0, 0.0])
+    assert widths.tolist() == [0.0, 0.0, math.pi / 2, 3 * math.pi / 2]
+    assert starts.tolist() == [0.0, 0.0, 0.0, math.pi / 2]
+    wit = agmon.strong_agmon_check([2.0, 1j, 1.0, 3.0])
+    assert (wit.theta, wit.delta) == (agmon.strong_agmon_check([1.0, 1j]).theta, 3 * math.pi / 4)
 
 
 @pytest.mark.parametrize("level", range(1, 7))

@@ -1,5 +1,7 @@
 """The fast families of tools/answers.py as a contract: no wrong certified
-verdict, and no more indeterminate answers than the ceilings below.
+verdict, and no more indeterminate answers than the ceilings below; and
+the first runs of the contract family within their ceiling of CLI contract
+breaks.
 
 Counts, not digests: the digests depend on the number of BLAS threads.
 """
@@ -70,3 +72,18 @@ def test_riesz_family_admits_every_normal_contour(monkeypatch):
     assert [kind for (copy, kind) in raised if copy == "normal"] == []
     for (copy, kind), count in raised.items():
         assert count <= RIESZ_NONNORMAL_CEILING.get(kind, 0), (kind, count)
+
+
+# Runs of the contract family per subcommand in Tier-1 (the script runs 100),
+# and the breaks of the CLI contract allowed among them.
+CONTRACT_RUNS = 10
+CONTRACT_BREAK_CEILING = 0
+
+
+def test_contract_family_keeps_the_cli_contract():
+    answers = answers_module()
+    records = list(answers.contract({"projspec": projspec}, count=CONTRACT_RUNS))
+    assert len(records) == CONTRACT_RUNS * len(answers.CONTRACT_SUBCOMMANDS)
+    breaks = {key: answers.contract_breaks(record) for key, record in records}
+    broken = {key: found for key, found in breaks.items() if found}
+    assert len(broken) <= CONTRACT_BREAK_CEILING, broken

@@ -1,10 +1,8 @@
 import argparse
 import math
 import os
-import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +15,7 @@ from helpers import (
     PAULI_X,
     PAULI_Z,
     commuting_pair,
+    answers_module,
     commuting_tuple,
     fail_eig,
     fail_eigh,
@@ -471,7 +470,11 @@ def test_lines_with_an_overflowing_ray_warns_nothing(tmp_path, capsys, seed):
 # Matrices of the overflow-edge sweep, entries from {1e308, 1e-320, 0, -0,
 # 1e200+1e200i, 1, 3e-200, 2-1i, 1e-160, 1e160}, as rows of cmatrix
 # literals; then the pair of perturbation_check's overflowing rounding floor
-# (p154) and the same pair at 1e150, where the floor is finite.
+# (p154) and the same pair at 1e150, where the floor is finite; then the
+# inputs whose riesz residual norms, perturb residual norms and lemma34 ramp
+# matrices overflowed with a numpy warning, a perturb pair whose P0 trace
+# overflowed into an OverflowError traceback, and a lemma34 pair whose
+# overflowing ramp stack sent LAPACK's SVD into a loop that did not end.
 _EDGE_MATRICES = {
     "big-diag": ["1e308+0i 0+0i", "0+0i 1+0i"],
     "big-complex": ["1e200+1e200i"],
@@ -487,6 +490,15 @@ _EDGE_MATRICES = {
     "p150b": ["3e149+0i 1e150+0i", "1e150+0i 1e149+0i"],
     "p154a": ["1e154+0i 0+0i", "0+0i 2e154+0i"],
     "p154b": ["3e153+0i 1e154+0i", "1e154+0i 1e153+0i"],
+    "riesz-residual": ["1e200+1e200i 1e308+0i", "1e-320+0i 0+0i"],
+    "perturb-a": ["1+0i 0+0i", "0+0i 1e308+0i"],
+    "perturb-b": ["1e160+0i 0+0i", "0+0i 0+0i"],
+    "ramp-a": ["1e-160+0i 0+0i 0+0i", "0+0i 1e-160+0i 0+0i", "0+0i 0+0i 1e308+0i"],
+    "ramp-b": ["3e-200+0i 0+0i 0+0i", "0+0i 1+0i 0+0i", "0+0i 0+0i 3e-200+0i"],
+    "trace-a": ["1e308+0i 1e160+0i", "2-1i 1e160+0i"],
+    "trace-b": ["2-1i -0+0i", "-0+0i 1e-160+0i"],
+    "svd-loop-a": ["1e308+0i 0+0i 0+0i", "0+0i 1e-160+0i 0+0i", "0+0i 0+0i 1e-320+0i"],
+    "svd-loop-b": ["0+0i 0+0i 0+0i", "0+0i 2-1i 0+0i", "0+0i 0+0i 1e200+1e200i"],
 }
 
 _SINGLES = ["big-diag", "big-complex", "tiny-disk", "subnormal-disk", "wide-diag", "big-upper", "zeros", "mixed-3"]
@@ -503,28 +515,24 @@ _EDGE_CASES = [
          "--center", f"1e{s}", "--radius", f"5e{s - 1}"]
         for s in (150, 154)
     ),
+    ["riesz", "riesz-residual", "--center", "0", "--radius", "1"],
+    ["perturb", "perturb-a", "perturb-b", "--lam", "1", "--mu", "1", "--center", "1", "--radius", "0.5"],
+    ["lemma34", "ramp-a", "ramp-b", "--mu", "1"],
+    ["perturb", "trace-a", "trace-b", "--lam", "1e308", "--mu", "1e200+1e200i", "--center", "1e308", "--radius", "1.5e200"],
+    ["lemma34", "svd-loop-a", "svd-loop-b", "--mu", "1e200+1e200i"],
 ]
 
 
 @pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)
-def test_cli_contract_at_overflow_edges(tmp_path, capsys, argv):
+def test_cli_contract_at_overflow_edges(tmp_path, argv):
+    # the contract of tools/answers.py's contract family (contract_breaks):
     # exit 0, 1 or 2; exit 2 prints one error line and nothing else, exit 0
     # or 1 no stderr and no inf or nan; no numpy warning either way
     for name, rows in _EDGE_MATRICES.items():
         (tmp_path / name).write_text(f"cmatrix {len(rows)} {len(rows)}\n" + "\n".join(rows) + "\n")
     argv = [str(tmp_path / arg) if arg in _EDGE_MATRICES else arg for arg in argv]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    else:
-        assert captured.err == ""
-        assert re.search(r"(?i)\b(inf|nan)\b", captured.out) is None
+    answers = answers_module()
+    assert answers.contract_breaks(answers.cli_record(cli, argv)) == []
 
 
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
@@ -645,6 +653,13 @@ def test_plot_slice_constant_poly(tmp_path):
     code, text = _run(tmp_path, "plot-slice", str(f))
     assert code == 0
     assert text.strip() == "w0,re_z,im_z"
+
+
+def test_plot_slice_refuses_one_sample(tmp_path, capsys):
+    f = tmp_path / "p.poly"
+    f.write_text("bipoly 1\n0 0 1 0\n0 1 1 0\n")
+    assert cli.main(["plot-slice", str(f), "--samples", "1"]) == 2
+    assert capsys.readouterr().err == "error: samples must be >= 2, got 1\n"
 
 
 def test_plot_slice_skips_a_vanishing_slice(tmp_path):

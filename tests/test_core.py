@@ -590,6 +590,17 @@ def test_tuple_format_roundtrip():
     assert np.array_equal(out[1], mats[1])
 
 
+def test_tuple_format_rejects_trailing_content():
+    with pytest.raises(ParseError, match="trailing content after tuple blocks") as info:
+        core.parse_tuple("ctuple 1\ncmatrix 1 1\n1+0i\nextra\n")
+    assert (info.value.line, info.value.col) == (4, 1)
+
+
+def test_emit_tuple_refuses_an_empty_tuple():
+    with pytest.raises(ValueError, match="^tuple must be nonempty$"):
+        core.emit_tuple([])
+
+
 def test_tuple_format_rejects_ragged():
     text = core.emit_tuple([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
     with pytest.raises(DimMismatch):
@@ -626,7 +637,19 @@ def test_projspec_tol_env(monkeypatch):
     assert core.default_tolerances().normal == pytest.approx(1e-8)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [("0", "tolerance base must be positive and finite, got 0.0"), ("abc", "PROJSPEC_TOL is not a number: 'abc'")],
+)
+def test_projspec_tol_env_refuses_a_bad_base(monkeypatch, raw, message):
+    monkeypatch.setenv("PROJSPEC_TOL", raw)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        core.default_tolerances()
+
+
 def test_as_cmatrix_rejects_bad_shapes():
+    with pytest.raises(DimMismatch, match="^expected a 2-d matrix, got ndim=1$"):
+        core.as_cmatrix(np.ones(3))
     with pytest.raises(DimMismatch):
         core.as_cmatrix(np.zeros((2, 3)))
     with pytest.raises(DimMismatch):

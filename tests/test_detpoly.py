@@ -185,6 +185,9 @@ def test_bivar_poly_validation():
     c[2, 2] = 5.0  # violates total degree; constructor zeroes it
     p = detpoly.BivarPoly(2, c)
     assert p.coeffs[2, 2] == 0.0
+    c[0, 1] = np.inf
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        detpoly.BivarPoly(2, c)
 
 
 def test_total_degree():
@@ -216,6 +219,7 @@ def test_bipoly_roundtrip():
         "bipoly 2\n2 1 1 0\n",               # violates total degree
         "bipoly 2\n0 0 1 0\n0 0 2 0\n",      # duplicate index
         "bipoly 2\n0 0 x 0\n",               # bad number
+        "bipoly 1\n0 0 inf 0\n",             # non-finite coefficient
     ],
 )
 def test_bipoly_parse_errors(text):
@@ -289,6 +293,40 @@ def test_eigen_fill_nonconvergence_is_interpolation_failure(monkeypatch):
         rep = commute.equivalence_check(a, b)
         assert rep.indeterminate is None and rep.consistent
         assert not rep.commute and not rep.verdict.is_lines
+
+
+def _perturbed_fill(monkeypatch, delta):
+    """Make detpoly._eigen_fill return its grid with the value at [1, 1]
+    moved by delta, which moves every interpolated coefficient by
+    delta / m^2 before the radii are divided out."""
+    real = detpoly._eigen_fill
+
+    def perturbed(*args):
+        vals = real(*args)
+        vals[1, 1] += delta
+        return vals
+
+    monkeypatch.setattr(detpoly, "_eigen_fill", perturbed)
+
+
+def test_c00_guard_refuses_a_shifted_constant_coefficient(monkeypatch):
+    # 0.1 / 3^2 = 0.011 above det(I) = 1, past the 1e-3 guard
+    _perturbed_fill(monkeypatch, 0.1)
+    with pytest.raises(InterpolationFailure, match="^constant coefficient interpolated to 1.0111"):
+        detpoly.char_poly_pair(*_diag_pair())
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_self_check_refuses_one_perturbed_grid_value(monkeypatch, n):
+    # 1e-4 m^2 moves the constant coefficient by 1e-4, inside the guard, and
+    # the probes see the other coefficients move; A and B have spectral
+    # norm 1, so the bound 1e-8 (1 + ||A||_F + ||B||_F)^n is 9.1e-8 at
+    # n = 2 and 7.9e-5 at n = 8 (at n = 16 it is 0.92 and admits the same
+    # perturbation)
+    d = np.diag(np.r_[1.0, np.full(n - 1, 0.1)]).astype(complex)
+    _perturbed_fill(monkeypatch, 1e-4 * (n + 1) ** 2)
+    with pytest.raises(InterpolationFailure, match="^self-check residual"):
+        detpoly.char_poly_pair(d, d[::-1, ::-1])
 
 
 def test_large_norm_failure_names_the_coefficient_range():

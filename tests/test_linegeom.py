@@ -282,6 +282,29 @@ def test_numerical_ambiguity_when_witness_unreachable(monkeypatch):
         linegeom.factor_lines(p)
 
 
+def test_pencil_verdict_refuses_when_the_witness_svd_fails(monkeypatch):
+    # a non-commuting pair fails the Schur-basis check and has curved
+    # branches; the singular values at their witness do not converge
+    a, b = noncommuting_pair(np.random.default_rng(23), 8)
+    real = np.linalg.svd
+
+    def failing(m, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(m, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(NumericalAmbiguity, match="witness singular values did not converge: SVD did not converge$"):
+        linegeom.pencil_verdict(a, b)
+
+
+def test_pencil_verdict_refuses_when_no_branch_bends(monkeypatch):
+    # no simple branch above its rounding bound leaves no witness to try
+    monkeypatch.setattr(linegeom, "_curvature_witnesses", lambda *args: [])
+    with pytest.raises(NumericalAmbiguity, match="no simple eigenvalue branch of A \\+ gB bends above its rounding bound$"):
+        linegeom.pencil_verdict(PAULI_Z, PAULI_X)
+
+
 def test_poly_roots_basic():
     # (t - 1)(t - 2) = 2 - 3t + t^2
     r = linegeom.poly_roots([2.0, -3.0, 1.0])

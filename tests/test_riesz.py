@@ -35,6 +35,24 @@ def test_contour_validation():
     assert c.nodes == 64
 
 
+def test_contour_must_stay_in_double_range():
+    # its nodes center + radius e^{i phi} would overflow
+    with pytest.raises(ValueError, match="^contour about 1e\\+308 of radius 1e\\+308 leaves double range$"):
+        Contour(1e308, 1e308)
+    assert Contour(1e308 + 1e308j, 1.0).radius == 1.0
+
+
+def test_perturbation_check_refuses_a_projection_that_overflows():
+    # the solved resolvents of this A overflow in the quadrature sum, with
+    # no numpy warning; riesz_projection refuses it by its residuals
+    a = np.array([[2 - 1j, 1e308], [0, 1e-160]])
+    c = Contour(2 - 1j, 1.0)
+    with pytest.raises(NumericalAmbiguity, match="^quadrature projection is not finite$"):
+        riesz.perturbation_check(a, np.eye(2), 2 - 1j, 1.0, c, [1e-3])
+    with pytest.raises(NumericalAmbiguity, match="^projection residuals are not finite"):
+        riesz.riesz_projection(a, c)
+
+
 def test_projection_selects_enclosed_eigenvalue():
     a = np.diag([1.0, 2.0]).astype(complex)
     r = riesz.riesz_projection(a, Contour(1.0, 0.5))
@@ -722,6 +740,59 @@ def test_lemma34_line_not_in_spectrum():
     b = np.diag([2.0, 1.0]).astype(complex)
     with pytest.raises(LineNotInSpectrum):
         riesz.lemma34_solver(a, b, 2.0)
+
+
+@pytest.mark.parametrize("mu", [1.0, 5.0, 1e300])
+def test_lemma34_refuses_mu_when_the_norm_of_b_overflows(mu):
+    # ||B||_2 = 2e308 overflows to inf; the gate must refuse mu on the norm
+    # itself, not leave it to a probe's LineNotInSpectrum
+    a = np.diag([0.0, 1.0]).astype(complex)
+    b = np.full((2, 2), 1e308, dtype=complex)
+    with pytest.raises(ValueError, match=r"must match the operator norm of b \(inf\)"):
+        riesz.lemma34_solver(a, b, mu)
+
+
+def _nan_svd(monkeypatch, compute_uv):
+    """Make np.linalg.svd return NaN singular values (compute_uv False) or
+    NaN singular vectors (compute_uv True), and behave normally otherwise."""
+    real = np.linalg.svd
+
+    def fake(m, *args, **kwargs):
+        out = real(m, *args, **kwargs)
+        if kwargs.get("compute_uv", True) != compute_uv:
+            return out
+        if not compute_uv:
+            return np.full_like(out, np.nan)
+        u, s, vh = out
+        return u, s, np.full_like(vh, np.nan)
+
+    monkeypatch.setattr(np.linalg, "svd", fake)
+
+
+def test_lemma34_probe_gate_refuses_a_nan_singular_value(monkeypatch):
+    a = np.diag([0.0, 1.0]).astype(complex)
+    b = np.diag([2.0, 1.0]).astype(complex)
+    _nan_svd(monkeypatch, compute_uv=False)
+    with pytest.raises(LineNotInSpectrum, match="smallest singular value nan"):
+        riesz.lemma34_solver(a, b, 2.0, [10.0])
+
+
+def test_lemma34_residual_gate_refuses_nan_residuals(monkeypatch):
+    a = np.diag([0.0, 1.0]).astype(complex)
+    b = np.diag([2.0, 1.0]).astype(complex)
+    _nan_svd(monkeypatch, compute_uv=True)
+    # the NaN vector's phase fix divides by a NaN pivot
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match=r"\|\|Av\|\| = nan"):
+        riesz.lemma34_solver(a, b, 2.0, [10.0])
+
+
+def test_lemma34_refuses_an_overflowing_ramp():
+    # z = 10 times the 1e308 eigenvalue of A overflows the ramp matrix, and
+    # an SVD of a stack holding inf gives no answer to trust
+    a = np.diag([1e-160, 1e-160, 1e308]).astype(complex)
+    b = np.diag([3e-200, 1.0, 3e-200]).astype(complex)
+    with pytest.raises(NumericalAmbiguity, match=r"^ramp matrix I \+ zA - B/mu overflows at z = 10\+0j$"):
+        riesz.lemma34_solver(a, b, 1.0)
 
 
 def test_lemma34_phase_convention():

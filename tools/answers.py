@@ -54,6 +54,13 @@ environment. Families:
               pairs of perfbench's commuting_pair) for n in
               DETPOLY_LINES_NS and s = 0-5, then helpers.line_powers at
               seeds 0-3; a notlines verdict on any of them is wrong
+  contract    100 in-process cli.main runs of each CONTRACT_SUBCOMMANDS
+              entry (`count` sets how many) on 1x1 to 3x3 matrices, every
+              other one diagonal, whose entries and options are drawn from
+              CONTRACT_LITERALS by default_rng((2901, i)) for the i-th
+              subcommand (contract_runs); each record holds argv, the input
+              files, the exit code, stdout, stderr and the RuntimeWarnings,
+              and contract_breaks says how a record breaks the CLI contract
 
 Stdlib and numpy only. Imported as a module (the Tier-1 tests do), it
 leaves the environment as it is.
@@ -68,9 +75,11 @@ import hashlib
 import inspect
 import io
 import os
+import re
 import shlex
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -82,7 +91,7 @@ import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 FAMILIES = (
     "criterion1", "battery", "large", "spectral", "riesz", "sweep", "readme", "clustered", "edges", "formats",
-    "detpoly_lines",
+    "detpoly_lines", "contract",
 )
 
 
@@ -362,6 +371,103 @@ def detpoly_lines(env, ns=DETPOLY_LINES_NS):
         p = helpers.line_product(lines)
         for seed in range(4):
             yield f"power m={m} lines={len(lines)} seed={seed}", outcome(lambda: linegeom.factor_lines(p, seed=seed))
+
+
+# The contract family's subcommands, and the literals of its matrix entries
+# and options: overflow, subnormal and signed-zero edges, and plain values.
+CONTRACT_SUBCOMMANDS = ("eig", "agmon", "escape", "commute", "detpoly", "riesz", "perturb", "lemma34")
+CONTRACT_LITERALS = (
+    "1e308+0i", "1e-320+0i", "0+0i", "-0+0i", "1e200+1e200i", "1+0i", "3e-200+0i", "2-1i", "1e-160+0i", "1e160+0i",
+)
+
+
+def _modulus(literal):
+    return abs(complex(literal.replace("i", "j")))
+
+
+def _contract_matrix(rng, n, diagonal):
+    """Rows of literals of an n x n matrix: entries drawn from
+    CONTRACT_LITERALS, off the diagonal "0+0i" when diagonal."""
+    draw = rng.integers(len(CONTRACT_LITERALS), size=(n, n))
+    return [[CONTRACT_LITERALS[d] if (i == j or not diagonal) else "0+0i" for j, d in enumerate(row)]
+            for i, row in enumerate(draw)]
+
+
+def contract_runs(count=100):
+    """(key, argv, files) of the contract family: for the i-th subcommand,
+    default_rng((2901, i)) draws each run's n in 1-3 and its matrices (the
+    even runs diagonal); a contour is centred on A[0, 0], lam is A[0, 0],
+    lemma34's mu is B's entry of largest modulus (|mu| = ||B||_2 when B is
+    diagonal), and every other complex option or radius (a literal's
+    modulus) is drawn from CONTRACT_LITERALS. The first runs of each
+    subcommand do not depend on count."""
+    for i, sub in enumerate(CONTRACT_SUBCOMMANDS):
+        rng = np.random.default_rng((2901, i))
+        for k in range(count):
+            n = int(rng.integers(1, 4))
+            names = ("a.mat",) if sub in ("eig", "agmon", "escape", "riesz") else ("a.mat", "b.mat")
+            mats = {name: _contract_matrix(rng, n, k % 2 == 0) for name in names}
+            literal, radius = (CONTRACT_LITERALS[d] for d in rng.integers(len(CONTRACT_LITERALS), size=2))
+            radius = f"{_modulus(radius):.17g}"
+            a00 = mats["a.mat"][0][0]
+            # --name=value, since argparse reads a value such as -0+0i as an option
+            options = []
+            if sub == "riesz":
+                options = [f"--center={a00}", f"--radius={radius}"]
+            elif sub == "perturb":
+                options = [f"--lam={a00}", f"--mu={literal}", f"--center={a00}", f"--radius={radius}"]
+            elif sub == "lemma34":
+                options = ["--mu=" + max((x for row in mats["b.mat"] for x in row), key=_modulus)]
+            files = {name: f"cmatrix {n} {n}\n" + "".join(" ".join(row) + "\n" for row in rows) for name, rows in mats.items()}
+            yield f"{sub} {k}", [sub, *names, *options], files
+
+
+def cli_record(cli, argv) -> dict:
+    """One in-process cli.main run: its exit code (or the exception it
+    raised), stdout, stderr and the messages of the RuntimeWarnings it
+    issued."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = outcome(lambda: cli.main(argv))
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "warnings": runtime}
+
+
+def contract_breaks(record) -> list:
+    """How a cli_record breaks the CLI contract, [] when it keeps it: no
+    RuntimeWarning; exit code 0, 1 or 2 (no exception); on exit 2 no
+    stdout and stderr exactly one `error:` line; on exit 0 or 1 no stderr
+    and no inf or nan in stdout."""
+    breaks = [f"warning: {message}" for message in record["warnings"]]
+    code, out, err = record["exit"], record["stdout"], record["stderr"]
+    if code not in (0, 1, 2):
+        return breaks + [f"exit {canon(code)}"]
+    if code == 2:
+        if out:
+            breaks.append("stdout on exit 2")
+        if not (err.startswith("error: ") and err.count("\n") == 1):
+            breaks.append(f"stderr on exit 2 is not one error line: {err!r}")
+    else:
+        if err:
+            breaks.append(f"stderr on exit {code}: {err!r}")
+        if re.search(r"(?i)\b(inf|nan)\b", out):
+            breaks.append(f"inf or nan in the output of exit {code}")
+    return breaks
+
+
+def contract(env, count=100):
+    cli = env["projspec"].cli
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for key, argv, files in contract_runs(count):
+                for name, text in files.items():
+                    Path(name).write_text(text)
+                yield key, {"argv": argv, "files": files, **cli_record(cli, argv)}
+        finally:
+            os.chdir(here)
 
 
 def load(root: Path) -> dict:
