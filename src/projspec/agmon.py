@@ -98,17 +98,20 @@ def strong_agmon_check(spectrum) -> SectorWitness:
     least 2pi/k. Gaps within _GAP_TIE of the widest tie with it, and the
     tie resolves to the smallest returned theta; a repeated direction's
     zero-width gap never ties, as the widest is far above _GAP_TIE for any k
-    that fits in memory. The certified epsilon is min(sin(min(delta, pi/2)),
-    1 - 1e-12): along z = e^{i theta} t the point lambda z stays at angular
+    that fits in memory. delta is half the width of the gap that theta
+    comes from, which a tie may leave up to _GAP_TIE narrower than the
+    widest, so the certificate holds along theta's own ray. The certified
+    epsilon is min(sin(min(delta, pi/2)), 1 - 1e-12): along
+    z = e^{i theta} t the point lambda z stays at angular
     distance >= delta from -1, and the distance from -1 to that ray is
     sin(delta) for delta <= pi/2 and 1 beyond.
     """
     widths, starts = _circular_gaps(spectrum)
-    widest = float(widths.max())
-    tied = widths >= widest - _GAP_TIE
-    centers = np.mod(starts[tied] + widths[tied] / 2.0, _TWO_PI)
-    theta = float(np.mod(math.pi - centers, _TWO_PI).min())
-    delta = widest / 2.0
+    tied = np.flatnonzero(widths >= widths.max() - _GAP_TIE)
+    thetas = np.mod(math.pi - np.mod(starts[tied] + widths[tied] / 2.0, _TWO_PI), _TWO_PI)
+    pick = int(thetas.argmin())
+    theta = float(thetas[pick])
+    delta = float(widths[tied[pick]]) / 2.0
     epsilon = min(math.sin(min(delta, math.pi / 2.0)), _EPS_CAP)
     return SectorWitness(theta=theta, delta=delta, epsilon=epsilon)
 

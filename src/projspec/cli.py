@@ -257,8 +257,17 @@ def _cmd_plot_slice(args) -> tuple[str, int]:
     return core.emit_csv(("w0", "re_z", "im_z"), rows), 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as one ``error: <message>`` line on
+    stderr and exit 2, as every other error; the subparsers are of this
+    class too (add_subparsers' default parser_class is the parent's)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projspec",
         description="point projective spectra of matrix pairs: determinantal "
         "polynomials, line factorization, sector and escape analysis, Riesz "

@@ -20,20 +20,28 @@ only when max|g| ||E||_F <= sqrt(unit roundoff), where the Neumann terms it
 drops are below rounding relative to those it keeps. Otherwise, and when
 eig_normal refuses A, the solves at all nodes of a contour are one batched
 LAPACK solve, summed over the nodes by one tensordot. A projection solves
-against the identity; each perturbed contour of perturbation_check solves
-against only the r rows of P0 its residual reads, r being P0's certified
-rank, since A + eps B is not normal.
+against the identity.
+
+perturbation_check reads A's one eigenbasis for P0 and for every perturbed
+contour A + eps B: U*(A + eps B)U = diag(d) + K with K = E + eps U*BU, and
+only the r rows of P0 its residual reads are needed, r being P0's certified
+rank. Those rows come from the Neumann series of (u_j - diag(d) - K)^{-1}
+about G_j, run to the unit roundoff over all nodes at once, when its ratio
+q = max|g| (||E||_F + eps ||B||_F) is at most 1/2 and its m terms cost less
+than the LU (m r <= n); otherwise from one batched solve against r columns.
 
 Every contour is first checked to pass no closer than CONTOUR_MARGIN *
-radius to the spectrum (_eigenbasis). When eig_normal admits A, whichever
-route the quadrature then takes, that is checked on d, each distance shrunk
-by the slack ||E||_F + n eps ||A||_F: by Bauer-Fike every eigenvalue of
-U*AU lies within ||E||_2 of some d_i, and n eps ||A||_F bounds the
-eigensolver's backward error. When eig_normal refuses A, and on each
-perturbed contour of perturbation_check, it is one LAPACK eigvals. For
-strongly non-normal A the computed eigenvalues carry an error of about
-machine epsilon * ||A|| * their condition number, so the integer-trace
-check on the finished projection remains the backstop.
+radius to the spectrum. When eig_normal admits A, whichever route the
+quadrature then takes, that is checked on d, each distance shrunk by the
+slack ||E||_F + n eps ||A||_F: by Bauer-Fike every eigenvalue of U*AU lies
+within ||E||_2 of some d_i, and n eps ||A||_F bounds the eigensolver's
+backward error. A perturbed contour is checked on the same d with the
+slack ||E||_F + eps ||B||_F + n eps_mach (||A||_F + eps ||B||_F). When
+eig_normal refuses A, and where a perturbed contour's disks cross the
+margin, it is one LAPACK eigvals. For strongly non-normal A the computed
+eigenvalues carry an error of about machine epsilon * ||A|| * their
+condition number, so the integer-trace check on the finished projection
+remains the backstop.
 """
 
 from __future__ import annotations
@@ -68,9 +76,15 @@ _LINE_PROBE_TOL = 1e-8
 
 _LEMMA34_RESID_TOL = 1e-6
 
+_EPS = float(np.finfo(np.float64).eps)
+_UNIT_ROUNDOFF = _EPS / 2
+
 # The eigenbasis route's bound on max|g| ||E||_F: the Neumann terms it drops
 # are (max|g| ||E||_F)^2 relative to those it keeps, below the unit roundoff.
-_NEUMANN_BOUND = float(np.sqrt(np.finfo(np.float64).eps / 2))
+_NEUMANN_BOUND = math.sqrt(_UNIT_ROUNDOFF)
+
+# The eps contours' Neumann series runs only when its ratio q is at most this.
+_SERIES_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -174,19 +188,24 @@ def _combine(phases: np.ndarray, terms, c: Contour) -> np.ndarray:
     return (c.radius / c.nodes) * np.tensordot(phases, terms, axes=1)
 
 
-def _eigenbasis(a: np.ndarray, c: Contour):
-    """(U, E, g, wg) of the eigenbasis route, or None when it does not apply;
-    either way the contour has passed _check_margin.
+@dataclass(frozen=True)
+class _Basis:
+    """A's eigenbasis at one contour: U from core.eig_normal at the default
+    Tolerances, U*AU = diag(d) + E with E's diagonal zero and off = ||E||_F,
+    and the (nodes, n) table g_ji = 1/(u_j - d_i)."""
 
-    U is core.eig_normal's unitary at the default Tolerances, E the
-    off-diagonal part of U*AU with diagonal d, g the (nodes, n) table
-    g_ji = 1/(u_j - d_i) and wg_ji = w_j g_ji with _combine's weights
-    w_j = (r/N) e^{2 pi i j/N}. When eig_normal admits A the margin is
-    checked on d with the slack ||E||_F + n eps ||A||_F, and the result is
-    None when max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included. When
-    eig_normal refuses A (NotNormal, NoConvergence) the margin is checked on
-    one LAPACK eigvals of A and the result is None.
-    """
+    u: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    off: float
+    g: np.ndarray
+
+
+def _admit(a: np.ndarray, c: Contour) -> Optional[_Basis]:
+    """A's _Basis at c, or None when eig_normal refuses A (NotNormal,
+    NoConvergence); either way the contour has passed _check_margin. When
+    eig_normal admits A the margin is checked on d with the slack
+    ||E||_F + n eps ||A||_F, otherwise on one LAPACK eigvals of A."""
     try:
         u = core.eig_normal(a, tol=core.Tolerances()).unitary
     except (NotNormal, NoConvergence):
@@ -195,25 +214,45 @@ def _eigenbasis(a: np.ndarray, c: Contour):
     e = u.conj().T @ (a @ u)
     d = e.diagonal().copy()
     np.fill_diagonal(e, 0.0)
-    phases, us = _nodes(c)
+    _, us = _nodes(c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 1.0 / (us[:, None] - d)
-        off = np.linalg.norm(e)
-        size = np.abs(g).max() * off
-    _check_margin(d, off + d.size * np.finfo(np.float64).eps * core.frobenius(a), c)
-    return (u, e, g, (c.radius / c.nodes) * phases[:, None] * g) if size <= _NEUMANN_BOUND else None
+        off = float(np.linalg.norm(e))
+    _check_margin(d, off + d.size * _EPS * core.frobenius(a), c)
+    return _Basis(u, d, e, off, g)
 
 
-def _projection(a: np.ndarray, c: Contour) -> np.ndarray:
+def _first_order(basis: Optional[_Basis], c: Contour):
+    """(U, E, g, wg) of the eigenbasis route, wg_ji = w_j g_ji with
+    _combine's weights w_j = (r/N) e^{2 pi i j/N}; None when basis is None
+    or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included."""
+    if basis is None:
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        size = np.abs(basis.g).max() * basis.off
+    if not size <= _NEUMANN_BOUND:
+        return None
+    phases, _ = _nodes(c)
+    return basis.u, basis.e, basis.g, (c.radius / c.nodes) * phases[:, None] * basis.g
+
+
+def _eigenbasis(a: np.ndarray, c: Contour):
+    """_first_order of A's _admit at c: the eigenbasis route's (U, E, g, wg),
+    or None when it does not apply; either way the contour has passed
+    _check_margin."""
+    return _first_order(_admit(a, c), c)
+
+
+def _projection(a: np.ndarray, c: Contour, route) -> np.ndarray:
     """The quadrature projection: U (diag(f) + F o E) U* on the eigenbasis
-    route, f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk; otherwise
-    _combine of the solved resolvents. It is formed with numpy's overflow
-    warnings off; _certified_rank refuses one that is not finite."""
-    basis = _eigenbasis(a, c)
+    route (U, E, g, wg), f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk;
+    when route is None, _combine of the solved resolvents. It is formed with
+    numpy's overflow warnings off; _certified_rank refuses one that is not
+    finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if basis is None:
+        if route is None:
             return _combine(*_resolvent_nodes(a, c), c)
-        u, e, g, wg = basis
+        u, e, g, wg = route
         m = (wg.T @ g) * e
         # E's diagonal is zero
         np.fill_diagonal(m, wg.sum(axis=0))
@@ -251,7 +290,7 @@ def _finish_projection(a: np.ndarray, p: np.ndarray) -> RieszResult:
 def riesz_projection(a, c: Contour) -> RieszResult:
     """Trapezoid quadrature of the spectral projection onto the enclosed part."""
     a = core.as_cmatrix(a)
-    return _finish_projection(a, _projection(a, c))
+    return _finish_projection(a, _projection(a, c, _eigenbasis(a, c)))
 
 
 def first_order_term(a, b, c: Contour) -> np.ndarray:
@@ -281,6 +320,87 @@ def first_order_term(a, b, c: Contour) -> np.ndarray:
     return u @ s @ uh
 
 
+def _series_terms(q: float) -> int:
+    """The first m >= 1 with q^m / (1 - q) <= unit roundoff, for q <= 1/2:
+    the relative tail of a Neumann series of ratio q cut after m terms."""
+    m = 1
+    while q**m > _UNIT_ROUNDOFF * (1.0 - q):
+        m += 1
+    return m
+
+
+def _series_pays(m: int, r: int, n: int) -> bool:
+    """Whether m series terms against r rows cost less than _solve_nodes'
+    batched LU at size n: m r <= n. Measured on one BLAS thread at 64
+    nodes, the series took 0.4-0.8 of the LU's time at m r = n for
+    n = 12-64, and 0.6 at n = 8."""
+    return m * r <= n
+
+
+def _neumann_rows(x: np.ndarray, basis: _Basis, k: np.ndarray, m: int, c: Contour) -> np.ndarray:
+    """sum_j w_j x U (u_j - diag(d) - K)^{-1} U* for the (r, n) rows x, by m
+    terms of the Neumann series about G_j = diag(g_j): with X = xU, the
+    resolvent rows are the fixed point of Y_j = (X + Y_j K) G_j, iterated
+    from Y_j = 0, each term one (nodes r, n) @ (n, n) product over all
+    nodes at once."""
+    n = k.shape[0]
+    g = basis.g[:, None, :]
+    xu = x @ basis.u
+    y = xu * g
+    for _ in range(m - 1):
+        y = (xu + (y.reshape(-1, n) @ k).reshape(y.shape)) * g
+    phases, _ = _nodes(c)
+    return _combine(phases, y, c) @ basis.u.conj().T
+
+
+@dataclass(frozen=True)
+class _Perturbed:
+    """A_eps = A + eps B seen from A's eigenbasis: U*A_eps U = diag(d) + K,
+    K = E + eps C with C = U*BU, so ||K||_2 <= ||E||_F + eps ||B||_F. Built
+    and used under the caller's errstate."""
+
+    basis: _Basis
+    cb: np.ndarray
+    norm_a: float
+    norm_b: float
+
+    @classmethod
+    def of(cls, basis: _Basis, a: np.ndarray, b: np.ndarray) -> "_Perturbed":
+        return cls(basis, basis.u.conj().T @ b @ basis.u, core.frobenius(a), core.frobenius(b))
+
+    def clears(self, eps: float, contour: Contour) -> bool:
+        """Whether the Bauer-Fike disks about d clear contour's margin: every
+        eigenvalue of A_eps lies within ||E||_F + eps ||B||_F + n eps_mach
+        (||A||_F + eps ||B||_F) of some d_i, the last term for the rounding
+        of U. False when that slack is not finite or a disk crosses."""
+        d = self.basis.d
+        slack = self.basis.off + eps * self.norm_b + d.size * _EPS * (self.norm_a + eps * self.norm_b)
+        if not math.isfinite(slack):
+            return False
+        try:
+            _check_margin(d, slack, contour)
+        except EigenvalueOnContour:
+            return False
+        return True
+
+    def rows(self, x: np.ndarray, eps: float, contour: Contour) -> Optional[np.ndarray]:
+        """sum_j w_j x (u_j I - A_eps)^{-1} for the (r, n) rows x by
+        _neumann_rows, or None where the series rule fails, or K or the sum
+        is not finite. q = max|g| (||E||_F + eps ||B||_F) bounds ||K G_j||_2,
+        so m = _series_terms(q) terms leave a tail within q^m / (1 - q) <=
+        unit roundoff. The rule: q <= _SERIES_RATIO and _series_pays."""
+        basis = self.basis
+        q = float(np.abs(basis.g).max()) * (basis.off + eps * self.norm_b)
+        k = basis.e + eps * self.cb
+        if not (q <= _SERIES_RATIO and np.isfinite(k).all()):
+            return None
+        m = _series_terms(q)
+        if not _series_pays(m, *x.shape):
+            return None
+        found = _neumann_rows(x, basis, k, m, contour)
+        return found if np.isfinite(found).all() else None
+
+
 def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationReport:
     """Residual slope of the first-order eigen-identity under A + eps B.
 
@@ -295,8 +415,18 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     P0's rank r is certified by the integer-trace rule of riesz_projection.
     With P0 = U_r S_r V_r* from its top r singular triplets, the residual is
     ||S_r (V_r* (A_eps - lambda_eps I) P_eps - eps V_r* (B - mu I) P0)||_F,
-    so each eps contour solves the transposed stack (u_j I - A_eps)^T
-    against r columns instead of inverting every node.
+    so each eps contour needs only the r rows x P_eps, x = V_r* (A_eps -
+    lambda_eps I).
+
+    When eig_normal admits A, its one eigenbasis (_admit) serves P0 and
+    every eps (_Perturbed): the margin is checked on A's d with the
+    Bauer-Fike slack ||E||_F + eps ||B||_F + n eps_mach (||A||_F +
+    eps ||B||_F), and the rows x P_eps come from the Neumann series in that
+    basis. Where those disks cross the margin, or the slack is not finite,
+    the margin is checked on one LAPACK eigvals of A_eps; where the series
+    rule fails, K or the sum is not finite, or eig_normal refuses A, the
+    rows are one batched solve of the transposed stack (u_j I - A_eps)^T
+    against r columns.
     """
     a, b = core.as_cmatrices(a, b)
     lam = complex(lam)
@@ -304,7 +434,8 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
     if eps_arr.size == 0 or np.any(eps_arr <= 0):
         raise ValueError("eps_list must contain positive reals")
-    p0 = _projection(a, c)
+    basis = _admit(a, c)
+    p0 = _projection(a, c, _first_order(basis, c))
     rank = _certified_rank(p0)
     _, svals, vh = np.linalg.svd(p0)
     scale = svals[:rank, None]
@@ -312,21 +443,27 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     eye = np.eye(a.shape[0], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         lead = rows @ (b - mu * eye) @ p0
+        perturbed = None if basis is None else _Perturbed.of(basis, a, b)
     residuals = np.empty(eps_arr.size, dtype=np.float64)
     for k, eps in enumerate(eps_arr):
         a_eps = a + eps * b
+        with np.errstate(over="ignore", invalid="ignore"):
+            clear = perturbed is not None and perturbed.clears(eps, c)
         try:
-            _check_margin(np.linalg.eigvals(a_eps), 0.0, c)
+            if not clear:
+                _check_margin(np.linalg.eigvals(a_eps), 0.0, c)
         except EigenvalueOnContour as exc:
             raise ContourCapturesPerturbedSpectrumBoundary(
                 f"at eps = {eps:g}: {exc}"
             ) from None
-        # X (u_j I - A_eps)^{-1} = (((u_j I - A_eps)^T)^{-1} X^T)^T for the
-        # r rows X = V_r* (A_eps - lambda_eps I)
         with np.errstate(over="ignore", invalid="ignore"):
             x = rows @ (a_eps - (lam + eps * mu) * eye)
-            ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
-            m = scale * (_combine(ph_e, sol, c).T - eps * lead)
+            found = None if perturbed is None else perturbed.rows(x, eps, c)
+            if found is None:
+                # X (u_j I - A_eps)^{-1} = (((u_j I - A_eps)^T)^{-1} X^T)^T
+                ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
+                found = _combine(ph_e, sol, c).T
+            m = scale * (found - eps * lead)
             residuals[k] = float(np.linalg.norm(m))
     with np.errstate(over="ignore"):
         floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))

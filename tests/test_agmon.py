@@ -58,9 +58,26 @@ def test_gaps_lie_between_the_eigenvalues_own_directions():
     # wide, and the widest gaps are the exact thirds of the circle; merging
     # the two would widen a third by 5e-13 and overstate delta
     spectrum = np.exp(1j * np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3 - 5e-13, 4 * math.pi / 3]))
+    assert abs(agmon.max_circular_gap(spectrum) - 2 * math.pi / 3) <= 1e-15
+    # delta is the half-width of theta's own gap, never more than the widest's
+    assert agmon.strong_agmon_check(spectrum).delta <= agmon.max_circular_gap(spectrum) / 2
+
+
+def test_delta_is_half_the_gap_theta_comes_from():
+    # the gap (2pi/3, 4pi/3 - 5e-13) ties with the widest, the exact thirds,
+    # and gives the smallest theta, 2.5e-13: delta and epsilon are those of
+    # that gap, 2.5e-13 below pi/3, not those of the widest
+    spectrum = np.exp(1j * np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3 - 5e-13, 4 * math.pi / 3]))
+    widths, starts = agmon._circular_gaps(spectrum)
     wit = agmon.strong_agmon_check(spectrum)
-    assert abs(wit.delta - math.pi / 3) <= 1e-15
-    assert agmon.max_circular_gap(spectrum) == 2 * wit.delta
+    own = float(widths[1]) / 2.0
+    assert abs(wit.theta - 2.5e-13) <= 1e-15
+    assert (wit.delta, wit.epsilon) == (own, math.sin(own))
+    assert abs(wit.delta - (math.pi / 3 - 2.5e-13)) <= 1e-15
+    # every direction of the spectrum keeps angular distance delta from -1
+    # along the ray, so |1 + lambda z| >= epsilon there
+    zs = np.exp(1j * wit.theta) * np.logspace(-3, 3, 61)
+    assert agmon.verify_witness(spectrum, zs, wit.epsilon).ok
 
 
 def test_a_repeated_direction_leaves_a_zero_width_gap():

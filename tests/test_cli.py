@@ -520,6 +520,8 @@ _EDGE_CASES = [
     ["lemma34", "ramp-a", "ramp-b", "--mu", "1"],
     ["perturb", "trace-a", "trace-b", "--lam", "1e308", "--mu", "1e200+1e200i", "--center", "1e308", "--radius", "1.5e200"],
     ["lemma34", "svd-loop-a", "svd-loop-b", "--mu", "1e200+1e200i"],
+    # a complex value starting with "-" as its own argument is a usage error
+    ["riesz", "one", "--center", "-0+0i", "--radius", "1"],
 ]
 
 
@@ -696,6 +698,33 @@ def test_usage_errors(tmp_path):
     assert cli.main(["eig"]) == 2
     # missing file surfaces as an error exit, not a traceback
     assert cli.main(["eig", str(tmp_path / "absent.mat")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["not-a-command"], "argument command: invalid choice: 'not-a-command'"),
+        (["eig"], "the following arguments are required: matrix"),
+        (["eig", "a.mat", "--bogus"], "unrecognized arguments: --bogus"),
+        (["riesz", "a.mat", "--center", "-0+0i", "--radius", "1"], "argument --center: expected one argument"),
+        (["escape", "--n-angles", "x"], "argument --n-angles: invalid int value: 'x'"),
+    ],
+)
+def test_usage_errors_print_one_error_line(argv, message, capsys):
+    # the top parser and every subparser: no usage lines, only the message
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["riesz", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: projspec riesz [-h] --center CENTER --radius RADIUS")
 
 
 def test_stdout_default(tmp_path, capsys):

@@ -172,8 +172,9 @@ def test_margin_check_is_one_eigensolve(monkeypatch):
 @pytest.mark.parametrize("case", ["normal", "nonnormal", "gate"])
 def test_eigvals_per_call(monkeypatch, case):
     # an A that eig_normal admits reads its margin from the eigenbasis,
-    # whether or not it passes the gate, so only perturbation_check's eps
-    # contours run eigvals; a non-normal A adds one per call
+    # whether or not it passes the gate, and so do perturbation_check's eps
+    # contours, from the Bauer-Fike disks about d: no eigvals at all. A
+    # non-normal A runs one per call and one per eps contour.
     a, b, c, lam = _gate_case() if case == "gate" else _bit_case(13, case == "normal")
     assert (riesz._eigenbasis(a, c) is not None) == (case == "normal")
     extra = 1 if case == "nonnormal" else 0
@@ -184,7 +185,7 @@ def test_eigvals_per_call(monkeypatch, case):
     riesz.first_order_term(a, b, c)
     assert eigvals[0] == 2 * extra
     riesz.perturbation_check(a, b, lam, 0.5, c, eps_list)
-    assert eigvals[0] == 3 * extra + len(eps_list)
+    assert eigvals[0] == {"normal": 0, "gate": 0, "nonnormal": 6}[case]
 
 
 def test_eigenbasis_margin_reads_the_diagonal(monkeypatch):
@@ -376,8 +377,10 @@ def test_normal_contours_invert_no_node(monkeypatch, n):
     riesz.first_order_term(a, b, c)
     assert shapes == []
     riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3])
-    # only the two eps contours, against P0's one row
-    assert shapes == [(c.nodes, n, 1)] * 2
+    # an eps contour solves against P0's one row only where the series
+    # would cost more (m > n): both at n = 1 and 5; at n = 24 only eps =
+    # 1e-2, whose ratio needs more terms than 1e-3's
+    assert shapes == {1: [(c.nodes, 1, 1)] * 2, 5: [(c.nodes, 5, 1)] * 2, 24: [(c.nodes, 24, 1)]}[n]
 
 
 def _upper_case(seed, n, delta):
@@ -536,8 +539,126 @@ def test_each_eps_contour_solves_rank_many_columns(monkeypatch, size):
         c, lam, mu = Contour(10.0, 1.0), 10.0, 0.0
     shapes = _record_solves(monkeypatch)
     riesz.perturbation_check(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
-    # P0 of a normal A comes from its eigenbasis; each eps contour solves r columns
-    assert shapes == [(c.nodes, n, size)] * 3
+    # P0 of a normal A comes from its eigenbasis, and so do the eps
+    # contours wherever the series pays (m r <= n); an eps contour that
+    # solves solves r columns: with r = 0 none, with r = 1 eps = 1e-2, with
+    # r = 2 eps = 1e-2 and 1e-3, and with r = 3 every eps
+    assert shapes == [(c.nodes, n, size)] * size
+
+
+def _solve_route(monkeypatch):
+    """Send every eps contour of perturbation_check to _solve_nodes."""
+    monkeypatch.setattr(riesz._Perturbed, "rows", lambda self, x, eps, c: None)
+
+
+def _series_route(monkeypatch):
+    """Let the series run wherever its ratio allows, whatever it costs."""
+    monkeypatch.setattr(riesz, "_series_pays", lambda m, r, n: True)
+
+
+@pytest.mark.parametrize("n, size", [(n, size) for n in (2, 8, 24, 48) for size in (1, 2, 3) if size <= n])
+def test_series_matches_the_solve_route(monkeypatch, n, size):
+    # the Neumann series in A's eigenbasis and the batched LU give the same
+    # residuals to 1e-3 of the rounding floor, and slopes to 1e-9
+    rng = np.random.default_rng(3000 + 10 * n + size)
+    a, b, c, lam, mu = _cluster_case(rng, n, size, True)
+    eps_list = [1e-2, 1e-3, 1e-4]
+    with monkeypatch.context() as m:
+        _series_route(m)
+        shapes = _record_solves(m)
+        got = riesz.perturbation_check(a, b, lam, mu, c, eps_list)
+        assert shapes == []
+    with monkeypatch.context() as m:
+        _solve_route(m)
+        shapes = _record_solves(m)
+        want = riesz.perturbation_check(a, b, lam, mu, c, eps_list)
+        assert shapes == [(c.nodes, n, size)] * 3
+    floor = 1e-13 * (1.0 + np.linalg.norm(a) + np.linalg.norm(b))
+    assert np.abs(got.residuals - want.residuals).max() <= 1e-3 * floor
+    assert got.exact == want.exact
+    assert (got.slope is None) == (want.slope is None)
+    if want.slope is not None:
+        assert abs(got.slope - want.slope) <= 1e-9
+
+
+def test_crossing_disks_fall_back_to_eigvals(monkeypatch):
+    # at eps = 0.1 the disks about d = 0, 2 have radius eps ||B||_F = 1.01
+    # and cross the circle |u| = 0.5; the eigenvalues of A_eps themselves,
+    # about -0.0033 and 3.003, clear it, and one eigvals says so. At
+    # eps = 1e-3 the disks clear the margin and no eigvals runs.
+    a = np.diag([0.0, 2.0]).astype(complex)
+    b = np.array([[0.0, 1.0], [1.0, 10.0]], dtype=complex)
+    c = Contour(0.0, 0.5)
+    basis = riesz._admit(a, c)
+    perturbed = riesz._Perturbed.of(basis, a, b)
+    assert perturbed.clears(1e-3, c) and not perturbed.clears(0.1, c)
+    eigvals = _count_calls(monkeypatch, "eigvals")
+    rep = riesz.perturbation_check(a, b, 0.0, 0.0, c, [1e-3, 0.1])
+    assert eigvals[0] == 1
+    assert np.isfinite(rep.residuals).all()
+    # eigvals still refuses a perturbed eigenvalue on the contour
+    with pytest.raises(ContourCapturesPerturbedSpectrumBoundary, match="^at eps = 1.118: eigenvalue within"):
+        riesz.perturbation_check(a, PAULI_X, 0.0, 0.0, c, [1e-3, 1.118])
+    assert eigvals[0] == 2
+
+
+def test_series_rule_takes_the_solve_route(monkeypatch):
+    a, b, c, lam = _bit_case(24, True)
+    basis = riesz._admit(a, c)
+    perturbed = riesz._Perturbed.of(basis, a, b)
+    gmax = float(np.abs(basis.g).max())
+    # q = max|g| (||E||_F + eps ||B||_F) just above 1/2
+    eps_wide = 1.01 * (0.5 / gmax - basis.off) / perturbed.norm_b
+    rows = np.random.default_rng(24).normal(size=(7, 24)).astype(complex)
+    assert perturbed.clears(eps_wide, c)
+    assert perturbed.rows(rows[:1], eps_wide, c) is None
+    # at eps = 1e-6 the series needs m = 4 terms: 4 r <= 24 pays for one
+    # row and fails for seven
+    q = gmax * (basis.off + 1e-6 * perturbed.norm_b)
+    assert riesz._series_terms(q) == 4
+    assert perturbed.rows(rows[:1], 1e-6, c) is not None
+    assert perturbed.rows(rows, 1e-6, c) is None
+    shapes = _record_solves(monkeypatch)
+    riesz.perturbation_check(a, b, lam, 0.5, c, [eps_wide, 1e-6])
+    assert shapes == [(c.nodes, 24, 1)]
+
+
+def test_series_terms_reach_the_unit_roundoff():
+    u = np.finfo(np.float64).eps / 2
+    for q in (0.0, 1e-20, 1e-8, 1e-3, 0.1, 0.3, 0.5):
+        m = riesz._series_terms(q)
+        assert q**m / (1 - q) <= u
+        assert m == 1 or q ** (m - 1) / (1 - q) > u
+    assert riesz._series_terms(0.5) == 54
+
+
+def test_non_finite_norm_of_b_falls_back_without_a_warning(monkeypatch):
+    # ||B||_F = sqrt(2) 1e308 overflows: the slack and q are inf, so each
+    # eps contour reads one eigvals and solves; the floor then refuses the
+    # report. The suite turns any numpy warning into an error.
+    a = np.diag([0.0, 2.0]).astype(complex)
+    b = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=complex)
+    c = Contour(0.0, 0.5)
+    assert riesz._admit(a, c) is not None
+    eigvals = _count_calls(monkeypatch, "eigvals")
+    shapes = _record_solves(monkeypatch)
+    with pytest.raises(NumericalAmbiguity, match="^rounding floor inf"):
+        riesz.perturbation_check(a, b, 0.0, 0.0, c, [1e-2, 1e-3])
+    assert eigvals[0] == 2
+    assert shapes == [(c.nodes, 2, 1)] * 2
+
+
+def test_non_finite_k_falls_back():
+    # _Perturbed runs under perturbation_check's errstate, as here
+    a, b, c, _ = _bit_case(8, True)
+    basis = riesz._admit(a, c)
+    perturbed = riesz._Perturbed.of(basis, a, b)
+    rows = np.ones((1, 8), dtype=complex)
+    assert perturbed.rows(rows, 1e-4, c) is not None
+    for bad in (np.inf, np.nan):
+        perturbed.cb[3, 5] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert perturbed.rows(rows, 1e-4, c) is None
 
 
 def test_nonnormal_p0_contour_inverts_every_node(monkeypatch):

@@ -1,11 +1,14 @@
 """Record the benchmark in alternating parent/change pairs into BENCH_<tag>.json.
 
     python3 tools/bench_pairs.py --parent REV --change REV --tag NAME [--first-seed S] [--note TEXT]
+                                 [--workloads NAME ...]
 
 Extracts clean checkouts of both commits (`git archive`) into a temporary
 directory and runs each one's own, unmodified `perfbench/run.py` from its
-root, one run at a time: PAIRS pairs on every workload of BENCHMARK.json,
-each run as long as its run_seconds. Pair i (seed first-seed + i) runs the
+root, one run at a time: PAIRS pairs on every workload of BENCHMARK.json
+(or only those --workloads names, in BENCHMARK.json's order), each run as
+long as its run_seconds. --parent and --change may name the same commit:
+that A/A record measures the recorder's own null. Pair i (seed first-seed + i) runs the
 parent first when i is even and the change first when i is odd.
 
 The record at the repository root, BENCH_<tag>.json, holds:
@@ -190,6 +193,18 @@ def median_functions(runs) -> dict:
     return dict(sorted(out.items(), key=lambda kv: -kv[1]["self_ms_per_op"]))
 
 
+def select_workloads(spec, names=None) -> list:
+    """The names of spec's workloads, in its order; only those in names when
+    names is given. ValueError names any that spec does not have."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    if not names:
+        return workloads
+    unknown = sorted(set(names) - set(workloads))
+    if unknown:
+        raise ValueError(f"unknown workloads {', '.join(unknown)}; BENCHMARK.json has {', '.join(workloads)}")
+    return [w for w in workloads if w in names]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
@@ -197,11 +212,15 @@ def main(argv=None) -> int:
     p.add_argument("--tag", required=True, help="the record is BENCH_<tag>.json at the repository root")
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--note", default="", help="text for the record's summary, such as the claim it supports")
+    p.add_argument("--workloads", nargs="+", metavar="NAME", help="run only these workloads (default: every one)")
     args = p.parse_args(argv)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    workloads = [w["name"] for w in spec["workloads"]]
+    try:
+        workloads = select_workloads(spec, args.workloads)
+    except ValueError as exc:
+        p.error(str(exc))
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: checkout(getattr(args, side), roots[side]) for side in roots}
