@@ -101,10 +101,10 @@ def strong_agmon_check(spectrum) -> SectorWitness:
     that fits in memory. delta is half the width of the gap that theta
     comes from, which a tie may leave up to _GAP_TIE narrower than the
     widest, so the certificate holds along theta's own ray. The certified
-    epsilon is min(sin(min(delta, pi/2)), 1 - 1e-12): along
-    z = e^{i theta} t the point lambda z stays at angular
-    distance >= delta from -1, and the distance from -1 to that ray is
-    sin(delta) for delta <= pi/2 and 1 beyond.
+    epsilon is min(sin(min(delta, pi/2)), 1 - 1e-12): along z = e^{i theta} t
+    the point lambda z stays at angular distance >= delta from -1, and the
+    distance from -1 to that ray is sin(delta) for delta <= pi/2 and 1
+    beyond.
     """
     widths, starts = _circular_gaps(spectrum)
     tied = np.flatnonzero(widths >= widths.max() - _GAP_TIE)

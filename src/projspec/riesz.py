@@ -332,8 +332,8 @@ def _series_terms(q: float) -> int:
 def _series_pays(m: int, r: int, n: int) -> bool:
     """Whether m series terms against r rows cost less than _solve_nodes'
     batched LU at size n: m r <= n. Measured on one BLAS thread at 64
-    nodes, the series took 0.4-0.8 of the LU's time at m r = n for
-    n = 12-64, and 0.6 at n = 8."""
+    nodes and r = 1-3, the series took 0.3-0.8 of the LU's time at m r = n
+    for n = 12-64, and 0.2-0.6 at n = 8."""
     return m * r <= n
 
 

@@ -188,6 +188,17 @@ def test_eigvals_per_call(monkeypatch, case):
     assert eigvals[0] == {"normal": 0, "gate": 0, "nonnormal": 6}[case]
 
 
+@pytest.mark.parametrize("case", ["normal", "gate"])
+def test_perturbation_check_runs_one_eig_normal(monkeypatch, case):
+    # P0, every margin and every eps contour read the one eigenbasis
+    a, b, c, lam = _gate_case() if case == "gate" else _bit_case(24, True)
+    real = riesz.core.eig_normal
+    calls = []
+    monkeypatch.setattr(riesz.core, "eig_normal", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4, 1e-5])
+    assert len(calls) == 1
+
+
 def test_eigenbasis_margin_reads_the_diagonal(monkeypatch):
     # 1.02 is 2% of the radius outside the unit circle and 0.02 from the
     # nearest node: the gate holds (E = 0) and the margin refuses d itself
@@ -612,6 +623,10 @@ def test_series_rule_takes_the_solve_route(monkeypatch):
     rows = np.random.default_rng(24).normal(size=(7, 24)).astype(complex)
     assert perturbed.clears(eps_wide, c)
     assert perturbed.rows(rows[:1], eps_wide, c) is None
+    with monkeypatch.context() as m:
+        _series_route(m)
+        assert perturbed.rows(rows[:1], eps_wide, c) is None
+        assert perturbed.rows(rows[:1], 0.98 * eps_wide, c) is not None
     # at eps = 1e-6 the series needs m = 4 terms: 4 r <= 24 pays for one
     # row and fails for seven
     q = gmax * (basis.off + 1e-6 * perturbed.norm_b)
@@ -648,17 +663,55 @@ def test_non_finite_norm_of_b_falls_back_without_a_warning(monkeypatch):
     assert shapes == [(c.nodes, 2, 1)] * 2
 
 
-def test_non_finite_k_falls_back():
-    # _Perturbed runs under perturbation_check's errstate, as here
+def test_non_finite_k_falls_back(monkeypatch):
+    # refused before any term: a BLAS that skips zero factors would not
+    # carry an inf of K into the sum. _Perturbed runs under
+    # perturbation_check's errstate, as here.
     a, b, c, _ = _bit_case(8, True)
     basis = riesz._admit(a, c)
     perturbed = riesz._Perturbed.of(basis, a, b)
     rows = np.ones((1, 8), dtype=complex)
     assert perturbed.rows(rows, 1e-4, c) is not None
+
+    def unreachable(*args):
+        raise AssertionError("the series ran on a non-finite K")
+
+    monkeypatch.setattr(riesz, "_neumann_rows", unreachable)
     for bad in (np.inf, np.nan):
         perturbed.cb[3, 5] = bad
         with np.errstate(over="ignore", invalid="ignore"):
             assert perturbed.rows(rows, 1e-4, c) is None
+
+
+def test_non_finite_sum_falls_back():
+    a, b, c, _ = _bit_case(8, True)
+    perturbed = riesz._Perturbed.of(riesz._admit(a, c), a, b)
+    rows = np.zeros((1, 8), dtype=complex)
+    rows[0, 2] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert perturbed.rows(rows, 1e-4, c) is None
+
+
+def test_neumann_rows_sums_m_terms():
+    # m terms are X G sum_{k < m} (K G)^k at every node, summed with the
+    # trapezoid weights and mapped back by U*
+    a, b, c, _ = _bit_case(8, True)
+    basis = riesz._admit(a, c)
+    k = basis.e + 1e-2 * (basis.u.conj().T @ b @ basis.u)
+    x = np.random.default_rng(8).normal(size=(2, 8)) + 0j
+    phases, _ = riesz._nodes(c)
+    for m in (1, 2, 3):
+        terms = []
+        for g in basis.g:
+            step = np.diag(g)
+            term = x @ basis.u @ step
+            total = term
+            for _ in range(m - 1):
+                term = term @ k @ step
+                total = total + term
+            terms.append(total)
+        want = riesz._combine(phases, np.array(terms), c) @ basis.u.conj().T
+        _assert_near(riesz._neumann_rows(x, basis, k, m, c), want)
 
 
 def test_nonnormal_p0_contour_inverts_every_node(monkeypatch):

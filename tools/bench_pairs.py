@@ -7,9 +7,9 @@ Extracts clean checkouts of both commits (`git archive`) into a temporary
 directory and runs each one's own, unmodified `perfbench/run.py` from its
 root, one run at a time: PAIRS pairs on every workload of BENCHMARK.json
 (or only those --workloads names, in BENCHMARK.json's order), each run as
-long as its run_seconds. --parent and --change may name the same commit:
-that A/A record measures the recorder's own null. Pair i (seed first-seed + i) runs the
-parent first when i is even and the change first when i is odd.
+long as its run_seconds. Pair i (seed first-seed + i) runs the parent first
+when i is even and the change first when i is odd. --parent and --change
+may name the same commit: that A/A record measures the recorder's own null.
 
 The record at the repository root, BENCH_<tag>.json, holds:
   runs                     every run's last stdout line (the end-to-end metrics)
