@@ -68,6 +68,36 @@ def _cli_complex(text: str) -> complex:
     return complex(text.strip().replace("i", "j"))
 
 
+# The options whose values are complex literals, --zs a comma-separated list.
+_COMPLEX_OPTIONS = ("--center", "--lam", "--mu", "--zs")
+
+
+def _is_complex_value(text: str) -> bool:
+    """Whether text is a value of a _COMPLEX_OPTIONS option: complex
+    literals (_cli_complex), comma-separated, at least one."""
+    try:
+        return [_cli_complex(t) for t in text.split(",") if t.strip()] != []
+    except ValueError:
+        return False
+
+
+def _attach_complex_values(argv: list) -> list:
+    """argv with each ``OPTION VALUE`` of a _COMPLEX_OPTIONS option whose
+    VALUE is a complex value written as ``OPTION=VALUE``: argparse reads a
+    separate value that starts with "-", such as -0+0i, as an option unless
+    it is a plain negative number. Any other token is left to argparse, so
+    an option in a value's place stays a usage error."""
+    out, i = [], 0
+    while i < len(argv):
+        if argv[i] in _COMPLEX_OPTIONS and i + 1 < len(argv) and _is_complex_value(argv[i + 1]):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def _text(out) -> str:
     return "\n".join(out) + "\n"
 
@@ -364,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_complex_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code) if isinstance(exc.code, int) else 2
     try:

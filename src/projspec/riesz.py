@@ -42,6 +42,14 @@ margin, it is one LAPACK eigvals. For strongly non-normal A the computed
 eigenvalues carry an error of about machine epsilon * ||A|| * their
 condition number, so the integer-trace check on the finished projection
 remains the backstop.
+
+lemma34_solver finds the smallest right singular vector v of each probe and
+ramp matrix M = I + zA - B/mu by inverse iteration on M*M, batched over the
+stack, and certifies it by ||Mv||, an upper bound on the smallest singular
+value. The SVD still runs where that certificate fails: the values-only SVD
+of the probes when some probe misses _LINE_PROBE_TOL, and the full SVD of
+the ramp when its last residuals miss _LEMMA34_RESID_TOL, an LU is exactly
+singular or an iterate is not finite.
 """
 
 from __future__ import annotations
@@ -75,6 +83,17 @@ _LINE_PROBE_COUNT = 5
 _LINE_PROBE_TOL = 1e-8
 
 _LEMMA34_RESID_TOL = 1e-6
+
+# Inverse-iteration steps on M*M per smallest right singular vector of a
+# lemma34_solver probe or ramp matrix M, and the step between consecutive
+# entries of their fixed start vector (the golden ratio's fractional part).
+# On 120 perfbench lemma34 instances (n = 8-48) one step already left every
+# ramp vector within 1.0e-15 of the SVD's, as two and three steps did. The
+# second step is margin: each step shrinks the error by about
+# (sigma_min / sigma_2)^2, near 1e-32 there, but not where the two smallest
+# singular values lie close together.
+_INVERSE_STEPS = 2
+_START_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 
 _EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = _EPS / 2
@@ -126,7 +145,10 @@ class Lemma34Result:
     vector: np.ndarray
     residual_a: float
     residual_b: float
-    # (z, smallest singular value, ||Av||, ||Bv - mu v||) per ramp step
+    # (z, sigma, ||Av||, ||Bv - mu v||) per ramp step, v that step's vector:
+    # sigma = ||(I + zA - B/mu) v||, an upper bound on the smallest singular
+    # value and equal to it up to rounding, or the SVD's own smallest
+    # singular value where the ramp fell back to the SVD
     history: List[Tuple[complex, float, float, float]] = field(default_factory=list)
 
 
@@ -502,13 +524,86 @@ def _ramp(shifted: np.ndarray, zs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _inverse_iteration(stack: np.ndarray) -> Optional[np.ndarray]:
+    """Unit vectors, one per matrix M of the (k, n, n) stack, for M's
+    smallest right singular vector: _INVERSE_STEPS steps of inverse
+    iteration on M*M, each two batched solves over the whole stack (M* y =
+    x, then M x' = y) and a normalization, from the fixed start x_j = 1 +
+    frac(j _START_STEP), so the bytes are the same on every run. The start
+    is real and positive with distinct entries: a real diagonal M keeps its
+    iterates real and their signs, and no entry pattern such as (1, -1)
+    is orthogonal to it. None when an LU is exactly singular (LinAlgError;
+    diagonal inputs reach this) or an iterate is not finite; formed with
+    numpy's warnings off."""
+    k, n, _ = stack.shape
+    x = np.broadcast_to((1.0 + np.mod(_START_STEP * np.arange(n), 1.0))[:, None], (k, n, 1))
+    adjoint = stack.conj().transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(_INVERSE_STEPS):
+                x = np.linalg.solve(stack, np.linalg.solve(adjoint, x))
+                x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        except np.linalg.LinAlgError:
+            return None
+    return x[:, :, 0] if np.isfinite(x).all() else None
+
+
+def _probes_certified(stack: np.ndarray) -> bool:
+    """Whether every probe matrix M has a unit v from _inverse_iteration with
+    ||Mv|| <= _LINE_PROBE_TOL: ||Mv|| bounds M's smallest singular value
+    from above, so each probe is then singular to that tolerance."""
+    v = _inverse_iteration(stack)
+    if v is None:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigmas = np.linalg.norm(stack @ v[:, :, None], axis=(1, 2))
+    return bool((sigmas <= _LINE_PROBE_TOL).all())
+
+
+def _ramp_history(stack, zs, a, b, mu, vectors, sigmas=None):
+    """(v, history) along the ramp: v is the last z's vector, and each z's
+    row is (z, sigma, ||Av||, ||Bv - mu v||) for v = _fix_phase of its row
+    of vectors, with sigma read from sigmas or, when sigmas is None, taken
+    as ||Mv||. Formed with numpy's overflow warnings off."""
+    history = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, z in enumerate(zs):
+            v = _fix_phase(vectors[k])
+            sigma = np.linalg.norm(stack[k] @ v) if sigmas is None else sigmas[k]
+            history.append((complex(z), float(sigma), float(np.linalg.norm(a @ v)), float(np.linalg.norm(b @ v - mu * v))))
+    return v, history
+
+
+def _settled(history) -> bool:
+    """Whether the last ramp step's residuals are both at most
+    _LEMMA34_RESID_TOL; NaN is not."""
+    _, _, res_a, res_b = history[-1]
+    return res_a <= _LEMMA34_RESID_TOL and res_b <= _LEMMA34_RESID_TOL
+
+
 def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     """Common-eigenvector extraction from a line {mu w + 1 = 0} in the spectrum.
 
     Along a ramp of |z| -> large, the smallest right singular vector of
-    I + zA - B/mu converges to a unit vector with Av = 0 and Bv = mu v; the
-    weak-compactness selection of the infinite-dimensional argument becomes
-    a deterministic singular-vector sequence here.
+    M = I + zA - B/mu converges to a unit vector with Av = 0 and Bv = mu v;
+    the weak-compactness selection of the infinite-dimensional argument
+    becomes a deterministic singular-vector sequence here.
+
+    Each vector comes from _INVERSE_STEPS = 2 steps of inverse iteration on
+    M*M over the whole stack of ramp or probe matrices at once
+    (_inverse_iteration), and ||Mv||, an upper bound on M's smallest
+    singular value, certifies it: a probe passes when ||Mv|| <=
+    _LINE_PROBE_TOL, and the ramp when its last residuals are at most
+    _LEMMA34_RESID_TOL. The SVD runs only where that fails: the
+    values-only SVD of the probes when some probe misses, and the full SVD
+    of the ramp when its residuals miss, an LU is exactly singular or an
+    iterate is not finite. The gates then read the SVD's answer, so no
+    verdict depends on the iteration.
+
+    Where core.eig_normal (at the default Tolerances) admits A, ||A||_2 is
+    max|d| of its eigenvalues d and the default ramp's direction theta
+    comes from strong_agmon_check(d); otherwise from norm(A, 2) and one
+    LAPACK eigvals. ||B||_2 stays an SVD norm, because it gates mu.
 
     Every gate is NaN-safe: mu is refused unless ||B||_2 is finite and
     matches |mu|, a probe whose smallest singular value is not at most
@@ -528,34 +623,41 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
         raise ValueError(
             f"|mu| = {abs(mu):.12g} must match the operator norm of b ({opn:.12g})"
         )
+    try:
+        values = core.eig_normal(a, tol=core.Tolerances()).values
+        norm_a = float(np.abs(values).max())
+    except (NotNormal, NoConvergence):
+        values, norm_a = None, np.linalg.norm(a, 2)
     eye = np.eye(a.shape[0], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = eye - b / mu
     # probe that I + zA - B/mu is singular along the line, not just at one z
-    rho = 1.0 / (1.0 + np.linalg.norm(a, 2))
+    rho = 1.0 / (1.0 + norm_a)
     probes = rho * np.exp(2j * np.pi * np.arange(_LINE_PROBE_COUNT) / _LINE_PROBE_COUNT)
-    sigmas = np.linalg.svd(_ramp(shifted, probes, a), compute_uv=False)[:, -1]
-    for z, sigma in zip(probes, sigmas):
-        if not (sigma <= _LINE_PROBE_TOL):
-            raise LineNotInSpectrum(
-                f"smallest singular value {sigma:.3e} at probe z = {z:.6g} "
-                f"exceeds {_LINE_PROBE_TOL}"
-            )
+    probe_stack = _ramp(shifted, probes, a)
+    if not _probes_certified(probe_stack):
+        sigmas = np.linalg.svd(probe_stack, compute_uv=False)[:, -1]
+        for z, sigma in zip(probes, sigmas):
+            if not (sigma <= _LINE_PROBE_TOL):
+                raise LineNotInSpectrum(
+                    f"smallest singular value {sigma:.3e} at probe z = {z:.6g} "
+                    f"exceeds {_LINE_PROBE_TOL}"
+                )
     if zs is None:
-        zs = np.exp(1j * strong_agmon_check(np.linalg.eigvals(a)).theta) * (10.0 ** np.arange(1, 7))
+        spectrum = np.linalg.eigvals(a) if values is None else values
+        zs = np.exp(1j * strong_agmon_check(spectrum).theta) * (10.0 ** np.arange(1, 7))
     zarr = np.asarray(list(zs), dtype=np.complex128)
     if zarr.size == 0:
         raise ValueError("zs must be nonempty")
-    history = []
-    _, svals_all, vh_all = np.linalg.svd(_ramp(shifted, zarr, a))
-    for z, svals, vh in zip(zarr, svals_all, vh_all):
-        v = _fix_phase(np.conj(vh[-1]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            res_a = float(np.linalg.norm(a @ v))
-            res_b = float(np.linalg.norm(b @ v - mu * v))
-        history.append((complex(z), float(svals[-1]), res_a, res_b))
-    # res_a and res_b are the last step's
-    if not (res_a <= _LEMMA34_RESID_TOL and res_b <= _LEMMA34_RESID_TOL):
+    stack = _ramp(shifted, zarr, a)
+    vectors = _inverse_iteration(stack)
+    if vectors is not None:
+        v, history = _ramp_history(stack, zarr, a, b, mu, vectors)
+    if vectors is None or not _settled(history):
+        _, svals, vh = np.linalg.svd(stack)
+        v, history = _ramp_history(stack, zarr, a, b, mu, np.conj(vh[:, -1]), svals[:, -1])
+    _, _, res_a, res_b = history[-1]
+    if not _settled(history):
         raise NoConvergence(
             f"residuals ||Av|| = {res_a:.3e}, ||Bv - mu v|| = {res_b:.3e} "
             f"did not settle below {_LEMMA34_RESID_TOL} along the z ramp"

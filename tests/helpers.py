@@ -420,6 +420,20 @@ def reference_perturbation_check(a, b, lam, mu, c, eps_list):
     return riesz.PerturbationReport(eps_arr, residuals, slope, False)
 
 
+def reference_lemma34_ramp(a, b, mu, zs):
+    """(vector, history) of riesz.lemma34_solver's ramp by one full SVD per
+    z, the solver's route before inverse iteration and now its fallback:
+    each z's smallest right singular vector of I + zA - B/mu, phase-fixed
+    (riesz._fix_phase), and (z, sigma_min, ||Av||, ||Bv - mu v||)."""
+    shifted = np.eye(a.shape[0], dtype=np.complex128) - b / mu
+    history = []
+    for z in zs:
+        _, svals, vh = np.linalg.svd(shifted + np.complex128(z) * a)
+        v = riesz._fix_phase(np.conj(vh[-1]))
+        history.append((complex(z), float(svals[-1]), float(np.linalg.norm(a @ v)), float(np.linalg.norm(b @ v - mu * v))))
+    return v, history
+
+
 def reference_escape_radius_profile(spectrum, epsilon, n_angles=agmon.DEFAULT_N_ANGLES):
     """agmon.escape_radius_profile on the full grid: every disk at every
     angle, in chunks of 512 angles. Returns the radii."""

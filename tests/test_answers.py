@@ -8,12 +8,14 @@ Counts, not digests: the digests depend on the number of BLAS threads.
 
 import collections
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
 import helpers
 import projspec
+import projspec.cli  # noqa: F401  (the contract family runs projspec.cli)
 from helpers import answers_module
 
 # Indeterminate answers per family (reports with `indeterminate` set, or
@@ -87,3 +89,10 @@ def test_contract_family_keeps_the_cli_contract():
     breaks = {key: answers.contract_breaks(record) for key, record in records}
     broken = {key: found for key, found in breaks.items() if found}
     assert len(broken) <= CONTRACT_BREAK_CEILING, broken
+
+
+def test_family_flag_takes_several_names_and_repeats(monkeypatch, capsys):
+    # main puts the checkout's directories on sys.path; keep ours
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert answers_module().main(["--family", "formats", "edges", "--family", "formats"]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["formats", "edges", "formats", "all"]

@@ -520,7 +520,7 @@ _EDGE_CASES = [
     ["lemma34", "ramp-a", "ramp-b", "--mu", "1"],
     ["perturb", "trace-a", "trace-b", "--lam", "1e308", "--mu", "1e200+1e200i", "--center", "1e308", "--radius", "1.5e200"],
     ["lemma34", "svd-loop-a", "svd-loop-b", "--mu", "1e200+1e200i"],
-    # a complex value starting with "-" as its own argument is a usage error
+    # a complex value starting with "-" as its own argument
     ["riesz", "one", "--center", "-0+0i", "--radius", "1"],
 ]
 
@@ -707,7 +707,7 @@ def test_usage_errors(tmp_path):
         (["not-a-command"], "argument command: invalid choice: 'not-a-command'"),
         (["eig"], "the following arguments are required: matrix"),
         (["eig", "a.mat", "--bogus"], "unrecognized arguments: --bogus"),
-        (["riesz", "a.mat", "--center", "-0+0i", "--radius", "1"], "argument --center: expected one argument"),
+        (["riesz", "a.mat", "--center", "--radius", "1"], "argument --center: expected one argument"),
         (["escape", "--n-angles", "x"], "argument --n-angles: invalid int value: 'x'"),
     ],
 )
@@ -718,6 +718,37 @@ def test_usage_errors_print_one_error_line(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "sub, option, value, joined",
+    [
+        ("riesz", "--center", "-0+0i", []),
+        ("perturb", "--lam", "-1+0i", ["--mu=0.5+0i", "--center=-1+0i"]),
+        ("perturb", "--mu", "-0.5-1i", ["--lam=-1+0i", "--center=-1+0i"]),
+        ("lemma34", "--mu", "-2+0i", []),
+        ("lemma34", "--zs", "-10+0i,-1e2-0i", ["--mu=-2+0i"]),
+    ],
+)
+def test_complex_options_take_a_value_that_starts_with_a_minus(tmp_path, sub, option, value, joined):
+    # OPTION VALUE parses as OPTION=VALUE for --center, --lam, --mu and --zs
+    a = _write_matrix(tmp_path / "a.mat", np.diag([-1.0, 0.0]))
+    b = _write_matrix(tmp_path / "b.mat", np.diag([0.5, -2.0]))
+    mats = [a] if sub == "riesz" else [a, b]
+    tail = {"riesz": ["--radius", "0.5"], "perturb": ["--radius", "0.5"], "lemma34": []}[sub]
+    code, text = _run(tmp_path, sub, *mats, option, value, *joined, *tail)
+    assert (code, text) == _run(tmp_path, sub, *mats, f"{option}={value}", *joined, *tail)
+    assert code == 0 and text
+
+
+def test_an_option_in_a_complex_value_s_place_stays_a_usage_error(capsys):
+    for argv in (
+        ["riesz", "a.mat", "--center", "--radius", "1"],
+        ["lemma34", "a.mat", "b.mat", "--mu", "-2+0i", "--zs", "-o"],
+        ["lemma34", "a.mat", "b.mat", "--mu", "-x"],
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: argument ")
 
 
 def test_help_still_prints_usage(capsys):

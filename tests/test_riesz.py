@@ -18,6 +18,7 @@ from helpers import (
     random_diag_vals,
     random_normal,
     random_unitary,
+    reference_lemma34_ramp,
     reference_perturbation_check,
     reference_resolvent_nodes,
     separated_vals,
@@ -943,21 +944,36 @@ def _nan_svd(monkeypatch, compute_uv):
     monkeypatch.setattr(np.linalg, "svd", fake)
 
 
+def _force_svd_fallback(monkeypatch):
+    """Make every inverse-iteration iterate inf, so that lemma34_solver
+    reaches the SVD of the probes and of the ramp on any input."""
+    monkeypatch.setattr(np.linalg, "solve", lambda m, x: np.full(np.shape(x), np.inf))
+
+
 def test_lemma34_probe_gate_refuses_a_nan_singular_value(monkeypatch):
+    # a diagonal pair reaches the SVD through an exactly singular LU, and a
+    # conjugated one through a forced fallback
     a = np.diag([0.0, 1.0]).astype(complex)
     b = np.diag([2.0, 1.0]).astype(complex)
+    ca, cb = _lemma34_pair(5, 6)
     _nan_svd(monkeypatch, compute_uv=False)
     with pytest.raises(LineNotInSpectrum, match="smallest singular value nan"):
         riesz.lemma34_solver(a, b, 2.0, [10.0])
+    _force_svd_fallback(monkeypatch)
+    with pytest.raises(LineNotInSpectrum, match="smallest singular value nan"):
+        riesz.lemma34_solver(ca, cb, 2.0, [10.0])
 
 
 def test_lemma34_residual_gate_refuses_nan_residuals(monkeypatch):
     a = np.diag([0.0, 1.0]).astype(complex)
     b = np.diag([2.0, 1.0]).astype(complex)
+    ca, cb = _lemma34_pair(5, 6)
     _nan_svd(monkeypatch, compute_uv=True)
-    # the NaN vector's phase fix divides by a NaN pivot
-    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match=r"\|\|Av\|\| = nan"):
+    with pytest.raises(NoConvergence, match=r"\|\|Av\|\| = nan"):
         riesz.lemma34_solver(a, b, 2.0, [10.0])
+    _force_svd_fallback(monkeypatch)
+    with pytest.raises(NoConvergence, match=r"\|\|Av\|\| = nan"):
+        riesz.lemma34_solver(ca, cb, 2.0, [10.0])
 
 
 def test_lemma34_refuses_an_overflowing_ramp():
@@ -980,21 +996,158 @@ def test_lemma34_phase_convention():
     assert np.linalg.norm(res.vector) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("n", [2, 5, 16, 33])
-def test_lemma34_batched_ramp_bit_identical_to_svd_loop(n):
-    rng = np.random.default_rng(60 + n)
+def _lemma34_pair(n, seed):
+    """A commuting pair with A e = 0 and B e = 2e for e = U e_1, ||B||_2 = 2."""
+    rng = np.random.default_rng(seed)
     u = random_unitary(rng, n)
     a_vals = np.concatenate([[0.0], rng.uniform(0.5, 1.5, n - 1)])
     b_vals = np.concatenate([[2.0], rng.uniform(0.2, 1.5, n - 1)])
-    a = (u * a_vals) @ u.conj().T
-    b = (u * b_vals) @ u.conj().T
+    return (u * a_vals) @ u.conj().T, (u * b_vals) @ u.conj().T
+
+
+_LEMMA34_ZS = np.exp(0.7j) * 10.0 ** np.arange(1, 7)
+
+
+def _same_bytes(res, vector, history):
+    return res.vector.tobytes() == vector.tobytes() and res.history == history
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 33])
+def test_lemma34_ramp_matches_the_svd_within_rounding(n):
+    a, b = _lemma34_pair(n, 60 + n)
     mu = complex(2.0)
     res = riesz.lemma34_solver(a, b, mu)
-    shifted = np.eye(n, dtype=complex) - b / mu
-    for z, sigma, res_a, res_b in res.history:
-        _, svals, vh = np.linalg.svd(shifted + np.complex128(z) * a)
-        v = riesz._fix_phase(np.conj(vh[-1]))
-        assert float(svals[-1]).hex() == sigma.hex()
-        assert float(np.linalg.norm(a @ v)).hex() == res_a.hex()
-        assert float(np.linalg.norm(b @ v - mu * v)).hex() == res_b.hex()
+    zs = np.array([z for z, *_ in res.history])
+    stack = riesz._ramp(np.eye(n, dtype=complex) - b / mu, zs, a)
+    vectors = riesz._inverse_iteration(stack)
+    if n == 2:
+        # this 2 x 2 ramp's LU has an exactly zero pivot: the SVD's bytes
+        assert vectors is None
+        assert _same_bytes(res, *reference_lemma34_ramp(a, b, mu, zs))
+        return
+    _, svals, vh = np.linalg.svd(stack)
+    u = np.finfo(float).eps / 2
+    for k, (z, sigma, res_a, res_b) in enumerate(res.history):
+        v = riesz._fix_phase(vectors[k])
+        fro = np.linalg.norm(stack[k])
+        # ||Mv|| bounds sigma_min from above, up to the rounding of ||Mv||
+        assert svals[k, -1] - u * fro <= sigma <= svals[k, -1] + n * u * fro
+        assert np.abs(v - riesz._fix_phase(np.conj(vh[k, -1]))).max() <= 1e-13
+        assert sigma.hex() == float(np.linalg.norm(stack[k] @ v)).hex()
+        assert res_a.hex() == float(np.linalg.norm(a @ v)).hex()
+        assert res_b.hex() == float(np.linalg.norm(b @ v - mu * v)).hex()
     assert v.tobytes() == res.vector.tobytes()
+
+
+def _count_svds(monkeypatch):
+    """Record compute_uv of every np.linalg.svd call (norm(B, 2) calls
+    numpy's own binding, not this one)."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("normal", [True, False])
+def test_lemma34_fast_path_runs_no_svd_and_reads_theta_from_eig_normal(monkeypatch, normal):
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 6)
+    t = np.diag(np.concatenate([[0.0], rng.uniform(0.5, 1.5, 5)])).astype(complex)
+    if not normal:
+        # the kernel vector stays, and A is no longer normal
+        t[2, 3] = 0.1
+    a = u @ t @ u.conj().T
+    b = (u * np.concatenate([[2.0], rng.uniform(0.2, 1.5, 5)])) @ u.conj().T
+    svds = _count_svds(monkeypatch)
+    eigvals = _count_calls(monkeypatch, "eigvals")
+    riesz.lemma34_solver(a, b, 2.0)
+    assert svds == []
+    assert eigvals == [0 if normal else 1]
+
+
+def test_lemma34_singular_lu_falls_back_to_the_svd_bytes(monkeypatch):
+    # the diagonal I + zA - B/mu has an exact zero pivot at every z
+    a = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    b = np.diag([2.0, 1.0, -0.5]).astype(complex)
+    assert riesz._inverse_iteration(riesz._ramp(np.eye(3) - b / 2.0, _LEMMA34_ZS, a)) is None
+    svds = _count_svds(monkeypatch)
+    res = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    assert svds == [False, True]
+    assert _same_bytes(res, *reference_lemma34_ramp(a, b, 2.0, _LEMMA34_ZS))
+
+
+def test_lemma34_non_finite_iterate_falls_back_to_the_svd_bytes(monkeypatch):
+    # diag(1e-300, 1): the first pivot of I + zA - B/mu is z 1e-300, and
+    # two solves against it overflow
+    a = np.diag([1e-300, 1.0]).astype(complex)
+    b = np.diag([2.0, 1.0]).astype(complex)
+    assert riesz._inverse_iteration(riesz._ramp(np.eye(2) - b / 2.0, _LEMMA34_ZS, a)) is None
+    res = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    assert _same_bytes(res, *reference_lemma34_ramp(a, b, 2.0, _LEMMA34_ZS))
+    # a non-diagonal pair, its iterates forced to inf
+    a, b = _lemma34_pair(7, 11)
+    _force_svd_fallback(monkeypatch)
+    svds = _count_svds(monkeypatch)
+    res = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    assert svds == [False, True]
+    assert _same_bytes(res, *reference_lemma34_ramp(a, b, 2.0, _LEMMA34_ZS))
+
+
+def _wrong_vectors_at_call(monkeypatch, which):
+    """Make the which-th _inverse_iteration call (0: the probes, 1: the
+    ramp) return unit vectors that miss: each matrix's own vector moved by
+    1e-3 into a second coordinate."""
+    real = riesz._inverse_iteration
+    calls = []
+
+    def wrong(stack):
+        v = real(stack)
+        if len(calls) == which:
+            v = v + 1e-3 * np.roll(v, 1, axis=1)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        calls.append(1)
+        return v
+
+    monkeypatch.setattr(riesz, "_inverse_iteration", wrong)
+
+
+def test_lemma34_probe_miss_runs_the_values_svd(monkeypatch):
+    a, b = _lemma34_pair(8, 6)
+    svds = _count_svds(monkeypatch)
+    fast = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    assert svds == []
+    _wrong_vectors_at_call(monkeypatch, 0)
+    res = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    # the SVD certifies the probes, and the ramp is the fast one
+    assert svds == [False]
+    assert _same_bytes(res, fast.vector, fast.history)
+
+
+def test_lemma34_probe_miss_raises_with_the_svd_sigma():
+    # the conjugated diag(3, 4), diag(2, 1) holds no line {2w + 1 = 0}
+    u = random_unitary(np.random.default_rng(8), 2)
+    a = (u * np.array([3.0, 4.0])) @ u.conj().T
+    b = (u * np.array([2.0, 1.0])) @ u.conj().T
+    probes = np.exp(2j * np.pi * np.arange(5) / 5) / (1.0 + np.linalg.norm(a, 2))
+    stack = riesz._ramp(np.eye(2) - b / 2.0, probes, a)
+    assert not riesz._probes_certified(stack)
+    sigma = np.linalg.svd(stack, compute_uv=False)[0, -1]
+    with pytest.raises(LineNotInSpectrum) as exc:
+        riesz.lemma34_solver(a, b, 2.0)
+    assert str(exc.value).startswith(f"smallest singular value {sigma:.3e} at probe z = ")
+
+
+def test_lemma34_residual_miss_falls_back_to_the_svd_bytes(monkeypatch):
+    a, b = _lemma34_pair(8, 6)
+    svds = _count_svds(monkeypatch)
+    riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    assert svds == []
+    _wrong_vectors_at_call(monkeypatch, 1)
+    res = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    assert svds == [True]
+    assert _same_bytes(res, *reference_lemma34_ramp(a, b, 2.0, _LEMMA34_ZS))

@@ -410,7 +410,8 @@ def contract_runs(count=100):
             literal, radius = (CONTRACT_LITERALS[d] for d in rng.integers(len(CONTRACT_LITERALS), size=2))
             radius = f"{_modulus(radius):.17g}"
             a00 = mats["a.mat"][0][0]
-            # --name=value, since argparse reads a value such as -0+0i as an option
+            # --name=value; cli.main reads "--name value" the same way, and
+            # this form keeps the records' argv as they were recorded
             options = []
             if sub == "riesz":
                 options = [f"--center={a00}", f"--radius={radius}"]
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     p.add_argument("--out", type=Path)
-    p.add_argument("--family", action="append", choices=FAMILIES)
+    p.add_argument("--family", nargs="+", action="extend", choices=FAMILIES, metavar="NAME")
     args = p.parse_args(argv)
     env = load(args.root.resolve())
     whole = hashlib.sha256()
