@@ -709,6 +709,9 @@ def test_usage_errors(tmp_path):
         (["eig", "a.mat", "--bogus"], "unrecognized arguments: --bogus"),
         (["riesz", "a.mat", "--center", "--radius", "1"], "argument --center: expected one argument"),
         (["escape", "--n-angles", "x"], "argument --n-angles: invalid int value: 'x'"),
+        # an option, or a value that is no complex literal, in a complex value's place
+        (["lemma34", "a.mat", "b.mat", "--mu", "-2+0i", "--zs", "-o"], "argument --zs: expected one argument"),
+        (["lemma34", "a.mat", "b.mat", "--mu", "-x"], "argument --mu: expected one argument"),
     ],
 )
 def test_usage_errors_print_one_error_line(argv, message, capsys):
@@ -739,16 +742,6 @@ def test_complex_options_take_a_value_that_starts_with_a_minus(tmp_path, sub, op
     code, text = _run(tmp_path, sub, *mats, option, value, *joined, *tail)
     assert (code, text) == _run(tmp_path, sub, *mats, f"{option}={value}", *joined, *tail)
     assert code == 0 and text
-
-
-def test_an_option_in_a_complex_value_s_place_stays_a_usage_error(capsys):
-    for argv in (
-        ["riesz", "a.mat", "--center", "--radius", "1"],
-        ["lemma34", "a.mat", "b.mat", "--mu", "-2+0i", "--zs", "-o"],
-        ["lemma34", "a.mat", "b.mat", "--mu", "-x"],
-    ):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: argument ")
 
 
 def test_help_still_prints_usage(capsys):

@@ -927,6 +927,22 @@ def test_lemma34_refuses_mu_when_the_norm_of_b_overflows(mu):
         riesz.lemma34_solver(a, b, mu)
 
 
+def _lemma34_pair(n, seed):
+    """A commuting pair with A e = 0 and B e = 2e for e = U e_1, ||B||_2 = 2."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, n)
+    a_vals = np.concatenate([[0.0], rng.uniform(0.5, 1.5, n - 1)])
+    b_vals = np.concatenate([[2.0], rng.uniform(0.2, 1.5, n - 1)])
+    return (u * a_vals) @ u.conj().T, (u * b_vals) @ u.conj().T
+
+
+_LEMMA34_ZS = np.exp(0.7j) * 10.0 ** np.arange(1, 7)
+
+
+def _same_bytes(res, vector, history):
+    return res.vector.tobytes() == vector.tobytes() and res.history == history
+
+
 def _nan_svd(monkeypatch, compute_uv):
     """Make np.linalg.svd return NaN singular values (compute_uv False) or
     NaN singular vectors (compute_uv True), and behave normally otherwise."""
@@ -994,22 +1010,6 @@ def test_lemma34_phase_convention():
     assert piv.imag == pytest.approx(0.0, abs=1e-12)
     assert piv.real > 0
     assert np.linalg.norm(res.vector) == pytest.approx(1.0)
-
-
-def _lemma34_pair(n, seed):
-    """A commuting pair with A e = 0 and B e = 2e for e = U e_1, ||B||_2 = 2."""
-    rng = np.random.default_rng(seed)
-    u = random_unitary(rng, n)
-    a_vals = np.concatenate([[0.0], rng.uniform(0.5, 1.5, n - 1)])
-    b_vals = np.concatenate([[2.0], rng.uniform(0.2, 1.5, n - 1)])
-    return (u * a_vals) @ u.conj().T, (u * b_vals) @ u.conj().T
-
-
-_LEMMA34_ZS = np.exp(0.7j) * 10.0 ** np.arange(1, 7)
-
-
-def _same_bytes(res, vector, history):
-    return res.vector.tobytes() == vector.tobytes() and res.history == history
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 33])
