@@ -156,6 +156,14 @@ def _blocking_radii(vals: np.ndarray, epsilon: float, n_angles: int, ends) -> li
     disk-by-angle grid sends to 0, so the radii are those of the full grid,
     bit for bit. A disk whose centre or |c|^2 - r^2 is not a finite double
     raises NumericalAmbiguity.
+
+    Each gather is one in-place pass: b = Re(conj(u) c), t = b^2 - (|c|^2 -
+    r^2), t = b + sqrt(t). A ray that misses the disk has t < 0, so its
+    square root is NaN, and np.fmax, which returns the other operand where
+    one is NaN, drops it. The bits are those of a mask that sends a miss to
+    0: fmax(running, NaN) keeps running, which is >= 0, a hit behind the
+    origin (t < 0) loses to it as before, and a hit's t is the same
+    product, difference and sum whichever way a miss is marked.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
@@ -177,18 +185,22 @@ def _blocking_radii(vals: np.ndarray, epsilon: float, n_angles: int, ends) -> li
     windows = sliding_window_view(np.concatenate([conj_u, conj_u[:width]]), width)
     running = np.zeros(n_angles + width, dtype=np.float64)
     out = []
-    for done, k in zip([0, *ends], ends):
-        for lo in range(done, k, _PROFILE_DISKS):
-            hi = min(lo + _PROFILE_DISKS, k)
-            b = (windows[first[lo:hi]] * centers[lo:hi, None]).real
-            disc = b * b - gap[lo:hi, None]
-            hit = disc >= 0.0
-            t = np.where(hit, b + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
-            for start, row in zip(first[lo:hi].tolist(), t):
-                arc = running[start : start + width]
-                np.maximum(arc, row, out=arc)
-        np.maximum(running[:width], running[n_angles:], out=running[:width])
-        out.append(running[:n_angles].copy())
+    with np.errstate(invalid="ignore"):
+        for done, k in zip([0, *ends], ends):
+            for lo in range(done, k, _PROFILE_DISKS):
+                hi = min(lo + _PROFILE_DISKS, k)
+                p = windows[first[lo:hi]]
+                p *= centers[lo:hi, None]
+                b = p.real
+                t = b * b
+                t -= gap[lo:hi, None]
+                np.sqrt(t, out=t)
+                t += b
+                for start, row in zip(first[lo:hi].tolist(), t):
+                    arc = running[start : start + width]
+                    np.fmax(arc, row, out=arc)
+            np.maximum(running[:width], running[n_angles:], out=running[:width])
+            out.append(running[:n_angles].copy())
     return out
 
 

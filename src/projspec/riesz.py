@@ -429,10 +429,12 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     For each eps, r(eps) = ||P0 (A_eps - lambda_eps I) P_eps
     - eps P0 (B - mu I) P0||_F with lambda_eps = lambda + eps mu; the
     least-squares slope of log r vs log eps certifies the quadratic
-    remainder when >= 1.8. Residuals at the rounding floor for every eps are
-    reported as exact instead of sloped. The floor 1e-13 (1 + ||A||_F +
-    ||B||_F) and each residual are formed with numpy's overflow warnings
-    off, and one that is not finite raises NumericalAmbiguity.
+    remainder when >= 1.8. When fewer than two residuals rise above their
+    rounding floor the report is exact instead of sloped. Each eps has its
+    own floor, 1e-13 (||A||_F + |lambda| + eps (||B||_F + |mu|)), from the
+    sizes of the terms that cancel in A_eps - lambda_eps I. Floors and
+    residuals are formed with numpy's overflow warnings off, and one that
+    is not finite raises NumericalAmbiguity.
 
     P0's rank r is certified by the integer-trace rule of riesz_projection.
     With P0 = U_r S_r V_r* from its top r singular triplets, the residual is
@@ -488,9 +490,9 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
             m = scale * (found - eps * lead)
             residuals[k] = float(np.linalg.norm(m))
     with np.errstate(over="ignore"):
-        floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))
-    if not (math.isfinite(floor) and np.isfinite(residuals).all()):
-        raise NumericalAmbiguity(f"rounding floor {floor:.3e} and largest residual {residuals.max():.3e} must be finite")
+        floor = 1e-13 * (core.frobenius(a) + np.abs(lam) + eps_arr * (core.frobenius(b) + np.abs(mu)))
+    if not (np.isfinite(floor).all() and np.isfinite(residuals).all()):
+        raise NumericalAmbiguity(f"rounding floor {floor.max():.3e} and largest residual {residuals.max():.3e} must be finite")
     live = residuals > floor
     if int(live.sum()) < 2:
         return PerturbationReport(eps_arr, residuals, None, True)

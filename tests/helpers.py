@@ -410,7 +410,7 @@ def reference_perturbation_check(a, b, lam, mu, c, eps_list):
         p_eps = reference_combine(ph_e, res_e, c)
         m = p0 @ (a_eps - (lam + eps * mu) * eye) @ p_eps - eps * lead
         residuals[k] = float(np.linalg.norm(m))
-    floor = 1e-13 * (1.0 + core.frobenius(a) + core.frobenius(b))
+    floor = 1e-13 * (core.frobenius(a) + abs(lam) + eps_arr * (core.frobenius(b) + abs(mu)))
     live = residuals > floor
     if int(live.sum()) < 2:
         return riesz.PerturbationReport(eps_arr, residuals, None, True)

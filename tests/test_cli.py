@@ -361,6 +361,28 @@ def test_perturb_cli(tmp_path):
     assert float(lines[-1].split("=", 1)[1]) >= 1.8
 
 
+def test_perturb_floor_counts_lambda_and_mu(tmp_path):
+    # the contract family's perturb run 89: A = B = [1e-160], lambda = 1e-160
+    # and mu = 1e160. The residual cancels terms of size eps |mu| (up to
+    # 1e158), so its rounding noise lies below the floor
+    # 1e-13 (||A||_F + |lambda| + eps (||B||_F + |mu|)) at every eps and the
+    # run is exact; the floor 1e-13 (1 + ||A||_F + ||B||_F) left all three
+    # residuals live and fitted a slope of 1.743 (exit 1)
+    fa = _write_matrix(tmp_path / "a.mat", [[1e-160]])
+    fb = _write_matrix(tmp_path / "b.mat", [[1e-160]])
+    code, text = _run(
+        tmp_path, "perturb", fa, fb,
+        "--lam=1e-160+0i", "--mu=1e160+0i", "--center=1e-160+0i", "--radius=1e+160",
+    )
+    assert code == 0
+    lines = text.strip().splitlines()
+    assert lines[-1] == "# exact=true"
+    eps, residuals = np.array([[float(x) for x in line.split(",")] for line in lines[1:-1]]).T
+    assert list(eps) == [1e-2, 1e-3, 1e-4]
+    assert np.all(residuals > 1e-13 * (1.0 + 2e-160))
+    assert np.all(residuals <= 1e-13 * (2e-160 + eps * (1e-160 + 1e160)))
+
+
 def test_lemma34_cli(tmp_path):
     fa = _write_matrix(tmp_path / "a.mat", np.diag([0.0, 1.0]))
     fb = _write_matrix(tmp_path / "b.mat", np.diag([2.0, 1.0]))
@@ -404,6 +426,27 @@ def test_escape_ladder_cli(tmp_path):
     assert len(lines) == 5
     assert lines[1].startswith("1,2,")
     assert lines[4].startswith("4,30,")
+
+
+def test_escape_n_angles_gives_the_library_csv_bytes(tmp_path):
+    vals = agmon.example_spectrum(3)
+    mat = _write_matrix(tmp_path / "ex3.mat", np.diag(vals))
+    code, text = _run(tmp_path, "escape", mat, "--n-angles", "8")
+    assert code == 0
+    assert text == agmon.emit_profile_csv(agmon.escape_radius_profile(vals, 0.5, n_angles=8))
+    code, text = _run(tmp_path, "escape", "--ladder", "3", "--n-angles", "8", "--epsilon", "0.5")
+    assert code == 0
+    assert text == agmon.emit_ladder_csv(agmon.escape_ladder(3, epsilon=0.5, n_angles=8))
+
+
+@pytest.mark.parametrize("ladder", [False, True], ids=["matrix", "ladder"])
+def test_escape_refuses_fewer_than_8_angles(tmp_path, capsys, ladder):
+    source = ["--ladder", "3"] if ladder else [_write_matrix(tmp_path / "a.mat", np.diag([1.0, 2.0]))]
+    code, text = _run(tmp_path, "escape", *source, "--n-angles", "7")
+    assert (code, text) == (2, "")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_angles must be >= 8, got 7\n"
 
 
 def test_escape_ladder_rejects_tolerance_flags(tmp_path, capsys):

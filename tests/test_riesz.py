@@ -782,9 +782,10 @@ def test_perturbation_diagonal_exact():
 
 
 def test_perturbation_needs_a_finite_rounding_floor():
-    # at 1e154 the floor 1e-13 (1 + ||A||_F + ||B||_F) overflows, and every
-    # finite residual would sit below it: refused, with no numpy warning,
-    # where the parent certified exact; at 1e150 the floor is finite
+    # at 1e154 the floor 1e-13 (||A||_F + |lambda| + eps (||B||_F + |mu|))
+    # overflows, and every finite residual would sit below it: refused, with
+    # no numpy warning, where the parent certified exact; at 1e150 the floor
+    # is finite
     def run(scale):
         a = scale * np.diag([1.0, 2.0]).astype(complex)
         b = scale * np.array([[0.3, 1.0], [1.0, 0.1]], dtype=complex)
