@@ -14,8 +14,12 @@ w_j = (r/N) e^{2 pi i j/N}, the resolvent (u_j - U*AU)^{-1} is
 G_j + G_j E G_j to first order in E, G_j = diag(g_j), so
 P = U (diag(f) + F o E) U* with f_i = sum_j w_j g_ji and
 F_ik = sum_j w_j g_ji g_jk, and the first-order term is
-U (F o C + sum_m (E_im C_mk + C_im E_mk) H_imk) U*, C = U*BU and
-H_imk = sum_j w_j g_ji g_jm g_jk: no solve at any node. The route is taken
+U (F o C + F o (ZC - CZ) + (C o F)Z - Z(C o F)) U*, C = U*BU and
+Z_im = E_im/(d_i - d_m): no solve at any node. That is the partial fraction
+g_ji g_jm = (g_ji - g_jm)/(d_i - d_m), which turns the triple sums
+sum_j w_j g_ji g_jm g_jk into (F_ik - F_mk)/(d_i - d_m). A near pair,
+E_im != 0 with |E_im| >= |d_i - d_m|, gets Z_im = 0 and its terms by those
+N-node triple sums instead; f and F stay N-node sums. The route is taken
 only when max|g| ||E||_F <= sqrt(unit roundoff), where the Neumann terms it
 drops are below rounding relative to those it keeps. Otherwise, and when
 eig_normal refuses A, the solves at all nodes of a contour are one batched
@@ -245,7 +249,7 @@ def _admit(a: np.ndarray, c: Contour) -> Optional[_Basis]:
 
 
 def _first_order(basis: Optional[_Basis], c: Contour):
-    """(U, E, g, wg) of the eigenbasis route, wg_ji = w_j g_ji with
+    """(U, d, E, g, wg) of the eigenbasis route, wg_ji = w_j g_ji with
     _combine's weights w_j = (r/N) e^{2 pi i j/N}; None when basis is None
     or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included."""
     if basis is None:
@@ -255,11 +259,11 @@ def _first_order(basis: Optional[_Basis], c: Contour):
     if not size <= _NEUMANN_BOUND:
         return None
     phases, _ = _nodes(c)
-    return basis.u, basis.e, basis.g, (c.radius / c.nodes) * phases[:, None] * basis.g
+    return basis.u, basis.d, basis.e, basis.g, (c.radius / c.nodes) * phases[:, None] * basis.g
 
 
 def _eigenbasis(a: np.ndarray, c: Contour):
-    """_first_order of A's _admit at c: the eigenbasis route's (U, E, g, wg),
+    """_first_order of A's _admit at c: the eigenbasis route's (U, d, E, g, wg),
     or None when it does not apply; either way the contour has passed
     _check_margin."""
     return _first_order(_admit(a, c), c)
@@ -267,14 +271,14 @@ def _eigenbasis(a: np.ndarray, c: Contour):
 
 def _projection(a: np.ndarray, c: Contour, route) -> np.ndarray:
     """The quadrature projection: U (diag(f) + F o E) U* on the eigenbasis
-    route (U, E, g, wg), f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk;
+    route (U, d, E, g, wg), f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk;
     when route is None, _combine of the solved resolvents. It is formed with
     numpy's overflow warnings off; _certified_rank refuses one that is not
     finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         if route is None:
             return _combine(*_resolvent_nodes(a, c), c)
-        u, e, g, wg = route
+        u, _, e, g, wg = route
         m = (wg.T @ g) * e
         # E's diagonal is zero
         np.fill_diagonal(m, wg.sum(axis=0))
@@ -315,31 +319,59 @@ def riesz_projection(a, c: Contour) -> RieszResult:
     return _finish_projection(a, _projection(a, c, _eigenbasis(a, c)))
 
 
+def _near_pair_terms(e, cb, g, wg, near) -> np.ndarray:
+    """The near pairs' share of the E-correction, by N-node sums: for each
+    near (p, q), E_pq C_qk H_pqk added to row p and C_ip E_pq H_ipq to
+    column q, H_ipq = sum_j w_j g_ji g_jp g_jq, N n work per pair."""
+    ps, qs = np.nonzero(near)
+    ep = e[ps, qs]
+    # h[x, k] = H_{x p_k q_k}, H being symmetric in its three indices
+    h = wg.T @ (g[:, ps] * g[:, qs])
+    out = np.zeros_like(cb)
+    np.add.at(out, ps, (ep * h).T * cb[qs])
+    np.add.at(out, (slice(None), qs), cb[:, ps] * ep * h)
+    return out
+
+
 def first_order_term(a, b, c: Contour) -> np.ndarray:
     """Quadrature of (1/2 pi i) integral (uI-A)^{-1} B (uI-A)^{-1} du.
 
     On the eigenbasis route it is U (F o C + sum_m (E_im C_mk + C_im E_mk)
-    H_imk) U*, C = U*BU and H_imk = sum_j w_j g_ji g_jm g_jk, with H built
-    at most `nodes` rows i at a time, so that no temporary is larger than
-    the (nodes, n, n) resolvent stack of the solve route.
+    H_imk) U*, C = U*BU and H_imk = sum_j w_j g_ji g_jm g_jk. The partial
+    fraction g_ji g_jm = (g_ji - g_jm)/(d_i - d_m) makes H_imk =
+    (F_ik - F_mk)/(d_i - d_m), so with Z_im = E_im/(d_i - d_m) the sum
+    over m is F o (ZC - CZ) + (C o F)Z - Z(C o F): four n x n products,
+    added to F o C. A near pair, E_im != 0 with |E_im| >= |d_i - d_m|
+    (repeated or ||E||-close eigenvalues), would lose digits in Z: it gets
+    Z_im = 0 and keeps its N-node H terms (_near_pair_terms). A pair with
+    E_im = 0 adds nothing and divides nothing.
+
+    Both routes are formed with numpy's overflow warnings off; a term that
+    is not finite raises NumericalAmbiguity.
     """
     a, b = core.as_cmatrices(a, b)
-    basis = _eigenbasis(a, c)
-    if basis is None:
-        phases, resolvents = _resolvent_nodes(a, c)
-        return _combine(phases, resolvents @ b @ resolvents, c)
-    u, e, g, wg = basis
-    uh = u.conj().T
-    cb = uh @ b @ u
-    s = (wg.T @ g) * cb
-    nodes, n = g.shape
-    # gg[j, m * n + k] = g_jm g_jk
-    gg = (g[:, :, None] * g[:, None, :]).reshape(nodes, n * n)
-    for lo in range(0, n, nodes):
-        rows = slice(lo, lo + nodes)
-        h = (wg[:, rows].T @ gg).reshape(-1, n, n)
-        s[rows] += np.einsum("im,imk,mk->ik", e[rows], h, cb) + np.einsum("im,imk,mk->ik", cb[rows], h, e)
-    return u @ s @ uh
+    route = _eigenbasis(a, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if route is None:
+            phases, resolvents = _resolvent_nodes(a, c)
+            t = _combine(phases, resolvents @ b @ resolvents, c)
+        else:
+            u, d, e, g, wg = route
+            uh = u.conj().T
+            cb = uh @ b @ u
+            f = wg.T @ g
+            s = f * cb
+            gap = d[:, None] - d
+            near = (e != 0) & (np.abs(e) >= np.abs(gap))
+            z = np.divide(e, gap, out=np.zeros_like(e), where=(e != 0) & ~near)
+            correction = f * (z @ cb - cb @ z) + s @ z - z @ s
+            if near.any():
+                correction += _near_pair_terms(e, cb, g, wg, near)
+            s += correction
+            t = u @ s @ uh
+    if not np.isfinite(t).all():
+        raise NumericalAmbiguity("first-order term is not finite")
+    return t
 
 
 def _series_terms(q: float) -> int:

@@ -546,3 +546,21 @@ def tool_module(name):
 def answers_module():
     """tools/answers.py, the same-answers corpus, imported as a module."""
     return tool_module("answers")
+
+
+def reference_first_order_term(a, b, c):
+    """riesz.first_order_term on the eigenbasis route by the N-node triple
+    sum: U (F o C + sum_m (E_im C_mk + C_im E_mk) H_imk) U*, C = U*BU and
+    H_imk = sum_j w_j g_ji g_jm g_jk, H one (n, N) @ (N, n^2) product.
+    a must take the eigenbasis route."""
+    a, b = core.as_cmatrices(a, b)
+    route = riesz._eigenbasis(a, c)
+    assert route is not None
+    u, _, e, g, wg = route
+    nodes, n = g.shape
+    uh = u.conj().T
+    cb = uh @ b @ u
+    s = (wg.T @ g) * cb
+    h = (wg.T @ (g[:, :, None] * g[:, None, :]).reshape(nodes, n * n)).reshape(n, n, n)
+    s += np.einsum("im,imk,mk->ik", e, h, cb) + np.einsum("im,imk,mk->ik", cb, h, e)
+    return u @ s @ uh

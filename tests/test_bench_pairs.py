@@ -26,3 +26,15 @@ def test_unknown_workload_is_a_usage_error_before_any_checkout(capsys):
         bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--tag", "t", "--workloads", "nope"])
     assert exc.value.code == 2
     assert "error: unknown workloads nope" in capsys.readouterr().err
+
+
+def test_each_run_records_the_load_before_and_after(monkeypatch):
+    bench_pairs = tool_module("bench_pairs")
+    loads = iter([(0.5, 0.25, 0.125), (1.5, 0.75, 0.375)])
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: next(loads))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda root, workload, seed, seconds, trace: {"seed": seed, "trace": trace})
+    assert bench_pairs.load_run(Path("."), "spectral", 3, 20) == {
+        "result": {"seed": 3, "trace": 0},
+        "loadavg_before": [0.5, 0.25, 0.125],
+        "loadavg_after": [1.5, 0.75, 0.375],
+    }

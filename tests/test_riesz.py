@@ -1,3 +1,8 @@
+import importlib
+import inspect
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,11 +18,14 @@ from projspec.errors import (
 )
 from projspec.riesz import Contour
 
+import helpers
 from helpers import (
     PAULI_X,
+    answers_module,
     random_diag_vals,
     random_normal,
     random_unitary,
+    reference_first_order_term,
     reference_lemma34_ramp,
     reference_perturbation_check,
     reference_resolvent_nodes,
@@ -353,8 +361,8 @@ def test_normal_projection_matches_the_solved_resolvents(n):
     _assert_near(riesz.riesz_projection(a, c).projection, riesz._combine(phases, resolvents, c))
 
 
-def test_eigenbasis_route_builds_h_in_row_chunks():
-    # n = 100 > 16 nodes: H_imk is built 16 rows i at a time
+def test_eigenbasis_route_with_more_rows_than_nodes():
+    # n = 100 > 16 nodes: more eigenvalues than quadrature nodes
     rng = np.random.default_rng(2500)
     n = 100
     vals = np.concatenate([[0.02], rng.uniform(0.5, 1.5, n - 1) * np.exp(2j * np.pi * rng.uniform(0, 1, n - 1))])
@@ -367,6 +375,76 @@ def test_eigenbasis_route_builds_h_in_row_chunks():
     assert r.rank_estimate == 1
     _assert_near(r.projection, riesz._combine(phases, resolvents, c))
     _assert_near(riesz.first_order_term(a, b, c), riesz._combine(phases, resolvents @ b @ resolvents, c))
+
+
+# tools/answers.py's riesz_near inputs, each about the contour |u - 1| = 0.5
+_ANSWERS = answers_module()
+_NEAR_PAIR_CASES = {name: (a, b) for name, a, b in _ANSWERS.near_pair_cases(helpers)}
+_NEAR_CONTOUR = Contour(*_ANSWERS.NEAR_CONTOUR)
+
+
+@pytest.mark.parametrize("name", list(_NEAR_PAIR_CASES))
+def test_near_pairs_match_the_solve_route_and_the_triple_sum(name):
+    a, b = _NEAR_PAIR_CASES[name]
+    c = _NEAR_CONTOUR
+    _, d, e, _, _ = riesz._eigenbasis(a, c)
+    near = (e != 0) & (np.abs(e) >= np.abs(d[:, None] - d))
+    if name == "diagonal":
+        # E = 0: no pair divides, and none is near
+        assert not e.any()
+    else:
+        assert near.any() == (name != "cluster")
+    got = riesz.first_order_term(a, b, c)
+    phases, resolvents = riesz._resolvent_nodes(a, c)
+    _assert_near(got, riesz._combine(phases, resolvents @ b @ resolvents, c))
+    want = reference_first_order_term(a, b, c)
+    assert np.linalg.norm(got - want) <= 1e-15 * (1.0 + np.linalg.norm(want))
+
+
+def test_first_order_term_matches_the_triple_sum_on_benchmark_draws(monkeypatch):
+    # perfbench `spectral` first_order_term operations, n = 8-48: no near
+    # pair there, and the partial fractions round to the same bytes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    bench = importlib.import_module("bench_workloads")
+    ops = [op for seed in (1, 2, 3) for r in range(10) for op in bench.Spectral(seed).round(r) if op.kind == "first_order_term"]
+    assert len(ops) == 180
+    for op in ops:
+        args = inspect.signature(op.call).parameters
+        a, b, c = (args[k].default for k in "abc")
+        assert riesz.first_order_term(a, b, c).tobytes() == reference_first_order_term(a, b, c).tobytes()
+
+
+def test_no_triple_sum_without_near_pairs(monkeypatch):
+    # the eigenbasis route with no near pair: no einsum, and no array as
+    # large as one (nodes, n^2) table
+    a, b, c, _ = _bit_case(48, True)
+    _, d, e, _, _ = riesz._eigenbasis(a, c)
+    assert not ((e != 0) & (np.abs(e) >= np.abs(d[:, None] - d))).any()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("einsum called")
+
+    monkeypatch.setattr(np, "einsum", refused)
+    riesz.first_order_term(a, b, c)
+    tracemalloc.start()
+    try:
+        riesz.first_order_term(a, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c.nodes * 48 * 48 * 16
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([[2, 1], [1, 2]], np.full((2, 2), 1e308)), ([[1, 1e200], [0, 3]], [[1e200, 1], [1, 1e200]])],
+    ids=["eigenbasis", "solve"],
+)
+def test_first_order_term_refuses_values_that_overflow(a, b):
+    # U*BU overflows on the eigenbasis route of the normal A, and the node
+    # products on the solve route of the non-normal one; neither warns
+    with pytest.raises(NumericalAmbiguity, match="^first-order term is not finite$"):
+        riesz.first_order_term(a, b, Contour(1, 0.5))
 
 
 def _record_solves(monkeypatch):
@@ -435,8 +513,10 @@ def test_gate_failure_takes_the_solve_route_bit_for_bit(monkeypatch):
 
 
 def test_near_normal_input_keeps_the_terms_first_order_in_e():
-    # ||E||_F is about 1e-9 here, so the F o E and H terms are far above the
-    # 1e-13 bound, and the dropped second-order ones far below it
+    # ||E||_F is about 1e-9 here, so the F o E term and the E-correction
+    # of first_order_term (no near pair here: every Z_im is E_im/(d_i - d_m))
+    # are far above the 1e-13 bound, and the dropped second-order terms far
+    # below it
     a, b, c, _ = _near_normal_case()
     phases, resolvents = riesz._resolvent_nodes(a, c)
     _assert_near(riesz.riesz_projection(a, c).projection, riesz._combine(phases, resolvents, c))

@@ -31,6 +31,9 @@ environment. Families:
               lemma34_solver operations of perfbench `spectral`, rounds 0-14
               at seed 3 (`rounds` sets how many), each also on a non-normal
               copy of its A (nonnormal_copy, default_rng(2503))
+  riesz_near  riesz_projection, first_order_term and perturbation_check on
+              the near-pair inputs of first_order_term (near_pair_cases):
+              repeated, 1e-15-close and near-normal repeated eigenvalues
   sweep       the 135-pair near-commuting sweep: default_rng(5),
               n in (4, 12, 24, 48, 64), eps in logspace(-12, -3, 9), 3 each
   readme      every `$ projspec ...` line of README.md, run in order in a
@@ -90,7 +93,7 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 FAMILIES = (
-    "criterion1", "battery", "large", "spectral", "riesz", "sweep", "readme", "clustered", "edges", "formats",
+    "criterion1", "battery", "large", "spectral", "riesz", "riesz_near", "sweep", "readme", "clustered", "edges", "formats",
     "detpoly_lines", "contract",
 )
 
@@ -182,6 +185,45 @@ def riesz(env, rounds=15):
                 # the operation's A is its call's default argument a
                 a = nonnormal_copy(inspect.signature(op.call).parameters["a"].default, rng)
                 yield f"{key} nonnormal", outcome(lambda: op.call(a=a))
+
+
+# The contour (center, radius) of every near_pair_cases input, and the eps
+# of its perturbation_check.
+NEAR_CONTOUR = (1.0, 0.5)
+NEAR_EPS = (1e-2, 1e-3, 1e-4)
+
+
+def near_pair_cases(helpers):
+    """(name, a, b) of first_order_term's near-pair inputs, pairs (i, m)
+    with E_im != 0 and |E_im| >= |d_i - d_m| in A's eigenbasis: U diag(1,
+    1, 1, 1, 3, 3, 3, 3) U* and its n = 48 analogue, a cluster 1e-15 apart,
+    a diagonal with repeats (E = 0, so no pair is near), and a near-normal
+    U (D + 1e-11 N) U* with D's repeats at n = 48 (N strictly upper
+    triangular), where the near pairs' terms are far above rounding. Each
+    a has the eigenvalue 1 inside the NEAR_CONTOUR circle and 3 outside."""
+    for n in (8, 48):
+        rng = np.random.default_rng(3300 + n)
+        u = helpers.random_unitary(rng, n)
+        yield f"repeats n={n}", (u * np.repeat([1.0, 3.0], n // 2)) @ u.conj().T, helpers.random_normal(rng, n)
+    rng = np.random.default_rng(3301)
+    vals = np.concatenate([1 + 1e-15 * np.arange(4), helpers.separated_vals(rng, 8, lo=2.0, hi=3.0)])
+    u = helpers.random_unitary(rng, 12)
+    yield "cluster", (u * vals) @ u.conj().T, helpers.random_normal(rng, 12)
+    yield "diagonal", np.diag([1.0, 1.0, 3.0, 3.0, 1.0, 3.0]).astype(complex), helpers.random_normal(rng, 6)
+    rng = np.random.default_rng(3448)
+    u = helpers.random_unitary(rng, 48)
+    strict = np.triu(rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48)), 1)
+    a = u @ (np.diag(np.repeat([1.0, 3.0], 24)) + 1e-11 * strict) @ u.conj().T
+    yield "near-normal repeats", a, helpers.random_normal(rng, 48)
+
+
+def riesz_near(env):
+    riesz = env["projspec"].riesz
+    c = riesz.Contour(*NEAR_CONTOUR)
+    for name, a, b in near_pair_cases(env["helpers"]):
+        yield f"{name} riesz_projection", outcome(lambda: riesz.riesz_projection(a, c))
+        yield f"{name} first_order_term", outcome(lambda: riesz.first_order_term(a, b, c))
+        yield f"{name} perturbation_check", outcome(lambda: riesz.perturbation_check(a, b, 1.0, 0.5, c, NEAR_EPS))
 
 
 def sweep(env):

@@ -12,7 +12,8 @@ when i is even and the change first when i is odd. --parent and --change
 may name the same commit: that A/A record measures the recorder's own null.
 
 The record at the repository root, BENCH_<tag>.json, holds:
-  runs                     every run's last stdout line (the end-to-end metrics)
+  runs                     every run's last stdout line (the end-to-end metrics), and
+                           os.getloadavg() just before and just after the run
   medians                  per workload and metric: each side's median, Q1 and Q3,
                            the parent's spread (Q3 - Q1) / median, and the pairs
                            in which the change's run is better (BENCHMARK.json's
@@ -130,6 +131,14 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return json.loads(out.splitlines()[-1])
 
 
+def load_run(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """run_bench's result of one --trace 0 run, with the machine's 1, 5 and
+    15 minute load averages (os.getloadavg) just before and just after it."""
+    before = list(os.getloadavg())
+    result = run_bench(root, workload, seed, seconds, 0)
+    return {"result": result, "loadavg_before": before, "loadavg_after": list(os.getloadavg())}
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -232,12 +241,13 @@ def main(argv=None) -> int:
             for i in range(PAIRS):
                 seed = args.first_seed + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result = run_bench(roots[side], workload, seed, seconds, 0)
-                    runs.append({"workload": workload, "side": side, "seed": seed, "result": result})
+                    run = load_run(roots[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "side": side, "seed": seed, **run})
                     details = json.loads((roots[side] / ".perfbench" / f"{workload}-seed{seed}-trace0.json").read_text())
                     kinds[side].append(details["median_s"])
                     print(f"{workload} seed {seed} {side}: "
-                          + " ".join(f"{k}={v['value']:.5g}" for k, v in result["metrics"].items()), flush=True)
+                          + " ".join(f"{k}={v['value']:.5g}" for k, v in run["result"]["metrics"].items())
+                          + f" load {run['loadavg_before'][0]:.2f}->{run['loadavg_after'][0]:.2f}", flush=True)
             per_kind[workload] = {
                 side: {k: 1e3 * statistics.median(run[k] for run in rows) for k in sorted(rows[0])}
                 for side, rows in kinds.items()
@@ -277,7 +287,8 @@ def main(argv=None) -> int:
                   f"--seconds {seconds} --trace 0 from the root of a clean checkout (git archive) of its commit"),
         "summary": ("medians of each side and the quartiles of each side; parent_spread is (Q3 - Q1) / median of "
                     "the parent's own runs; pairs_change_better counts the pairs in which the change's run is "
-                    "better than the parent's, by BENCHMARK.json's `better`. " + args.note).strip(),
+                    "better than the parent's, by BENCHMARK.json's `better`. Each run holds os.getloadavg() "
+                    "(1, 5 and 15 minute load averages) just before and just after it. " + args.note).strip(),
         "medians": {w: medians(runs, w, spec["end_to_end"]) for w in workloads},
         "runs": runs,
         "eigensolve_calls_per_op": {
