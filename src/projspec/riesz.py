@@ -325,7 +325,8 @@ def _near_pair_terms(e, cb, g, wg, near) -> np.ndarray:
     column q, H_ipq = sum_j w_j g_ji g_jp g_jq, N n work per pair."""
     ps, qs = np.nonzero(near)
     ep = e[ps, qs]
-    # h[x, k] = H_{x p_k q_k}, H being symmetric in its three indices
+    # h[x, t] = H_{x p_t q_t} for the t-th near pair, H being symmetric in
+    # its three indices
     h = wg.T @ (g[:, ps] * g[:, qs])
     out = np.zeros_like(cb)
     np.add.at(out, ps, (ep * h).T * cb[qs])
