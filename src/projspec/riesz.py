@@ -6,33 +6,32 @@ check for the second-order remainder of the eigen-equation identity, and the
 large-|z| singular-vector construction that extracts a common eigenvector
 from a line contained in the spectrum.
 
-The N-node trapezoid sum takes one of two routes, chosen by the input.
-For a normal A, core.eig_normal (at the default Tolerances, so that no
+The N-node trapezoid sum reads A's one eigenbasis when A is normal. For a
+normal A, core.eig_normal (at the default Tolerances, so that no
 PROJSPEC_TOL setting reaches this module) gives U with U*AU = diag(d) + E,
-E the off-diagonal residual. With g_ji = 1/(u_j - d_i) and the weights
-w_j = (r/N) e^{2 pi i j/N}, the resolvent (u_j - U*AU)^{-1} is
-G_j + G_j E G_j to first order in E, G_j = diag(g_j), so
-P = U (diag(f) + F o E) U* with f_i = sum_j w_j g_ji and
+E the off-diagonal residual, and _admit holds it in one record (_Basis) for
+every route. With g_ji = 1/(u_j - d_i) and the weights
+w_j = (r/N) e^{2 pi i j/N}, the resolvent (u_j - U*AU)^{-1} is the Neumann
+series G_j sum_k (E G_j)^k, G_j = diag(g_j), of ratio q = max|g| ||E||_F.
+
+One tail rule decides every route (_tail_terms): m is the least number of
+terms whose tail q^m / (1 - q) is below the unit roundoff, defined only for
+q <= 1/2. Where m <= 2 the closed form first order in E holds: P =
+U (diag(f) + F o E) U* with f_i = sum_j w_j g_ji and
 F_ik = sum_j w_j g_ji g_jk, and the first-order term is
 U (F o C + F o (ZC - CZ) + (C o F)Z - Z(C o F)) U*, C = U*BU and
 Z_im = E_im/(d_i - d_m): no solve at any node. That is the partial fraction
 g_ji g_jm = (g_ji - g_jm)/(d_i - d_m), which turns the triple sums
 sum_j w_j g_ji g_jm g_jk into (F_ik - F_mk)/(d_i - d_m). A near pair,
 E_im != 0 with |E_im| >= |d_i - d_m|, gets Z_im = 0 and its terms by those
-N-node triple sums instead; f and F stay N-node sums. The route is taken
-only when max|g| ||E||_F <= sqrt(unit roundoff), where the Neumann terms it
-drops are below rounding relative to those it keeps. Otherwise, and when
+N-node triple sums instead; f and F stay N-node sums. perturbation_check's
+contours A + eps B see U*(A + eps B)U = diag(d) + K with K = E + eps U*BU,
+and need only the r rows of P0 its residual reads, r being P0's certified
+rank: at q = max|g| (||E||_F + eps ||B||_F) they run the row series of m
+terms over all nodes at once where m r <= n. Otherwise, and when
 eig_normal refuses A, the solves at all nodes of a contour are one batched
-LAPACK solve, summed over the nodes by one tensordot. A projection solves
-against the identity.
-
-perturbation_check reads A's one eigenbasis for P0 and for every perturbed
-contour A + eps B: U*(A + eps B)U = diag(d) + K with K = E + eps U*BU, and
-only the r rows of P0 its residual reads are needed, r being P0's certified
-rank. Those rows come from the Neumann series of (u_j - diag(d) - K)^{-1}
-about G_j, run to the unit roundoff over all nodes at once, when its ratio
-q = max|g| (||E||_F + eps ||B||_F) is at most 1/2 and its m terms cost less
-than the LU (m r <= n); otherwise from one batched solve against r columns.
+LAPACK solve, summed over the nodes by one tensordot: against the identity
+for a projection, against r columns for an eps contour.
 
 Every contour is first checked to pass no closer than CONTOUR_MARGIN *
 radius to the spectrum. When eig_normal admits A, whichever route the
@@ -101,13 +100,6 @@ _START_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 
 _EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = _EPS / 2
-
-# The eigenbasis route's bound on max|g| ||E||_F: the Neumann terms it drops
-# are (max|g| ||E||_F)^2 relative to those it keeps, below the unit roundoff.
-_NEUMANN_BOUND = math.sqrt(_UNIT_ROUNDOFF)
-
-# The eps contours' Neumann series runs only when its ratio q is at most this.
-_SERIES_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -216,15 +208,20 @@ def _combine(phases: np.ndarray, terms, c: Contour) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Basis:
-    """A's eigenbasis at one contour: U from core.eig_normal at the default
-    Tolerances, U*AU = diag(d) + E with E's diagonal zero and off = ||E||_F,
-    and the (nodes, n) table g_ji = 1/(u_j - d_i)."""
+    """A's eigenbasis at one contour, the one record every route reads: U
+    from core.eig_normal at the default Tolerances, U*AU = diag(d) + E with
+    E's diagonal zero and off = ||E||_F, the (nodes, n) table
+    g_ji = 1/(u_j - d_i) and gmax = max|g|, wg_ji = w_j g_ji with
+    _combine's weights w_j = (r/N) e^{2 pi i j/N}, and norm_a = ||A||_F."""
 
     u: np.ndarray
     d: np.ndarray
     e: np.ndarray
     off: float
     g: np.ndarray
+    gmax: float
+    wg: np.ndarray
+    norm_a: float
 
 
 def _admit(a: np.ndarray, c: Contour) -> Optional[_Basis]:
@@ -240,49 +237,54 @@ def _admit(a: np.ndarray, c: Contour) -> Optional[_Basis]:
     e = u.conj().T @ (a @ u)
     d = e.diagonal().copy()
     np.fill_diagonal(e, 0.0)
-    _, us = _nodes(c)
+    phases, us = _nodes(c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 1.0 / (us[:, None] - d)
-        off = float(np.linalg.norm(e))
-    _check_margin(d, off + d.size * _EPS * core.frobenius(a), c)
-    return _Basis(u, d, e, off, g)
+        wg = (c.radius / c.nodes) * phases[:, None] * g
+        basis = _Basis(u, d, e, float(np.linalg.norm(e)), g, float(np.abs(g).max()), wg, core.frobenius(a))
+    _check_margin(d, basis.off + d.size * _EPS * basis.norm_a, c)
+    return basis
 
 
-def _first_order(basis: Optional[_Basis], c: Contour):
-    """(U, d, E, g, wg) of the eigenbasis route, wg_ji = w_j g_ji with
-    _combine's weights w_j = (r/N) e^{2 pi i j/N}; None when basis is None
-    or max|g| ||E||_F exceeds _NEUMANN_BOUND, NaN included."""
+def _tail_terms(q: float) -> Optional[int]:
+    """The least m >= 1 with q^m <= unit roundoff (1 - q): a Neumann series
+    of ratio q cut after m terms drops a tail q^m / (1 - q) relative to its
+    first term, below the unit roundoff. None unless q <= 1/2, NaN and inf
+    included. This one rule decides every quadrature route in A's
+    eigenbasis: the closed form first order in E where m <= 2, the eps
+    contours' row series where m r <= n (_series_pays), the LU otherwise."""
+    if not q <= 0.5:
+        return None
+    m = 1
+    while q**m > _UNIT_ROUNDOFF * (1.0 - q):
+        m += 1
+    return m
+
+
+def _closed_form(basis: Optional[_Basis]) -> Optional[_Basis]:
+    """basis when the closed form first order in E holds for it, that is
+    _tail_terms(max|g| ||E||_F) <= 2: the Neumann terms it drops are below
+    rounding relative to those it keeps. None otherwise, or when basis is."""
     if basis is None:
         return None
-    with np.errstate(invalid="ignore", over="ignore"):
-        size = np.abs(basis.g).max() * basis.off
-    if not size <= _NEUMANN_BOUND:
-        return None
-    phases, _ = _nodes(c)
-    return basis.u, basis.d, basis.e, basis.g, (c.radius / c.nodes) * phases[:, None] * basis.g
+    m = _tail_terms(basis.gmax * basis.off)
+    return basis if m is not None and m <= 2 else None
 
 
-def _eigenbasis(a: np.ndarray, c: Contour):
-    """_first_order of A's _admit at c: the eigenbasis route's (U, d, E, g, wg),
-    or None when it does not apply; either way the contour has passed
-    _check_margin."""
-    return _first_order(_admit(a, c), c)
-
-
-def _projection(a: np.ndarray, c: Contour, route) -> np.ndarray:
-    """The quadrature projection: U (diag(f) + F o E) U* on the eigenbasis
-    route (U, d, E, g, wg), f_i = sum_j w_j g_ji and F_ik = sum_j w_j g_ji g_jk;
-    when route is None, _combine of the solved resolvents. It is formed with
-    numpy's overflow warnings off; _certified_rank refuses one that is not
-    finite."""
+def _projection(a: np.ndarray, c: Contour, basis: Optional[_Basis]) -> np.ndarray:
+    """The quadrature projection: U (diag(f) + F o E) U* where the closed
+    form holds for basis (_closed_form), f_i = sum_j w_j g_ji and
+    F_ik = sum_j w_j g_ji g_jk; otherwise _combine of the solved resolvents.
+    It is formed with numpy's overflow warnings off; _certified_rank refuses
+    one that is not finite."""
+    basis = _closed_form(basis)
     with np.errstate(over="ignore", invalid="ignore"):
-        if route is None:
+        if basis is None:
             return _combine(*_resolvent_nodes(a, c), c)
-        u, _, e, g, wg = route
-        m = (wg.T @ g) * e
+        m = (basis.wg.T @ basis.g) * basis.e
         # E's diagonal is zero
-        np.fill_diagonal(m, wg.sum(axis=0))
-        return u @ m @ u.conj().T
+        np.fill_diagonal(m, basis.wg.sum(axis=0))
+        return basis.u @ m @ basis.u.conj().T
 
 
 def _certified_rank(p: np.ndarray) -> int:
@@ -316,7 +318,7 @@ def _finish_projection(a: np.ndarray, p: np.ndarray) -> RieszResult:
 def riesz_projection(a, c: Contour) -> RieszResult:
     """Trapezoid quadrature of the spectral projection onto the enclosed part."""
     a = core.as_cmatrix(a)
-    return _finish_projection(a, _projection(a, c, _eigenbasis(a, c)))
+    return _finish_projection(a, _projection(a, c, _admit(a, c)))
 
 
 def _near_pair_terms(e, cb, g, wg, near) -> np.ndarray:
@@ -351,13 +353,13 @@ def first_order_term(a, b, c: Contour) -> np.ndarray:
     is not finite raises NumericalAmbiguity.
     """
     a, b = core.as_cmatrices(a, b)
-    route = _eigenbasis(a, c)
+    basis = _closed_form(_admit(a, c))
     with np.errstate(over="ignore", invalid="ignore"):
-        if route is None:
+        if basis is None:
             phases, resolvents = _resolvent_nodes(a, c)
             t = _combine(phases, resolvents @ b @ resolvents, c)
         else:
-            u, d, e, g, wg = route
+            u, d, e, g, wg = basis.u, basis.d, basis.e, basis.g, basis.wg
             uh = u.conj().T
             cb = uh @ b @ u
             f = wg.T @ g
@@ -373,15 +375,6 @@ def first_order_term(a, b, c: Contour) -> np.ndarray:
     if not np.isfinite(t).all():
         raise NumericalAmbiguity("first-order term is not finite")
     return t
-
-
-def _series_terms(q: float) -> int:
-    """The first m >= 1 with q^m / (1 - q) <= unit roundoff, for q <= 1/2:
-    the relative tail of a Neumann series of ratio q cut after m terms."""
-    m = 1
-    while q**m > _UNIT_ROUNDOFF * (1.0 - q):
-        m += 1
-    return m
 
 
 def _series_pays(m: int, r: int, n: int) -> bool:
@@ -408,52 +401,36 @@ def _neumann_rows(x: np.ndarray, basis: _Basis, k: np.ndarray, m: int, c: Contou
     return _combine(phases, y, c) @ basis.u.conj().T
 
 
-@dataclass(frozen=True)
-class _Perturbed:
-    """A_eps = A + eps B seen from A's eigenbasis: U*A_eps U = diag(d) + K,
-    K = E + eps C with C = U*BU, so ||K||_2 <= ||E||_F + eps ||B||_F. Built
-    and used under the caller's errstate."""
+def _clears(basis: _Basis, eps: float, norm_b: float, c: Contour) -> bool:
+    """Whether the Bauer-Fike disks about A's d clear c's margin for
+    A_eps = A + eps B: U*A_eps U = diag(d) + K, K = E + eps U*BU, so every
+    eigenvalue of A_eps lies within ||E||_F + eps ||B||_F + n eps_mach
+    (||A||_F + eps ||B||_F) of some d_i, the last term for the rounding of
+    U. False when that slack is not finite or a disk crosses. Run under
+    the caller's errstate."""
+    slack = basis.off + eps * norm_b + basis.d.size * _EPS * (basis.norm_a + eps * norm_b)
+    if not math.isfinite(slack):
+        return False
+    try:
+        _check_margin(basis.d, slack, c)
+    except EigenvalueOnContour:
+        return False
+    return True
 
-    basis: _Basis
-    cb: np.ndarray
-    norm_a: float
-    norm_b: float
 
-    @classmethod
-    def of(cls, basis: _Basis, a: np.ndarray, b: np.ndarray) -> "_Perturbed":
-        return cls(basis, basis.u.conj().T @ b @ basis.u, core.frobenius(a), core.frobenius(b))
-
-    def clears(self, eps: float, contour: Contour) -> bool:
-        """Whether the Bauer-Fike disks about d clear contour's margin: every
-        eigenvalue of A_eps lies within ||E||_F + eps ||B||_F + n eps_mach
-        (||A||_F + eps ||B||_F) of some d_i, the last term for the rounding
-        of U. False when that slack is not finite or a disk crosses."""
-        d = self.basis.d
-        slack = self.basis.off + eps * self.norm_b + d.size * _EPS * (self.norm_a + eps * self.norm_b)
-        if not math.isfinite(slack):
-            return False
-        try:
-            _check_margin(d, slack, contour)
-        except EigenvalueOnContour:
-            return False
-        return True
-
-    def rows(self, x: np.ndarray, eps: float, contour: Contour) -> Optional[np.ndarray]:
-        """sum_j w_j x (u_j I - A_eps)^{-1} for the (r, n) rows x by
-        _neumann_rows, or None where the series rule fails, or K or the sum
-        is not finite. q = max|g| (||E||_F + eps ||B||_F) bounds ||K G_j||_2,
-        so m = _series_terms(q) terms leave a tail within q^m / (1 - q) <=
-        unit roundoff. The rule: q <= _SERIES_RATIO and _series_pays."""
-        basis = self.basis
-        q = float(np.abs(basis.g).max()) * (basis.off + eps * self.norm_b)
-        k = basis.e + eps * self.cb
-        if not (q <= _SERIES_RATIO and np.isfinite(k).all()):
-            return None
-        m = _series_terms(q)
-        if not _series_pays(m, *x.shape):
-            return None
-        found = _neumann_rows(x, basis, k, m, contour)
-        return found if np.isfinite(found).all() else None
+def _series_rows(basis: _Basis, cb: np.ndarray, norm_b: float, x: np.ndarray, eps: float, c: Contour) -> Optional[np.ndarray]:
+    """sum_j w_j x (u_j I - A_eps)^{-1} for the (r, n) rows x by
+    _neumann_rows with K = E + eps cb, cb = U*BU, or None where the series
+    does not pay or K or the sum is not finite. q = max|g| (||E||_F +
+    eps ||B||_F) bounds ||K G_j||_2, and the series runs its m =
+    _tail_terms(q) terms where m r <= n (_series_pays). Run under the
+    caller's errstate."""
+    m = _tail_terms(basis.gmax * (basis.off + eps * norm_b))
+    k = basis.e + eps * cb
+    if m is None or not (_series_pays(m, *x.shape) and np.isfinite(k).all()):
+        return None
+    found = _neumann_rows(x, basis, k, m, c)
+    return found if np.isfinite(found).all() else None
 
 
 def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationReport:
@@ -476,54 +453,51 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     lambda_eps I).
 
     When eig_normal admits A, its one eigenbasis (_admit) serves P0 and
-    every eps (_Perturbed): the margin is checked on A's d with the
-    Bauer-Fike slack ||E||_F + eps ||B||_F + n eps_mach (||A||_F +
-    eps ||B||_F), and the rows x P_eps come from the Neumann series in that
-    basis. Where those disks cross the margin, or the slack is not finite,
-    the margin is checked on one LAPACK eigvals of A_eps; where the series
-    rule fails, K or the sum is not finite, or eig_normal refuses A, the
-    rows are one batched solve of the transposed stack (u_j I - A_eps)^T
-    against r columns.
+    every eps: the margin is checked on A's d with the Bauer-Fike slack
+    ||E||_F + eps ||B||_F + n eps_mach (||A||_F + eps ||B||_F) (_clears),
+    and the rows x P_eps come from the Neumann series in that basis
+    (_series_rows). Where those disks cross the margin, or the slack is not
+    finite, the margin is checked on one LAPACK eigvals of A_eps; where the
+    series does not pay, K or the sum is not finite, or eig_normal refuses
+    A, the rows are one batched solve of the transposed stack
+    (u_j I - A_eps)^T against r columns. eps must be positive and finite,
+    and an A_eps that is not finite raises NumericalAmbiguity.
     """
     a, b = core.as_cmatrices(a, b)
     lam = complex(lam)
     mu = complex(mu)
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
-    if eps_arr.size == 0 or np.any(eps_arr <= 0):
-        raise ValueError("eps_list must contain positive reals")
+    if eps_arr.size == 0 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
+        raise ValueError("eps_list must contain positive finite reals")
     basis = _admit(a, c)
-    p0 = _projection(a, c, _first_order(basis, c))
+    p0 = _projection(a, c, basis)
     rank = _certified_rank(p0)
     _, svals, vh = np.linalg.svd(p0)
     scale = svals[:rank, None]
     rows = vh[:rank]
     eye = np.eye(a.shape[0], dtype=np.complex128)
+    residuals = np.empty(eps_arr.size, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         lead = rows @ (b - mu * eye) @ p0
-        perturbed = None if basis is None else _Perturbed.of(basis, a, b)
-    residuals = np.empty(eps_arr.size, dtype=np.float64)
-    for k, eps in enumerate(eps_arr):
-        a_eps = a + eps * b
-        with np.errstate(over="ignore", invalid="ignore"):
-            clear = perturbed is not None and perturbed.clears(eps, c)
-        try:
-            if not clear:
-                _check_margin(np.linalg.eigvals(a_eps), 0.0, c)
-        except EigenvalueOnContour as exc:
-            raise ContourCapturesPerturbedSpectrumBoundary(
-                f"at eps = {eps:g}: {exc}"
-            ) from None
-        with np.errstate(over="ignore", invalid="ignore"):
+        norm_b = core.frobenius(b)
+        cb = None if basis is None else basis.u.conj().T @ b @ basis.u
+        for k, eps in enumerate(eps_arr):
+            a_eps = a + eps * b
+            if not np.isfinite(a_eps).all():
+                raise NumericalAmbiguity(f"A + eps B is not finite at eps = {eps:g}")
+            try:
+                if basis is None or not _clears(basis, eps, norm_b, c):
+                    _check_margin(np.linalg.eigvals(a_eps), 0.0, c)
+            except EigenvalueOnContour as exc:
+                raise ContourCapturesPerturbedSpectrumBoundary(f"at eps = {eps:g}: {exc}") from None
             x = rows @ (a_eps - (lam + eps * mu) * eye)
-            found = None if perturbed is None else perturbed.rows(x, eps, c)
+            found = None if basis is None else _series_rows(basis, cb, norm_b, x, eps, c)
             if found is None:
                 # X (u_j I - A_eps)^{-1} = (((u_j I - A_eps)^T)^{-1} X^T)^T
                 ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
                 found = _combine(ph_e, sol, c).T
-            m = scale * (found - eps * lead)
-            residuals[k] = float(np.linalg.norm(m))
-    with np.errstate(over="ignore"):
-        floor = 1e-13 * (core.frobenius(a) + np.abs(lam) + eps_arr * (core.frobenius(b) + np.abs(mu)))
+            residuals[k] = float(np.linalg.norm(scale * (found - eps * lead)))
+        floor = 1e-13 * (core.frobenius(a) + np.abs(lam) + eps_arr * (norm_b + np.abs(mu)))
     if not (np.isfinite(floor).all() and np.isfinite(residuals).all()):
         raise NumericalAmbiguity(f"rounding floor {floor.max():.3e} and largest residual {residuals.max():.3e} must be finite")
     live = residuals > floor

@@ -552,11 +552,11 @@ def reference_first_order_term(a, b, c):
     """riesz.first_order_term on the eigenbasis route by the N-node triple
     sum: U (F o C + sum_m (E_im C_mk + C_im E_mk) H_imk) U*, C = U*BU and
     H_imk = sum_j w_j g_ji g_jm g_jk, H one (n, N) @ (N, n^2) product.
-    a must take the eigenbasis route."""
+    a must take the closed form (riesz._closed_form)."""
     a, b = core.as_cmatrices(a, b)
-    route = riesz._eigenbasis(a, c)
-    assert route is not None
-    u, _, e, g, wg = route
+    basis = riesz._closed_form(riesz._admit(a, c))
+    assert basis is not None
+    u, e, g, wg = basis.u, basis.e, basis.g, basis.wg
     nodes, n = g.shape
     uh = u.conj().T
     cb = uh @ b @ u

@@ -383,6 +383,29 @@ def test_perturb_floor_counts_lambda_and_mu(tmp_path):
     assert np.all(residuals <= 1e-13 * (2e-160 + eps * (1e-160 + 1e160)))
 
 
+@pytest.mark.parametrize("eps_list", ["1e-3,nan", "1e-3,inf"])
+def test_perturb_refuses_an_eps_that_is_not_finite(tmp_path, eps_list):
+    # a NaN eps passed the old eps <= 0 gate and reached numpy's "Array must
+    # not contain infs or NaNs"; an inf one warned in eps B before that
+    fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 3.0]))
+    argv = ["perturb", fa, fa, "--lam", "1", "--mu", "1", "--center", "1", "--radius", "0.5", "--eps-list", eps_list]
+    answers = answers_module()
+    record = answers.cli_record(cli, argv)
+    assert answers.contract_breaks(record) == []
+    assert record["stderr"] == "error: eps_list must contain positive finite reals\n"
+
+
+def test_perturb_refuses_an_a_eps_that_overflows(tmp_path):
+    # A = B = [1e308] at eps = 1: A + eps B overflows to inf, which warned
+    # and then reached numpy's LinAlgError in the eigvals of the margin
+    fa = _write_matrix(tmp_path / "a.mat", [[1e308]])
+    argv = ["perturb", fa, fa, "--lam", "1e308", "--mu", "1e308", "--center", "1e308", "--radius", "5e307", "--eps-list", "1"]
+    answers = answers_module()
+    record = answers.cli_record(cli, argv)
+    assert answers.contract_breaks(record) == []
+    assert record["stderr"] == "error: A + eps B is not finite at eps = 1\n"
+
+
 def test_lemma34_cli(tmp_path):
     fa = _write_matrix(tmp_path / "a.mat", np.diag([0.0, 1.0]))
     fb = _write_matrix(tmp_path / "b.mat", np.diag([2.0, 1.0]))

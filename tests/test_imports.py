@@ -1,8 +1,9 @@
 """Every name a projspec module imports is referenced in that module, every
 module it imports is in the standard library, numpy or projspec, every
 private module-level name it defines is referenced somewhere in projspec,
-every parameter of its functions is read, and the cluster deflation of
-normal eigenbases has one entry point and one radius."""
+every parameter of its functions is read, the cluster deflation of
+normal eigenbases has one entry point and one radius, and the quadrature's
+Neumann tail has one rule."""
 
 import ast
 import re
@@ -218,4 +219,46 @@ def test_scan_catches_a_forked_deflation():
         ("commute.py", "_EIG_CLUSTER_REL"),
         ("commute.py", "_joint_eigenbasis"),
         ("core.py", "eig_normal"),
+    ]
+
+
+def _tail_forks(trees: dict) -> list:
+    """(module, name) for each read of _UNIT_ROUNDOFF outside
+    riesz._tail_terms, the one tail rule of the quadrature routes, named by
+    the top-level definition or assignment that holds it."""
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            owner = getattr(node, "name", names[0] if names else "<module>")
+            for sub in ast.walk(node):
+                read = (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id == "_UNIT_ROUNDOFF") or (
+                    isinstance(sub, ast.Attribute) and sub.attr == "_UNIT_ROUNDOFF"
+                )
+                if read and (mod, owner) != ("riesz.py", "_tail_terms"):
+                    found.append((mod, owner))
+    return sorted(found)
+
+
+def test_one_tail_rule():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(_SRC.glob("*.py"))}
+    assert _tail_forks(trees) == []
+
+
+def test_scan_catches_a_forked_tail_rule():
+    trees = {
+        "riesz.py": ast.parse(
+            "import math\n_UNIT_ROUNDOFF = 2.0**-53\n"
+            "_NEUMANN_BOUND = math.sqrt(_UNIT_ROUNDOFF)\n"
+            "def _tail_terms(q):\n    return q <= _UNIT_ROUNDOFF\n"
+            "def _series_terms(q):\n    return q > _UNIT_ROUNDOFF\n"
+        ),
+        "agmon.py": ast.parse("from . import riesz\nTAIL: float = riesz._UNIT_ROUNDOFF\nprint(riesz._UNIT_ROUNDOFF)\n"),
+    }
+    assert _tail_forks(trees) == [
+        ("agmon.py", "<module>"),
+        ("agmon.py", "TAIL"),
+        ("riesz.py", "_NEUMANN_BOUND"),
+        ("riesz.py", "_series_terms"),
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import tracemalloc
@@ -154,8 +155,13 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _closed(a, c):
+    """A's _Basis at c where the closed form holds for it, else None."""
+    return riesz._closed_form(riesz._admit(a, c))
+
+
 def test_margin_check_is_one_eigensolve(monkeypatch):
-    # the margin reads the spectrum that _eigenbasis already holds: one
+    # the margin reads the spectrum that _admit already holds: one
     # eigvals when eig_normal refuses A, the eigenbasis's diagonal when it
     # admits A; never a determinant probe
     rng = np.random.default_rng(3)
@@ -169,7 +175,7 @@ def test_margin_check_is_one_eigensolve(monkeypatch):
         riesz.core, "eig_normal", lambda *a, **k: eig_normal_calls.append(a) or real_eig_normal(*a, **k)
     )
     for k, (a, routed) in enumerate([(nonnormal, False), (normal, True)], start=1):
-        assert (riesz._eigenbasis(a, Contour(0.0, 1.0)) is not None) == routed
+        assert (_closed(a, Contour(0.0, 1.0)) is not None) == routed
         assert dets[0] == 0
         assert eigvals[0] == 1
         assert len(eig_normal_calls) == k
@@ -185,7 +191,7 @@ def test_eigvals_per_call(monkeypatch, case):
     # contours, from the Bauer-Fike disks about d: no eigvals at all. A
     # non-normal A runs one per call and one per eps contour.
     a, b, c, lam = _gate_case() if case == "gate" else _bit_case(13, case == "normal")
-    assert (riesz._eigenbasis(a, c) is not None) == (case == "normal")
+    assert (_closed(a, c) is not None) == (case == "normal")
     extra = 1 if case == "nonnormal" else 0
     eps_list = [1e-2, 1e-3, 1e-4]
     eigvals = _count_calls(monkeypatch, "eigvals")
@@ -244,7 +250,7 @@ def test_eigenbasis_slack_holds_the_off_diagonal_residual(monkeypatch, case):
     slacks = []
     real = riesz._check_margin
     monkeypatch.setattr(riesz, "_check_margin", lambda vals, slack, c: slacks.append(slack) or real(vals, slack, c))
-    assert riesz._eigenbasis(a, c) is not None
+    assert _closed(a, c) is not None
     low, high = (1e-10, 1e-8) if case == "near-normal" else (0.0, 1e-12)
     assert len(slacks) == 1 and low < slacks[0] < high
 
@@ -356,7 +362,7 @@ def test_first_order_term_bit_identical_to_node_products(n, normal):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 33, 48])
 def test_normal_projection_matches_the_solved_resolvents(n):
     a, b, c, _ = _bit_case(n, True)
-    assert riesz._eigenbasis(a, c) is not None
+    assert _closed(a, c) is not None
     phases, resolvents = riesz._resolvent_nodes(a, c)
     _assert_near(riesz.riesz_projection(a, c).projection, riesz._combine(phases, resolvents, c))
 
@@ -369,7 +375,7 @@ def test_eigenbasis_route_with_more_rows_than_nodes():
     a = random_normal(rng, n, vals=vals)
     b = random_normal(rng, n)
     c = Contour(0.0, 0.05, nodes=16)
-    assert riesz._eigenbasis(a, c) is not None
+    assert _closed(a, c) is not None
     phases, resolvents = riesz._resolvent_nodes(a, c)
     r = riesz.riesz_projection(a, c)
     assert r.rank_estimate == 1
@@ -387,7 +393,8 @@ _NEAR_CONTOUR = Contour(*_ANSWERS.NEAR_CONTOUR)
 def test_near_pairs_match_the_solve_route_and_the_triple_sum(name):
     a, b = _NEAR_PAIR_CASES[name]
     c = _NEAR_CONTOUR
-    _, d, e, _, _ = riesz._eigenbasis(a, c)
+    basis = _closed(a, c)
+    d, e = basis.d, basis.e
     near = (e != 0) & (np.abs(e) >= np.abs(d[:, None] - d))
     if name == "diagonal":
         # E = 0: no pair divides, and none is near
@@ -418,7 +425,8 @@ def test_no_triple_sum_without_near_pairs(monkeypatch):
     # the eigenbasis route with no near pair: no einsum, and no array as
     # large as one (nodes, n^2) table
     a, b, c, _ = _bit_case(48, True)
-    _, d, e, _, _ = riesz._eigenbasis(a, c)
+    basis = _closed(a, c)
+    d, e = basis.d, basis.e
     assert not ((e != 0) & (np.abs(e) >= np.abs(d[:, None] - d))).any()
 
     def refused(*args, **kwargs):
@@ -501,13 +509,17 @@ def _near_normal_case():
 def test_gate_failure_takes_the_solve_route_bit_for_bit(monkeypatch):
     a, b, c, lam = _gate_case()
     riesz.core.eig_normal(a, tol=riesz.core.Tolerances())  # admitted
-    assert riesz._eigenbasis(a, c) is None
+    assert _closed(a, c) is None
     phases, resolvents = riesz._resolvent_nodes(a, c)
     assert riesz.riesz_projection(a, c).projection.tobytes() == riesz._combine(phases, resolvents, c).tobytes()
     want = riesz._combine(phases, resolvents @ b @ resolvents, c)
     assert riesz.first_order_term(a, b, c).tobytes() == want.tobytes()
-    got = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
-    monkeypatch.setattr(riesz, "_eigenbasis", lambda a, c: None)
+    # P0 by the solves, as with no tail rule at all; the eps contours by the
+    # LU on both sides, where the gate case would run the series at 1e-4
+    with monkeypatch.context() as m:
+        _solve_route(m)
+        got = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
+    monkeypatch.setattr(riesz, "_tail_terms", lambda q: None)
     want = riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
     assert (got.residuals.tobytes(), got.slope, got.exact) == (want.residuals.tobytes(), want.slope, want.exact)
 
@@ -551,7 +563,7 @@ def test_near_normal_case_is_refused_at_a_tighter_base():
     a, _, c, _ = _near_normal_case()
     defect = riesz.core.normality_defect(a) / np.linalg.norm(a)
     assert 1e-10 < defect < 1e-8
-    assert riesz._eigenbasis(a, c) is not None
+    assert _closed(a, c) is not None
     with pytest.raises(NotNormal):
         riesz.core.eig_normal(a, tol=riesz.core.Tolerances.from_base(1e-10))
 
@@ -640,7 +652,7 @@ def test_each_eps_contour_solves_rank_many_columns(monkeypatch, size):
 
 def _solve_route(monkeypatch):
     """Send every eps contour of perturbation_check to _solve_nodes."""
-    monkeypatch.setattr(riesz._Perturbed, "rows", lambda self, x, eps, c: None)
+    monkeypatch.setattr(riesz, "_series_pays", lambda m, r, n: False)
 
 
 def _series_route(monkeypatch):
@@ -682,8 +694,8 @@ def test_crossing_disks_fall_back_to_eigvals(monkeypatch):
     b = np.array([[0.0, 1.0], [1.0, 10.0]], dtype=complex)
     c = Contour(0.0, 0.5)
     basis = riesz._admit(a, c)
-    perturbed = riesz._Perturbed.of(basis, a, b)
-    assert perturbed.clears(1e-3, c) and not perturbed.clears(0.1, c)
+    norm_b = riesz.core.frobenius(b)
+    assert riesz._clears(basis, 1e-3, norm_b, c) and not riesz._clears(basis, 0.1, norm_b, c)
     eigvals = _count_calls(monkeypatch, "eigvals")
     rep = riesz.perturbation_check(a, b, 0.0, 0.0, c, [1e-3, 0.1])
     assert eigvals[0] == 1
@@ -697,23 +709,29 @@ def test_crossing_disks_fall_back_to_eigvals(monkeypatch):
 def test_series_rule_takes_the_solve_route(monkeypatch):
     a, b, c, lam = _bit_case(24, True)
     basis = riesz._admit(a, c)
-    perturbed = riesz._Perturbed.of(basis, a, b)
-    gmax = float(np.abs(basis.g).max())
+    cb = basis.u.conj().T @ b @ basis.u
+    norm_b = riesz.core.frobenius(b)
+    gmax = basis.gmax
+    assert gmax == float(np.abs(basis.g).max())
+
+    def series_rows(x, eps):
+        return riesz._series_rows(basis, cb, norm_b, x, eps, c)
+
     # q = max|g| (||E||_F + eps ||B||_F) just above 1/2
-    eps_wide = 1.01 * (0.5 / gmax - basis.off) / perturbed.norm_b
+    eps_wide = 1.01 * (0.5 / gmax - basis.off) / norm_b
     rows = np.random.default_rng(24).normal(size=(7, 24)).astype(complex)
-    assert perturbed.clears(eps_wide, c)
-    assert perturbed.rows(rows[:1], eps_wide, c) is None
+    assert riesz._clears(basis, eps_wide, norm_b, c)
+    assert series_rows(rows[:1], eps_wide) is None
     with monkeypatch.context() as m:
         _series_route(m)
-        assert perturbed.rows(rows[:1], eps_wide, c) is None
-        assert perturbed.rows(rows[:1], 0.98 * eps_wide, c) is not None
+        assert series_rows(rows[:1], eps_wide) is None
+        assert series_rows(rows[:1], 0.98 * eps_wide) is not None
     # at eps = 1e-6 the series needs m = 4 terms: 4 r <= 24 pays for one
     # row and fails for seven
-    q = gmax * (basis.off + 1e-6 * perturbed.norm_b)
-    assert riesz._series_terms(q) == 4
-    assert perturbed.rows(rows[:1], 1e-6, c) is not None
-    assert perturbed.rows(rows, 1e-6, c) is None
+    q = gmax * (basis.off + 1e-6 * norm_b)
+    assert riesz._tail_terms(q) == 4
+    assert series_rows(rows[:1], 1e-6) is not None
+    assert series_rows(rows, 1e-6) is None
     shapes = _record_solves(monkeypatch)
     riesz.perturbation_check(a, b, lam, 0.5, c, [eps_wide, 1e-6])
     assert shapes == [(c.nodes, 24, 1)]
@@ -722,10 +740,50 @@ def test_series_rule_takes_the_solve_route(monkeypatch):
 def test_series_terms_reach_the_unit_roundoff():
     u = np.finfo(np.float64).eps / 2
     for q in (0.0, 1e-20, 1e-8, 1e-3, 0.1, 0.3, 0.5):
-        m = riesz._series_terms(q)
+        m = riesz._tail_terms(q)
         assert q**m / (1 - q) <= u
         assert m == 1 or q ** (m - 1) / (1 - q) > u
-    assert riesz._series_terms(0.5) == 54
+    assert riesz._tail_terms(0.5) == 54
+
+
+@pytest.mark.parametrize("q", [0.6, np.nan, np.inf])
+def test_tail_terms_is_none_above_one_half(q):
+    # no route reads a series whose ratio exceeds 1/2, nor a NaN or inf one
+    assert riesz._tail_terms(q) is None
+
+
+def test_closed_form_holds_where_two_terms_reach_the_unit_roundoff(monkeypatch):
+    # q^2 = u (1 - q) at q* = 1.05367e-8, a relative 5.3e-9 below sqrt(u):
+    # two records of one A straddle q*, and only the one whose series two
+    # terms carry to the unit roundoff takes the closed form
+    a, _, c, _ = _bit_case(8, True)
+    basis = riesz._admit(a, c)
+    u = np.finfo(np.float64).eps / 2
+    star = (np.sqrt(u * u + 4 * u) - u) / 2
+    assert star < np.sqrt(u)
+    below, above = (dataclasses.replace(basis, off=star * f / basis.gmax) for f in (1 - 1e-10, 1 + 1e-10))
+    assert riesz._tail_terms(below.gmax * below.off) == 2
+    assert riesz._tail_terms(above.gmax * above.off) == 3
+    shapes = _record_solves(monkeypatch)
+    assert riesz._closed_form(below) is below
+    riesz._projection(a, c, below)
+    assert shapes == []
+    assert riesz._closed_form(above) is None
+    riesz._projection(a, c, above)
+    assert shapes == [(c.nodes, 8, 8)]
+
+
+def test_no_tail_terms_sends_every_contour_to_the_solves(monkeypatch):
+    # with the rule patched to None, P0, the projection and the first-order
+    # term invert every node, and every eps contour solves P0's one row;
+    # unpatched only eps = 1e-2 solves (test_normal_contours_invert_no_node)
+    a, b, c, lam = _bit_case(24, True)
+    monkeypatch.setattr(riesz, "_tail_terms", lambda q: None)
+    shapes = _record_solves(monkeypatch)
+    riesz.riesz_projection(a, c)
+    riesz.first_order_term(a, b, c)
+    riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3, 1e-4])
+    assert shapes == [(c.nodes, 24, 24)] * 3 + [(c.nodes, 24, 1)] * 3
 
 
 def test_non_finite_norm_of_b_falls_back_without_a_warning(monkeypatch):
@@ -746,31 +804,33 @@ def test_non_finite_norm_of_b_falls_back_without_a_warning(monkeypatch):
 
 def test_non_finite_k_falls_back(monkeypatch):
     # refused before any term: a BLAS that skips zero factors would not
-    # carry an inf of K into the sum. _Perturbed runs under
+    # carry an inf of K into the sum. _series_rows runs under
     # perturbation_check's errstate, as here.
     a, b, c, _ = _bit_case(8, True)
     basis = riesz._admit(a, c)
-    perturbed = riesz._Perturbed.of(basis, a, b)
+    cb = basis.u.conj().T @ b @ basis.u
+    norm_b = riesz.core.frobenius(b)
     rows = np.ones((1, 8), dtype=complex)
-    assert perturbed.rows(rows, 1e-4, c) is not None
+    assert riesz._series_rows(basis, cb, norm_b, rows, 1e-4, c) is not None
 
     def unreachable(*args):
         raise AssertionError("the series ran on a non-finite K")
 
     monkeypatch.setattr(riesz, "_neumann_rows", unreachable)
     for bad in (np.inf, np.nan):
-        perturbed.cb[3, 5] = bad
+        cb[3, 5] = bad
         with np.errstate(over="ignore", invalid="ignore"):
-            assert perturbed.rows(rows, 1e-4, c) is None
+            assert riesz._series_rows(basis, cb, norm_b, rows, 1e-4, c) is None
 
 
 def test_non_finite_sum_falls_back():
     a, b, c, _ = _bit_case(8, True)
-    perturbed = riesz._Perturbed.of(riesz._admit(a, c), a, b)
+    basis = riesz._admit(a, c)
+    cb = basis.u.conj().T @ b @ basis.u
     rows = np.zeros((1, 8), dtype=complex)
     rows[0, 2] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        assert perturbed.rows(rows, 1e-4, c) is None
+        assert riesz._series_rows(basis, cb, riesz.core.frobenius(b), rows, 1e-4, c) is None
 
 
 def test_neumann_rows_sums_m_terms():
