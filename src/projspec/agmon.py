@@ -11,6 +11,7 @@ ladder where the escape radii diverge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -78,7 +79,7 @@ def _circular_gaps(spectrum):
     widths and one of the arguments they start at. A repeated direction
     leaves a gap of width zero; zero or one nonzero entry leaves one gap of
     exactly 2pi."""
-    vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
+    vals = np.asarray(spectrum if isinstance(spectrum, np.ndarray) else list(spectrum), dtype=np.complex128).ravel()
     args = np.sort(np.mod(np.angle(vals[np.abs(vals) > 0.0]), _TWO_PI))
     if args.size < 2:
         return np.array([_TWO_PI]), args if args.size else np.zeros(1)
@@ -140,68 +141,91 @@ def _angles(n_angles: int) -> np.ndarray:
     return _TWO_PI * np.arange(n_angles, dtype=np.float64) / n_angles
 
 
-def _blocking_radii(vals: np.ndarray, epsilon: float, n_angles: int, ends) -> list:
-    """For each k in the ascending ends, the blocking radii of the forbidden
-    disks D(-1/l, eps/|l|) of the first k of the nonzero vals at the angles
-    2 pi j / n_angles: entry j is the largest ray parameter t > 0 at which
-    e^{i theta_j} t sits on the boundary of one of those disks, 0 when the
-    ray misses them all.
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n_angles: int) -> np.ndarray:
+    """conj(e^{i theta_j}) at the angles theta_j = 2 pi j / n_angles, built
+    once per n_angles and read-only, since every caller shares it."""
+    conj_u = np.conj(np.exp(1j * _angles(n_angles)))
+    conj_u.flags.writeable = False
+    return conj_u
 
-    The disk about c = -1/l has radius eps |c|, so a ray meets it only when
-    its direction lies within asin(eps) of arg c, whatever |l| is. Each disk
-    is evaluated once, on the angle indices of that arc, widened by two
-    indices a side against rounding, _PROFILE_DISKS disks to a gather, and
-    maxed into its own slice of one running maximum; the radii after k disks
-    are that maximum read at k. Every pair left out is one the full
-    disk-by-angle grid sends to 0, so the radii are those of the full grid,
-    bit for bit. A disk whose centre or |c|^2 - r^2 is not a finite double
-    raises NumericalAmbiguity.
 
-    Each gather is one in-place pass: b = Re(conj(u) c), t = b^2 - (|c|^2 -
-    r^2), t = b + sqrt(t). A ray that misses the disk has t < 0, so its
-    square root is NaN, and np.fmax, which returns the other operand where
-    one is NaN, drops it. The bits are those of a mask that sends a miss to
-    0: fmax(running, NaN) keeps running, which is >= 0, a hit behind the
-    origin (t < 0) loses to it as before, and a hit's t is the same
-    product, difference and sum whichever way a miss is marked.
-    """
+def _forbidden_disks(vals: np.ndarray, epsilon: float, n_angles: int):
+    """(centers, gap) of the forbidden disks D(-1/l, eps/|l|) of vals: the
+    centres c = -1/l and |c|^2 - r^2 = (1 - eps^2)/|l|^2 > 0, so no disk
+    reaches the origin. InvalidEpsilon unless 0 < eps < 1, ValueError for
+    fewer than 8 angles, and NumericalAmbiguity when a disk's centre or
+    |c|^2 - r^2 is not a finite double."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         centers = -1.0 / vals
-        # |center|^2 - r^2 = (1 - eps^2)/|lambda|^2 > 0: no disk reaches the origin
         gap = np.abs(centers) ** 2 - (epsilon / np.abs(vals)) ** 2
     if not np.isfinite(gap).all():
         raise NumericalAmbiguity(f"forbidden disk of eigenvalue {complex(vals[~np.isfinite(gap)][0]):.6g} overflows")
+    return centers, gap
+
+
+def _ray_exits(p: np.ndarray, gap) -> np.ndarray:
+    """The ray parameters t at which rays leave disks, from p = conj(u) c
+    of each ray direction u and disk centre c, and the disks' |c|^2 - r^2:
+    b = Re(conj(u) c), t = b + sqrt(b^2 - gap). A ray that misses its disk
+    gets NaN (the caller ignores numpy's invalid warning) and one whose
+    disk lies behind the origin gets t <= 0, so np.fmax into a maximum that
+    is >= 0 keeps only the radii of hits."""
+    b = p.real
+    t = b * b
+    t -= gap
+    np.sqrt(t, out=t)
+    t += b
+    return t
+
+
+def _blocking_radii(vals: np.ndarray, epsilon: float, n_angles: int) -> np.ndarray:
+    """The blocking radii of the forbidden disks D(-1/l, eps/|l|) of the
+    nonzero vals at the angles 2 pi j / n_angles: entry j is the largest ray
+    parameter t > 0 at which e^{i theta_j} t sits on the boundary of one of
+    those disks, 0 when the ray misses them all.
+
+    The disk about c = -1/l has radius eps |c|, so a ray meets it only when
+    its direction lies within asin(eps) of arg c, whatever |l| is. Each disk
+    is evaluated once, on the angle indices of that arc, widened by two
+    indices a side against rounding, _PROFILE_DISKS disks to a gather, and
+    maxed into its own slice of one running maximum. Every pair left out is
+    one the full disk-by-angle grid sends to 0, so the radii are those of
+    the full grid, bit for bit. A disk whose centre or |c|^2 - r^2 is not a
+    finite double raises NumericalAmbiguity.
+
+    Each gather is one pass of _ray_exits. A ray that misses the disk has
+    b^2 - gap < 0, so its t is NaN, and np.fmax, which returns the other
+    operand where one is NaN, drops it. The bits are those of a mask that
+    sends a miss to 0: fmax(running, NaN) keeps running, which is >= 0, a
+    hit behind the origin (t < 0) loses to it as before, and a hit's t is
+    the same product, difference and sum whichever way a miss is marked.
+    """
+    centers, gap = _forbidden_disks(vals, epsilon, n_angles)
     step = _TWO_PI / n_angles
     reach = math.asin(epsilon) / step + 2.0
     width = min(int(2.0 * reach) + 2, n_angles)
     first = np.floor(np.mod(np.angle(centers), _TWO_PI) / step - reach).astype(np.int64) % n_angles
     # arcs run past index n_angles - 1 into a copy of the first width
-    # directions, folded back (a max, so in place) at each read
-    conj_u = np.conj(np.exp(1j * _angles(n_angles)))
+    # directions, folded back (a max, so in place) at the end
+    conj_u = _unit_circle(n_angles)
     windows = sliding_window_view(np.concatenate([conj_u, conj_u[:width]]), width)
     running = np.zeros(n_angles + width, dtype=np.float64)
-    out = []
     with np.errstate(invalid="ignore"):
-        for done, k in zip([0, *ends], ends):
-            for lo in range(done, k, _PROFILE_DISKS):
-                hi = min(lo + _PROFILE_DISKS, k)
-                p = windows[first[lo:hi]]
-                p *= centers[lo:hi, None]
-                b = p.real
-                t = b * b
-                t -= gap[lo:hi, None]
-                np.sqrt(t, out=t)
-                t += b
-                for start, row in zip(first[lo:hi].tolist(), t):
-                    arc = running[start : start + width]
-                    np.fmax(arc, row, out=arc)
-            np.maximum(running[:width], running[n_angles:], out=running[:width])
-            out.append(running[:n_angles].copy())
-    return out
+        for lo in range(0, vals.size, _PROFILE_DISKS):
+            hi = min(lo + _PROFILE_DISKS, vals.size)
+            p = windows[first[lo:hi]]
+            p *= centers[lo:hi, None]
+            t = _ray_exits(p, gap[lo:hi, None])
+            for start, row in zip(first[lo:hi].tolist(), t):
+                arc = running[start : start + width]
+                np.fmax(arc, row, out=arc)
+    np.maximum(running[:width], running[n_angles:], out=running[:width])
+    return running[:n_angles]
 
 
 def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_ANGLES) -> EscapeProfile:
@@ -215,7 +239,7 @@ def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_AN
     """
     vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
     vals = vals[np.abs(vals) > 0.0]
-    (radii,) = _blocking_radii(vals, epsilon, n_angles, [vals.size])
+    radii = _blocking_radii(vals, epsilon, n_angles)
     return EscapeProfile(epsilon, _angles(n_angles), radii, float(radii.min()))
 
 
@@ -251,6 +275,49 @@ def example_operator(level: int) -> np.ndarray:
     return np.diag(example_spectrum(level))
 
 
+def _ladder_radii(spectrum: np.ndarray, epsilon: float, n_angles: int) -> list:
+    """The blocking radii of each level l = 1..top of spectrum =
+    example_spectrum(top), of size 2^(top+1) - 2: entry l - 1 is
+    _blocking_radii of its first 2^(l+1) - 2 values, bit for bit, read off
+    one running maximum after each block.
+
+    Block n holds 2^n disks of one modulus nu_n, disk k (spectrum index
+    2^n - 2 + k) centred at -nu_n e^{2 pi i k / 2^n}, which is position
+    m = (k + 2^(n-1)) mod 2^n of the directions 2 pi m / 2^n. Angle j lies
+    at x = j 2^n / n_angles positions, between disks floor(x) and
+    floor(x) + 1, and only those two are evaluated: 2 n_angles pairs a
+    block, whatever 2^n is.
+
+    No other disk of the block can hold the maximum. The block's |c| agree
+    to a few ulps, and their |c|^2 - r^2 to a few ulps of |c|^2. A ray at
+    angle phi from a disk's direction leaves it at |c| (cos phi +
+    sqrt(cos^2 phi - (1 - eps^2))), which falls as phi grows to pi/2, and
+    beyond pi/2 it hits behind the origin or misses. The nearer of the two
+    evaluated disks is at phi <= s/2, s = 2 pi / 2^n, and every other disk
+    at phi >= s, so where both hit, the other's radius is lower by at least
+    |c| (cos(s/2) - cos s) ~ (3/8) |c| s^2, 5.5e-8 |c| at level 14, far
+    above rounding, and where the nearer one misses so does the other. The
+    two evaluated disks' maximum is then the block's maximum, and fmax into
+    the running maximum, as in _blocking_radii, gives the same bits in any
+    order of disks.
+    """
+    centers, gap = _forbidden_disks(spectrum, epsilon, n_angles)
+    conj_u = _unit_circle(n_angles)
+    j = np.arange(n_angles, dtype=np.int64)
+    running = np.zeros(n_angles, dtype=np.float64)
+    out = []
+    with np.errstate(invalid="ignore"):
+        for n in range(1, (spectrum.size + 2).bit_length() - 1):
+            size = 2**n
+            left = j * size // n_angles
+            disks = size - 2 + (np.stack([left, left + 1]) + size // 2) % size
+            t = _ray_exits(conj_u * centers[disks], gap[disks])
+            np.fmax(running, t[0], out=running)
+            np.fmax(running, t[1], out=running)
+            out.append(running.copy())
+    return out
+
+
 def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES):
     """Rows (level, dim, max_gap, min_escape_radius) per truncation level.
 
@@ -259,9 +326,10 @@ def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES
 
     example_spectrum(l) is a prefix of example_spectrum(L) for l <= L, of
     dimension 2^{l+1} - 2, and a level's blocking radii are the maximum over
-    its disks. So one _blocking_radii pass over example_spectrum of the top
-    level evaluates every disk once, and each level reads the running
-    maximum at its own dimension.
+    its disks. So _ladder_radii evaluates each block of the top level once,
+    at the two disks nearest each direction, and each level reads the
+    running maximum after its own block: the rows are bit for bit those of
+    escape_radius_profile on each level's spectrum.
     """
     if isinstance(levels, (int, np.integer)):
         levels = range(1, int(levels) + 1)
@@ -271,10 +339,9 @@ def escape_ladder(levels, epsilon: float = 0.5, n_angles: int = DEFAULT_N_ANGLES
     if not levels:
         return []
     spectrum = example_spectrum(max(levels))
+    radii = _ladder_radii(spectrum, epsilon, n_angles)
     dims = [2 ** (level + 1) - 2 for level in levels]
-    ends = sorted(set(dims))
-    radii = dict(zip(ends, _blocking_radii(spectrum, epsilon, n_angles, ends)))
-    return [(level, dim, max_circular_gap(spectrum[:dim]), float(radii[dim].min())) for level, dim in zip(levels, dims)]
+    return [(level, dim, max_circular_gap(spectrum[:dim]), float(radii[level - 1].min())) for level, dim in zip(levels, dims)]
 
 
 def emit_profile_csv(profile: EscapeProfile) -> str:

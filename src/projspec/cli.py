@@ -64,8 +64,10 @@ def _tolerances(args) -> core.Tolerances:
 def _cli_complex(text: str) -> complex:
     """A complex argument: the file format's ``<re><sign><im>i`` literals
     parse to the same bits as core.parse_complex, and Python's own forms
-    (``1``, ``-2.5``, ``0.5j``) are accepted too."""
-    return complex(text.strip().replace("i", "j"))
+    (``1``, ``-2.5``, ``0.5j``, ``inf``) are accepted too: only a trailing
+    imaginary unit ``i`` becomes ``j``."""
+    text = text.strip()
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 # The options whose values are complex literals, --zs a comma-separated list.

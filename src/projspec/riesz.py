@@ -460,12 +460,15 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     finite, the margin is checked on one LAPACK eigvals of A_eps; where the
     series does not pay, K or the sum is not finite, or eig_normal refuses
     A, the rows are one batched solve of the transposed stack
-    (u_j I - A_eps)^T against r columns. eps must be positive and finite,
-    and an A_eps that is not finite raises NumericalAmbiguity.
+    (u_j I - A_eps)^T against r columns. lam and mu must be finite and eps
+    positive and finite, refused before any contour is solved, and an A_eps
+    that is not finite raises NumericalAmbiguity.
     """
     a, b = core.as_cmatrices(a, b)
     lam = complex(lam)
     mu = complex(mu)
+    if not (np.isfinite(lam) and np.isfinite(mu)):
+        raise ValueError("lam and mu must be finite")
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
     if eps_arr.size == 0 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
         raise ValueError("eps_list must contain positive finite reals")

@@ -88,6 +88,19 @@ def test_a_repeated_direction_leaves_a_zero_width_gap():
     assert (wit.theta, wit.delta) == (agmon.strong_agmon_check([1.0, 1j]).theta, 3 * math.pi / 4)
 
 
+@pytest.mark.parametrize(
+    "spectrum",
+    [agmon.example_spectrum(4), np.array([2.0, 1j, 1.0, 3.0, 0.0]), np.array([[1 + 1j, 0.0], [-2.0, 0.5j]]), np.array([])],
+    ids=["ladder", "repeats", "matrix", "empty"],
+)
+def test_circular_gaps_read_arrays_lists_and_generators_alike(spectrum):
+    # an ndarray is read as it is, any other iterable through a list
+    want = agmon._circular_gaps(spectrum)
+    for other in (spectrum.tolist(), (x for x in spectrum)):
+        got = agmon._circular_gaps(other)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("level", range(1, 7))
 def test_example_spectrum_gap(level):
     spectrum = agmon.example_spectrum(level)
@@ -243,16 +256,16 @@ def test_ladder_accepts_explicit_levels():
 
 
 def _count_passes(monkeypatch):
-    """Patch agmon._blocking_radii to record the disk count and the ends of
-    every pass."""
-    real = agmon._blocking_radii
+    """Patch agmon._ray_exits to record the number of disk-direction pairs
+    of every evaluation pass."""
+    real = agmon._ray_exits
     passes = []
 
-    def counting(vals, epsilon, n_angles, ends):
-        passes.append((len(vals), list(ends)))
-        return real(vals, epsilon, n_angles, ends)
+    def counting(p, gap):
+        passes.append(p.size)
+        return real(p, gap)
 
-    monkeypatch.setattr(agmon, "_blocking_radii", counting)
+    monkeypatch.setattr(agmon, "_ray_exits", counting)
     return passes
 
 
@@ -271,10 +284,32 @@ def test_ladder_rejects_bad_levels_before_any_work(monkeypatch, levels, error):
 
 
 def test_ladder_profiles_each_block_once(monkeypatch):
-    # one pass over the top level's 1022 disks, read at every level's dimension
+    # one pass per block of the top level, at most 4 disks per direction
     passes = _count_passes(monkeypatch)
     agmon.escape_ladder(9, epsilon=0.5, n_angles=64)
-    assert passes == [(1022, [2 ** (n + 1) - 2 for n in range(1, 10)])]
+    assert len(passes) == 9
+    assert sum(passes) <= 4 * 9 * 64
+
+
+@pytest.mark.parametrize("n_angles", [8, 9, 1000, 4096])
+@pytest.mark.parametrize("epsilon", [1e-6, 0.3, 0.5, 0.9, 1 - 1e-12])
+def test_ladder_radii_bit_identical_to_blocking_radii(epsilon, n_angles):
+    # every level's whole radii array, not only its minimum, against every
+    # disk of that level on its arc
+    spectrum = agmon.example_spectrum(12)
+    got = agmon._ladder_radii(spectrum, epsilon, n_angles)
+    assert len(got) == 12
+    for level, radii in enumerate(got, start=1):
+        want = agmon._blocking_radii(spectrum[: 2 ** (level + 1) - 2], epsilon, n_angles)
+        assert radii.tobytes() == want.tobytes(), level
+
+
+def test_unit_circle_table_is_shared_and_read_only():
+    table = agmon._unit_circle(64)
+    assert agmon._unit_circle(64) is table
+    assert table.tobytes() == np.conj(np.exp(1j * agmon._angles(64))).tobytes()
+    with pytest.raises(ValueError):
+        table[0] = 0.0
 
 
 def _hex_rows(rows):

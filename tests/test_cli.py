@@ -406,6 +406,33 @@ def test_perturb_refuses_an_a_eps_that_overflows(tmp_path):
     assert record["stderr"] == "error: A + eps B is not finite at eps = 1\n"
 
 
+_PERTURB_AT_1 = ["perturb", "a", "a", "--center", "1", "--radius", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (_PERTURB_AT_1 + ["--lam", "1", "--mu", "inf"], "lam and mu must be finite"),
+        (_PERTURB_AT_1 + ["--lam", "nan", "--mu", "1"], "lam and mu must be finite"),
+        (_PERTURB_AT_1 + ["--lam", "1", "--mu", "nan"], "lam and mu must be finite"),
+        (_PERTURB_AT_1 + ["--lam", "1", "--mu", "1e400"], "lam and mu must be finite"),
+        (["lemma34", "a", "a", "--mu", "inf"], "|mu| = inf must match the operator norm of b (3)"),
+        (["riesz", "a", "--center", "inf", "--radius", "0.5"], "contour about inf+0j of radius 0.5 leaves double range"),
+    ],
+    ids=["perturb mu inf", "perturb lam nan", "perturb mu nan", "perturb mu 1e400", "lemma34 mu inf", "riesz center inf"],
+)
+def test_complex_options_read_inf_and_nan(tmp_path, argv, error):
+    # inf and nan are complex literals, refused by the option they reach;
+    # perturb refuses them before solving any contour
+    fa = _write_matrix(tmp_path / "a.mat", np.diag([1.0, 3.0]))
+    argv = [fa if x == "a" else x for x in argv]
+    answers = answers_module()
+    record = answers.cli_record(cli, argv)
+    assert answers.contract_breaks(record) == []
+    assert record["exit"] == 2
+    assert record["stderr"] == f"error: {error}\n"
+
+
 def test_lemma34_cli(tmp_path):
     fa = _write_matrix(tmp_path / "a.mat", np.diag([0.0, 1.0]))
     fb = _write_matrix(tmp_path / "b.mat", np.diag([2.0, 1.0]))
@@ -861,7 +888,10 @@ def test_cli_complex_matches_parse_complex_bit_for_bit():
     assert any(math.isinf(core.parse_complex(t).real) for t in literals)
 
 
-@pytest.mark.parametrize("text, value", [("1", 1 + 0j), ("-2.5", -2.5 + 0j), ("0.5j", 0.5j), (" 3-4i ", 3 - 4j)])
+@pytest.mark.parametrize(
+    "text, value",
+    [("1", 1 + 0j), ("-2.5", -2.5 + 0j), ("0.5j", 0.5j), (" 3-4i ", 3 - 4j), ("inf", complex("inf")), ("1-infi", complex(1, -math.inf))],
+)
 def test_cli_complex_accepts_python_forms(text, value):
     assert cli._cli_complex(text) == value
 

@@ -63,6 +63,22 @@ def test_perturbation_check_refuses_a_projection_that_overflows():
         riesz.riesz_projection(a, c)
 
 
+@pytest.mark.parametrize(
+    "lam, mu",
+    [(float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf")), (complex(1.0, float("-inf")), 1.0)],
+)
+def test_perturbation_check_refuses_a_lam_or_mu_that_is_not_finite(monkeypatch, lam, mu):
+    # refused before the eigenbasis, P0 or any contour is solved
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a contour was solved")
+
+    for name in ("_admit", "_projection", "_resolvent_nodes"):
+        monkeypatch.setattr(riesz, name, unreachable)
+    a = np.diag([1.0, 3.0])
+    with pytest.raises(ValueError, match="^lam and mu must be finite$"):
+        riesz.perturbation_check(a, a, lam, mu, Contour(1.0, 0.5), [1e-2, 1e-3])
+
+
 def test_projection_selects_enclosed_eigenvalue():
     a = np.diag([1.0, 2.0]).astype(complex)
     r = riesz.riesz_projection(a, Contour(1.0, 0.5))

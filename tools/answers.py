@@ -27,6 +27,10 @@ environment. Families:
   spectral    eig_normal and the agmon results of perfbench `spectral`
               agmon operations, and its level-9 escape_ladder operations,
               rounds 0-14 at seed 3
+  ladder      escape_ladder rows, each float as its hex, up to the top
+              levels LADDER_TOPS at every LADDER_EPSILONS and
+              LADDER_ANGLES: arcs from 1e-3 to 1 - 1e-12 wide, angle counts
+              below, across and above a block's 2^n directions
   riesz       the riesz_projection, first_order_term, perturbation_check and
               lemma34_solver operations of perfbench `spectral`, rounds 0-14
               at seed 3 (`rounds` sets how many), each also on a non-normal
@@ -93,8 +97,8 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 FAMILIES = (
-    "criterion1", "battery", "large", "spectral", "riesz", "riesz_near", "sweep", "readme", "clustered", "edges", "formats",
-    "detpoly_lines", "contract",
+    "criterion1", "battery", "large", "spectral", "ladder", "riesz", "riesz_near", "sweep", "readme", "clustered", "edges",
+    "formats", "detpoly_lines", "contract",
 )
 
 
@@ -158,6 +162,22 @@ def large(env):
 
 def spectral(env):
     yield from _rounds(env["bench"].Spectral(3), 15, kinds=("agmon", "escape_ladder"))
+
+
+LADDER_TOPS = (1, 9, 12, 14)
+LADDER_EPSILONS = (1e-3, 0.5, 0.9, 1 - 1e-12)
+LADDER_ANGLES = (8, 9, 1000, 4096)
+
+
+def ladder(env):
+    agmon = env["projspec"].agmon
+    for top in LADDER_TOPS:
+        for epsilon in LADDER_EPSILONS:
+            for n_angles in LADDER_ANGLES:
+                rows = outcome(lambda: agmon.escape_ladder(top, epsilon, n_angles))
+                if not isinstance(rows, BaseException):
+                    rows = [(level, dim, gap.hex(), radius.hex()) for level, dim, gap, radius in rows]
+                yield f"top {top} epsilon {epsilon!r} n_angles {n_angles}", rows
 
 
 RIESZ_KINDS = ("riesz_projection", "first_order_term", "perturbation_check", "lemma34_solver")
