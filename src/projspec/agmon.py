@@ -79,7 +79,7 @@ def _circular_gaps(spectrum):
     widths and one of the arguments they start at. A repeated direction
     leaves a gap of width zero; zero or one nonzero entry leaves one gap of
     exactly 2pi."""
-    vals = np.asarray(spectrum if isinstance(spectrum, np.ndarray) else list(spectrum), dtype=np.complex128).ravel()
+    vals = core.as_values(spectrum, np.complex128).ravel()
     args = np.sort(np.mod(np.angle(vals[np.abs(vals) > 0.0]), _TWO_PI))
     if args.size < 2:
         return np.array([_TWO_PI]), args if args.size else np.zeros(1)
@@ -126,8 +126,8 @@ def witness_sequence(wit: SectorWitness, count: int) -> np.ndarray:
 
 def verify_witness(spectrum, zs, epsilon: float) -> WitnessCheck:
     """Check |1 + lambda z| >= epsilon over the whole spectrum-by-ray grid."""
-    vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
-    zarr = np.asarray(list(zs), dtype=np.complex128).ravel()
+    vals = core.as_values(spectrum, np.complex128).ravel()
+    zarr = core.as_values(zs, np.complex128).ravel()
     if vals.size == 0 or zarr.size == 0:
         return WitnessCheck(True, None, None, math.inf)
     mods = np.abs(1.0 + vals[:, None] * zarr[None, :])
@@ -237,7 +237,7 @@ def escape_radius_profile(spectrum, epsilon: float, n_angles: int = DEFAULT_N_AN
     radii of the full disk-by-angle grid. NumericalAmbiguity when a disk
     overflows (|1/l|^2 not a finite double).
     """
-    vals = np.asarray(list(spectrum), dtype=np.complex128).ravel()
+    vals = core.as_values(spectrum, np.complex128).ravel()
     vals = vals[np.abs(vals) > 0.0]
     radii = _blocking_radii(vals, epsilon, n_angles)
     return EscapeProfile(epsilon, _angles(n_angles), radii, float(radii.min()))

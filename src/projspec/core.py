@@ -95,6 +95,12 @@ def as_cmatrices(*objs) -> list:
     return mats
 
 
+def as_values(values, dtype) -> np.ndarray:
+    """values as an array of dtype: an ndarray read as it is, any other
+    iterable (a list, a generator) through list."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=dtype)
+
+
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
 

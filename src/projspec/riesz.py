@@ -25,10 +25,12 @@ g_ji g_jm = (g_ji - g_jm)/(d_i - d_m), which turns the triple sums
 sum_j w_j g_ji g_jm g_jk into (F_ik - F_mk)/(d_i - d_m). A near pair,
 E_im != 0 with |E_im| >= |d_i - d_m|, gets Z_im = 0 and its terms by those
 N-node triple sums instead; f and F stay N-node sums. perturbation_check's
-contours A + eps B see U*(A + eps B)U = diag(d) + K with K = E + eps U*BU,
-and need only the r rows of P0 its residual reads, r being P0's certified
-rank: at q = max|g| (||E||_F + eps ||B||_F) they run the row series of m
-terms over all nodes at once where m r <= n. Otherwise, and when
+contours A + eps B see U*(A + eps B)U = diag(d) + K with K = E + eps C,
+C = U*BU, and need only the r rows of P0 its residual reads, r being P0's
+certified rank: at q = max|g| (||E||_F + eps ||C||_2), with ||C||_2 bounded
+once per call from C's Schatten-8 norm and never above ||B||_F
+(_spectral_bound), they run the row series of m terms over all nodes at
+once where m r <= n. Otherwise, and when
 eig_normal refuses A, the solves at all nodes of a contour are one batched
 LAPACK solve, summed over the nodes by one tensordot: against the identity
 for a projection, against r columns for an eps contour.
@@ -47,12 +49,12 @@ condition number, so the integer-trace check on the finished projection
 remains the backstop.
 
 lemma34_solver finds the smallest right singular vector v of each probe and
-ramp matrix M = I + zA - B/mu by inverse iteration on M*M, batched over the
-stack, and certifies it by ||Mv||, an upper bound on the smallest singular
-value. The SVD still runs where that certificate fails: the values-only SVD
-of the probes when some probe misses _LINE_PROBE_TOL, and the full SVD of
-the ramp when its last residuals miss _LEMMA34_RESID_TOL, an LU is exactly
-singular or an iterate is not finite.
+ramp matrix M = I + zA - B/mu by inverse iteration on M*M, from one
+batched inverse of the stack, and certifies it by ||Mv||, an upper bound on
+the smallest singular value. The SVD still runs where that certificate
+fails: the values-only SVD of the probes when some probe misses
+_LINE_PROBE_TOL, and the full SVD of the ramp when its last residuals miss
+_LEMMA34_RESID_TOL, an LU is exactly singular or an iterate is not finite.
 """
 
 from __future__ import annotations
@@ -88,13 +90,14 @@ _LINE_PROBE_TOL = 1e-8
 _LEMMA34_RESID_TOL = 1e-6
 
 # Inverse-iteration steps on M*M per smallest right singular vector of a
-# lemma34_solver probe or ramp matrix M, and the step between consecutive
-# entries of their fixed start vector (the golden ratio's fractional part).
-# On 120 perfbench lemma34 instances (n = 8-48) one step already left every
-# ramp vector within 1.0e-15 of the SVD's, as two and three steps did. The
-# second step is margin: each step shrinks the error by about
-# (sigma_min / sigma_2)^2, near 1e-32 there, but not where the two smallest
-# singular values lie close together.
+# lemma34_solver probe or ramp matrix M, each two products with M's one
+# computed inverse, and the step between consecutive entries of their fixed
+# start vector (the golden ratio's fractional part). On 120 perfbench
+# lemma34 instances (n = 8-48) one step already left every ramp vector
+# within 1.0e-15 of the SVD's, as two and three steps did. The second step
+# is margin: each step shrinks the error by about (sigma_min / sigma_2)^2,
+# near 1e-32 there, but not where the two smallest singular values lie
+# close together.
 _INVERSE_STEPS = 2
 _START_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -418,14 +421,39 @@ def _clears(basis: _Basis, eps: float, norm_b: float, c: Contour) -> bool:
     return True
 
 
-def _series_rows(basis: _Basis, cb: np.ndarray, norm_b: float, x: np.ndarray, eps: float, c: Contour) -> Optional[np.ndarray]:
+def _spectral_bound(m: np.ndarray, norm_f: float) -> float:
+    """An upper bound on ||m||_2 for an n x n m, never above norm_f, the
+    caller's ||m||_F: the smaller of norm_f and the Schatten-8 norm
+
+        ||m||_2 <= ||(m*m)^2||_F^(1/4) = (sum_i sigma_i^8)^(1/8),
+
+    computed on m' = m / 2^e, with 2^e the power of two that brings
+    max|m_ij| into [1/2, 1), so that no product overflows or underflows,
+    and scaled back by 2^e; both scalings are exact. With H = m'*m', the
+    computed H and H^2 carry errors of at most gamma ||m'||_F^2 and
+    gamma (3 + O(gamma)) ||m'||_F^4 in the Frobenius norm, gamma =
+    gamma_(n+2) for complex inner products (Higham, Accuracy and Stability,
+    Lemma 3.5), so the figure adds 8 (n + 2) eps_mach ||m'||_F^4 under the
+    fourth root: 3 gamma_(n+2) with room for the rounding of the norms, the
+    sum and the root. A NaN or inf figure keeps norm_f. Run under the
+    caller's errstate."""
+    e = math.frexp(float(np.abs(m).max()))[1]
+    scaled = np.ldexp(np.ascontiguousarray(m).view(np.float64), -e).view(np.complex128)
+    h = scaled.conj().T @ scaled
+    frob = float(np.linalg.norm(scaled))
+    root = (float(np.linalg.norm(h @ h)) + 8.0 * (m.shape[0] + 2) * _EPS * frob**4) ** 0.25
+    bound = float(np.ldexp(root, e))
+    return bound if bound < norm_f else norm_f
+
+
+def _series_rows(basis: _Basis, cb: np.ndarray, norm_c: float, x: np.ndarray, eps: float, c: Contour) -> Optional[np.ndarray]:
     """sum_j w_j x (u_j I - A_eps)^{-1} for the (r, n) rows x by
     _neumann_rows with K = E + eps cb, cb = U*BU, or None where the series
-    does not pay or K or the sum is not finite. q = max|g| (||E||_F +
-    eps ||B||_F) bounds ||K G_j||_2, and the series runs its m =
-    _tail_terms(q) terms where m r <= n (_series_pays). Run under the
-    caller's errstate."""
-    m = _tail_terms(basis.gmax * (basis.off + eps * norm_b))
+    does not pay or K or the sum is not finite. With norm_c >= ||cb||_2
+    (_spectral_bound), q = max|g| (||E||_F + eps norm_c) bounds
+    ||K G_j||_2, and the series runs its m = _tail_terms(q) terms where
+    m r <= n (_series_pays). Run under the caller's errstate."""
+    m = _tail_terms(basis.gmax * (basis.off + eps * norm_c))
     k = basis.e + eps * cb
     if m is None or not (_series_pays(m, *x.shape) and np.isfinite(k).all()):
         return None
@@ -456,8 +484,9 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     every eps: the margin is checked on A's d with the Bauer-Fike slack
     ||E||_F + eps ||B||_F + n eps_mach (||A||_F + eps ||B||_F) (_clears),
     and the rows x P_eps come from the Neumann series in that basis
-    (_series_rows). Where those disks cross the margin, or the slack is not
-    finite, the margin is checked on one LAPACK eigvals of A_eps; where the
+    (_series_rows), whose ratio reads one bound on ||U*BU||_2 per call
+    (_spectral_bound). Where those disks cross the margin, or the slack is
+    not finite, the margin is checked on one LAPACK eigvals of A_eps; where the
     series does not pay, K or the sum is not finite, or eig_normal refuses
     A, the rows are one batched solve of the transposed stack
     (u_j I - A_eps)^T against r columns. lam and mu must be finite and eps
@@ -469,7 +498,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
     mu = complex(mu)
     if not (np.isfinite(lam) and np.isfinite(mu)):
         raise ValueError("lam and mu must be finite")
-    eps_arr = np.asarray(list(eps_list), dtype=np.float64)
+    eps_arr = core.as_values(eps_list, np.float64)
     if eps_arr.size == 0 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
         raise ValueError("eps_list must contain positive finite reals")
     basis = _admit(a, c)
@@ -484,6 +513,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
         lead = rows @ (b - mu * eye) @ p0
         norm_b = core.frobenius(b)
         cb = None if basis is None else basis.u.conj().T @ b @ basis.u
+        norm_c = None if basis is None else _spectral_bound(cb, norm_b)
         for k, eps in enumerate(eps_arr):
             a_eps = a + eps * b
             if not np.isfinite(a_eps).all():
@@ -494,7 +524,7 @@ def perturbation_check(a, b, lam, mu, c: Contour, eps_list) -> PerturbationRepor
             except EigenvalueOnContour as exc:
                 raise ContourCapturesPerturbedSpectrumBoundary(f"at eps = {eps:g}: {exc}") from None
             x = rows @ (a_eps - (lam + eps * mu) * eye)
-            found = None if basis is None else _series_rows(basis, cb, norm_b, x, eps, c)
+            found = None if basis is None else _series_rows(basis, cb, norm_c, x, eps, c)
             if found is None:
                 # X (u_j I - A_eps)^{-1} = (((u_j I - A_eps)^T)^{-1} X^T)^T
                 ph_e, sol = _solve_nodes(a_eps.T, c, x.T)
@@ -538,25 +568,26 @@ def _ramp(shifted: np.ndarray, zs: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _inverse_iteration(stack: np.ndarray) -> Optional[np.ndarray]:
     """Unit vectors, one per matrix M of the (k, n, n) stack, for M's
-    smallest right singular vector: _INVERSE_STEPS steps of inverse
-    iteration on M*M, each two batched solves over the whole stack (M* y =
-    x, then M x' = y) and a normalization, from the fixed start x_j = 1 +
-    frac(j _START_STEP), so the bytes are the same on every run. The start
-    is real and positive with distinct entries: a real diagonal M keeps its
-    iterates real and their signs, and no entry pattern such as (1, -1)
-    is orthogonal to it. None when an LU is exactly singular (LinAlgError;
-    diagonal inputs reach this) or an iterate is not finite; formed with
-    numpy's warnings off."""
+    smallest right singular vector: one batched inverse of the whole stack,
+    one LU per matrix, then _INVERSE_STEPS steps of inverse iteration on
+    M*M, each x' = M^-1 (M^-* x) by two batched products and a
+    normalization, from the fixed start x_j = 1 + frac(j _START_STEP), so
+    the bytes are the same on every run. The start is real and positive
+    with distinct entries: a real diagonal M keeps its iterates real and
+    their signs, and no entry pattern such as (1, -1) is orthogonal to it.
+    None when an LU is exactly singular (LinAlgError; diagonal inputs reach
+    this) or an iterate is not finite; formed with numpy's warnings off."""
     k, n, _ = stack.shape
     x = np.broadcast_to((1.0 + np.mod(_START_STEP * np.arange(n), 1.0))[:, None], (k, n, 1))
-    adjoint = stack.conj().transpose(0, 2, 1)
     with np.errstate(all="ignore"):
         try:
-            for _ in range(_INVERSE_STEPS):
-                x = np.linalg.solve(stack, np.linalg.solve(adjoint, x))
-                x = x / np.linalg.norm(x, axis=1, keepdims=True)
+            inverse = np.linalg.inv(stack)
         except np.linalg.LinAlgError:
             return None
+        adjoint = inverse.conj().transpose(0, 2, 1)
+        for _ in range(_INVERSE_STEPS):
+            x = inverse @ (adjoint @ x)
+            x = x / np.linalg.norm(x, axis=1, keepdims=True)
     return x[:, :, 0] if np.isfinite(x).all() else None
 
 
@@ -602,8 +633,8 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     becomes a deterministic singular-vector sequence here.
 
     Each vector comes from _INVERSE_STEPS = 2 steps of inverse iteration on
-    M*M over the whole stack of ramp or probe matrices at once
-    (_inverse_iteration), and ||Mv||, an upper bound on M's smallest
+    M*M with one batched inverse of the whole stack of ramp or probe
+    matrices (_inverse_iteration), and ||Mv||, an upper bound on M's smallest
     singular value, certifies it: a probe passes when ||Mv|| <=
     _LINE_PROBE_TOL, and the ramp when its last residuals are at most
     _LEMMA34_RESID_TOL. The SVD runs only where that fails: the
@@ -658,7 +689,7 @@ def lemma34_solver(a, b, mu, zs=None) -> Lemma34Result:
     if zs is None:
         spectrum = np.linalg.eigvals(a) if values is None else values
         zs = np.exp(1j * strong_agmon_check(spectrum).theta) * (10.0 ** np.arange(1, 7))
-    zarr = np.asarray(list(zs), dtype=np.complex128)
+    zarr = core.as_values(zs, np.complex128)
     if zarr.size == 0:
         raise ValueError("zs must be nonempty")
     stack = _ramp(shifted, zarr, a)

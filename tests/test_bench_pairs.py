@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's workload filter; the recording itself runs the benchmark and is not run here."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,4 +38,20 @@ def test_each_run_records_the_load_before_and_after(monkeypatch):
         "result": {"seed": 3, "trace": 0},
         "loadavg_before": [0.5, 0.25, 0.125],
         "loadavg_after": [1.5, 0.75, 0.375],
+        "bytecode_cache": bench_pairs.bytecode_cache(),
+    }
+
+
+@pytest.mark.parametrize("value", [None, "1"])
+def test_each_run_records_the_bytecode_cache(monkeypatch, value):
+    bench_pairs = tool_module("bench_pairs")
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (0.5, 0.25, 0.125))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda root, workload, seed, seconds, trace: {"seed": seed})
+    assert bench_pairs.load_run(Path("."), "cli", 1, 20)["bytecode_cache"] == {
+        "dont_write_bytecode": sys.flags.dont_write_bytecode,
+        "PYTHONDONTWRITEBYTECODE": value,
     }

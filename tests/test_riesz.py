@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -492,9 +493,16 @@ def test_normal_contours_invert_no_node(monkeypatch, n):
     assert shapes == []
     riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3])
     # an eps contour solves against P0's one row only where the series
-    # would cost more (m > n): both at n = 1 and 5; at n = 24 only eps =
-    # 1e-2, whose ratio needs more terms than 1e-3's
-    assert shapes == {1: [(c.nodes, 1, 1)] * 2, 5: [(c.nodes, 5, 1)] * 2, 24: [(c.nodes, 24, 1)]}[n]
+    # would cost more (m > n): both at n = 1 and 5; at n = 24 neither, since
+    # the ratio reads ||U*BU||_2's bound, where ||B||_F made eps = 1e-2 need
+    # 33 > 24 terms
+    assert shapes == {1: [(c.nodes, 1, 1)] * 2, 5: [(c.nodes, 5, 1)] * 2, 24: []}[n]
+    if n == 24:
+        basis = riesz._admit(a, c)
+        norm_b = riesz.core.frobenius(b)
+        norm_c = riesz._spectral_bound(basis.u.conj().T @ b @ basis.u, norm_b)
+        assert riesz._tail_terms(basis.gmax * (basis.off + 1e-2 * norm_b)) == 33
+        assert riesz._tail_terms(basis.gmax * (basis.off + 1e-2 * norm_c)) == 17
 
 
 def _upper_case(seed, n, delta):
@@ -661,9 +669,12 @@ def test_each_eps_contour_solves_rank_many_columns(monkeypatch, size):
     riesz.perturbation_check(a, b, lam, mu, c, [1e-2, 1e-3, 1e-4])
     # P0 of a normal A comes from its eigenbasis, and so do the eps
     # contours wherever the series pays (m r <= n); an eps contour that
-    # solves solves r columns: with r = 0 none, with r = 1 eps = 1e-2, with
-    # r = 2 eps = 1e-2 and 1e-3, and with r = 3 every eps
-    assert shapes == [(c.nodes, n, size)] * size
+    # solves solves r columns. With the ratio's ||U*BU||_2 bound the series
+    # runs 14, 16 and 16 terms at eps = 1e-2 for r = 1, 2 and 3, and 8 and 6
+    # at 1e-3 and 1e-4: with r = 0 and 1 none solves, with r = 2 eps = 1e-2,
+    # and with r = 3 every eps. ||B||_F's ratio (21-28 terms at 1e-2, 9-11
+    # at 1e-3) also solved eps = 1e-2 at r = 1 and eps = 1e-3 at r = 2.
+    assert shapes == [(c.nodes, n, size)] * [0, 0, 1, 3][size]
 
 
 def _solve_route(monkeypatch):
@@ -724,17 +735,23 @@ def test_crossing_disks_fall_back_to_eigvals(monkeypatch):
 
 def test_series_rule_takes_the_solve_route(monkeypatch):
     a, b, c, lam = _bit_case(24, True)
+    # a rank-one B: ||B||_2 = ||B||_F, so the Bauer-Fike disks, whose slack
+    # reads ||B||_F, still clear the margin where the ratio passes 1/2, and
+    # the ratio's bound is ||B||_F itself
+    b = np.outer(b[:, 0], b[:, 0].conj())
     basis = riesz._admit(a, c)
     cb = basis.u.conj().T @ b @ basis.u
     norm_b = riesz.core.frobenius(b)
+    norm_c = riesz._spectral_bound(cb, norm_b)
+    assert norm_c == norm_b
     gmax = basis.gmax
     assert gmax == float(np.abs(basis.g).max())
 
     def series_rows(x, eps):
-        return riesz._series_rows(basis, cb, norm_b, x, eps, c)
+        return riesz._series_rows(basis, cb, norm_c, x, eps, c)
 
-    # q = max|g| (||E||_F + eps ||B||_F) just above 1/2
-    eps_wide = 1.01 * (0.5 / gmax - basis.off) / norm_b
+    # q = max|g| (||E||_F + eps norm_c) just above 1/2
+    eps_wide = 1.01 * (0.5 / gmax - basis.off) / norm_c
     rows = np.random.default_rng(24).normal(size=(7, 24)).astype(complex)
     assert riesz._clears(basis, eps_wide, norm_b, c)
     assert series_rows(rows[:1], eps_wide) is None
@@ -744,7 +761,7 @@ def test_series_rule_takes_the_solve_route(monkeypatch):
         assert series_rows(rows[:1], 0.98 * eps_wide) is not None
     # at eps = 1e-6 the series needs m = 4 terms: 4 r <= 24 pays for one
     # row and fails for seven
-    q = gmax * (basis.off + 1e-6 * norm_b)
+    q = gmax * (basis.off + 1e-6 * norm_c)
     assert riesz._tail_terms(q) == 4
     assert series_rows(rows[:1], 1e-6) is not None
     assert series_rows(rows, 1e-6) is None
@@ -792,7 +809,7 @@ def test_closed_form_holds_where_two_terms_reach_the_unit_roundoff(monkeypatch):
 def test_no_tail_terms_sends_every_contour_to_the_solves(monkeypatch):
     # with the rule patched to None, P0, the projection and the first-order
     # term invert every node, and every eps contour solves P0's one row;
-    # unpatched only eps = 1e-2 solves (test_normal_contours_invert_no_node)
+    # unpatched none does (test_normal_contours_invert_no_node)
     a, b, c, lam = _bit_case(24, True)
     monkeypatch.setattr(riesz, "_tail_terms", lambda q: None)
     shapes = _record_solves(monkeypatch)
@@ -847,6 +864,78 @@ def test_non_finite_sum_falls_back():
     rows[0, 2] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         assert riesz._series_rows(basis, cb, riesz.core.frobenius(b), rows, 1e-4, c) is None
+
+
+def _spectral_bound_cases():
+    """(name, m): a complex Gaussian matrix, a normal one, a rank-one one
+    and the nilpotent Jordan block at n = 2-48."""
+    for n in (2, 3, 5, 8, 16, 24, 33, 48):
+        rng = np.random.default_rng(3600 + n)
+        x, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+        yield f"gaussian-{n}", rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        yield f"normal-{n}", random_normal(rng, n)
+        yield f"rank-one-{n}", np.outer(x, y.conj())
+        yield f"jordan-{n}", np.eye(n, k=1, dtype=complex)
+
+
+_SPECTRAL_BOUND_CASES = list(_spectral_bound_cases())
+
+
+@pytest.mark.parametrize("name, m", _SPECTRAL_BOUND_CASES, ids=[name for name, _ in _SPECTRAL_BOUND_CASES])
+def test_spectral_bound_lies_between_the_two_norm_and_frobenius(name, m):
+    # ||m||_2 <= bound <= ||m||_F, and 2^k m gets exactly 2^k times the
+    # bound: unscaled, (m*m)^2 would overflow at 2^400 and underflow at
+    # 2^-400, where a bound of 0 would admit any series. The SVD's sigma_1
+    # carries its own rounding: for rank one, where the bound is ||m||_F,
+    # the two figures are the same number rounded two ways.
+    n = m.shape[0]
+    eps = np.finfo(float).eps
+    base = riesz._spectral_bound(m, riesz.core.frobenius(m))
+    for k in (0, 400, -400):
+        scaled = m * 2.0**k
+        norm_f = riesz.core.frobenius(scaled)
+        bound = riesz._spectral_bound(scaled, norm_f)
+        assert bound == math.ldexp(base, k)
+        assert np.linalg.norm(scaled, 2) <= bound * (1 + n * eps / 2) and bound <= norm_f
+    if name.startswith("jordan") and n > 2:
+        # m*m = diag(0, 1, ..., 1) and its square are exact: the Schatten-8
+        # norm (n - 1)^(1/8), far below ||m||_F = (n - 1)^(1/2), plus the
+        # rounding term 8 (n + 2) eps ||m||_F^4 under the fourth root
+        assert base == pytest.approx(((n - 1) ** 0.5 + 8 * (n + 2) * eps * (n - 1) ** 2) ** 0.25, rel=1e-15)
+        assert base < 1.001 * (n - 1) ** 0.125
+
+
+def test_spectral_bound_keeps_every_series_contour_on_benchmark_draws(monkeypatch):
+    # perfbench `spectral` perturbation_check operations, seed 1, rounds
+    # 0-9: q never exceeds ||B||_F's q, so every eps contour whose series
+    # paid at that ratio still runs it, and 24 of the 34 that solved no
+    # longer do; at n = 48 the series runs 15, 8 and 6 terms at eps = 1e-2,
+    # 1e-3 and 1e-4, where ||B||_F's ratio needed 30-33, 11 and 7
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    bench = importlib.import_module("bench_workloads")
+    workload = bench.Spectral(1)
+    ops = [op for r in range(10) for op in workload.round(r) if op.kind == "perturbation_check"]
+    real = riesz._series_rows
+    norm_b = [None]
+    seen = []
+
+    def recording(basis, cb, norm_c, x, eps, c):
+        found = real(basis, cb, norm_c, x, eps, c)
+        before = riesz._tail_terms(basis.gmax * (basis.off + eps * norm_b[0]))
+        m = riesz._tail_terms(basis.gmax * (basis.off + eps * norm_c))
+        seen.append((x.shape[1], eps, before is not None and riesz._series_pays(before, *x.shape), found is not None, m))
+        return found
+
+    monkeypatch.setattr(riesz, "_series_rows", recording)
+    for op in ops:
+        norm_b[0] = riesz.core.frobenius(inspect.signature(op.call).parameters["b"].default)
+        op.call()
+    assert len(seen) == 180
+    assert all(now for _, _, before, now, _ in seen if before)
+    assert (sum(before for _, _, before, _, _ in seen), sum(now for _, _, _, now, _ in seen)) == (146, 170)
+    n48 = [m for n, _, _, _, m in seen if n == 48]
+    assert max(m for n, eps, _, _, m in seen if n == 48 and eps == 1e-2) <= 15
+    assert sum(n48) / len(n48) <= 10
 
 
 def test_neumann_rows_sums_m_terms():
@@ -1120,7 +1209,7 @@ def _nan_svd(monkeypatch, compute_uv):
 def _force_svd_fallback(monkeypatch):
     """Make every inverse-iteration iterate inf, so that lemma34_solver
     reaches the SVD of the probes and of the ramp on any input."""
-    monkeypatch.setattr(np.linalg, "solve", lambda m, x: np.full(np.shape(x), np.inf))
+    monkeypatch.setattr(np.linalg, "inv", lambda m: np.full(np.shape(m), np.inf, dtype=complex))
 
 
 def test_lemma34_probe_gate_refuses_a_nan_singular_value(monkeypatch):
@@ -1178,10 +1267,11 @@ def test_lemma34_ramp_matches_the_svd_within_rounding(n):
     stack = riesz._ramp(np.eye(n, dtype=complex) - b / mu, zs, a)
     vectors = riesz._inverse_iteration(stack)
     if n == 2:
-        # this 2 x 2 ramp's LU has an exactly zero pivot: the SVD's bytes
-        assert vectors is None
-        assert _same_bytes(res, *reference_lemma34_ramp(a, b, mu, zs))
-        return
+        # this 2 x 2 ramp's adjoint has an exactly zero LU pivot, which sent
+        # solves against M* to the SVD; M's own LU, the one the inverse
+        # reads, has none
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(stack.conj().transpose(0, 2, 1), np.ones((len(zs), n, 1)))
     _, svals, vh = np.linalg.svd(stack)
     u = np.finfo(float).eps / 2
     for k, (z, sigma, res_a, res_b) in enumerate(res.history):
@@ -1240,7 +1330,7 @@ def test_lemma34_singular_lu_falls_back_to_the_svd_bytes(monkeypatch):
 
 def test_lemma34_non_finite_iterate_falls_back_to_the_svd_bytes(monkeypatch):
     # diag(1e-300, 1): the first pivot of I + zA - B/mu is z 1e-300, and
-    # two solves against it overflow
+    # two products with its inverse overflow
     a = np.diag([1e-300, 1.0]).astype(complex)
     b = np.diag([2.0, 1.0]).astype(complex)
     assert riesz._inverse_iteration(riesz._ramp(np.eye(2) - b / 2.0, _LEMMA34_ZS, a)) is None
@@ -1253,6 +1343,36 @@ def test_lemma34_non_finite_iterate_falls_back_to_the_svd_bytes(monkeypatch):
     res = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
     assert svds == [False, True]
     assert _same_bytes(res, *reference_lemma34_ramp(a, b, 2.0, _LEMMA34_ZS))
+
+
+def test_eps_list_and_zs_read_arrays_lists_and_generators_alike():
+    # core.as_values: an ndarray, a list and a generator of the same values
+    # give the same bytes
+    a, b, c, lam = _bit_case(8, True)
+    eps = np.array([1e-2, 1e-3, 1e-4])
+    want = riesz.perturbation_check(a, b, lam, 0.5, c, eps)
+    for other in (eps.tolist(), (e for e in eps)):
+        got = riesz.perturbation_check(a, b, lam, 0.5, c, other)
+        assert (got.residuals.tobytes(), got.slope) == (want.residuals.tobytes(), want.slope)
+    a, b = _lemma34_pair(6, 36)
+    want = riesz.lemma34_solver(a, b, 2.0, _LEMMA34_ZS)
+    for other in (_LEMMA34_ZS.tolist(), (z for z in _LEMMA34_ZS)):
+        assert _same_bytes(riesz.lemma34_solver(a, b, 2.0, other), want.vector, want.history)
+
+
+def test_inverse_iteration_inverts_each_stack_once(monkeypatch):
+    # one batched inverse per stack and no solve; an exactly singular
+    # matrix anywhere in the stack still gives None
+    a, b = _lemma34_pair(6, 36)
+    stack = riesz._ramp(np.eye(6) - b / 2.0, _LEMMA34_ZS, a)
+    inverses = _count_calls(monkeypatch, "inv")
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solve called"))
+    assert riesz._inverse_iteration(stack) is not None
+    assert inverses == [1]
+    singular = stack.copy()
+    singular[3] = np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0])
+    assert riesz._inverse_iteration(singular) is None
+    assert inverses == [2]
 
 
 def _wrong_vectors_at_call(monkeypatch, which):

@@ -12,8 +12,13 @@ when i is even and the change first when i is odd. --parent and --change
 may name the same commit: that A/A record measures the recorder's own null.
 
 The record at the repository root, BENCH_<tag>.json, holds:
-  runs                     every run's last stdout line (the end-to-end metrics), and
-                           os.getloadavg() just before and just after the run
+  runs                     every run's last stdout line (the end-to-end metrics),
+                           os.getloadavg() just before and just after the run, and
+                           its bytecode_cache
+  bytecode_cache           sys.flags.dont_write_bytecode of the recorder and the
+                           PYTHONDONTWRITEBYTECODE value (null when unset) that every
+                           run inherits: without a bytecode cache each `cli` process
+                           compiles projspec's sources
   medians                  per workload and metric: each side's median, Q1 and Q3,
                            the parent's spread (Q3 - Q1) / median, and the pairs
                            in which the change's run is better (BENCHMARK.json's
@@ -131,12 +136,21 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return json.loads(out.splitlines()[-1])
 
 
+def bytecode_cache() -> dict:
+    """Whether this process writes no bytecode cache, and the
+    PYTHONDONTWRITEBYTECODE value (None when unset) that its runs inherit."""
+    return {"dont_write_bytecode": sys.flags.dont_write_bytecode,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+
+
 def load_run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """run_bench's result of one --trace 0 run, with the machine's 1, 5 and
-    15 minute load averages (os.getloadavg) just before and just after it."""
+    15 minute load averages (os.getloadavg) just before and just after it,
+    and the bytecode_cache it ran under."""
     before = list(os.getloadavg())
     result = run_bench(root, workload, seed, seconds, 0)
-    return {"result": result, "loadavg_before": before, "loadavg_after": list(os.getloadavg())}
+    return {"result": result, "loadavg_before": before, "loadavg_after": list(os.getloadavg()),
+            "bytecode_cache": bytecode_cache()}
 
 
 def quartiles(values):
@@ -279,6 +293,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "numpy": numpy_version,
         "python": platform.python_version(),
+        "bytecode_cache": bytecode_cache(),
         "seeds": [args.first_seed + i for i in range(PAIRS)],
         "seconds": seconds,
         "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])]),
@@ -288,7 +303,8 @@ def main(argv=None) -> int:
         "summary": ("medians of each side and the quartiles of each side; parent_spread is (Q3 - Q1) / median of "
                     "the parent's own runs; pairs_change_better counts the pairs in which the change's run is "
                     "better than the parent's, by BENCHMARK.json's `better`. Each run holds os.getloadavg() "
-                    "(1, 5 and 15 minute load averages) just before and just after it. " + args.note).strip(),
+                    "(1, 5 and 15 minute load averages) just before and just after it, and the bytecode_cache it "
+                    "ran under. " + args.note).strip(),
         "medians": {w: medians(runs, w, spec["end_to_end"]) for w in workloads},
         "runs": runs,
         "eigensolve_calls_per_op": {
