@@ -438,7 +438,7 @@ def _spectral_bound(m: np.ndarray, norm_f: float) -> float:
     sum and the root. A NaN or inf figure keeps norm_f. Run under the
     caller's errstate."""
     e = math.frexp(float(np.abs(m).max()))[1]
-    scaled = np.ldexp(np.ascontiguousarray(m).view(np.float64), -e).view(np.complex128)
+    scaled = np.ldexp(m.view(np.float64), -e).view(np.complex128)
     h = scaled.conj().T @ scaled
     frob = float(np.linalg.norm(scaled))
     root = (float(np.linalg.norm(h @ h)) + 8.0 * (m.shape[0] + 2) * _EPS * frob**4) ** 0.25

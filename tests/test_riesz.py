@@ -494,8 +494,8 @@ def test_normal_contours_invert_no_node(monkeypatch, n):
     riesz.perturbation_check(a, b, lam, 0.5, c, [1e-2, 1e-3])
     # an eps contour solves against P0's one row only where the series
     # would cost more (m > n): both at n = 1 and 5; at n = 24 neither, since
-    # the ratio reads ||U*BU||_2's bound, where ||B||_F made eps = 1e-2 need
-    # 33 > 24 terms
+    # the ratio reads ||U*BU||_2's bound, with which eps = 1e-2 needs 17
+    # terms, where ||B||_F would need 33 > 24
     assert shapes == {1: [(c.nodes, 1, 1)] * 2, 5: [(c.nodes, 5, 1)] * 2, 24: []}[n]
     if n == 24:
         basis = riesz._admit(a, c)
@@ -672,8 +672,7 @@ def test_each_eps_contour_solves_rank_many_columns(monkeypatch, size):
     # solves solves r columns. With the ratio's ||U*BU||_2 bound the series
     # runs 14, 16 and 16 terms at eps = 1e-2 for r = 1, 2 and 3, and 8 and 6
     # at 1e-3 and 1e-4: with r = 0 and 1 none solves, with r = 2 eps = 1e-2,
-    # and with r = 3 every eps. ||B||_F's ratio (21-28 terms at 1e-2, 9-11
-    # at 1e-3) also solved eps = 1e-2 at r = 1 and eps = 1e-3 at r = 2.
+    # and with r = 3 every eps
     assert shapes == [(c.nodes, n, size)] * [0, 0, 1, 3][size]
 
 
@@ -1267,9 +1266,8 @@ def test_lemma34_ramp_matches_the_svd_within_rounding(n):
     stack = riesz._ramp(np.eye(n, dtype=complex) - b / mu, zs, a)
     vectors = riesz._inverse_iteration(stack)
     if n == 2:
-        # this 2 x 2 ramp's adjoint has an exactly zero LU pivot, which sent
-        # solves against M* to the SVD; M's own LU, the one the inverse
-        # reads, has none
+        # this 2 x 2 ramp's adjoint has an exactly zero LU pivot; M's own
+        # LU, the one the inverse reads, has none
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(stack.conj().transpose(0, 2, 1), np.ones((len(zs), n, 1)))
     _, svals, vh = np.linalg.svd(stack)
